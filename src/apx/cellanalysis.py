@@ -35,7 +35,7 @@ from .graphcore import (
     vertices_of,
     _tree_path,
 )
-from .polytope import DirectedEdge, normalized_volume_of_cell, phi, regular_subdivision_supports
+from .polytope import DirectedEdge, phi, regular_subdivision_supports
 from .subdivision import Cell, edge_contraction_subdivision
 
 Edge = tuple[int, int]
@@ -436,9 +436,9 @@ def corank2_gamma_delta(
     return gamma, len(shared) - gamma
 
 
-def cell_volume_closed_form(cell: Cell, e: Edge, oracle: int | None = None) -> int:
+def cell_volume_closed_form(cell: Cell, e: Edge) -> int:
     """Closed-form normalized volume for cells of corank 0, 1, 2; always
-    cross-checked against the triangulation oracle."""
+    cross-checked against the triangulation oracle (``cell.nvol``)."""
     corank = subset_corank(cell.points, e, cell.dim)
     arcs, undirected = cell_subgraphs(cell.points)
     if corank == 0:
@@ -454,9 +454,7 @@ def cell_volume_closed_form(cell: Cell, e: Edge, oracle: int | None = None) -> i
         result = int(value)
     else:
         raise UnsupportedCorank(f"corank {corank}: triangulation oracle only")
-    if oracle is None:
-        oracle = normalized_volume_of_cell(cell.vectors())
-    assert result == oracle, f"closed form {result} != oracle {oracle}"
+    assert result == cell.nvol, f"closed form {result} != oracle {cell.nvol}"
     return result
 
 
@@ -521,10 +519,10 @@ def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
     )
     circuit = subset_is_circuit(cell.points, e, cell.dim)
     dependent = not exactlin.is_affinely_independent(_vectors(cell.points, cell.dim))
-    oracle = normalized_volume_of_cell(cell.vectors())
+    oracle = cell.nvol
     closed: int | None
     if corank <= 2:
-        closed = cell_volume_closed_form(cell, e, oracle=oracle)
+        closed = cell_volume_closed_form(cell, e)
     else:
         closed = None
     checks = {

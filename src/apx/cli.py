@@ -19,7 +19,6 @@ from .cellanalysis import subset_corank
 from .errors import ApxError, CorrespondenceViolation, MorphismViolation, ParseError
 from .graphcore import Graph, directed_subgraph_to_dot, edge, graph_to_dot
 from .polytope import build_configuration, enumerate_facets, normalized_volume
-from .polytope import normalized_volume_of_cell
 from .subdivision import edge_contraction_subdivision, facet_correspondence
 from .verify import run_verification
 
@@ -79,11 +78,10 @@ def cmd_subdivide(args) -> int:
     total = 0
     cell_dicts = []
     for cell, image in zip(cells, correspondence.images):
-        nvol = normalized_volume_of_cell(cell.vectors())
-        total += nvol
+        total += cell.nvol
         entry = cell.to_json_dict()
         entry["corank"] = subset_corank(cell.points, e, cell.dim)
-        entry["nvol"] = str(nvol)
+        entry["nvol"] = str(cell.nvol)
         entry["facet_image"] = image.to_json_dict()
         cell_dicts.append(entry)
     payload = {
@@ -114,7 +112,7 @@ def cmd_volume(args) -> int:
     else:
         e = parse_edge(args.edge, g) if args.edge else g.sorted_edges()[0]
         cells = edge_contraction_subdivision(g, e)
-        value = sum(normalized_volume_of_cell(c.vectors()) for c in cells)
+        value = sum(c.nvol for c in cells)
     payload = {
         "graph": g.to_json_dict(),
         "method": args.method,
@@ -127,7 +125,7 @@ def cmd_volume(args) -> int:
 def cmd_verify(args) -> int:
     g = load_graph(args.file)
     e = parse_edge(args.edge, g)
-    report = run_verification(g, e, level=args.level, parallel=args.parallel)
+    report = run_verification(g, e, level=args.level)
     emit(report.to_json_dict(), args.json)
     return EXIT_OK if report.passed() else EXIT_VERIFICATION_FAILED
 
@@ -137,11 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="apx",
         description="Exact adjacency polytopes, edge contraction subdivisions, "
         "and their structural invariants.",
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="allow data-parallel per-cell analysis (APX_THREADS caps workers)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -149,25 +149,6 @@ def solve_unique(rows, rhs) -> Vector:
     return tuple(reduced[i][n] for i in range(n))
 
 
-def solve_consistent(rows, rhs) -> Vector:
-    """Solve a possibly overdetermined but consistent system exactly.
-
-    Raises SingularMatrix when inconsistent or underdetermined.
-    """
-    rows = mat(rows)
-    rhs = vec(rhs)
-    cols = len(rows[0]) if rows else 0
-    aug = [tuple(list(r) + [b]) for r, b in zip(rows, rhs)]
-    reduced, pivots = _rref(aug, cols)
-    used = len(pivots)
-    for row in reduced[used:]:
-        if row[cols] != 0:
-            raise SingularMatrix("inconsistent system")
-    if used != cols:
-        raise SingularMatrix("underdetermined system")
-    return tuple(reduced[i][cols] for i in range(cols))
-
-
 def canonical_integer_vector(v) -> Vector:
     """Scale a nonzero rational vector to coprime integers, first nonzero
     entry positive.  The canonical representative of its line."""
@@ -254,7 +235,3 @@ def integer_determinant(rows: list[list[int]]) -> int:
 def format_scalar(x: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when integral."""
     return str(x)
-
-
-def parse_scalar(s: str) -> Fraction:
-    return Fraction(s)

@@ -79,11 +79,14 @@ class Graph:
             raise ParseError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or "edges" not in data:
             raise ParseError('expected an object with an "edges" key')
-        pairs = data["edges"]
         try:
-            pairs = [(int(u), int(v)) for u, v in pairs]
+            pairs = [(u, v) for u, v in data["edges"]]
         except (TypeError, ValueError) as exc:
             raise ParseError("edges must be pairs of integers") from exc
+        # Exact type test: bool is a subclass of int, and int() would also
+        # truncate floats and parse strings.
+        if any(type(x) is not int for pair in pairs for x in pair):
+            raise ParseError("edges must be pairs of integers")
         if not pairs:
             raise ParseError("no edges in input")
         if any(u == v or u < 0 or v < 0 for u, v in pairs):
@@ -106,6 +109,10 @@ class Graph:
     def is_connected(self) -> bool:
         if self.node_count <= 1:
             return True
+        # Too few edges to connect every label; answered before adjacency()
+        # allocates an entry for each label up to the largest one.
+        if self.node_count > len(self.edges) + 1:
+            return False
         return len(_component_of(0, self.adjacency())) == self.node_count
 
     def to_json_dict(self) -> dict:

@@ -4,10 +4,10 @@ exact normalized-volume oracle.
 Geometry is done on integer vectors throughout.  Facets and regular
 subdivisions are read off the extreme rays of polyhedral cones computed
 with the double description method (exact, incremental); volumes come
-from a placing triangulation in point-label order, summing integer
-determinants.  The two pipelines share no logic beyond the cone engine,
-and tests re-derive facets with an independent brute-force hyperplane
-search.
+from a placing triangulation that places an affine basis first and the
+remaining points in label order, summing integer determinants.  The two
+pipelines share no logic beyond the cone engine, and tests re-derive
+facets with an independent brute-force hyperplane search.
 """
 
 from __future__ import annotations
@@ -98,6 +98,20 @@ def _idot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _greedy_basis(rows, size: int) -> list[int]:
+    """Indices of the first rows, in order, that each raise the rank of
+    the rows chosen so far; stops once ``size`` rows are chosen."""
+    chosen: list[list[int]] = []
+    basis: list[int] = []
+    for i, row in enumerate(rows):
+        if exactlin.integer_rank(chosen + [list(row)]) == len(chosen) + 1:
+            basis.append(i)
+            chosen.append(list(row))
+            if len(basis) == size:
+                break
+    return basis
+
+
 class DDCone:
     """Incremental double description for a pointed cone.
 
@@ -110,18 +124,10 @@ class DDCone:
 
     def __init__(self, dim: int, rows: list[IntVector]):
         self.dim = dim
-        self.rows: list[IntVector] = []
-        basis_idx: list[int] = []
-        chosen: list[IntVector] = []
-        for i, row in enumerate(rows):
-            if exactlin.integer_rank(chosen + [list(row)]) == len(chosen) + 1:
-                basis_idx.append(i)
-                chosen.append(list(row))
-            if len(basis_idx) == dim:
-                break
+        basis_idx = _greedy_basis(rows, dim)
         if len(basis_idx) < dim:
             raise NotFullDimensional(f"constraint rank {len(basis_idx)} < {dim}")
-        fr_rows = [exactlin.vec(r) for r in chosen]
+        fr_rows = [exactlin.vec(rows[i]) for i in basis_idx]
         # Simplicial start: rays are the columns of the basis inverse, so
         # ray j is tight on every basis row except row basis_idx[j].
         cols = []
@@ -289,65 +295,39 @@ def regular_subdivision_supports(vectors, weights) -> list[tuple[Vector, Fractio
 
 
 class _PlacingState:
-    """Placing (lexicographic) triangulation: insert points in label order,
-    coning each new point over the hull facets it is beyond.
+    """Placing triangulation of a full-dimensional point set: place an
+    affine basis first (the first points, in label order, that raise the
+    rank of the homogenized rows (x, 1)), then every other point in label
+    order, coning each new point over the hull facets it is beyond.
 
-    The hull of the already-placed points is tracked in exact local
-    coordinates of their affine span: its facet list is the ray list of a
-    DDCone over the homogenized points, so placing one more point is one
-    incremental cone update whose removed rays are the visible facets.
+    Any placing order yields a triangulation.  Starting from a basis
+    keeps the hull full-dimensional throughout, so its facet list is the
+    ray list of one DDCone over the homogenized integer points, and
+    placing one more point is one incremental cone update whose removed
+    rays are the visible facets.  Simplices and masks are over placing
+    positions; ``run`` maps them back to point indices.
     """
 
     def __init__(self, vectors: list[IntVector]):
-        self.vectors = vectors
-        self.basis: list[int] = []
-        self.basis_vecs: list[Vector] = []
-        self.local: list[Vector] = []
-        self.simplices: list[tuple[frozenset[int], int]] = []
-        self.cone: DDCone | None = None
+        if not vectors:
+            raise NotFullDimensional("empty point set")
+        d = len(vectors[0])
+        rows = [v + (1,) for v in vectors]
+        basis = _greedy_basis(rows, d + 1)
+        if len(basis) < d + 1:
+            raise NotFullDimensional(f"affine dimension {len(basis) - 1} < {d}")
+        chosen = set(basis)
+        self.order = basis + [i for i in range(len(vectors)) if i not in chosen]
+        self.rows = [rows[i] for i in self.order]
+        self.cone = DDCone(d + 1, self.rows[: d + 1])
+        full = (1 << (d + 1)) - 1
+        self.simplices: list[tuple[frozenset[int], int]] = [(frozenset(range(d + 1)), full)]
 
-    def _local_coords(self, v: IntVector) -> Vector | None:
-        """Coordinates of v in the affine basis, or None if outside it."""
-        diff = exactlin.vec([a - b for a, b in zip(v, self.vectors[0])])
-        if not self.basis_vecs:
-            return () if all(x == 0 for x in diff) else None
-        rows = [
-            tuple(self.basis_vecs[k][r] for k in range(len(self.basis_vecs)))
-            for r in range(len(diff))
-        ]
-        try:
-            return exactlin.solve_consistent(rows, diff)
-        except exactlin.SingularMatrix:
-            return None
-
-    def _rebuild_cone(self) -> None:
-        dim = len(self.basis_vecs)
-        rows = [_integerize_row(tuple(lam) + (1,)) for lam in self.local]
-        self.cone = DDCone(dim + 1, rows)
-
-    def insert(self, i: int) -> None:
-        v = self.vectors[i]
-        if i == 0:
-            self.local.append(())
-            self.simplices.append((frozenset([0]), 1))
-            return
-        lam = self._local_coords(v)
-        if lam is None:
-            # Affine rank jumps: every current simplex cones with the point.
-            diff = exactlin.vec([a - b for a, b in zip(v, self.vectors[0])])
-            self.basis.append(i)
-            self.basis_vecs.append(diff)
-            self.local = [self._local_coords(self.vectors[j]) for j in range(i)]
-            self.local.append(self._local_coords(v))
-            bit = 1 << i
-            self.simplices = [(s | {i}, m | bit) for s, m in self.simplices]
-            self._rebuild_cone()
-            return
-        self.local.append(lam)
-        removed = self.cone.add_row(_integerize_row(tuple(lam) + (1,)))
+    def insert(self, k: int) -> None:
+        removed = self.cone.add_row(self.rows[k])
         if not removed:
             return
-        bit = 1 << i
+        bit = 1 << k
         new: dict[frozenset[int], int] = {}
         for _, fmask in removed:
             for s, smask in self.simplices:
@@ -355,17 +335,13 @@ class _PlacingState:
                     continue
                 drop = (smask & ~fmask).bit_length() - 1
                 face = s - {drop}
-                new[frozenset(face | {i})] = (smask & fmask) | bit
+                new[frozenset(face | {k})] = (smask & fmask) | bit
         self.simplices.extend(new.items())
 
     def run(self) -> list[tuple[int, ...]]:
-        for i in range(len(self.vectors)):
-            self.insert(i)
-        return sorted(tuple(sorted(s)) for s, _ in self.simplices)
-
-    @property
-    def affine_dim(self) -> int:
-        return len(self.basis_vecs)
+        for k in range(self.cone.dim, len(self.rows)):
+            self.insert(k)
+        return sorted(tuple(sorted(self.order[k] for k in s)) for s, _ in self.simplices)
 
 
 def _lattice_points(vectors) -> list[IntVector]:
@@ -378,14 +354,15 @@ def _lattice_points(vectors) -> list[IntVector]:
 
 
 def placing_triangulation(vectors) -> list[tuple[int, ...]]:
-    """Simplices (index tuples) of the placing triangulation in the given
-    point order.  Interior and repeated-hyperplane points are skipped, so
-    every simplex is full-dimensional in the affine span."""
+    """Simplices (index tuples) of the placing triangulation that places
+    the greedy affine basis first and the other points in the given
+    order.  Interior points are skipped, so every simplex is
+    full-dimensional.  Raises NotFullDimensional unless the points span
+    their ambient space affinely."""
     vectors = _lattice_points(vectors)
     if len(set(vectors)) != len(vectors):
         raise ValueError("points must be distinct")
-    state = _PlacingState(vectors)
-    return state.run()
+    return _PlacingState(vectors).run()
 
 
 def normalized_volume_of_points(vectors) -> int:
@@ -396,17 +373,8 @@ def normalized_volume_of_points(vectors) -> int:
     lattice input.
     """
     vectors = _lattice_points(vectors)
-    if not vectors:
-        raise NotFullDimensional("empty point set")
-    d = len(vectors[0])
-    if d == 0:
-        return 1
-    state = _PlacingState(vectors)
-    simplices = state.run()
-    if state.affine_dim != d:
-        raise NotFullDimensional(f"affine dimension {state.affine_dim} < {d}")
     total = 0
-    for simplex in simplices:
+    for simplex in _PlacingState(vectors).run():
         base = vectors[simplex[0]]
         rows = [[a - b for a, b in zip(vectors[j], base)] for j in simplex[1:]]
         det = integer_determinant(rows)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     CorrespondenceViolation,
@@ -25,6 +26,7 @@ from .polytope import (
     FacetCertificate,
     build_configuration,
     enumerate_facets,
+    normalized_volume_of_cell,
     phi,
     regular_subdivision_supports,
 )
@@ -50,6 +52,12 @@ class Cell:
 
     def vectors(self) -> list[tuple[int, ...]]:
         return [phi(lab, self.dim) for lab in self.points]
+
+    @cached_property
+    def nvol(self) -> int:
+        """Normalized volume from the triangulation oracle, computed once
+        per cell and shared by every check and report that needs it."""
+        return normalized_volume_of_cell(self.vectors())
 
     def contains_contracted_pair(self, e: Edge) -> bool:
         k1, k2 = e

@@ -3,8 +3,6 @@ one (graph, contraction edge) instance and report pass/fail evidence."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,7 +15,7 @@ from .cellanalysis import (
 from .errors import ApxError
 from .graphcore import Graph, balanced_circuit_rank, components_of_edges, edge, vertices_of
 from .matroid import verify_morphism
-from .polytope import build_configuration, normalized_volume, normalized_volume_of_cell
+from .polytope import build_configuration, normalized_volume
 from .subdivision import (
     Cell,
     check_simpliciality_transfer,
@@ -65,14 +63,6 @@ class VerificationReport:
         }
 
 
-def thread_count() -> int:
-    value = os.environ.get("APX_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return os.cpu_count() or 1
-
-
 def split_at_contraction(g: Graph, e) -> tuple[list, list] | None:
     """Decompose the edge set into two sides sharing exactly e, when the
     contracted endpoints form a cut set; None otherwise."""
@@ -96,9 +86,7 @@ def split_at_contraction(g: Graph, e) -> tuple[list, list] | None:
     return side1, side2
 
 
-def run_verification(
-    g: Graph, e, level: str = "full", parallel: bool = False
-) -> VerificationReport:
+def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     """Check every theorem statement on (g, e); collect all evidence."""
     e = edge(*e)
     report = VerificationReport(g, e, level)
@@ -157,11 +145,7 @@ def run_verification(
         except (ApxError, AssertionError) as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    if parallel and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-            results = list(pool.map(analyze, cells))
-    else:
-        results = [analyze(c) for c in cells]
+    results = [analyze(c) for c in cells]
     report.cell_reports = [r for r in results if isinstance(r, CellInvariantReport)]
     failures = [
         f"cell {i}: {r}" if isinstance(r, str) else f"cell {i}"
@@ -174,7 +158,7 @@ def run_verification(
         "all cells pass" if not failures else "; ".join(failures),
     )
 
-    total = sum(normalized_volume_of_cell(c.vectors()) for c in cells)
+    total = sum(c.nvol for c in cells)
     polytope_volume = normalized_volume(build_configuration(g))
     report.add(
         "volume_additivity",

@@ -1,6 +1,6 @@
 import json
 
-from conftest import RUNNING_EXAMPLE_EDGES
+import pytest
 
 from apx.cli import main
 
@@ -98,15 +98,6 @@ def test_verify_fast_level_skips_exponential_checks(tmp_path, capsys):
     assert "max_corank_equals_balanced_circuit_rank" not in payload["checks"]
 
 
-def test_verify_parallel_output_identical(tmp_path, capsys, monkeypatch):
-    path = write_graph(tmp_path, "running.txt", RUNNING_EXAMPLE_EDGES)
-    assert main(["verify", path, "--edge", "0,3", "--level", "fast"]) == 0
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("APX_THREADS", "4")
-    assert main(["--parallel", "verify", path, "--edge", "0,3", "--level", "fast"]) == 0
-    assert capsys.readouterr().out == serial
-
-
 def test_json_output_is_deterministic(tmp_path, capsys):
     path = write_graph(tmp_path, "c4.txt", C4)
     assert main(["subdivide", path, "--edge", "0,3"]) == 0
@@ -160,3 +151,18 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("0 1 2\n")
     assert main(["facets", str(path)]) == 2
+
+
+@pytest.mark.parametrize("label", ["true", "1.7", '"1"'])
+def test_json_label_that_is_not_an_integer_is_input_error(tmp_path, capsys, label):
+    path = tmp_path / "bad.json"
+    path.write_text('{"edges": [[0, %s], [1, 2]]}' % label)
+    assert main(["facets", str(path)]) == 2
+
+
+def test_huge_label_is_input_error(tmp_path, capsys):
+    # Rejected as disconnected before one entry per label is allocated.
+    path = write_graph(tmp_path, "huge.txt", [(0, 1), (1, 10**12)])
+    assert main(["facets", path]) == 2
+    assert main(["volume", path]) == 2
+    assert main(["verify", path, "--edge", "0,1", "--level", "fast"]) == 2

@@ -1,9 +1,13 @@
 import random
 
+import pytest
+
 from conftest import CORANK2_CELL_ARCS, cycle_graph, running_example, random_connected_graph
 
+from apx.errors import MorphismViolation
 from apx.graphcore import spanning_tree_of
 from apx.matroid import (
+    MatroidView,
     check_matroid_axioms,
     graphic_matroid,
     grouped_ground_set,
@@ -83,3 +87,11 @@ def test_morphism_random_cells():
         e = rng.choice(g.sorted_edges())
         for cell in edge_contraction_subdivision(g, e):
             verify_morphism(cell, e)
+
+
+def test_axiom_check_rejects_downward_closed_non_matroid():
+    # Downward closed, but no element of {1, 2} extends {0}.
+    family = {frozenset(s) for s in ((), (0,), (1,), (2,), (1, 2))}
+    view = MatroidView((0, 1, 2), lambda s: s in family, lambda s: 0)
+    with pytest.raises(MorphismViolation, match="exchange"):
+        check_matroid_axioms(view)

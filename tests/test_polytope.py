@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -190,6 +192,24 @@ def test_volume_with_interior_and_boundary_points():
 def test_volume_lower_dimensional_raises():
     with pytest.raises(NotFullDimensional):
         normalized_volume_of_points([(0, 0), (1, 1), (2, 2)])
+    with pytest.raises(NotFullDimensional):
+        placing_triangulation([(0, 0), (1, 1), (2, 2)])
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_complete_graph_known_answers(n):
+    # Ardila-Beck-Hosten-Pfeifle-Seashore 2011, "Root polytopes".
+    config = build_configuration(Graph.from_edges(combinations(range(n), 2)))
+    assert normalized_volume(config) == comb(2 * n - 2, n - 1)
+    assert len(enumerate_facets(config)) == 2**n - 2
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_cycle_known_volumes(m):
+    # Chen-Davis-Mehta 2018: C_{2k+1} has (2k+1) C(2k, k), C_{2k} has k C(2k, k).
+    k = m // 2
+    expected = (m if m % 2 else k) * comb(2 * k, k)
+    assert normalized_volume(build_configuration(cycle_graph(m))) == expected
 
 
 def test_volume_cell_simplex():

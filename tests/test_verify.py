@@ -67,11 +67,22 @@ def test_random_corpus_fast():
         assert report.passed(), [c.name for c in report.checks if not c.passed]
 
 
-def test_parallel_matches_serial():
-    g = running_example()
-    serial = run_verification(g, (0, 3), level="fast")
-    parallel = run_verification(g, (0, 3), level="fast", parallel=True)
-    assert serial.to_json_dict() == parallel.to_json_dict()
+def test_cell_oracle_runs_once_per_cell(monkeypatch):
+    import apx.polytope as polytope
+
+    calls = []
+    oracle = polytope.normalized_volume_of_points
+
+    def counting(vectors):
+        calls.append(len(vectors))
+        return oracle(vectors)
+
+    monkeypatch.setattr(polytope, "normalized_volume_of_points", counting)
+    report = run_verification(running_example(), (0, 3), level="fast")
+    assert report.passed()
+    # One run per cell, shared by the cell analysis and volume additivity,
+    # plus one for the whole polytope.
+    assert len(calls) == len(report.cell_reports) + 1
 
 
 def test_report_json_shape():
