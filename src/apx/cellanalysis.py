@@ -4,7 +4,8 @@ maximum corank realization, and closed-form cell volumes.
 
 Every closed form is cross-checked against the exact triangulation
 oracle, so these functions double as theorem checkers; a disagreement
-raises instead of returning silently.
+raises TheoremViolation (never a bare assert, so ``python -O`` keeps
+every check) instead of returning silently.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     NotCorankOne,
     NoValidCyclePair,
     PreconditionViolated,
+    TheoremViolation,
     TreeMissingContractedEdge,
     UnsupportedCorank,
 )
@@ -80,7 +82,8 @@ def subset_is_affinely_independent(labels, e: Edge, dim: int) -> bool:
     affine = exactlin.is_affinely_independent(_vectors(labels, dim))
     _, undirected = cell_subgraphs(labels)
     forest = cyclomatic_number(undirected) == 0
-    assert affine == forest, f"affine independence {affine} != forest test {forest}"
+    if affine != forest:
+        raise TheoremViolation(f"affine independence {affine} != forest test {forest}")
     return affine
 
 
@@ -97,7 +100,8 @@ def subset_is_circuit(labels, e: Edge, dim: int) -> bool:
     )
     _, undirected = cell_subgraphs(labels)
     graph_side = is_cycle(undirected)
-    assert minimal == graph_side, f"circuit test {minimal} != cycle test {graph_side}"
+    if minimal != graph_side:
+        raise TheoremViolation(f"circuit test {minimal} != cycle test {graph_side}")
     return minimal
 
 
@@ -112,7 +116,8 @@ def subset_dimension(labels, e: Edge, dim: int) -> int:
     indicator = 1 if has_pair else 0
     m = len(components_of_edges(undirected))
     formula = len(vertices_of(undirected)) + indicator - m - 1
-    assert affine_dim == formula, f"dimension {affine_dim} != formula {formula}"
+    if affine_dim != formula:
+        raise TheoremViolation(f"dimension {affine_dim} != formula {formula}")
     return affine_dim
 
 
@@ -122,7 +127,9 @@ def subset_corank(labels, e: Edge, dim: int) -> int:
     _check_pairing(labels, e)
     corank = len(labels) - subset_dimension(labels, e, dim) - 1
     _, undirected = cell_subgraphs(labels)
-    assert corank == cyclomatic_number(undirected), "corank != cyclomatic number"
+    cyclomatic = cyclomatic_number(undirected)
+    if corank != cyclomatic:
+        raise TheoremViolation(f"corank {corank} != cyclomatic number {cyclomatic}")
     return corank
 
 
@@ -145,7 +152,8 @@ def signature_of_corank1(labels, e: Edge, dim: int) -> Signature:
     if point_corank(labels, dim) != 1:
         raise NotCorankOne(f"corank {point_corank(labels, dim)} != 1")
     lam = exactlin.affine_dependence(_vectors(labels, dim))
-    assert lam is not None
+    if lam is None:
+        raise TheoremViolation("corank-1 subset has no affine dependence")
     pos = sum(1 for x in lam if x > 0)
     neg = sum(1 for x in lam if x < 0)
     zero = len(lam) - pos - neg
@@ -155,7 +163,8 @@ def signature_of_corank1(labels, e: Edge, dim: int) -> Signature:
     m = circumference(undirected)
     half = -(-m // 2)
     expected = (half, half, len(labels) - 2 * half)
-    assert (pos, neg, zero) == expected, f"signature {(pos, neg, zero)} != {expected}"
+    if (pos, neg, zero) != expected:
+        raise TheoremViolation(f"signature {(pos, neg, zero)} != {expected}")
     return Signature(pos, neg, zero)
 
 
@@ -333,9 +342,11 @@ def build_alternating_basis(g: Graph, e: Edge, tree_edges) -> tuple[DirectedEdge
 
     x = tuple(sorted(labels))
     arcs, undirected = cell_subgraphs(x)
-    assert undirected == tree
+    if undirected != tree:
+        raise TheoremViolation("alternating basis graph is not the spanning tree")
     vectors = _vectors(x, g.node_count - 1)
-    assert exactlin.is_affinely_independent(vectors)
+    if not exactlin.is_affinely_independent(vectors):
+        raise TheoremViolation("alternating basis is affinely dependent")
 
     # The unique alpha with <x, alpha> = -lift(x) on the basis must support
     # the whole lifted configuration from below.
@@ -351,7 +362,8 @@ def build_alternating_basis(g: Graph, e: Edge, tree_edges) -> tuple[DirectedEdge
         for lab in ((u, v), (v, u)):
             w = 0 if edge(u, v) == edge(k1, k2) else 1
             value = exactlin.dot(phi(lab, n), alpha) + w
-            assert value >= 0, f"basis functional fails below point {lab}"
+            if value < 0:
+                raise TheoremViolation(f"basis functional fails below point {lab}")
     return x
 
 
@@ -404,7 +416,8 @@ def _arc_signs_along(cycle_edges, arcs) -> dict[Edge, int]:
         if (u, v) in arcs:
             signs[edge(u, v)] = 1
         else:
-            assert (v, u) in arcs, f"cycle edge {(u, v)} missing from the cell"
+            if (v, u) not in arcs:
+                raise TheoremViolation(f"cycle edge {(u, v)} missing from the cell")
             signs[edge(u, v)] = -1
     return signs
 
@@ -450,11 +463,13 @@ def cell_volume_closed_form(cell: Cell, e: Edge) -> int:
         gamma, delta = corank2_gamma_delta(arcs, o1, o2, e)
         m1, m2 = len(o1), len(o2)
         value = Fraction(m1 * m2, 2) - 2 * gamma * delta
-        assert value.denominator == 1 and value > 0
+        if value.denominator != 1 or value <= 0:
+            raise TheoremViolation(f"corank-2 closed form {value} is not a positive integer")
         result = int(value)
     else:
         raise UnsupportedCorank(f"corank {corank}: triangulation oracle only")
-    assert result == cell.nvol, f"closed form {result} != oracle {cell.nvol}"
+    if result != cell.nvol:
+        raise TheoremViolation(f"closed form {result} != oracle {cell.nvol}")
     return result
 
 

@@ -16,7 +16,13 @@ import sys
 from pathlib import Path
 
 from .cellanalysis import subset_corank
-from .errors import ApxError, CorrespondenceViolation, MorphismViolation, ParseError
+from .errors import (
+    ApxError,
+    CorrespondenceViolation,
+    MorphismViolation,
+    ParseError,
+    TheoremViolation,
+)
 from .graphcore import Graph, directed_subgraph_to_dot, edge, graph_to_dot
 from .polytope import build_configuration, enumerate_facets, normalized_volume
 from .subdivision import edge_contraction_subdivision, facet_correspondence
@@ -174,7 +180,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorrespondenceViolation, MorphismViolation, AssertionError) as exc:
+    except (CorrespondenceViolation, MorphismViolation, TheoremViolation, AssertionError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
     except ApxError as exc:

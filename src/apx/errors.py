@@ -66,3 +66,8 @@ class TreeMissingContractedEdge(ApxError):
 
 class MorphismViolation(ApxError):
     """Matroid morphism property failed; never expected."""
+
+
+class TheoremViolation(ApxError):
+    """A statement of the paper checked on the instance at hand failed:
+    the implementation or the theorem is wrong, never the input."""

@@ -9,7 +9,7 @@ matrices are lists of row tuples.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import SingularMatrix
 
@@ -149,13 +149,16 @@ def solve_unique(rows, rhs) -> Vector:
     return tuple(reduced[i][n] for i in range(n))
 
 
+def common_denominator(values) -> int:
+    """Least positive integer that makes every value integral."""
+    return lcm(*(Fraction(x).denominator for x in values))
+
+
 def canonical_integer_vector(v) -> Vector:
     """Scale a nonzero rational vector to coprime integers, first nonzero
     entry positive.  The canonical representative of its line."""
     v = vec(v)
-    denom_lcm = 1
-    for x in v:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
+    denom_lcm = common_denominator(v)
     ints = [int(x * denom_lcm) for x in v]
     g = 0
     for x in ints:

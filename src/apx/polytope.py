@@ -1,20 +1,25 @@
 """Point configurations of adjacency polytopes, facet enumeration, and an
 exact normalized-volume oracle.
 
-Geometry is done on integer vectors throughout.  Facets and regular
+Geometry is done in integers and bitsets throughout.  Facets and regular
 subdivisions are read off the extreme rays of polyhedral cones computed
-with the double description method (exact, incremental); volumes come
-from a placing triangulation that places an affine basis first and the
-remaining points in label order, summing integer determinants.  The two
-pipelines share no logic beyond the cone engine, and tests re-derive
-facets with an independent brute-force hyperplane search.
+with the double description method (exact, incremental).  A cone starts
+from the primitive columns of the adjugate of a row basis, found by one
+fraction-free Gauss-Jordan pass, and decides ray adjacency by ANDing
+per-row bitsets of tight rays.  Volumes come from a placing triangulation
+that places an affine basis first and the remaining points in label
+order: one determinant for the seed simplex, then each new simplex's
+volume as an exact integer ratio off the simplex it is glued to.  The
+two pipelines share no logic beyond the cone engine, and tests re-derive
+facets from brute-force hyperplanes and from integer potentials, and
+volumes from per-simplex determinants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import exactlin
 from .errors import DisconnectedGraph, NotFullDimensional
@@ -112,14 +117,44 @@ def _greedy_basis(rows, size: int) -> list[int]:
     return basis
 
 
+def _adjugate_columns(basis: list[IntVector]) -> list[list[int]]:
+    """Columns of adj(B), up to one common sign, for a nonsingular
+    integer matrix B.
+
+    One fraction-free Gauss-Jordan pass on [B | I] (Bareiss 1968): after
+    pivot k every entry is a (k+1)-minor of [B | I], so each division by
+    the previous pivot is exact, and the pass ends at [d*I | d*B^-1]
+    with d = +-det(B).
+    """
+    n = len(basis)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(basis)]
+    prev = 1
+    for k in range(n):
+        p = next(i for i in range(k, n) if m[i][k])
+        m[k], m[p] = m[p], m[k]
+        pivot_row = m[k]
+        pv = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], pivot_row)]
+        prev = pv
+    return [[m[i][n + j] for i in range(n)] for j in range(n)]
+
+
 class DDCone:
-    """Incremental double description for a pointed cone.
+    """Incremental double description for a pointed cone, in integers.
 
     ``rows`` are integer constraint vectors; the initial batch must have
-    full rank (pointedness).  Each ray carries a bitmask of the rows it is
-    tight on, maintained exactly; adjacency of rays uses the standard
-    combinatorial test.  ``add_row`` returns the rays cut off by the new
-    halfspace, whose masks identify the facets visible from it.
+    full rank (pointedness).  The start is simplicial: the columns of the
+    adjugate of a greedy row basis, each reduced to a primitive vector
+    and oriented into the cone, so ray j is tight on every basis row but
+    the j-th.  Each ray carries a bitmask of the rows it is tight on,
+    maintained exactly.  Adjacency uses the combinatorial test (Fukuda and
+    Prodon 1996): two rays are adjacent iff no third ray is tight on every
+    row both are tight on, decided by ANDing per-row bitsets over ray
+    positions.  ``add_row`` returns the rays cut off by the new halfspace,
+    whose masks identify the facets visible from it.
     """
 
     def __init__(self, dim: int, rows: list[IntVector]):
@@ -127,25 +162,15 @@ class DDCone:
         basis_idx = _greedy_basis(rows, dim)
         if len(basis_idx) < dim:
             raise NotFullDimensional(f"constraint rank {len(basis_idx)} < {dim}")
-        fr_rows = [exactlin.vec(rows[i]) for i in basis_idx]
-        # Simplicial start: rays are the columns of the basis inverse, so
-        # ray j is tight on every basis row except row basis_idx[j].
-        cols = []
-        for j in range(dim):
-            rhs = [Fraction(int(k == j)) for k in range(dim)]
-            cols.append(exactlin.solve_unique(fr_rows, rhs))
+        cols = _adjugate_columns([rows[i] for i in basis_idx])
+        full = sum(1 << i for i in basis_idx)
         self.rows = list(rows)
         self.rays: list[tuple[IntVector, int]] = []
-        for j in range(dim):
-            mask = 0
-            for k in range(dim):
-                if k != j:
-                    mask |= 1 << basis_idx[k]
-            v = [int(x) for x in exactlin.canonical_integer_vector(cols[j])]
-            # canonical form may flip orientation; re-orient into the cone.
-            if _idot(rows[basis_idx[j]], v) < 0:
-                v = [-x for x in v]
-            self.rays.append((tuple(v), mask))
+        for i, col in zip(basis_idx, cols):
+            v = _reduce_ray(col)
+            if _idot(rows[i], v) < 0:
+                v = tuple(-x for x in v)
+            self.rays.append((v, full ^ (1 << i)))
         basis_set = set(basis_idx)
         for i, row in enumerate(rows):
             if i not in basis_set:
@@ -158,32 +183,47 @@ class DDCone:
 
     def _insert(self, idx: int, row: IntVector) -> list[tuple[IntVector, int]]:
         bit = 1 << idx
-        pos, zero, neg = [], [], []
-        dots = {}
-        for ray in self.rays:
-            d = _idot(row, ray[0])
-            dots[id(ray)] = d
-            (pos if d > 0 else zero if d == 0 else neg).append(ray)
+        rays = self.rays
+        dots = [_idot(row, v) for v, _ in rays]
+        pos = [p for p, d in enumerate(dots) if d > 0]
+        zero = [(v, m | bit) for (v, m), d in zip(rays, dots) if d == 0]
+        neg = [p for p, d in enumerate(dots) if d < 0]
         if not neg:
-            self.rays = pos + [(v, m | bit) for v, m in zero]
+            self.rays = [rays[p] for p in pos] + zero
             return []
+        # tight[i]: bitset of the ray positions tight on row i.
+        tight = [0] * len(self.rows)
+        for p, (_, m) in enumerate(rays):
+            b = 1 << p
+            while m:
+                low = m & -m
+                tight[low.bit_length() - 1] |= b
+                m ^= low
+        everything = (1 << len(rays)) - 1
         needed = self.dim - 2
-        masks = [m for _, m in self.rays]
         new_rays = []
-        for rp in pos:
-            mp = rp[1]
-            dp = dots[id(rp)]
-            for rn in neg:
-                z = mp & rn[1]
-                if z.bit_count() < needed:
+        negs = [(q, rays[q][1]) for q in neg]
+        for p in pos:
+            vp, mp = rays[p]
+            dp = dots[p]
+            for q, mn in [(q, mn) for q, mn in negs if (mp & mn).bit_count() >= needed]:
+                # The rays tight on every row of z include p and q; the
+                # pair is adjacent iff there are no others.
+                z = mp & mn
+                pair = (1 << p) | (1 << q)
+                common = everything
+                rest = z
+                while rest and common != pair:
+                    low = rest & -rest
+                    common &= tight[low.bit_length() - 1]
+                    rest ^= low
+                if common != pair:
                     continue
-                if any(m != mp and m != rn[1] and (z & ~m) == 0 for m in masks):
-                    continue
-                dn = dots[id(rn)]
-                combo = [dp * a - dn * b for a, b in zip(rn[0], rp[0])]
+                dn = dots[q]
+                combo = [dp * a - dn * b for a, b in zip(rays[q][0], vp)]
                 new_rays.append((_reduce_ray(combo), z | bit))
-        self.rays = pos + [(v, m | bit) for v, m in zero] + new_rays
-        return neg
+        self.rays = [rays[p] for p in pos] + zero + new_rays
+        return [rays[q] for q in neg]
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +233,8 @@ class DDCone:
 
 def _integerize_row(row) -> IntVector:
     fr = exactlin.vec(row)
-    lcm = 1
-    for x in fr:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    return tuple(int(x * lcm) for x in fr)
+    scale = exactlin.common_denominator(fr)
+    return tuple(int(x * scale) for x in fr)
 
 
 def hull_facet_rays(vectors) -> list[tuple[IntVector, int, int]]:
@@ -230,16 +268,20 @@ def enumerate_facets(config: PointConfiguration) -> list[FacetCertificate]:
         return [FacetCertificate((), ())]
     if exactlin.rank(config.vectors, config.dim) < config.dim:
         raise NotFullDimensional("configuration does not span its space")
+    rays = hull_facet_rays(config.vectors)
+    if any(beta <= 0 for _, beta, _ in rays):
+        raise AssertionError("origin not interior; cannot normalize facet")
+    # alpha * (scale / beta) is the normal times one common positive
+    # integer, so these integer keys sort the normals exactly.
+    scale = lcm(*(beta for _, beta, _ in rays))
+    rays.sort(key=lambda r: tuple(a * (scale // r[1]) for a in r[0]))
     certs = []
-    for alpha, beta, mask in hull_facet_rays(config.vectors):
-        if beta <= 0:
-            raise AssertionError("origin not interior; cannot normalize facet")
+    for alpha, beta, mask in rays:
         normal = tuple(Fraction(a, beta) for a in alpha)
         support = tuple(
             sorted(config.labels[i] for i in range(len(config.labels)) if mask >> i & 1)
         )
         certs.append(FacetCertificate(normal, support))
-    certs.sort(key=lambda c: c.normal)
     return certs
 
 
@@ -295,17 +337,29 @@ def regular_subdivision_supports(vectors, weights) -> list[tuple[Vector, Fractio
 
 
 class _PlacingState:
-    """Placing triangulation of a full-dimensional point set: place an
-    affine basis first (the first points, in label order, that raise the
-    rank of the homogenized rows (x, 1)), then every other point in label
-    order, coning each new point over the hull facets it is beyond.
+    """Placing triangulation of a full-dimensional point set, with the
+    normalized volume of every simplex.
 
-    Any placing order yields a triangulation.  Starting from a basis
-    keeps the hull full-dimensional throughout, so its facet list is the
-    ray list of one DDCone over the homogenized integer points, and
-    placing one more point is one incremental cone update whose removed
-    rays are the visible facets.  Simplices and masks are over placing
-    positions; ``run`` maps them back to point indices.
+    Places an affine basis first (the first points, in label order, that
+    raise the rank of the homogenized rows r = (x, 1)), then every other
+    point in label order, coning each new point over the hull facets it
+    is beyond.  Any placing order yields a triangulation.  Starting from
+    a basis keeps the hull full-dimensional throughout, so its facet list
+    is the ray list of one DDCone over the homogenized integer points,
+    and placing one more point is one incremental cone update whose
+    removed rays are the visible facets.
+
+    The boundary of the triangulation is kept per hull facet, as facet
+    ray -> {face mask: (volume of the simplex on the face, position of its
+    opposite vertex)}, so a visible facet hands over its faces directly.
+    Only the seed simplex takes a determinant.  Every other volume
+    follows from the simplex it is glued to: det(b, w) over the rows of
+    a face b is linear in w and vanishes on the facet hyperplane <v, .> = 0
+    of the face, so coning b to the new point r_k instead of its opposite
+    vertex r_j scales the volume by -<v, r_k> / <v, r_j>.  The new
+    boundary faces are the ridges that occur in exactly one new simplex,
+    each filed under the one facet through r_k that contains it.  Masks
+    are over placing positions; ``order`` maps them back to point indices.
     """
 
     def __init__(self, vectors: list[IntVector]):
@@ -321,27 +375,65 @@ class _PlacingState:
         self.rows = [rows[i] for i in self.order]
         self.cone = DDCone(d + 1, self.rows[: d + 1])
         full = (1 << (d + 1)) - 1
-        self.simplices: list[tuple[frozenset[int], int]] = [(frozenset(range(d + 1)), full)]
+        seed = abs(integer_determinant(self.rows[: d + 1]))
+        self.simplices: list[int] = [full]
+        self.volume = seed
+        # facet ray -> {boundary face mask: (volume, opposite position)}
+        self.faces: dict[IntVector, dict[int, tuple[int, int]]] = {
+            v: {m: (seed, (full ^ m).bit_length() - 1)} for v, m in self.cone.rays
+        }
 
     def insert(self, k: int) -> None:
-        removed = self.cone.add_row(self.rows[k])
+        row = self.rows[k]
+        removed = self.cone.add_row(row)
         if not removed:
             return
         bit = 1 << k
-        new: dict[frozenset[int], int] = {}
-        for _, fmask in removed:
-            for s, smask in self.simplices:
-                if (smask & ~fmask).bit_count() != 1:
-                    continue
-                drop = (smask & ~fmask).bit_length() - 1
-                face = s - {drop}
-                new[frozenset(face | {k})] = (smask & fmask) | bit
-        self.simplices.extend(new.items())
+        # ridge mask -> (volume, opposite position), or None once it is
+        # shared by two new simplices.
+        ridges: dict[int, tuple[int, int] | None] = {}
+        for v, _ in removed:
+            beyond = -_idot(v, row)
+            for face, (vol, j) in self.faces.pop(v).items():
+                vol, rem = divmod(vol * beyond, _idot(v, self.rows[j]))
+                if rem:
+                    raise AssertionError("placing volume is not an integer")
+                simplex = face | bit
+                self.simplices.append(simplex)
+                self.volume += vol
+                rest = face
+                while rest:
+                    low = rest & -rest
+                    ridge = simplex ^ low
+                    ridges[ridge] = None if ridge in ridges else (vol, low.bit_length() - 1)
+                    rest ^= low
+        # holders[i]: bitset of the facets through k that contain point i.
+        through_k = [(v, m) for v, m in self.cone.rays if m & bit]
+        holders = [0] * (k + 1)
+        for f, (_, m) in enumerate(through_k):
+            b = 1 << f
+            while m:
+                low = m & -m
+                holders[low.bit_length() - 1] |= b
+                m ^= low
+        for ridge, entry in ridges.items():
+            if entry is None:
+                continue
+            common = -1
+            rest = ridge
+            while rest:
+                low = rest & -rest
+                common &= holders[low.bit_length() - 1]
+                rest ^= low
+            if not common or common & (common - 1):
+                raise AssertionError("boundary face is not in exactly one hull facet")
+            facet = through_k[common.bit_length() - 1][0]
+            self.faces.setdefault(facet, {})[ridge] = entry
 
-    def run(self) -> list[tuple[int, ...]]:
+    def run(self) -> _PlacingState:
         for k in range(self.cone.dim, len(self.rows)):
             self.insert(k)
-        return sorted(tuple(sorted(self.order[k] for k in s)) for s, _ in self.simplices)
+        return self
 
 
 def _lattice_points(vectors) -> list[IntVector]:
@@ -362,26 +454,22 @@ def placing_triangulation(vectors) -> list[tuple[int, ...]]:
     vectors = _lattice_points(vectors)
     if len(set(vectors)) != len(vectors):
         raise ValueError("points must be distinct")
-    return _PlacingState(vectors).run()
+    state = _PlacingState(vectors).run()
+    return sorted(
+        tuple(sorted(i for p, i in enumerate(state.order) if s >> p & 1))
+        for s in state.simplices
+    )
 
 
 def normalized_volume_of_points(vectors) -> int:
     """Exact normalized volume (d! times Euclidean) of conv(vectors).
 
-    Triangulation oracle: sums |det| of vertex-difference matrices over
-    the placing triangulation; a positive integer for full-dimensional
-    lattice input.
+    Triangulation oracle: the sum of the simplex volumes of the placing
+    triangulation, one determinant for the seed simplex and exact integer
+    ratios for the rest; a positive integer for full-dimensional lattice
+    input.
     """
-    vectors = _lattice_points(vectors)
-    total = 0
-    for simplex in _PlacingState(vectors).run():
-        base = vectors[simplex[0]]
-        rows = [[a - b for a, b in zip(vectors[j], base)] for j in simplex[1:]]
-        det = integer_determinant(rows)
-        if det == 0:
-            raise AssertionError("degenerate simplex in placing triangulation")
-        total += abs(det)
-    return total
+    return _PlacingState(_lattice_points(vectors)).run().volume
 
 
 def normalized_volume(config: PointConfiguration) -> int:

@@ -19,11 +19,12 @@ from .errors import (
     EdgeNotInGraph,
     NotAValidSharedEdgeDecomposition,
 )
-from .exactlin import Vector, dot, vec
+from .exactlin import Vector, common_denominator
 from .graphcore import Graph, contract_edge, edge, vertices_of
 from .polytope import (
     DirectedEdge,
     FacetCertificate,
+    PointConfiguration,
     build_configuration,
     enumerate_facets,
     normalized_volume_of_cell,
@@ -253,17 +254,27 @@ def check_simpliciality_transfer(cell: Cell, correspondence: Correspondence) -> 
     return _facet_is_simplicial(image[0]) and _facet_is_simplicial(image[1])
 
 
-def verify_cell_support(g: Graph, e: Edge, cell: Cell) -> bool:
+def verify_cell_support(
+    g: Graph, e: Edge, cell: Cell, config: PointConfiguration | None = None
+) -> bool:
     """Definitional check of one cell against the lift: level h on its
-    points, strictly above elsewhere, with h = 0 on the contracted pair."""
-    config = build_configuration(g)
+    points, strictly above elsewhere, with h = 0 on the contracted pair.
+
+    ``config`` is g's configuration, for callers that check many cells.
+    The levels are compared in integers, with gamma and h scaled by their
+    common denominator.
+    """
+    if config is None:
+        config = build_configuration(g)
+    scale = common_denominator(cell.gamma + (cell.height,))
+    gamma = [int(x * scale) for x in cell.gamma]
+    height = int(cell.height * scale)
     members = set(cell.points)
-    gamma = vec(cell.gamma)
     for lab, x in zip(config.labels, config.vectors):
-        value = dot(x, gamma) + lift_weight(lab, e)
+        value = sum(a * b for a, b in zip(x, gamma)) + scale * lift_weight(lab, e)
         if lab in members:
-            if value != cell.height:
+            if value != height:
                 return False
-        elif value <= cell.height:
+        elif value <= height:
             return False
     return True

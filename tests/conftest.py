@@ -101,6 +101,54 @@ def brute_force_facets(vectors, dim):
     return sorted(seen.items())
 
 
+def potential_facets(g: Graph):
+    """Facets of the adjacency polytope from integer potentials, sharing
+    no code with the cone engine: f with f(0) = 0 and |f(u) - f(v)| <= 1
+    on every edge is a facet normal iff its tight edges form a connected
+    spanning subgraph (Higashitani-Jochemko-Michalek 2019).  DFS over the
+    nodes in BFS order from 0, each within 1 of its BFS parent.  Returns
+    {(f(1), ..., f(n-1)): support}, the support being the directed edges
+    (i, j) with f(j) - f(i) = 1."""
+    adj = g.adjacency()
+    n = g.node_count
+    order, parent = [0], {0: None}
+    for v in order:
+        for w in sorted(adj[v]):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    f = {0: 0}
+    found = {}
+
+    def tight_edges_span():
+        reached, stack = {0}, [0]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if abs(f[v] - f[w]) == 1 and w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        return len(reached) == n
+
+    def extend(k):
+        if k == n:
+            if tight_edges_span():
+                support = sorted(
+                    (i, j) for u, v in g.edges for i, j in ((u, v), (v, u)) if f[j] - f[i] == 1
+                )
+                found[tuple(f[v] for v in range(1, n))] = tuple(support)
+            return
+        v = order[k]
+        for value in (f[parent[v]] - 1, f[parent[v]], f[parent[v]] + 1):
+            if all(abs(value - f[w]) <= 1 for w in adj[v] if w in f):
+                f[v] = value
+                extend(k + 1)
+                del f[v]
+
+    extend(1)
+    return found
+
+
 def brute_force_subdivision(vectors, weights, dim):
     """Cells of a regular subdivision by exhaustive search over simplex
     bases of the lifted lower hull."""

@@ -4,19 +4,24 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_force_facets,
     brute_force_subdivision,
     cycle_graph,
     path_graph,
+    potential_facets,
     random_connected_graph,
+    running_example,
 )
 
 from apx import exactlin
 from apx.errors import DisconnectedGraph, NotFullDimensional
 from apx.graphcore import Graph
 from apx.polytope import (
+    DDCone,
     build_configuration,
     enumerate_facets,
     hull_facet_rays,
@@ -243,3 +248,84 @@ def test_regular_subdivision_matches_brute_force():
         for (gamma, h, mask), ((bg, bh), bsupport) in zip(got, expected):
             assert gamma == bg and h == bh
             assert tuple(i for i in range(len(config.labels)) if mask >> i & 1) == bsupport
+
+
+def test_ddcone_seed_is_primitive_inverse_columns():
+    # The adjugate seed must give, for each basis row j, the primitive
+    # integer multiple of column j of the inverse, oriented into the cone.
+    rng = random.Random(83)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n)]
+        if exactlin.rank(rows, n) < n:
+            continue
+        rays = DDCone(n, rows).rays
+        for j, (ray, mask) in enumerate(rays):
+            col = exactlin.solve_unique(rows, [Fraction(int(i == j)) for i in range(n)])
+            expected = [int(x) for x in exactlin.canonical_integer_vector(col)]
+            if exactlin.dot(rows[j], expected) < 0:
+                expected = [-x for x in expected]
+            assert ray == tuple(expected)
+            assert mask == ((1 << n) - 1) ^ (1 << j)
+
+
+def _determinant_volume(points) -> int:
+    """Sum of |det| over the simplices of the placing triangulation."""
+    total = 0
+    for simplex in placing_triangulation(points):
+        base = points[simplex[0]]
+        rows = [[a - b for a, b in zip(points[j], base)] for j in simplex[1:]]
+        det = exactlin.integer_determinant(rows)
+        assert det != 0
+        total += abs(det)
+    return total
+
+
+def test_placing_volumes_match_determinants_on_random_points():
+    # Boxes with random extra points give interior points and points
+    # coplanar with hull facets; small grids give coplanar points anyway.
+    rng = random.Random(89)
+    checked = 0
+    for case in range(80):
+        d = rng.randint(1, 4)
+        pts = set()
+        if case % 2:
+            pts |= {tuple(rng.choice((-2, 2)) for _ in range(d)) for _ in range(2 * 2**d)}
+        pts |= {tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(d + 1, d + 8))}
+        pts = sorted(pts)
+        rng.shuffle(pts)
+        if exactlin.affine_dimension(pts) != d:
+            continue
+        assert normalized_volume_of_points(pts) == _determinant_volume(pts)
+        checked += 1
+    assert checked >= 50
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph.from_edges(combinations(range(n), 2)) for n in range(3, 7)]
+    + [cycle_graph(m) for m in range(4, 9)]
+    + [running_example()],
+    ids=[f"K{n}" for n in range(3, 7)] + [f"C{m}" for m in range(4, 9)] + ["running"],
+)
+def test_placing_volumes_match_determinants_on_graphs(g):
+    vectors = build_configuration(g).vectors
+    assert normalized_volume_of_points(vectors) == _determinant_volume(vectors)
+
+
+@st.composite
+def connected_graphs(draw, max_nodes=7):
+    """A random spanning tree on 0..n-1 plus a random set of other edges."""
+    n = draw(st.integers(2, max_nodes))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.sets(st.sampled_from(list(combinations(range(n), 2)))))
+    return Graph.from_edges(tree | extra)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(connected_graphs())
+def test_facets_match_potential_oracle(g):
+    expected = potential_facets(g)
+    # Fractions hash and compare equal to the integers they equal.
+    got = {f.normal: f.support for f in enumerate_facets(build_configuration(g))}
+    assert got == expected

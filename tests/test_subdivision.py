@@ -10,6 +10,7 @@ from apx.graphcore import Graph, contract_edge
 from apx.polytope import build_configuration, enumerate_facets, normalized_volume
 from apx.polytope import normalized_volume_of_cell
 from apx.subdivision import (
+    Cell,
     check_simpliciality_transfer,
     edge_contraction_subdivision,
     facet_correspondence,
@@ -66,6 +67,21 @@ def test_cells_contain_contracted_pair_and_h_zero():
             full_gamma = (Fraction(0),) + tuple(cell.gamma)
             assert full_gamma[e[0]] == full_gamma[e[1]]
             assert verify_cell_support(g, e, cell)
+
+
+def test_verify_cell_support_levels_in_integers():
+    g = running_example()
+    e = (0, 3)
+    config = build_configuration(g)
+    for cell in edge_contraction_subdivision(g, e):
+        assert verify_cell_support(g, e, cell, config)
+        # A third off the first coordinate of gamma, or a half off the
+        # level, must break the support; both need the common denominator.
+        shifted = (cell.gamma[0] + Fraction(1, 3),) + tuple(cell.gamma[1:])
+        assert not verify_cell_support(g, e, Cell(cell.points, shifted, cell.height, cell.dim))
+        assert not verify_cell_support(
+            g, e, Cell(cell.points, cell.gamma, Fraction(1, 2), cell.dim), config
+        )
 
 
 def test_cell_volumes_sum_to_polytope_volume():

@@ -1,5 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import apx
 from conftest import cycle_graph, running_example, random_connected_graph, star_graph
 
 from apx.graphcore import Graph
@@ -94,3 +101,33 @@ def test_report_json_shape():
     assert len(payload["cells"]) == 6
     for cell in payload["cells"]:
         assert cell["volume_closed_form"] == cell["volume_oracle"] == 2
+
+
+def test_theorem_checks_survive_python_O():
+    # With one side of "corank = cyclomatic number" broken, the failure
+    # must still be reported, with the statement, when asserts are off.
+    script = textwrap.dedent(
+        """
+        import json
+        import apx.cellanalysis as cellanalysis
+        from apx.graphcore import Graph
+        from apx.verify import run_verification
+
+        real = cellanalysis.cyclomatic_number
+        cellanalysis.cyclomatic_number = lambda edges: real(edges) + 1
+        g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
+        report = run_verification(g, (0, 1), level="fast")
+        check = next(c for c in report.checks if c.name == "cell_invariants")
+        print(json.dumps({"debug": __debug__, "passed": check.passed, "detail": check.detail}))
+        """
+    )
+    src = str(Path(apx.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    result = json.loads(out.stdout)
+    assert result["debug"] is False
+    assert result["passed"] is False
+    assert "cell 0: TheoremViolation: corank 0 != cyclomatic number 1" in result["detail"]
