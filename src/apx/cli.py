@@ -57,11 +57,14 @@ def parse_edge(text: str, g: Graph) -> tuple[int, int]:
 
 
 def emit(payload: dict, json_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Stream the canonical JSON report to ``json_path``, or to stdout."""
     if json_path:
-        Path(json_path).write_text(text)
+        with open(json_path, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     else:
-        sys.stdout.write(text)
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
 
 
 def cmd_facets(args) -> int:

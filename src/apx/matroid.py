@@ -2,18 +2,29 @@
 
 The point matroid lives on the grouped ground set (each non-contracted
 point is a singleton element, the two contracted points form a single
-element); independence is affine independence of the union.  The graphic
-matroid lives on the edges of the undirected cell subgraph; independence
-is acyclicity.  Mapping a grouped subset to its edge set sends bases to
-spanning trees, circuits to plain cycles, and preserves rank; everything
-is verified by exhaustive subset enumeration at desk scale, over
-precomputed bitmask independence tables.
+element); a grouped subset is independent when the union of its points is
+affinely independent.  The graphic matroid lives on the edges of the
+undirected cell subgraph; an edge set is independent when it is acyclic.
+Mapping each grouped element to its edge is a bijection, so both families
+are bitmask tables over the same 2^n subsets, and each is computed on its
+own: one exact affine-rank test per grouped subset, and one cyclomatic
+number per edge subset.
+
+The morphism is one comparison of the two tables.  Rank (the size of the
+largest independent subset), bases (the independent sets of full rank)
+and circuits (the minimal dependent sets) are each read off an
+independence table alone, so two equal tables send bases to spanning
+trees, circuits to plain cycles and preserve rank.  The matroid axioms are
+checked once, on the common table, through the rank axioms (Oxley,
+*Matroid Theory*, 2nd ed. 2011, section 1.3): for a downward-closed family
+containing the empty set the rank rises by at most 1 per added element,
+and then the family is a matroid exactly when its rank is locally
+submodular, r(X+a) + r(X+b) >= r(X) + r(X+a+b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from . import exactlin
 from .errors import MorphismViolation
@@ -22,15 +33,6 @@ from .polytope import phi
 from .subdivision import Cell
 
 GroundElement = tuple  # tuple of point labels (size 1, or 2 for the pair)
-
-
-@dataclass(frozen=True)
-class MatroidView:
-    """A matroid as (ground set, independence oracle, rank function)."""
-
-    ground: tuple
-    is_independent: Callable[[frozenset], bool]
-    rank: Callable[[frozenset], int]
 
 
 def grouped_ground_set(cell: Cell, e) -> tuple[GroundElement, ...]:
@@ -53,7 +55,9 @@ def _rank_table(independent: list[bool], n: int) -> list[int]:
     return table
 
 
-def _point_tables(cell: Cell, e) -> tuple[tuple, list[bool], list[int]]:
+def _point_table(cell: Cell, e) -> tuple[tuple, list[bool]]:
+    """Grouped ground set and its independence table: one affine-rank
+    test per subset, none derived from its sub-masks."""
     ground = grouped_ground_set(cell, e)
     vectors = [[phi(lab, cell.dim) for lab in elem] for elem in ground]
     n = len(ground)
@@ -61,86 +65,44 @@ def _point_tables(cell: Cell, e) -> tuple[tuple, list[bool], list[int]]:
     for mask in range(1 << n):
         points = [p for b in range(n) if mask >> b & 1 for p in vectors[b]]
         independent[mask] = exactlin.is_affinely_independent(points)
-    return ground, independent, _rank_table(independent, n)
+    return ground, independent
 
 
-def _graphic_tables(edges: tuple) -> tuple[list[bool], list[int]]:
-    """Independence (acyclicity) and rank tables over subsets of edges."""
+def _graphic_table(edges: tuple) -> list[bool]:
+    """Independence (acyclicity) table over subsets of edges."""
     n = len(edges)
     independent = [False] * (1 << n)
     for mask in range(1 << n):
         subset = frozenset(edges[b] for b in range(n) if mask >> b & 1)
         independent[mask] = cyclomatic_number(subset) == 0
-    return independent, _rank_table(independent, n)
+    return independent
 
 
-def _view_from_tables(ground, independent, ranks) -> MatroidView:
-    index = {elem: i for i, elem in enumerate(ground)}
-
-    def to_mask(subset) -> int:
-        mask = 0
-        for elem in subset:
-            mask |= 1 << index[elem]
-        return mask
-
-    return MatroidView(
-        tuple(ground),
-        lambda s: independent[to_mask(s)],
-        lambda s: ranks[to_mask(s)],
-    )
-
-
-def point_matroid(cell: Cell, e) -> MatroidView:
-    """Grouped subsets are independent when the union of their points is
-    affinely independent."""
-    ground, independent, ranks = _point_tables(cell, e)
-    return _view_from_tables(ground, independent, ranks)
-
-
-def graphic_matroid(cell: Cell) -> MatroidView:
-    """Edge subsets of the undirected cell subgraph are independent when
-    acyclic; bases are spanning trees, circuits are plain cycles."""
-    from .cellanalysis import cell_subgraphs
-
-    _, undirected = cell_subgraphs(cell.points)
-    ground = tuple(sorted(undirected))
-    return _view_from_tables(ground, *_graphic_tables(ground))
-
-
-def check_matroid_axioms(view: MatroidView) -> None:
-    """Downward closure and the exchange axiom over the independent sets."""
-    ground = view.ground
-    n = len(ground)
-    independent = [
-        view.is_independent(frozenset(ground[b] for b in range(n) if mask >> b & 1))
-        for mask in range(1 << n)
-    ]
-    _check_axioms_on_masks(independent, n)
-
-
-def _check_axioms_on_masks(independent: list[bool], n: int) -> None:
+def check_matroid_axioms(independent: list[bool], n: int) -> None:
+    """Raise MorphismViolation unless the masks with ``independent[mask]``
+    are the independent sets of a matroid on n elements: the empty set is
+    independent, the family is downward closed, and its rank table is
+    locally submodular."""
     if not independent[0]:
         raise MorphismViolation("empty set not independent")
-    indep_masks = [m for m in range(1 << n) if independent[m]]
-    indep_set = set(indep_masks)
-    for m in indep_masks:
-        for b in range(n):
-            if m >> b & 1 and (m & ~(1 << b)) not in indep_set:
-                raise MorphismViolation(f"downward closure fails at mask {m:b}")
-    # Exchange is checked only for |B| = |A| + 1.  With downward closure
-    # verified above that suffices: for a larger independent B, any
-    # (|A| + 1)-subset B' of B is independent, and the element of B' - A
-    # that exchange supplies for (A, B') also lies in B - A.
-    by_size: dict[int, list[int]] = {}
-    for m in indep_masks:
-        by_size.setdefault(m.bit_count(), []).append(m)
-    for a in indep_masks:
-        for b in by_size.get(a.bit_count() + 1, ()):
-            extra = b & ~a
-            if not any(
-                (a | (1 << bit)) in indep_set for bit in range(n) if extra >> bit & 1
-            ):
-                raise MorphismViolation(f"exchange fails for masks {a:b}, {b:b}")
+    for m in range(1 << n):
+        if independent[m]:
+            for b in range(n):
+                if m >> b & 1 and not independent[m & ~(1 << b)]:
+                    raise MorphismViolation(f"downward closure fails at mask {m:b}")
+    rank = _rank_table(independent, n)
+    for x in range(1 << n):
+        rx = rank[x]
+        # The rank rises by at most 1 per element, so the inequality can
+        # only fail for a and b that both leave the rank of X unchanged.
+        flat = [1 << b for b in range(n) if not x >> b & 1 and rank[x | 1 << b] == rx]
+        for i, a in enumerate(flat):
+            for b in flat[i + 1:]:
+                if rank[x | a | b] != rx:
+                    raise MorphismViolation(
+                        f"exchange fails: rank not submodular at mask {x:b} "
+                        f"with elements {a:b}, {b:b}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -154,40 +116,22 @@ class MorphismReport:
 
 def verify_morphism(cell: Cell, e, check_axioms: bool = False) -> MorphismReport:
     """Exhaustively check that mapping grouped subsets to edge subsets
-    matches bases with bases, circuits with circuits, dependent sets with
-    dependent sets, and preserves rank."""
-    ground, p_indep, p_rank = _point_tables(cell, e)
+    matches dependent sets with cyclic ones, and hence bases with spanning
+    trees, circuits with plain cycles and rank with rank."""
+    ground, independent = _point_table(cell, e)
     # Edge images of the grouped elements, in the same index order, so
     # the morphism f is the identity on bitmasks.
     edges = tuple(edge(*elem[0]) for elem in ground)
-    g_indep, g_rank = _graphic_tables(edges)
     if len(set(edges)) != len(edges):
         raise MorphismViolation("grouped elements do not map to distinct edges")
     n = len(ground)
-    full = (1 << n) - 1
+    graphic = _graphic_table(edges)
+    # Rank, bases and circuits are functions of the independence table,
+    # so once the tables are equal they agree as well.
+    if independent != graphic:
+        mask = next(m for m in range(1 << n) if independent[m] != graphic[m])
+        witness = sorted(ground[b] for b in range(n) if mask >> b & 1)
+        raise MorphismViolation(f"dependence mismatch at {witness}")
     if check_axioms:
-        _check_axioms_on_masks(p_indep, n)
-        _check_axioms_on_masks(g_indep, n)
-
-    def is_circuit(indep: list[bool], mask: int) -> bool:
-        if indep[mask]:
-            return False
-        return all(
-            indep[mask & ~(1 << b)] for b in range(n) if mask >> b & 1
-        )
-
-    def describe(mask: int) -> str:
-        return str(sorted(ground[b] for b in range(n) if mask >> b & 1))
-
-    for mask in range(1 << n):
-        if p_indep[mask] != g_indep[mask]:
-            raise MorphismViolation(f"dependence mismatch at {describe(mask)}")
-        if p_rank[mask] != g_rank[mask]:
-            raise MorphismViolation(f"rank mismatch at {describe(mask)}")
-        p_basis = p_indep[mask] and p_rank[mask] == p_rank[full]
-        g_basis = g_indep[mask] and g_rank[mask] == g_rank[full]
-        if p_basis != g_basis:
-            raise MorphismViolation(f"basis mismatch at {describe(mask)}")
-        if is_circuit(p_indep, mask) != is_circuit(g_indep, mask):
-            raise MorphismViolation(f"circuit mismatch at {describe(mask)}")
+        check_matroid_axioms(independent, n)
     return MorphismReport(n, 1 << n)

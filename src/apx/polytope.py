@@ -105,15 +105,29 @@ def _idot(a, b) -> int:
 
 def _greedy_basis(rows, size: int) -> list[int]:
     """Indices of the first rows, in order, that each raise the rank of
-    the rows chosen so far; stops once ``size`` rows are chosen."""
-    chosen: list[list[int]] = []
+    the rows chosen so far; stops once ``size`` rows are chosen.
+
+    The chosen rows are kept in fraction-free echelon form, each with its
+    pivot column, zero in the pivot columns of the rows before it.  A
+    candidate reduced against them in turn raises the rank iff anything
+    is left of it.
+    """
+    echelon: list[tuple[int, IntVector]] = []
     basis: list[int] = []
     for i, row in enumerate(rows):
-        if exactlin.integer_rank(chosen + [list(row)]) == len(chosen) + 1:
-            basis.append(i)
-            chosen.append(list(row))
-            if len(basis) == size:
-                break
+        r = tuple(row)
+        for c, e in echelon:
+            f = r[c]
+            if f:
+                p = e[c]
+                r = tuple(p * a - f * b for a, b in zip(r, e))
+        pivot = next((c for c, x in enumerate(r) if x), None)
+        if pivot is None:
+            continue
+        echelon.append((pivot, _reduce_ray(list(r))))
+        basis.append(i)
+        if len(basis) == size:
+            break
     return basis
 
 

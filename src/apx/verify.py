@@ -149,7 +149,9 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     results = [analyze(c) for c in cells]
     report.cell_reports = [r for r in results if isinstance(r, CellInvariantReport)]
     failures = [
-        f"cell {i}: {r}" if isinstance(r, str) else f"cell {i}"
+        f"cell {i}: {r}"
+        if isinstance(r, str)
+        else f"cell {i}: " + ", ".join(name for name, ok in sorted(r.checks.items()) if not ok)
         for i, r in enumerate(results)
         if isinstance(r, str) or not r.passed()
     ]

@@ -209,3 +209,26 @@ def brute_force_balanced_circuit_rank(g: Graph, e) -> int:
             if balanced:
                 best = max(best, cyclomatic_number(subset))
     return best
+
+
+def exchange_axioms_hold(independent, n) -> bool:
+    """Matroid test by the independence axioms, over the masks with
+    ``independent[mask]``: the empty set is independent, the family is
+    downward closed, and for independent A and B with |B| = |A| + 1 some
+    element of B - A extends A.  Under downward closure that pairwise
+    exchange suffices: for a larger B, any (|A| + 1)-subset B' of B is
+    independent, and the element that exchange supplies for (A, B') also
+    lies in B - A."""
+    if not independent[0]:
+        return False
+    indep_masks = [m for m in range(1 << n) if independent[m]]
+    if any(m >> b & 1 and not independent[m & ~(1 << b)] for m in indep_masks for b in range(n)):
+        return False
+    by_size = {}
+    for m in indep_masks:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    return all(
+        any(independent[a | 1 << bit] for bit in range(n) if (b & ~a) >> bit & 1)
+        for a in indep_masks
+        for b in by_size.get(a.bit_count() + 1, ())
+    )

@@ -131,3 +131,20 @@ def test_theorem_checks_survive_python_O():
     assert result["debug"] is False
     assert result["passed"] is False
     assert "cell 0: TheoremViolation: corank 0 != cyclomatic number 1" in result["detail"]
+
+
+def test_cell_invariants_names_failing_checks(monkeypatch):
+    import dataclasses
+
+    import apx.cellanalysis as cellanalysis
+
+    real = cellanalysis.verify_cell_properties
+
+    def failing(g, e, cell):
+        return dataclasses.replace(real(g, e, cell), spans_all_nodes=False)
+
+    monkeypatch.setattr(cellanalysis, "verify_cell_properties", failing)
+    report = run_verification(cycle_graph(4), (0, 3), level="fast")
+    check = next(c for c in report.checks if c.name == "cell_invariants")
+    assert not check.passed
+    assert check.detail == "; ".join(f"cell {i}: properties" for i in range(6))
