@@ -1,27 +1,34 @@
 """Exact adjacency (symmetric edge) polytopes of graphs: facets,
-edge contraction subdivisions, cell subgraphs, and their invariants."""
+edge contraction subdivisions, cell subgraphs, and their invariants.
 
-from .graphcore import Graph, contract_edge
-from .polytope import (
-    FacetCertificate,
-    PointConfiguration,
-    build_configuration,
-    enumerate_facets,
-    normalized_volume,
-    normalized_volume_of_cell,
-)
-from .subdivision import Cell, edge_contraction_subdivision, facet_correspondence
+The names below are imported from their modules on first access
+(PEP 562), so ``import apx.cli`` loads only the layers a command runs.
+"""
 
-__all__ = [
-    "Graph",
-    "contract_edge",
-    "PointConfiguration",
-    "FacetCertificate",
-    "build_configuration",
-    "enumerate_facets",
-    "normalized_volume",
-    "normalized_volume_of_cell",
-    "Cell",
-    "edge_contraction_subdivision",
-    "facet_correspondence",
-]
+from importlib import import_module
+
+_SOURCES = {
+    "Graph": "graphcore",
+    "contract_edge": "graphcore",
+    "PointConfiguration": "polytope",
+    "FacetCertificate": "polytope",
+    "build_configuration": "polytope",
+    "enumerate_facets": "polytope",
+    "normalized_volume": "polytope",
+    "normalized_volume_of_cell": "polytope",
+    "Cell": "subdivision",
+    "edge_contraction_subdivision": "subdivision",
+    "facet_correspondence": "subdivision",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+

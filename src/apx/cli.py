@@ -6,6 +6,9 @@ Graphs are read from "u v"-per-line text or {"edges": [[u, v], ...]}
 JSON.  All output is canonical JSON (sorted keys, exact "p/q" rationals),
 byte-identical across runs.  Exit codes: 0 success, 1 verification
 failure, 2 input error.
+
+Each command imports the layers only it runs (subdivision, cell analysis,
+verification), so ``facets`` and ``volume`` start without them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import json
 import sys
 from pathlib import Path
 
-from .cellanalysis import subset_corank
 from .errors import (
     ApxError,
     CorrespondenceViolation,
@@ -25,8 +27,6 @@ from .errors import (
 )
 from .graphcore import Graph, directed_subgraph_to_dot, edge, graph_to_dot
 from .polytope import build_configuration, enumerate_facets, normalized_volume
-from .subdivision import edge_contraction_subdivision, facet_correspondence
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -80,6 +80,9 @@ def cmd_facets(args) -> int:
 
 
 def cmd_subdivide(args) -> int:
+    from .cellanalysis import subset_corank
+    from .subdivision import edge_contraction_subdivision, facet_correspondence
+
     g = load_graph(args.file)
     e = parse_edge(args.edge, g)
     cells = edge_contraction_subdivision(g, e)
@@ -119,6 +122,8 @@ def cmd_volume(args) -> int:
     if args.method == "triangulation":
         value = normalized_volume(build_configuration(g))
     else:
+        from .subdivision import edge_contraction_subdivision
+
         e = parse_edge(args.edge, g) if args.edge else g.sorted_edges()[0]
         cells = edge_contraction_subdivision(g, e)
         value = sum(c.nvol for c in cells)
@@ -132,6 +137,8 @@ def cmd_volume(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification
+
     g = load_graph(args.file)
     e = parse_edge(args.edge, g)
     report = run_verification(g, e, level=args.level)

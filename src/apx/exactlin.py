@@ -84,9 +84,7 @@ def integer_rank(rows: list[list[int]]) -> int:
             f = m[i][c]
             if f:
                 m[i] = [pv * a - f * b for a, b in zip(m[i], m[r])]
-                g = 0
-                for x in m[i]:
-                    g = gcd(g, abs(x))
+                g = gcd(*m[i])
                 if g > 1:
                     m[i] = [x // g for x in m[i]]
         r += 1
@@ -160,9 +158,7 @@ def canonical_integer_vector(v) -> Vector:
     v = vec(v)
     denom_lcm = common_denominator(v)
     ints = [int(x * denom_lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g == 0:
         return v
     ints = [x // g for x in ints]

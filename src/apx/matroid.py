@@ -6,9 +6,22 @@ element); a grouped subset is independent when the union of its points is
 affinely independent.  The graphic matroid lives on the edges of the
 undirected cell subgraph; an edge set is independent when it is acyclic.
 Mapping each grouped element to its edge is a bijection, so both families
-are bitmask tables over the same 2^n subsets, and each is computed on its
-own: one exact affine-rank test per grouped subset, and one cyclomatic
-number per edge subset.
+are bitmask tables over the same 2^n subsets.
+
+Each table is built in one depth-first walk, on an explicit stack, that
+goes from a mask to mask | 1 << b for every b above its highest set bit,
+so every subset is visited once, as the child of the mask without its
+last element.  In the point walk a node holds the fraction-free echelon
+rows of its homogenized points (x, 1), and a child reduces only its
+element's one or two rows against them, in integers without division.
+In the graphic walk a node holds a component label per vertex and its
+cycle count, and a child's edge either closes a cycle or merges two
+components.  Either way each subset gets the exact rank, or cyclomatic
+number, of its own elements.  No verdict is derived from a sub-mask's
+verdict and no child of a dependent mask is skipped: the tables must
+hold what each subset is, not what the matroid axioms say it should be,
+or the downward-closure and submodularity checks below would only
+confirm their own premise.
 
 The morphism is one comparison of the two tables.  Rank (the size of the
 largest independent subset), bases (the independent sets of full rank)
@@ -26,10 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import exactlin
 from .errors import MorphismViolation
-from .graphcore import cyclomatic_number, edge
-from .polytope import phi
+from .graphcore import edge
+from .polytope import _echelon_reduce, phi
 from .subdivision import Cell
 
 GroundElement = tuple  # tuple of point labels (size 1, or 2 for the pair)
@@ -56,25 +68,62 @@ def _rank_table(independent: list[bool], n: int) -> list[int]:
 
 
 def _point_table(cell: Cell, e) -> tuple[tuple, list[bool]]:
-    """Grouped ground set and its independence table: one affine-rank
-    test per subset, none derived from its sub-masks."""
+    """Grouped ground set and its independence table, in one walk over
+    the subsets.
+
+    Each node of the walk holds the fraction-free echelon rows of the
+    homogenized points (x, 1) of its mask; a child reduces only its
+    element's one or two rows against them and keeps what is left, so
+    every mask gets the exact rank of its own points.  A mask is
+    independent iff that rank equals its number of points.
+    """
     ground = grouped_ground_set(cell, e)
-    vectors = [[phi(lab, cell.dim) for lab in elem] for elem in ground]
+    rows = [[phi(lab, cell.dim) + (1,) for lab in elem] for elem in ground]
     n = len(ground)
     independent = [False] * (1 << n)
-    for mask in range(1 << n):
-        points = [p for b in range(n) if mask >> b & 1 for p in vectors[b]]
-        independent[mask] = exactlin.is_affinely_independent(points)
+    independent[0] = True
+    stack = [(0, [], 0)]
+    while stack:
+        mask, echelon, points = stack.pop()
+        for b in range(mask.bit_length(), n):
+            child_echelon = echelon
+            for row in rows[b]:
+                reduced = _echelon_reduce(child_echelon, row)
+                if reduced is not None:
+                    child_echelon = child_echelon + [reduced]
+            child, child_points = mask | 1 << b, points + len(rows[b])
+            independent[child] = len(child_echelon) == child_points
+            stack.append((child, child_echelon, child_points))
     return ground, independent
 
 
 def _graphic_table(edges: tuple) -> list[bool]:
-    """Independence (acyclicity) table over subsets of edges."""
+    """Independence (acyclicity) table over subsets of edges, in one walk
+    over the subsets.
+
+    Each node of the walk holds a component label per vertex and the
+    cyclomatic number of its edge set.  A child's edge adds a cycle when
+    its ends share a component, and merges their components otherwise.
+    """
     n = len(edges)
+    index = {v: i for i, v in enumerate(sorted({v for uv in edges for v in uv}))}
+    ends = [(index[u], index[v]) for u, v in edges]
     independent = [False] * (1 << n)
-    for mask in range(1 << n):
-        subset = frozenset(edges[b] for b in range(n) if mask >> b & 1)
-        independent[mask] = cyclomatic_number(subset) == 0
+    independent[0] = True
+    stack = [(0, list(range(len(index))), 0)]
+    while stack:
+        mask, component, cycles = stack.pop()
+        for b in range(mask.bit_length(), n):
+            u, v = ends[b]
+            cu, cv = component[u], component[v]
+            if cu == cv:
+                child_component, child_cycles = component, cycles + 1
+            else:
+                child_component = [cu if c == cv else c for c in component]
+                child_cycles = cycles
+            child = mask | 1 << b
+            independent[child] = child_cycles == 0
+            stack.append((child, child_component, child_cycles))
     return independent
 
 

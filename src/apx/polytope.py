@@ -91,9 +91,7 @@ class FacetCertificate:
 
 
 def _reduce_ray(v: list[int]) -> IntVector:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    g = gcd(*v)
     if g > 1:
         v = [x // g for x in v]
     return tuple(v)
@@ -103,28 +101,46 @@ def _idot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _echelon_reduce(echelon, row) -> tuple[int, IntVector] | None:
+    """Reduce an integer row against fraction-free echelon rows.
+
+    ``echelon`` holds (pivot column, row) pairs, each row zero in the
+    pivot columns of the rows before it.  The row is eliminated at each
+    pivot in turn, p * r - f * e, in integers and without division.
+    Returns None when nothing is left, that is, when the row lies in the
+    span of the echelon rows; otherwise the remainder divided by the gcd
+    of its entries, with its pivot, ready to be appended to the echelon.
+    """
+    # Lists, not tuple(generator): that tuple is over-allocated and then
+    # shrunk, and on this hot path the shrunk tuples fill the
+    # interpreter's tuple free list (about 0.17 MB of peak memory).
+    r = list(row)
+    for c, e in echelon:
+        f = r[c]
+        if f:
+            p = e[c]
+            r = [p * a - f * b for a, b in zip(r, e)]
+    pivot = next((c for c, x in enumerate(r) if x), None)
+    if pivot is None:
+        return None
+    return pivot, _reduce_ray(r)
+
+
 def _greedy_basis(rows, size: int) -> list[int]:
     """Indices of the first rows, in order, that each raise the rank of
     the rows chosen so far; stops once ``size`` rows are chosen.
 
-    The chosen rows are kept in fraction-free echelon form, each with its
-    pivot column, zero in the pivot columns of the rows before it.  A
-    candidate reduced against them in turn raises the rank iff anything
-    is left of it.
+    The chosen rows are kept in fraction-free echelon form, and a
+    candidate raises the rank iff ``_echelon_reduce`` leaves anything of
+    it.
     """
     echelon: list[tuple[int, IntVector]] = []
     basis: list[int] = []
     for i, row in enumerate(rows):
-        r = tuple(row)
-        for c, e in echelon:
-            f = r[c]
-            if f:
-                p = e[c]
-                r = tuple(p * a - f * b for a, b in zip(r, e))
-        pivot = next((c for c, x in enumerate(r) if x), None)
-        if pivot is None:
+        reduced = _echelon_reduce(echelon, row)
+        if reduced is None:
             continue
-        echelon.append((pivot, _reduce_ray(list(r))))
+        echelon.append(reduced)
         basis.append(i)
         if len(basis) == size:
             break

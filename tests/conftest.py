@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from apx import exactlin
 from apx.graphcore import Graph, edge
 
@@ -69,6 +71,15 @@ def random_connected_graph(rng: random.Random, max_nodes: int = 7, max_edges: in
     for e in pool[:budget]:
         edges.add(e)
     return Graph.from_edges(edges)
+
+
+@st.composite
+def connected_graphs(draw, max_nodes=7):
+    """A random spanning tree on 0..n-1 plus a random set of other edges."""
+    n = draw(st.integers(2, max_nodes))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.sets(st.sampled_from(list(combinations(range(n), 2)))))
+    return Graph.from_edges(tree | extra)
 
 
 def random_tree(rng: random.Random, max_nodes: int = 8) -> Graph:

@@ -1,8 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import connected_graphs
+
+import apx
 from apx.cli import main
+from apx.graphcore import Graph
 
 
 def write_graph(tmp_path, name, edges, as_json=False):
@@ -120,8 +131,9 @@ def test_missing_file_is_input_error(capsys):
 
 def test_failed_verification_exits_one(tmp_path, capsys, monkeypatch):
     # Every theorem holds on real inputs, so force a failing report to pin
-    # down the exit-code mapping.
-    import apx.cli as cli
+    # down the exit-code mapping.  ``cmd_verify`` imports run_verification
+    # when it runs, so the patch goes on its home module.
+    import apx.verify
 
     class FailingReport:
         def passed(self):
@@ -130,7 +142,7 @@ def test_failed_verification_exits_one(tmp_path, capsys, monkeypatch):
         def to_json_dict(self):
             return {"passed": False}
 
-    monkeypatch.setattr(cli, "run_verification", lambda *a, **k: FailingReport())
+    monkeypatch.setattr(apx.verify, "run_verification", lambda *a, **k: FailingReport())
     path = write_graph(tmp_path, "c4.txt", C4)
     assert main(["verify", path, "--edge", "0,3"]) == 1
 
@@ -166,3 +178,64 @@ def test_huge_label_is_input_error(tmp_path, capsys):
     assert main(["facets", path]) == 2
     assert main(["volume", path]) == 2
     assert main(["verify", path, "--edge", "0,1", "--level", "fast"]) == 2
+
+
+def test_cli_import_defers_the_analysis_layers():
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import apx.cli
+        loaded = sorted(m for m in sys.modules if m.startswith("apx."))
+        namespace = {}
+        exec("from apx import *", namespace)
+        star = sorted(name for name in namespace if not name.startswith("__"))
+        print(json.dumps({"loaded": loaded, "star": star}))
+        """
+    )
+    src = str(Path(apx.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    result = json.loads(out.stdout)
+    assert "apx.polytope" in result["loaded"]
+    lazy = {"apx.verify", "apx.matroid", "apx.cellanalysis", "apx.subdivision"}
+    assert lazy.isdisjoint(result["loaded"])
+    assert result["star"] == sorted(apx.__all__)
+    for name in apx.__all__:
+        assert getattr(apx, name).__name__ == name
+    with pytest.raises(AttributeError):
+        apx.no_such_name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(g=connected_graphs(), data=st.data())
+def test_text_and_json_forms_round_trip(g, data):
+    pairs = data.draw(st.permutations(g.sorted_edges()))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    pairs = [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)]
+    text = "".join(f"{u} {v}\n" for u, v in pairs)
+    assert Graph.from_text(text) == g
+    assert Graph.from_json(json.dumps({"edges": pairs})) == g
+    assert Graph.from_json(json.dumps(g.to_json_dict())) == g
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(g=connected_graphs(max_nodes=5), data=st.data())
+def test_cli_exit_codes_on_random_graphs(tmp_path_factory, g, data):
+    tmp = tmp_path_factory.mktemp("exit")
+    out = str(tmp / "out.json")
+    edges = g.sorted_edges()
+    assert main(["facets", write_graph(tmp, "g.txt", edges), "--json", out]) == 0
+    assert main(["facets", write_graph(tmp, "g.json", edges, as_json=True), "--json", out]) == 0
+    k1, k2 = data.draw(st.sampled_from(edges))
+    assert main(["subdivide", write_graph(tmp, "g.txt", edges), "--edge", f"{k1},{k2}",
+                 "--json", out]) == 0
+    n = g.node_count
+    apart = edges + [(n, n + 1)]
+    assert main(["facets", write_graph(tmp, "apart.txt", apart), "--json", out]) == 2
+    assert main(["facets", write_graph(tmp, "apart.json", apart, as_json=True)]) == 2
+    v = data.draw(st.integers(0, n - 1))
+    assert main(["facets", write_graph(tmp, "loop.txt", edges + [(v, v)])]) == 2
+    assert main(["facets", write_graph(tmp, "loop.json", edges + [(v, v)], as_json=True)]) == 2

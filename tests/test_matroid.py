@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     CORANK2_CELL_ARCS,
+    connected_graphs,
     cycle_graph,
     exchange_axioms_hold,
     random_connected_graph,
@@ -15,7 +17,8 @@ from conftest import (
 import apx.matroid as matroid
 from apx.cellanalysis import cell_subgraphs
 from apx.errors import MorphismViolation
-from apx.graphcore import spanning_tree_of
+from apx.exactlin import is_affinely_independent
+from apx.graphcore import Graph, cyclomatic_number, edge, spanning_tree_of
 from apx.matroid import (
     _graphic_table,
     _point_table,
@@ -23,6 +26,7 @@ from apx.matroid import (
     grouped_ground_set,
     verify_morphism,
 )
+from apx.polytope import phi
 from apx.subdivision import edge_contraction_subdivision
 
 
@@ -173,3 +177,46 @@ def test_axiom_check_matches_exchange_on_downward_closed_families(n, data):
     independent = data.draw(downward_closed_families(n))
     expected = exchange_axioms_hold(independent, n)
     assert verdict(independent, n) == expected
+
+
+def wheel_graph(k):
+    """Hub 0 joined to every node of the rim cycle 1..k-1."""
+    rim = range(1, k)
+    return Graph.from_edges([(0, i) for i in rim] + [(i, i % (k - 1) + 1) for i in rim])
+
+
+def assert_tables_match_definitions(g, e):
+    """Each mask of both walked tables against a test of its own subset:
+    an affine-rank test of its points, and its cyclomatic number."""
+    for cell in edge_contraction_subdivision(g, e):
+        ground, independent = _point_table(cell, e)
+        n = len(ground)
+        edges = tuple(edge(*elem[0]) for elem in ground)
+        graphic = _graphic_table(edges)
+        for mask in range(1 << n):
+            subset = [b for b in range(n) if mask >> b & 1]
+            points = [phi(lab, cell.dim) for b in subset for lab in ground[b]]
+            assert independent[mask] == is_affinely_independent(points), (cell.points, mask)
+            cyclic = cyclomatic_number(frozenset(edges[b] for b in subset)) != 0
+            assert graphic[mask] != cyclic, (edges, mask)
+
+
+@pytest.mark.parametrize(
+    "g, e",
+    [
+        (Graph.from_edges(combinations(range(5), 2)), (0, 1)),
+        (wheel_graph(6), (0, 1)),
+        (running_example(), (0, 3)),
+    ],
+    ids=["K5", "W6", "running"],
+)
+def test_walked_tables_match_per_subset_definitions(g, e):
+    assert_tables_match_definitions(g, e)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_walked_tables_match_per_subset_definitions_on_random_graphs(data):
+    g = data.draw(connected_graphs(max_nodes=6))
+    e = data.draw(st.sampled_from(g.sorted_edges()))
+    assert_tables_match_definitions(g, e)

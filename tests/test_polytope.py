@@ -5,11 +5,11 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
     brute_force_facets,
     brute_force_subdivision,
+    connected_graphs,
     cycle_graph,
     path_graph,
     potential_facets,
@@ -311,15 +311,6 @@ def test_placing_volumes_match_determinants_on_random_points():
 def test_placing_volumes_match_determinants_on_graphs(g):
     vectors = build_configuration(g).vectors
     assert normalized_volume_of_points(vectors) == _determinant_volume(vectors)
-
-
-@st.composite
-def connected_graphs(draw, max_nodes=7):
-    """A random spanning tree on 0..n-1 plus a random set of other edges."""
-    n = draw(st.integers(2, max_nodes))
-    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    extra = draw(st.sets(st.sampled_from(list(combinations(range(n), 2)))))
-    return Graph.from_edges(tree | extra)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
