@@ -5,8 +5,12 @@ Geometry is done in integers and bitsets throughout.  Facets and regular
 subdivisions are read off the extreme rays of polyhedral cones computed
 with the double description method (exact, incremental).  A cone starts
 from the primitive columns of the adjugate of a row basis, found by one
-fraction-free Gauss-Jordan pass, and decides ray adjacency by ANDing
-per-row bitsets of tight rays.  Volumes come from a placing triangulation
+fraction-free Gauss-Jordan pass.  Its rays have stable ids, and for
+every row it keeps the bitset of the ids of the rays tight on it across
+inserts.  Inserting a row counts, for each cut ray, the rows it shares
+with every positive ray in one bit-sliced sum of those bitsets, and
+decides the adjacency of each candidate pair by ANDing the bitsets of
+their common rows.  Volumes come from a placing triangulation
 that places an affine basis first and the remaining points in label
 order: one determinant for the seed simplex, then each new simplex's
 volume as an exact integer ratio off the simplex it is glued to.  The
@@ -19,7 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import and_
 
 from . import exactlin
 from .errors import DisconnectedGraph, NotFullDimensional
@@ -88,6 +94,17 @@ class FacetCertificate:
 # ---------------------------------------------------------------------------
 # Double description: extreme rays of {z : <row_i, z> >= 0} over the integers.
 # ---------------------------------------------------------------------------
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
+    return out
 
 
 def _reduce_ray(v: list[int]) -> IntVector:
@@ -179,12 +196,27 @@ class DDCone:
     full rank (pointedness).  The start is simplicial: the columns of the
     adjugate of a greedy row basis, each reduced to a primitive vector
     and oriented into the cone, so ray j is tight on every basis row but
-    the j-th.  Each ray carries a bitmask of the rows it is tight on,
-    maintained exactly.  Adjacency uses the combinatorial test (Fukuda and
-    Prodon 1996): two rays are adjacent iff no third ray is tight on every
-    row both are tight on, decided by ANDing per-row bitsets over ray
-    positions.  ``add_row`` returns the rays cut off by the new halfspace,
-    whose masks identify the facets visible from it.
+    the j-th.
+
+    Every ray has a stable id, its index in ``slots`` (None marks a free
+    id).  Each ray carries a bitmask of the rows it is tight on, and
+    ``tight[i]`` is the bitset of the ids of the rays tight on row i.
+    Both are kept exactly across inserts: a ray's bits are set when it is
+    made, and when a new row is tight on it, and cleared when it is cut.
+    A new ray takes the lowest free id, so no id reaches the largest ray
+    count so far, and no bitset is wider than that.
+
+    Inserting a row cuts the rays on its negative side and pairs each of
+    them with the adjacent rays on its positive side.  The candidates for
+    a negative ray come from one count: the ``tight`` bitsets of the rows
+    in its mask are summed bit-sliced, and the positive rays counted at
+    least dim - 2 times are kept.  Adjacency is the combinatorial test
+    (Fukuda and Prodon 1996): two rays are adjacent iff no third ray is
+    tight on every row both are tight on, decided by ANDing the ``tight``
+    bitsets of those rows.  Dot products use only the nonzero entries of
+    the row.  ``rays`` lists the live (vector, mask) pairs in id order;
+    ``add_row`` returns the rays cut off by the new halfspace, whose masks
+    identify the facets visible from it.
     """
 
     def __init__(self, dim: int, rows: list[IntVector]):
@@ -194,13 +226,18 @@ class DDCone:
             raise NotFullDimensional(f"constraint rank {len(basis_idx)} < {dim}")
         cols = _adjugate_columns([rows[i] for i in basis_idx])
         full = sum(1 << i for i in basis_idx)
+        seed_ids = (1 << dim) - 1
         self.rows = list(rows)
-        self.rays: list[tuple[IntVector, int]] = []
-        for i, col in zip(basis_idx, cols):
+        self.tight = [0] * len(rows)
+        self.slots: list[tuple[IntVector, int] | None] = []
+        for j, (i, col) in enumerate(zip(basis_idx, cols)):
             v = _reduce_ray(col)
             if _idot(rows[i], v) < 0:
                 v = tuple(-x for x in v)
-            self.rays.append((v, full ^ (1 << i)))
+            self.slots.append((v, full ^ (1 << i)))
+            self.tight[i] = seed_ids ^ (1 << j)
+        self.rays = list(self.slots)
+        self._ids = list(range(dim))
         basis_set = set(basis_idx)
         for i, row in enumerate(rows):
             if i not in basis_set:
@@ -209,51 +246,100 @@ class DDCone:
     def add_row(self, row: IntVector) -> list[tuple[IntVector, int]]:
         idx = len(self.rows)
         self.rows.append(tuple(row))
+        self.tight.append(0)
         return self._insert(idx, tuple(row))
 
     def _insert(self, idx: int, row: IntVector) -> list[tuple[IntVector, int]]:
         bit = 1 << idx
-        rays = self.rays
-        dots = [_idot(row, v) for v, _ in rays]
-        pos = [p for p, d in enumerate(dots) if d > 0]
-        zero = [(v, m | bit) for (v, m), d in zip(rays, dots) if d == 0]
-        neg = [p for p, d in enumerate(dots) if d < 0]
-        if not neg:
-            self.rays = [rays[p] for p in pos] + zero
-            return []
-        # tight[i]: bitset of the ray positions tight on row i.
-        tight = [0] * len(self.rows)
-        for p, (_, m) in enumerate(rays):
-            b = 1 << p
-            while m:
-                low = m & -m
-                tight[low.bit_length() - 1] |= b
-                m ^= low
-        everything = (1 << len(rays)) - 1
-        needed = self.dim - 2
+        rays, slots, tight = self.rays, self.slots, self.tight
+        # Sparse dot products, one pass over the rays per nonzero entry.
+        dots = [0] * len(rays)
+        for c, a in enumerate(row):
+            if a:
+                dots = [d + a * v[c] for d, (v, _) in zip(dots, rays)]
+        pos = neg_set = zero_set = 0
+        pos_dot = {}
+        neg = []
+        zero = []
+        for j, ray, d in zip(self._ids, rays, dots):
+            if d > 0:
+                pos |= 1 << j
+                pos_dot[j] = d
+            elif d:
+                neg.append((j, ray, d))
+                neg_set |= 1 << j
+            else:
+                zero.append((j, ray))
+                zero_set |= 1 << j
         new_rays = []
-        negs = [(q, rays[q][1]) for q in neg]
-        for p in pos:
-            vp, mp = rays[p]
-            dp = dots[p]
-            for q, mn in [(q, mn) for q, mn in negs if (mp & mn).bit_count() >= needed]:
-                # The rays tight on every row of z include p and q; the
-                # pair is adjacent iff there are no others.
-                z = mp & mn
-                pair = (1 << p) | (1 << q)
-                common = everything
-                rest = z
-                while rest and common != pair:
-                    low = rest & -rest
-                    common &= tight[low.bit_length() - 1]
-                    rest ^= low
-                if common != pair:
-                    continue
-                dn = dots[q]
-                combo = [dp * a - dn * b for a, b in zip(rays[q][0], vp)]
-                new_rays.append((_reduce_ray(combo), z | bit))
-        self.rays = [rays[p] for p in pos] + zero + new_rays
-        return [rays[q] for q in neg]
+        if pos and neg:
+            live = pos | neg_set | zero_set
+            needed = max(self.dim - 2, 0)
+            for q, (vq, mq), dq in neg:
+                on_q = [(1 << i, tight[i]) for i in _bits(mq)]
+                cand = _at_least([t for _, t in on_q], needed) & pos
+                for p in _bits(cand):
+                    vp, mp = slots[p]
+                    # The rays tight on every row of z include p and q;
+                    # the pair is adjacent iff there are no others.
+                    z = mp & mq
+                    common = reduce(and_, [t for b, t in on_q if z & b], live)
+                    if common != (1 << p) | (1 << q):
+                        continue
+                    dp = pos_dot[p]
+                    combo = [dp * a - dq * b for a, b in zip(vq, vp)]
+                    new_rays.append((_reduce_ray(combo), z | bit))
+        for j, (v, m) in zero:
+            slots[j] = (v, m | bit)
+        if neg:
+            keep = ~neg_set
+            for i, t in enumerate(tight):
+                tight[i] = t & keep
+            for q, _, _ in neg:
+                slots[q] = None
+        tight[idx] = zero_set
+        # New rays take the lowest free ids, then ids past the end.
+        free = iter([j for j, s in enumerate(slots) if s is None])
+        for ray in new_rays:
+            j = next(free, len(slots))
+            if j == len(slots):
+                slots.append(ray)
+            else:
+                slots[j] = ray
+            for i in _bits(ray[1]):
+                tight[i] |= 1 << j
+        while slots and slots[-1] is None:
+            slots.pop()
+        self._ids = [j for j, s in enumerate(slots) if s is not None]
+        self.rays = [slots[j] for j in self._ids]
+        return [ray for _, ray, _ in neg]
+
+
+def _at_least(sets: list[int], needed: int) -> int:
+    """Bitset of the elements that lie in at least ``needed`` >= 0 of
+    ``sets`` (all of them, as -1, when ``needed`` is 0), by a bit-sliced
+    count: slice k holds bit k of every element's count."""
+    slices: list[int] = []
+    for x in sets:
+        for k, s in enumerate(slices):
+            if not x:
+                break
+            slices[k] = s ^ x
+            x &= s
+        if x:
+            slices.append(x)
+    if needed >> len(slices):
+        return 0
+    # Compare each count with ``needed``, most significant slice first.
+    above, equal = 0, -1
+    for k in range(len(slices) - 1, -1, -1):
+        s = slices[k]
+        if needed >> k & 1:
+            equal &= s
+        else:
+            above |= equal & s
+            equal &= ~s
+    return above | equal
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +391,18 @@ def enumerate_facets(config: PointConfiguration) -> list[FacetCertificate]:
     # integer, so these integer keys sort the normals exactly.
     scale = lcm(*(beta for _, beta, _ in rays))
     rays.sort(key=lambda r: tuple(a * (scale // r[1]) for a in r[0]))
+    # Normals repeat a few entries, so each a / beta is made once.  The
+    # labels are sorted, so reading a mask's bits in increasing order
+    # gives its support sorted.
+    entries: dict[tuple[int, int], Fraction] = {}
+    labels = config.labels
     certs = []
     for alpha, beta, mask in rays:
-        normal = tuple(Fraction(a, beta) for a in alpha)
-        support = tuple(
-            sorted(config.labels[i] for i in range(len(config.labels)) if mask >> i & 1)
-        )
-        certs.append(FacetCertificate(normal, support))
+        for a in alpha:
+            if (a, beta) not in entries:
+                entries[a, beta] = Fraction(a, beta)
+        normal = tuple([entries[a, beta] for a in alpha])
+        certs.append(FacetCertificate(normal, tuple(labels[i] for i in _bits(mask))))
     return certs
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from hypothesis import strategies as st
 
@@ -243,3 +244,41 @@ def exchange_axioms_hold(independent, n) -> bool:
         for a in indep_masks
         for b in by_size.get(a.bit_count() + 1, ())
     )
+
+
+def reference_dd(rays, dim, idx, row):
+    """One double-description insert by the plain scan: ``rays`` are the
+    (vector, tight-row mask) pairs of a pointed cone, and row ``idx`` is
+    added.  The tight sets are rebuilt from the masks, every positive ray
+    is paired with every negative one sharing at least dim - 2 rows, and
+    a pair is adjacent iff no third ray is tight on every row both are
+    tight on (Fukuda and Prodon 1996).  Returns (rays after, cut rays)."""
+    bit = 1 << idx
+    dots = [sum(a * b for a, b in zip(row, v)) for v, _ in rays]
+    pos = [p for p, d in enumerate(dots) if d > 0]
+    zero = [(v, m | bit) for (v, m), d in zip(rays, dots) if d == 0]
+    neg = [q for q, d in enumerate(dots) if d < 0]
+    tight = {}
+    for p, (_, m) in enumerate(rays):
+        for i in range(m.bit_length()):
+            if m >> i & 1:
+                tight[i] = tight.get(i, 0) | 1 << p
+    everything = (1 << len(rays)) - 1
+    new_rays = []
+    for p in pos:
+        vp, mp = rays[p]
+        for q in neg:
+            vq, mq = rays[q]
+            z = mp & mq
+            if z.bit_count() < dim - 2:
+                continue
+            common = everything
+            for i in range(z.bit_length()):
+                if z >> i & 1:
+                    common &= tight[i]
+            if common != (1 << p) | (1 << q):
+                continue
+            combo = [dots[p] * a - dots[q] * b for a, b in zip(vq, vp)]
+            g = gcd(*combo)
+            new_rays.append((tuple(x // g for x in combo), z | bit))
+    return [rays[p] for p in pos] + zero + new_rays, [rays[q] for q in neg]

@@ -4,7 +4,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_force_facets,
@@ -14,6 +15,7 @@ from conftest import (
     path_graph,
     potential_facets,
     random_connected_graph,
+    reference_dd,
     running_example,
 )
 
@@ -22,6 +24,8 @@ from apx.errors import DisconnectedGraph, NotFullDimensional
 from apx.graphcore import Graph
 from apx.polytope import (
     DDCone,
+    _at_least,
+    _PlacingState,
     build_configuration,
     enumerate_facets,
     hull_facet_rays,
@@ -267,6 +271,102 @@ def test_ddcone_seed_is_primitive_inverse_columns():
                 expected = [-x for x in expected]
             assert ray == tuple(expected)
             assert mask == ((1 << n) - 1) ^ (1 << j)
+
+
+class _CheckedCone(DDCone):
+    """A DDCone that checks every insert against ``reference_dd``: the
+    rays, their masks and the cut rays, and every maintained ``tight``
+    bitset against one rebuilt from the masks.  Freed ids are reused, so
+    the id range never exceeds the largest ray list so far.  Records the
+    inserted rows and that largest ray list."""
+
+    def __init__(self, dim, rows):
+        self.inserted = []
+        self.peak = dim
+        super().__init__(dim, rows)
+
+    def _insert(self, idx, row):
+        before = list(self.rays)
+        cut = super()._insert(idx, row)
+        after, ref_cut = reference_dd(before, self.dim, idx, row)
+        assert sorted(self.rays) == sorted(after)
+        assert sorted(cut) == sorted(ref_cut)
+        assert self.rays == [s for s in self.slots if s is not None]
+        rebuilt = [0] * len(self.rows)
+        for j, slot in enumerate(self.slots):
+            if slot is not None:
+                for i in range(len(self.rows)):
+                    if slot[1] >> i & 1:
+                        rebuilt[i] |= 1 << j
+        assert self.tight == rebuilt
+        self.inserted.append(idx)
+        self.peak = max(self.peak, len(self.rays))
+        assert len(self.slots) <= self.peak
+        return cut
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 2**40 - 1), max_size=20), st.integers(0, 22))
+def test_bit_sliced_count_matches_a_plain_count(sets, needed):
+    got = _at_least(sets, needed)
+    for x in range(41):
+        count = sum(s >> x & 1 for s in sets)
+        assert (got >> x & 1) == (count >= needed)
+
+
+@st.composite
+def integer_cones(draw):
+    """Integer rows in dimension <= 6, split into a first batch of full
+    rank and rows added one by one after it."""
+    dim = draw(st.integers(1, 6))
+    row = st.tuples(*[st.integers(-3, 3)] * dim)
+    first = draw(st.lists(row, min_size=dim, max_size=dim + 6))
+    assume(exactlin.rank(first, dim) == dim)
+    return dim, first, draw(st.lists(row, max_size=6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(integer_cones())
+def test_ddcone_matches_reference_on_random_cones(case):
+    dim, first, added = case
+    cone = _CheckedCone(dim, first)
+    for row in added:
+        cone.add_row(row)
+    assert len(cone.inserted) == len(first) + len(added) - dim
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(), st.data())
+def test_ddcone_matches_reference_on_hull_and_lower_hull_cones(g, data):
+    vectors = build_configuration(g).vectors
+    d = len(vectors[0])
+    _CheckedCone(d + 1, [v + (1,) for v in vectors])
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=len(vectors), max_size=len(vectors)))
+    lifted = [v + (-1, w) for v, w in zip(vectors, weights)]
+    _CheckedCone(d + 2, lifted + [(0,) * (d + 1) + (1,)])
+
+
+def test_ddcone_counters_on_w10_hull_cone():
+    # perfbench counts one _insert per row added and reads len(rays)
+    # after each; _CheckedCone compares that list with the reference.
+    wheel = [(0, i) for i in range(1, 10)] + [(i, i % 9 + 1) for i in range(1, 10)]
+    vectors = build_configuration(Graph.from_edges(wheel)).vectors
+    rows = [v + (1,) for v in vectors]
+    cone = _CheckedCone(10, rows)
+    assert len(set(cone.inserted)) == len(cone.inserted) == len(rows) - 10
+    assert (cone.peak, len(cone.rays)) == (1643, 1598)
+
+
+def test_ddcone_ids_stay_narrow_in_the_grid_placing_run():
+    grid = [(v, v + 1) for v in range(12) if v % 4 != 3] + [(v, v + 4) for v in range(8)]
+    state = _PlacingState(list(build_configuration(Graph.from_edges(grid)).vectors))
+    peak = width = 0
+    for k in range(state.cone.dim, len(state.rows)):
+        state.insert(k)
+        peak = max(peak, len(state.cone.rays))
+        width = max(width, len(state.cone.slots))
+    assert width <= peak
+    assert state.volume == 22720
 
 
 def _determinant_volume(points) -> int:
