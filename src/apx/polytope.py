@@ -237,7 +237,6 @@ class DDCone:
             self.slots.append((v, full ^ (1 << i)))
             self.tight[i] = seed_ids ^ (1 << j)
         self.rays = list(self.slots)
-        self._ids = list(range(dim))
         basis_set = set(basis_idx)
         for i, row in enumerate(rows):
             if i not in basis_set:
@@ -251,17 +250,18 @@ class DDCone:
 
     def _insert(self, idx: int, row: IntVector) -> list[tuple[IntVector, int]]:
         bit = 1 << idx
-        rays, slots, tight = self.rays, self.slots, self.tight
+        slots, tight = self.slots, self.tight
+        live_rays = [(j, s) for j, s in enumerate(slots) if s is not None]
         # Sparse dot products, one pass over the rays per nonzero entry.
-        dots = [0] * len(rays)
+        dots = [0] * len(live_rays)
         for c, a in enumerate(row):
             if a:
-                dots = [d + a * v[c] for d, (v, _) in zip(dots, rays)]
+                dots = [d + a * v[c] for d, (_, (v, _)) in zip(dots, live_rays)]
         pos = neg_set = zero_set = 0
         pos_dot = {}
         neg = []
         zero = []
-        for j, ray, d in zip(self._ids, rays, dots):
+        for (j, ray), d in zip(live_rays, dots):
             if d > 0:
                 pos |= 1 << j
                 pos_dot[j] = d
@@ -310,8 +310,7 @@ class DDCone:
                 tight[i] |= 1 << j
         while slots and slots[-1] is None:
             slots.pop()
-        self._ids = [j for j, s in enumerate(slots) if s is not None]
-        self.rays = [slots[j] for j in self._ids]
+        self.rays = [s for s in slots if s is not None]
         return [ray for _, ray, _ in neg]
 
 
@@ -391,17 +390,12 @@ def enumerate_facets(config: PointConfiguration) -> list[FacetCertificate]:
     # integer, so these integer keys sort the normals exactly.
     scale = lcm(*(beta for _, beta, _ in rays))
     rays.sort(key=lambda r: tuple(a * (scale // r[1]) for a in r[0]))
-    # Normals repeat a few entries, so each a / beta is made once.  The
-    # labels are sorted, so reading a mask's bits in increasing order
+    # The labels are sorted, so reading a mask's bits in increasing order
     # gives its support sorted.
-    entries: dict[tuple[int, int], Fraction] = {}
     labels = config.labels
     certs = []
     for alpha, beta, mask in rays:
-        for a in alpha:
-            if (a, beta) not in entries:
-                entries[a, beta] = Fraction(a, beta)
-        normal = tuple([entries[a, beta] for a in alpha])
+        normal = tuple(Fraction(a, beta) for a in alpha)
         certs.append(FacetCertificate(normal, tuple(labels[i] for i in _bits(mask))))
     return certs
 
