@@ -10,8 +10,8 @@ every check) instead of returning silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import exactlin
 from .errors import (
@@ -133,8 +133,7 @@ def subset_corank(labels, e: Edge, dim: int) -> int:
     return corank
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     positive: int
     negative: int
     zero: int
@@ -186,8 +185,7 @@ def dependence_separates_contracted_pair(labels, e: Edge, dim: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellPropertiesReport:
+class CellPropertiesReport(NamedTuple):
     only_directed_cycle_is_pair: bool
     spans_all_nodes: bool
     closed_under_swap: bool
@@ -488,8 +486,7 @@ def interior_lift_subcells(cell: Cell, point: DirectedEdge) -> list[tuple[Direct
     return subcells
 
 
-@dataclass(frozen=True)
-class CellInvariantReport:
+class CellInvariantReport(NamedTuple):
     """Everything the theorems say about one cell, with pass/fail flags."""
 
     corank: int
@@ -565,8 +562,7 @@ def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpecialGraphReport:
+class SpecialGraphReport(NamedTuple):
     graph_class: str
     all_simplicial: bool | None = None
     all_circuits: bool | None = None

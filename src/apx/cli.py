@@ -5,7 +5,7 @@ Commands: ``apx facets FILE``, ``apx subdivide FILE --edge K1,K2``,
 Graphs are read from "u v"-per-line text or {"edges": [[u, v], ...]}
 JSON.  All output is canonical JSON (sorted keys, exact "p/q" rationals),
 byte-identical across runs.  Exit codes: 0 success, 1 verification
-failure, 2 input error.
+failure, 2 input error or an output path that cannot be written.
 
 Each command imports the layers only it runs (subdivision, cell analysis,
 verification), so ``facets`` and ``volume`` start without them.
@@ -59,9 +59,12 @@ def parse_edge(text: str, g: Graph) -> tuple[int, int]:
 def emit(payload: dict, json_path: str | None) -> None:
     """Stream the canonical JSON report to ``json_path``, or to stdout."""
     if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(json_path, "w") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise ApxError(f"cannot write {json_path}: {exc}") from exc
     else:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -105,14 +108,17 @@ def cmd_subdivide(args) -> int:
     }
     if args.dot:
         out = Path(args.dot)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "graph.dot").write_text(graph_to_dot(g, e))
         width = len(str(len(cells) - 1))
-        for i, cell in enumerate(cells):
-            name = f"cell_{i:0{width}d}"
-            (out / f"{name}.dot").write_text(
-                directed_subgraph_to_dot(cell.points, e, name=name)
-            )
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "graph.dot").write_text(graph_to_dot(g, e))
+            for i, cell in enumerate(cells):
+                name = f"cell_{i:0{width}d}"
+                (out / f"{name}.dot").write_text(
+                    directed_subgraph_to_dot(cell.points, e, name=name)
+                )
+        except OSError as exc:
+            raise ApxError(f"cannot write {args.dot}: {exc}") from exc
     emit(payload, args.json)
     return EXIT_OK
 

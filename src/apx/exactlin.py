@@ -1,9 +1,9 @@
-"""Exact rational linear algebra.
+"""Exact linear algebra over the integers and the rationals.
 
-Every scalar is a ``fractions.Fraction`` (arbitrary precision, always in
-lowest terms, positive denominator, value equality), so all geometric
-predicates downstream are bit-exact.  Vectors are tuples of Fractions,
-matrices are lists of row tuples.  No floating point anywhere.
+Every scalar is an exact integer or a ``fractions.Fraction`` (lowest
+terms, value equality), so all geometric predicates downstream are
+bit-exact.  Integer ranks and determinants are fraction-free (Bareiss).
+Vectors are tuples, matrices lists of row tuples.  No floating point.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ vertex set is the set of endpoints.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     DisconnectedGraph,
@@ -29,8 +29,7 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple graph on nodes 0..node_count-1."""
 
     node_count: int
@@ -201,8 +200,7 @@ def cyclomatic_number(edges) -> int:
     return len(edges) - len(vertices_of(edges)) + len(components_of_edges(edges))
 
 
-@dataclass(frozen=True)
-class CycleBasis:
+class CycleBasis(NamedTuple):
     spanning_tree: EdgeSet
     nontree_edges: tuple[Edge, ...]
     fundamental_cycles: tuple[EdgeSet, ...]

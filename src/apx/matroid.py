@@ -37,7 +37,7 @@ submodular, r(X+a) + r(X+b) >= r(X) + r(X+a+b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MorphismViolation
 from .graphcore import edge
@@ -154,8 +154,7 @@ def check_matroid_axioms(independent: list[bool], n: int) -> None:
                     )
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     ground_size: int
     subsets_checked: int
 

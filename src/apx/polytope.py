@@ -21,11 +21,11 @@ volumes from per-simplex determinants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import and_
+from typing import NamedTuple
 
 from . import exactlin
 from .errors import DisconnectedGraph, NotFullDimensional
@@ -47,8 +47,7 @@ def phi(label: DirectedEdge, dim: int) -> IntVector:
     return tuple(v)
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
+class PointConfiguration(NamedTuple):
     """Labeled points of an adjacency polytope, one per directed edge."""
 
     dim: int
@@ -75,8 +74,7 @@ def build_configuration(g: Graph) -> PointConfiguration:
     return PointConfiguration(n, tuple(labels), tuple(phi(lab, n) for lab in labels))
 
 
-@dataclass(frozen=True)
-class FacetCertificate:
+class FacetCertificate(NamedTuple):
     """A facet as (inner normal, support), normalized so that every
     supported point x satisfies <x, normal> = -1 and all points satisfy
     <x, normal> >= -1 (valid because 0 is interior)."""

@@ -10,9 +10,9 @@ that edge, with pairs of facets of the two contracted halves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     CorrespondenceViolation,
@@ -40,16 +40,18 @@ def lift_weight(label: DirectedEdge, e: Edge) -> int:
     return 0 if edge(*label) == edge(*e) else 1
 
 
-@dataclass(frozen=True)
-class Cell:
-    """A cell of the subdivision: the configuration points on one lower
-    facet, with the normal gamma and support level h of that facet
-    normalized so the lifted normal is (gamma, 1)."""
-
+class _CellFields(NamedTuple):
     points: tuple[DirectedEdge, ...]
     gamma: Vector
     height: Fraction
     dim: int
+
+
+class Cell(_CellFields):
+    """A cell of the subdivision: the configuration points on one lower
+    facet, with the normal gamma and support level h of that facet
+    normalized so the lifted normal is (gamma, 1).  It subclasses its
+    fields' NamedTuple to get the ``__dict__`` that ``nvol`` is cached in."""
 
     def vectors(self) -> list[tuple[int, ...]]:
         return [phi(lab, self.dim) for lab in self.points]
@@ -98,8 +100,7 @@ def edge_contraction_subdivision(g: Graph, e: Edge) -> list[Cell]:
     return cells
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(NamedTuple):
     """Bijection from cells to facets (single mode) or facet pairs
     (two-subgraph mode) of the contracted polytopes."""
 

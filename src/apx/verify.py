@@ -3,8 +3,8 @@ one (graph, contraction edge) instance and report pass/fail evidence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cellanalysis import (
     CellInvariantReport,
@@ -28,8 +28,7 @@ from .subdivision import (
 MATROID_GROUND_LIMIT = 16
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -38,13 +37,15 @@ class CheckResult:
         return {"passed": self.passed, "detail": self.detail}
 
 
-@dataclass
 class VerificationReport:
-    graph: Graph
-    contraction: tuple[int, int]
-    level: str
-    checks: list[CheckResult] = field(default_factory=list)
-    cell_reports: list[CellInvariantReport] = field(default_factory=list)
+    """The checks of one run, in the order they ran; built up by ``add``."""
+
+    def __init__(self, graph: Graph, contraction: tuple[int, int], level: str) -> None:
+        self.graph = graph
+        self.contraction = contraction
+        self.level = level
+        self.checks: list[CheckResult] = []
+        self.cell_reports: list[CellInvariantReport] = []
 
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)

@@ -129,6 +129,25 @@ def test_missing_file_is_input_error(capsys):
     assert main(["facets", "/nonexistent/graph.txt"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["facets", "--json"],
+        ["subdivide", "--edge", "0,3", "--json"],
+        ["subdivide", "--edge", "0,3", "--dot"],
+        ["verify", "--edge", "0,3", "--level", "fast", "--json"],
+    ],
+)
+def test_unwritable_output_is_input_error(tmp_path, capsys, args):
+    path = write_graph(tmp_path, "c4.txt", C4)
+    # A path below a regular file cannot be created, whoever runs the test.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    target = str(blocker / "out")
+    assert main([args[0], path, *args[1:], target]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
 def test_failed_verification_exits_one(tmp_path, capsys, monkeypatch):
     # Every theorem holds on real inputs, so force a failing report to pin
     # down the exit-code mapping.  ``cmd_verify`` imports run_verification
@@ -184,12 +203,17 @@ def test_cli_import_defers_the_analysis_layers():
     script = textwrap.dedent(
         """
         import json, sys
+        heavy = ("dataclasses", "inspect")
         import apx.cli
         loaded = sorted(m for m in sys.modules if m.startswith("apx."))
+        heavy_after_cli = [m for m in heavy if m in sys.modules]
+        import apx.verify
+        heavy_after_verify = [m for m in heavy if m in sys.modules]
         namespace = {}
         exec("from apx import *", namespace)
         star = sorted(name for name in namespace if not name.startswith("__"))
-        print(json.dumps({"loaded": loaded, "star": star}))
+        print(json.dumps({"loaded": loaded, "star": star, "heavy": heavy_after_cli,
+                          "heavy_verify": heavy_after_verify}))
         """
     )
     src = str(Path(apx.__file__).resolve().parents[1])
@@ -202,6 +226,8 @@ def test_cli_import_defers_the_analysis_layers():
     assert "apx.polytope" in result["loaded"]
     lazy = {"apx.verify", "apx.matroid", "apx.cellanalysis", "apx.subdivision"}
     assert lazy.isdisjoint(result["loaded"])
+    # Every CLI child pays for what these imports load.
+    assert result["heavy"] == result["heavy_verify"] == []
     assert result["star"] == sorted(apx.__all__)
     for name in apx.__all__:
         assert getattr(apx, name).__name__ == name

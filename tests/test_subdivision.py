@@ -5,6 +5,7 @@ import pytest
 
 from conftest import cycle_graph, running_example, random_connected_graph
 
+from apx.cellanalysis import Signature
 from apx.errors import EdgeNotInGraph, NotAValidSharedEdgeDecomposition
 from apx.graphcore import Graph, contract_edge
 from apx.polytope import build_configuration, enumerate_facets, normalized_volume
@@ -27,6 +28,29 @@ def test_lift_weight():
     assert lift_weight((0, 3), (0, 3)) == 0
     assert lift_weight((3, 0), (0, 3)) == 0
     assert lift_weight((1, 2), (0, 3)) == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cycle_graph(5),
+        lambda: enumerate_facets(build_configuration(cycle_graph(4)))[0],
+        lambda: edge_contraction_subdivision(running_example(), (0, 3))[-1],
+        lambda: Signature(2, 2, 1),
+    ],
+    ids=["Graph", "FacetCertificate", "Cell", "Signature"],
+)
+def test_records_are_values(build):
+    first, second = build(), build()
+    assert first is not second
+    if isinstance(first, Cell):
+        # The cached oracle volume is not a field.
+        assert first.nvol > 0
+    assert first == second and hash(first) == hash(second)
+    assert {first: 1}[second] == 1
+    for name in first._fields:
+        with pytest.raises(AttributeError):
+            setattr(first, name, getattr(second, name))
 
 
 def test_c4_subdivision_six_simplicial_cells():

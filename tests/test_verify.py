@@ -134,14 +134,12 @@ def test_theorem_checks_survive_python_O():
 
 
 def test_cell_invariants_names_failing_checks(monkeypatch):
-    import dataclasses
-
     import apx.cellanalysis as cellanalysis
 
     real = cellanalysis.verify_cell_properties
 
     def failing(g, e, cell):
-        return dataclasses.replace(real(g, e, cell), spans_all_nodes=False)
+        return real(g, e, cell)._replace(spans_all_nodes=False)
 
     monkeypatch.setattr(cellanalysis, "verify_cell_properties", failing)
     report = run_verification(cycle_graph(4), (0, 3), level="fast")
