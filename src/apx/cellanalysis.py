@@ -2,6 +2,15 @@
 structural properties, affine independence/circuits/corank, signatures,
 maximum corank realization, and closed-form cell volumes.
 
+Every statement about a point set reads one ``CellRecord``: one
+fraction-free elimination of its homogenized points (the affine rank and
+the primitive integer kernel) and one pass over its subgraph (vertices,
+components, cyclomatic number).  Corank, dependence, the corank-1
+signature and the Radon split all come from the kernel; each check
+compares that point side with the graph side and never derives one from
+the other.  The record is built where a statement needs it and passed
+down, not kept for the run.
+
 Every closed form is cross-checked against the exact triangulation
 oracle, so these functions double as theorem checkers; a disagreement
 raises TheoremViolation (never a bare assert, so ``python -O`` keeps
@@ -37,7 +46,7 @@ from .graphcore import (
     vertices_of,
     _tree_path,
 )
-from .polytope import DirectedEdge, phi, regular_subdivision_supports
+from .polytope import DirectedEdge, IntVector, _adjugate_columns, _idot, phi
 from .subdivision import Cell, edge_contraction_subdivision
 
 Edge = tuple[int, int]
@@ -65,72 +74,97 @@ def _check_pairing(labels, e: Edge) -> bool:
     return has_p
 
 
-def _vectors(labels, dim) -> list[tuple[int, ...]]:
-    return [phi(lab, dim) for lab in labels]
+class CellRecord(NamedTuple):
+    """What one elimination and one pass over the subgraph say about a
+    point set, a cell or a subset of one.  The point side (vectors, rank,
+    kernel) and the graph side (arcs, undirected subgraph, its vertices,
+    components and cyclomatic number) are computed apart, so every check
+    that reads the record compares two independent derivations."""
+
+    labels: tuple[DirectedEdge, ...]
+    vectors: tuple[IntVector, ...]
+    arcs: frozenset[DirectedEdge]
+    undirected: frozenset[Edge]
+    vertices: set[int]
+    components: list[set[int]]
+    cyclomatic: int
+    rank: int
+    kernel: tuple[IntVector, ...]
 
 
-def point_corank(labels, dim: int) -> int:
-    """|X| - dim(X) - 1 straight from exact affine rank (no graph check)."""
-    return len(tuple(labels)) - exactlin.affine_rank(_vectors(labels, dim))
-
-
-def subset_is_affinely_independent(labels, e: Edge, dim: int) -> bool:
-    """Affine independence of a cell subset; agrees with G_X being a
-    forest (checked here, a failure means the theorem broke)."""
+def cell_record(labels, dim: int) -> CellRecord:
+    """The record of a point set: one ``exactlin.affine_kernel`` pass
+    over its points and one pass over its subgraph."""
     labels = tuple(labels)
-    _check_pairing(labels, e)
-    affine = exactlin.is_affinely_independent(_vectors(labels, dim))
-    _, undirected = cell_subgraphs(labels)
-    forest = cyclomatic_number(undirected) == 0
+    vectors = tuple(phi(lab, dim) for lab in labels)
+    rank, kernel = exactlin.affine_kernel(vectors)
+    arcs, undirected = cell_subgraphs(labels)
+    return CellRecord(
+        labels, vectors, arcs, undirected, vertices_of(undirected),
+        components_of_edges(undirected), cyclomatic_number(undirected), rank, kernel,
+    )
+
+
+def _is_independent(rec: CellRecord, e: Edge) -> bool:
+    _check_pairing(rec.labels, e)
+    affine = not rec.kernel
+    forest = rec.cyclomatic == 0
     if affine != forest:
         raise TheoremViolation(f"affine independence {affine} != forest test {forest}")
     return affine
 
 
-def subset_is_circuit(labels, e: Edge, dim: int) -> bool:
-    """Minimal affine dependence; agrees with G_X being a plain cycle
-    (the contracted pair counting as one undirected edge)."""
-    labels = tuple(labels)
-    _check_pairing(labels, e)
-    vectors = _vectors(labels, dim)
-    dependent = not exactlin.is_affinely_independent(vectors)
-    minimal = dependent and all(
-        exactlin.is_affinely_independent(vectors[:i] + vectors[i + 1 :])
-        for i in range(len(vectors))
-    )
-    _, undirected = cell_subgraphs(labels)
-    graph_side = is_cycle(undirected)
+def _is_circuit(rec: CellRecord, e: Edge) -> bool:
+    # Dropping point i leaves an independent set iff every dependence is
+    # nonzero at i.  With corank >= 2 some combination of two dependences
+    # vanishes at i, so a circuit has corank 1 and one dependence with no
+    # zero coefficient.
+    _check_pairing(rec.labels, e)
+    minimal = len(rec.kernel) == 1 and all(rec.kernel[0])
+    graph_side = is_cycle(rec.undirected)
     if minimal != graph_side:
         raise TheoremViolation(f"circuit test {minimal} != cycle test {graph_side}")
     return minimal
 
 
-def subset_dimension(labels, e: Edge, dim: int) -> int:
-    """Affine dimension; must equal |V(G_X)| + [e in G_X] - m - 1."""
-    labels = tuple(labels)
-    has_pair = _check_pairing(labels, e)
-    affine_dim = exactlin.affine_dimension(_vectors(labels, dim))
-    _, undirected = cell_subgraphs(labels)
+def _dimension(rec: CellRecord, e: Edge) -> int:
     # Under the pairing precondition the contracted edge is in G_X exactly
     # when both of its points are in X.
-    indicator = 1 if has_pair else 0
-    m = len(components_of_edges(undirected))
-    formula = len(vertices_of(undirected)) + indicator - m - 1
+    indicator = 1 if _check_pairing(rec.labels, e) else 0
+    affine_dim = rec.rank - 1
+    formula = len(rec.vertices) + indicator - len(rec.components) - 1
     if affine_dim != formula:
         raise TheoremViolation(f"dimension {affine_dim} != formula {formula}")
     return affine_dim
 
 
+def _corank(rec: CellRecord, e: Edge) -> int:
+    corank = len(rec.labels) - _dimension(rec, e) - 1
+    if corank != rec.cyclomatic:
+        raise TheoremViolation(f"corank {corank} != cyclomatic number {rec.cyclomatic}")
+    return corank
+
+
+def subset_is_affinely_independent(labels, e: Edge, dim: int) -> bool:
+    """Affine independence of a cell subset; agrees with G_X being a
+    forest (checked here, a failure means the theorem broke)."""
+    return _is_independent(cell_record(labels, dim), e)
+
+
+def subset_is_circuit(labels, e: Edge, dim: int) -> bool:
+    """Minimal affine dependence; agrees with G_X being a plain cycle
+    (the contracted pair counting as one undirected edge)."""
+    return _is_circuit(cell_record(labels, dim), e)
+
+
+def subset_dimension(labels, e: Edge, dim: int) -> int:
+    """Affine dimension; must equal |V(G_X)| + [e in G_X] - m - 1."""
+    return _dimension(cell_record(labels, dim), e)
+
+
 def subset_corank(labels, e: Edge, dim: int) -> int:
     """|X| - dim(X) - 1; must equal the cyclomatic number of G_X."""
-    labels = tuple(labels)
-    _check_pairing(labels, e)
-    corank = len(labels) - subset_dimension(labels, e, dim) - 1
-    _, undirected = cell_subgraphs(labels)
-    cyclomatic = cyclomatic_number(undirected)
-    if corank != cyclomatic:
-        raise TheoremViolation(f"corank {corank} != cyclomatic number {cyclomatic}")
-    return corank
+    return _corank(cell_record(labels, dim), e)
 
 
 class Signature(NamedTuple):
@@ -142,42 +176,44 @@ class Signature(NamedTuple):
         return (self.positive, self.negative, self.zero)
 
 
-def signature_of_corank1(labels, e: Edge, dim: int) -> Signature:
-    """Sign census of the affine dependence of a corank-1 subset,
-    canonicalized so positive >= negative; must match the closed form
-    (ceil(m/2), ceil(m/2), |X| - 2 ceil(m/2)) with m the circumference."""
-    labels = tuple(labels)
-    _check_pairing(labels, e)
-    if point_corank(labels, dim) != 1:
-        raise NotCorankOne(f"corank {point_corank(labels, dim)} != 1")
-    lam = exactlin.affine_dependence(_vectors(labels, dim))
-    if lam is None:
-        raise TheoremViolation("corank-1 subset has no affine dependence")
+def _signature(rec: CellRecord, e: Edge) -> Signature:
+    _check_pairing(rec.labels, e)
+    if len(rec.kernel) != 1:
+        raise NotCorankOne(f"corank {len(rec.kernel)} != 1")
+    (lam,) = rec.kernel
     pos = sum(1 for x in lam if x > 0)
     neg = sum(1 for x in lam if x < 0)
     zero = len(lam) - pos - neg
     if pos < neg:
         pos, neg = neg, pos
-    _, undirected = cell_subgraphs(labels)
-    m = circumference(undirected)
+    m = circumference(rec.undirected)
     half = -(-m // 2)
-    expected = (half, half, len(labels) - 2 * half)
+    expected = (half, half, len(rec.labels) - 2 * half)
     if (pos, neg, zero) != expected:
         raise TheoremViolation(f"signature {(pos, neg, zero)} != {expected}")
     return Signature(pos, neg, zero)
 
 
+def signature_of_corank1(labels, e: Edge, dim: int) -> Signature:
+    """Sign census of the affine dependence of a corank-1 subset,
+    canonicalized so positive >= negative; must match the closed form
+    (ceil(m/2), ceil(m/2), |X| - 2 ceil(m/2)) with m the circumference."""
+    return _signature(cell_record(labels, dim), e)
+
+
+def _separates_pair(rec: CellRecord, e: Edge) -> bool:
+    if not _check_pairing(rec.labels, e) or not rec.kernel:
+        return False
+    lam = rec.kernel[0]
+    p, q = _contracted_pair(e)
+    return lam[rec.labels.index(p)] * lam[rec.labels.index(q)] < 0
+
+
 def dependence_separates_contracted_pair(labels, e: Edge, dim: int) -> bool:
     """For a corank-1 circuit through the contracted pair, the two points
-    carry dependence coefficients of opposite signs (Radon split)."""
-    labels = tuple(labels)
-    lam = exactlin.affine_dependence(_vectors(labels, dim))
-    if lam is None:
-        return False
-    p, q = _contracted_pair(e)
-    cp = lam[labels.index(p)]
-    cq = lam[labels.index(q)]
-    return cp * cq < 0
+    carry dependence coefficients of opposite signs (Radon split).  False
+    for a subset without the pair or without a dependence."""
+    return _separates_pair(cell_record(labels, dim), e)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +341,7 @@ def max_corank(g: Graph, e: Edge, cells: list[Cell] | None = None) -> tuple[int,
     best_cell = None
     best = -1
     for cell in cells:
-        corank = subset_corank(cell.points, e, cell.dim)
+        corank = _corank(cell_record(cell.points, cell.dim), e)
         if corank > best:
             best, best_cell = corank, cell
     return best, best_cell
@@ -339,28 +375,29 @@ def build_alternating_basis(g: Graph, e: Edge, tree_edges) -> tuple[DirectedEdge
         labels.append((a, b) if sign == 1 else (b, a))
 
     x = tuple(sorted(labels))
-    arcs, undirected = cell_subgraphs(x)
-    if undirected != tree:
+    n = g.node_count - 1
+    rec = cell_record(x, n)
+    if rec.undirected != tree:
         raise TheoremViolation("alternating basis graph is not the spanning tree")
-    vectors = _vectors(x, g.node_count - 1)
-    if not exactlin.is_affinely_independent(vectors):
+    if rec.kernel:
         raise TheoremViolation("alternating basis is affinely dependent")
 
     # The unique alpha with <x, alpha> = -lift(x) on the basis must support
-    # the whole lifted configuration from below.
-    n = g.node_count - 1
+    # the whole lifted configuration from below.  The adjugate columns of
+    # the rows B without (k2, k1) are d*B^-1, so they give d*alpha, and
+    # B times column 0 gives d at row 0.
     rows, rhs = [], []
-    for lab in x:
-        if lab == (k2, k1):
-            continue
-        rows.append(phi(lab, n))
-        rhs.append(Fraction(0) if lab == (k1, k2) else Fraction(-1))
-    alpha = exactlin.solve_unique(rows, rhs)
+    for lab, v in zip(x, rec.vectors):
+        if lab != (k2, k1):
+            rows.append(v)
+            rhs.append(0 if lab == (k1, k2) else -1)
+    cols = _adjugate_columns(rows)
+    d = _idot(rows[0], cols[0])
+    d_alpha = [sum(b * col[i] for b, col in zip(rhs, cols)) for i in range(n)]
     for u, v in g.edges:
         for lab in ((u, v), (v, u)):
             w = 0 if edge(u, v) == edge(k1, k2) else 1
-            value = exactlin.dot(phi(lab, n), alpha) + w
-            if value < 0:
+            if (_idot(phi(lab, n), d_alpha) + w * d) * d < 0:
                 raise TheoremViolation(f"basis functional fails below point {lab}")
     return x
 
@@ -447,18 +484,15 @@ def corank2_gamma_delta(
     return gamma, len(shared) - gamma
 
 
-def cell_volume_closed_form(cell: Cell, e: Edge) -> int:
-    """Closed-form normalized volume for cells of corank 0, 1, 2; always
-    cross-checked against the triangulation oracle (``cell.nvol``)."""
-    corank = subset_corank(cell.points, e, cell.dim)
-    arcs, undirected = cell_subgraphs(cell.points)
+def _closed_form(cell: Cell, e: Edge, rec: CellRecord) -> int:
+    corank = _corank(rec, e)
     if corank == 0:
         result = 2
     elif corank == 1:
-        result = circumference(undirected)
+        result = circumference(rec.undirected)
     elif corank == 2:
-        o1, o2 = corank2_cycle_pair(undirected, e)
-        gamma, delta = corank2_gamma_delta(arcs, o1, o2, e)
+        o1, o2 = corank2_cycle_pair(rec.undirected, e)
+        gamma, delta = corank2_gamma_delta(rec.arcs, o1, o2, e)
         m1, m2 = len(o1), len(o2)
         value = Fraction(m1 * m2, 2) - 2 * gamma * delta
         if value.denominator != 1 or value <= 0:
@@ -471,19 +505,10 @@ def cell_volume_closed_form(cell: Cell, e: Edge) -> int:
     return result
 
 
-def interior_lift_subcells(cell: Cell, point: DirectedEdge) -> list[tuple[DirectedEdge, ...]]:
-    """Subcells of the regular subdivision of a cell induced by lifting a
-    single point to height 1 (the census used in the corank-2 proof)."""
-    if point not in cell.points:
-        raise ValueError(f"{point} not a point of the cell")
-    weights = [1 if lab == point else 0 for lab in cell.points]
-    vectors = cell.vectors()
-    subcells = []
-    for _, _, mask in regular_subdivision_supports(vectors, weights):
-        subcells.append(
-            tuple(cell.points[i] for i in range(len(cell.points)) if mask >> i & 1)
-        )
-    return subcells
+def cell_volume_closed_form(cell: Cell, e: Edge) -> int:
+    """Closed-form normalized volume for cells of corank 0, 1, 2; always
+    cross-checked against the triangulation oracle (``cell.nvol``)."""
+    return _closed_form(cell, e, cell_record(cell.points, cell.dim))
 
 
 class CellInvariantReport(NamedTuple):
@@ -518,40 +543,34 @@ def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
     """Evaluate every per-cell statement: the five subgraph properties,
     corank = cyclomatic number, simplicial iff spanning tree, circuit iff
     plain cycle, signatures of corank-1 cells, and volume closed forms
-    against the oracle."""
-    arcs, undirected = cell_subgraphs(cell.points)
+    against the oracle.  Every statement reads one record of the cell."""
+    rec = cell_record(cell.points, cell.dim)
     properties = verify_cell_properties(g, e, cell)
-    corank = subset_corank(cell.points, e, cell.dim)
-    cyclomatic = cyclomatic_number(undirected)
+    corank = _corank(rec, e)
+    cyclomatic = rec.cyclomatic
     simplicial = cell.is_simplicial()
     spanning_tree = (
         cyclomatic == 0
-        and vertices_of(undirected) == set(range(g.node_count))
-        and len(components_of_edges(undirected)) == 1
+        and rec.vertices == set(range(g.node_count))
+        and len(rec.components) == 1
     )
-    circuit = subset_is_circuit(cell.points, e, cell.dim)
-    dependent = not exactlin.is_affinely_independent(_vectors(cell.points, cell.dim))
+    circuit = _is_circuit(rec, e)
+    dependent = bool(rec.kernel)
     oracle = cell.nvol
-    closed: int | None
-    if corank <= 2:
-        closed = cell_volume_closed_form(cell, e)
-    else:
-        closed = None
+    closed = _closed_form(cell, e, rec) if corank <= 2 else None
     checks = {
         "properties": properties.all_pass(),
         "corank_equals_cyclomatic": corank == cyclomatic,
         "simplicial_iff_spanning_tree": simplicial == spanning_tree,
-        "circuit_iff_plain_cycle": circuit == is_cycle(undirected),
+        "circuit_iff_plain_cycle": circuit == is_cycle(rec.undirected),
         "dependent_iff_cyclic": dependent == (cyclomatic > 0),
         "volume_closed_form": closed is None or closed == oracle,
     }
     if corank == 1:
-        signature = signature_of_corank1(cell.points, e, cell.dim)
+        signature = _signature(rec, e)
         checks["signature_closed_form"] = signature.positive == signature.negative
         if circuit:
-            checks["radon_split"] = dependence_separates_contracted_pair(
-                cell.points, e, cell.dim
-            )
+            checks["radon_split"] = _separates_pair(rec, e)
     return CellInvariantReport(
         corank, cyclomatic, simplicial, circuit, properties, closed, oracle, checks
     )
@@ -593,5 +612,6 @@ def classify_special_graphs(g: Graph, e: Edge, cells: list[Cell]) -> SpecialGrap
     if kind in ("tree", "even_cycle"):
         return SpecialGraphReport(kind, all_simplicial=all(c.is_simplicial() for c in cells))
     return SpecialGraphReport(
-        kind, all_circuits=all(subset_is_circuit(c.points, e, c.dim) for c in cells)
+        kind,
+        all_circuits=all(_is_circuit(cell_record(c.points, c.dim), e) for c in cells),
     )

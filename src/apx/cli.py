@@ -196,7 +196,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorrespondenceViolation, MorphismViolation, TheoremViolation, AssertionError) as exc:
+    except (CorrespondenceViolation, MorphismViolation, TheoremViolation) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
     except ApxError as exc:

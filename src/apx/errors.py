@@ -9,10 +9,6 @@ class ParseError(ApxError):
     """Graph input file could not be parsed."""
 
 
-class SingularMatrix(ApxError):
-    """Square system has no unique solution."""
-
-
 class EdgeNotInGraph(ApxError):
     """Requested edge is not an edge of the graph."""
 

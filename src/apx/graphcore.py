@@ -95,9 +95,6 @@ class Graph(NamedTuple):
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def has_edge(self, e: Edge) -> bool:
-        return edge(*e) in self.edges
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in range(self.node_count)}
         for u, v in self.edges:

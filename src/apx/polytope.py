@@ -27,13 +27,12 @@ from math import gcd, lcm
 from operator import and_
 from typing import NamedTuple
 
-from . import exactlin
-from .errors import DisconnectedGraph, NotFullDimensional
-from .exactlin import Vector, integer_determinant
+from .errors import DisconnectedGraph, NotFullDimensional, TheoremViolation
+from .exactlin import IntVector, Vector, format_scalar, gauss_jordan
+from .exactlin import integer_determinant, integer_rank
 from .graphcore import Graph
 
 DirectedEdge = tuple[int, int]
-IntVector = tuple[int, ...]
 
 
 def phi(label: DirectedEdge, dim: int) -> IntVector:
@@ -56,9 +55,6 @@ class PointConfiguration(NamedTuple):
 
     def vector_of(self, label: DirectedEdge) -> IntVector:
         return phi(label, self.dim)
-
-    def index_of(self, label: DirectedEdge) -> int:
-        return self.labels.index(label)
 
 
 def build_configuration(g: Graph) -> PointConfiguration:
@@ -84,7 +80,7 @@ class FacetCertificate(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "normal": [exactlin.format_scalar(a) for a in self.normal],
+            "normal": [format_scalar(a) for a in self.normal],
             "support": [list(lab) for lab in self.support],
         }
 
@@ -164,26 +160,11 @@ def _greedy_basis(rows, size: int) -> list[int]:
 
 def _adjugate_columns(basis: list[IntVector]) -> list[list[int]]:
     """Columns of adj(B), up to one common sign, for a nonsingular
-    integer matrix B.
-
-    One fraction-free Gauss-Jordan pass on [B | I] (Bareiss 1968): after
-    pivot k every entry is a (k+1)-minor of [B | I], so each division by
-    the previous pivot is exact, and the pass ends at [d*I | d*B^-1]
-    with d = +-det(B).
-    """
+    integer matrix B: ``gauss_jordan`` on [B | I] ends at [d*I | d*B^-1]
+    with d = +-det(B)."""
     n = len(basis)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(basis)]
-    prev = 1
-    for k in range(n):
-        p = next(i for i in range(k, n) if m[i][k])
-        m[k], m[p] = m[p], m[k]
-        pivot_row = m[k]
-        pv = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], pivot_row)]
-        prev = pv
+    gauss_jordan(m)
     return [[m[i][n + j] for i in range(n)] for j in range(n)]
 
 
@@ -344,14 +325,9 @@ def _at_least(sets: list[int], needed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _integerize_row(row) -> IntVector:
-    fr = exactlin.vec(row)
-    scale = exactlin.common_denominator(fr)
-    return tuple(int(x * scale) for x in fr)
-
-
 def hull_facet_rays(vectors) -> list[tuple[IntVector, int, int]]:
-    """Facets of conv(vectors) for a full-dimensional point set in R^d.
+    """Facets of conv(vectors) for a full-dimensional lattice point set
+    in R^d.
 
     Returns (alpha, beta, tight_mask) triples: <x, alpha> + beta >= 0
     holds on all points with equality exactly on the tight set, and each
@@ -359,13 +335,13 @@ def hull_facet_rays(vectors) -> list[tuple[IntVector, int, int]]:
     valid inequalities, which is pointed iff the set affinely spans.
     """
     d = len(vectors[0])
-    rows = [_integerize_row(tuple(v) + (1,)) for v in vectors]
+    rows = [v + (1,) for v in _lattice_points(vectors)]
     cone = DDCone(d + 1, rows)
     out = []
     for v, mask in cone.rays:
         alpha, beta = v[:-1], v[-1]
         if all(a == 0 for a in alpha):
-            raise AssertionError("trivial inequality reported as extreme")
+            raise TheoremViolation("trivial inequality reported as extreme")
         out.append((alpha, beta, mask))
     return out
 
@@ -379,11 +355,11 @@ def enumerate_facets(config: PointConfiguration) -> list[FacetCertificate]:
     """
     if config.dim == 0:
         return [FacetCertificate((), ())]
-    if exactlin.rank(config.vectors, config.dim) < config.dim:
+    if integer_rank(config.vectors) < config.dim:
         raise NotFullDimensional("configuration does not span its space")
     rays = hull_facet_rays(config.vectors)
     if any(beta <= 0 for _, beta, _ in rays):
-        raise AssertionError("origin not interior; cannot normalize facet")
+        raise TheoremViolation("origin not interior; cannot normalize facet")
     # alpha * (scale / beta) is the normal times one common positive
     # integer, so these integer keys sort the normals exactly.
     scale = lcm(*(beta for _, beta, _ in rays))
@@ -396,21 +372,6 @@ def enumerate_facets(config: PointConfiguration) -> list[FacetCertificate]:
         normal = tuple(Fraction(a, beta) for a in alpha)
         certs.append(FacetCertificate(normal, tuple(labels[i] for i in _bits(mask))))
     return certs
-
-
-def validate_facet(config: PointConfiguration, cert: FacetCertificate) -> bool:
-    """Re-check a certificate against the definitional inequalities."""
-    support = set(cert.support)
-    tight_vectors = []
-    for lab, x in zip(config.labels, config.vectors):
-        val = exactlin.dot(x, cert.normal)
-        if lab in support:
-            if val != -1:
-                return False
-            tight_vectors.append(x)
-        elif val < -1:
-            return False
-    return exactlin.rank(tight_vectors, config.dim) == config.dim
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +388,7 @@ def regular_subdivision_supports(vectors, weights) -> list[tuple[Vector, Fractio
     cone.  Returns (gamma, h, tight_mask) with masks over point indices.
     """
     d = len(vectors[0])
-    if exactlin.rank(vectors, d) < d:
+    if integer_rank(vectors) < d:
         raise NotFullDimensional("point set does not span its space")
     rows = [tuple(v) + (-1, int(w)) for v, w in zip(vectors, weights)]
     rows.append((0,) * (d + 1) + (1,))
@@ -510,7 +471,7 @@ class _PlacingState:
             for face, (vol, j) in self.faces.pop(v).items():
                 vol, rem = divmod(vol * beyond, _idot(v, self.rows[j]))
                 if rem:
-                    raise AssertionError("placing volume is not an integer")
+                    raise TheoremViolation("placing volume is not an integer")
                 simplex = face | bit
                 self.simplices.append(simplex)
                 self.volume += vol
@@ -539,7 +500,7 @@ class _PlacingState:
                 common &= holders[low.bit_length() - 1]
                 rest ^= low
             if not common or common & (common - 1):
-                raise AssertionError("boundary face is not in exactly one hull facet")
+                raise TheoremViolation("boundary face is not in exactly one hull facet")
             facet = through_k[common.bit_length() - 1][0]
             self.faces.setdefault(facet, {})[ridge] = entry
 

@@ -19,7 +19,7 @@ from .errors import (
     EdgeNotInGraph,
     NotAValidSharedEdgeDecomposition,
 )
-from .exactlin import Vector, common_denominator
+from .exactlin import Vector, common_denominator, format_scalar
 from .graphcore import Graph, contract_edge, edge, vertices_of
 from .polytope import (
     DirectedEdge,
@@ -70,8 +70,6 @@ class Cell(_CellFields):
         return len(self.points) == self.dim + 1
 
     def to_json_dict(self) -> dict:
-        from .exactlin import format_scalar
-
         return {
             "points": [list(lab) for lab in self.points],
             "gamma": [format_scalar(g) for g in self.gamma],

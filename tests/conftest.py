@@ -6,12 +6,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import strategies as st
 
-from apx import exactlin
 from apx.graphcore import Graph, edge
+from apx.polytope import regular_subdivision_supports
 
 # Five-cycle with one chord; contracting {0, 4} gives a square plus chord.
 CHORDED_PENTAGON_EDGES = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4), (1, 3)]
@@ -91,6 +91,90 @@ def random_tree(rng: random.Random, max_nodes: int = 8) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# Reference linear algebra over the rationals, by reduced row echelon form
+# in Fractions; shares no code with apx.exactlin.
+# ---------------------------------------------------------------------------
+
+
+def _rref(rows, cols):
+    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_rank(rows) -> int:
+    rows = list(rows)
+    return len(_rref(rows, len(rows[0]))[1]) if rows else 0
+
+
+def reference_solve(rows, rhs):
+    """The solution of the nonsingular square system ``rows @ x = rhs``;
+    None when the matrix is singular."""
+    n = len(rows)
+    reduced, pivots = _rref([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if len(pivots) != n:
+        return None
+    return tuple(reduced[i][n] for i in range(n))
+
+
+def reference_is_affinely_independent(points) -> bool:
+    return reference_rank([tuple(p) + (1,) for p in points]) == len(points)
+
+
+def reference_affine_kernel(points):
+    """Basis of the affine dependences of the points: one kernel vector of
+    the homogenized columns (x_i, 1) per free column of the reduced row
+    echelon form, scaled to coprime integers with the first nonzero entry
+    positive."""
+    points = list(points)
+    cols = len(points)
+    if not cols:
+        return ()
+    rows = [[p[i] for p in points] for i in range(len(points[0]))] + [[1] * cols]
+    reduced, pivots = _rref(rows, cols)
+    kernel = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        scale = lcm(*(x.denominator for x in v))
+        ints = [int(x * scale) for x in v]
+        g = gcd(*ints)
+        if next(x for x in ints if x) < 0:
+            g = -g
+        kernel.append(tuple(x // g for x in ints))
+    return tuple(kernel)
+
+
+def reference_is_circuit(points) -> bool:
+    """Minimal affine dependence by |C| + 1 rank tests: dependent, and
+    independent after dropping any one point."""
+    points = list(points)
+    return not reference_is_affinely_independent(points) and all(
+        reference_is_affinely_independent(points[:i] + points[i + 1 :])
+        for i in range(len(points))
+    )
+
+
+# ---------------------------------------------------------------------------
 # Brute-force oracles (independent of the production code paths).
 # ---------------------------------------------------------------------------
 
@@ -102,15 +186,44 @@ def brute_force_facets(vectors, dim):
     seen = {}
     for subset in combinations(range(len(vectors)), dim):
         rows = [vectors[i] for i in subset]
-        if exactlin.rank(rows, dim) != dim:
+        alpha = reference_solve(rows, [-1] * dim)
+        if alpha is None:
             continue
-        alpha = exactlin.solve_unique(rows, [Fraction(-1)] * dim)
-        values = [exactlin.dot(v, alpha) for v in vectors]
+        values = [sum(a * b for a, b in zip(v, alpha)) for v in vectors]
         if any(val < -1 for val in values):
             continue
         support = tuple(i for i, val in enumerate(values) if val == -1)
         seen[alpha] = support
     return sorted(seen.items())
+
+
+def validate_facet(config, cert) -> bool:
+    """Re-check a facet certificate against the definitional inequalities,
+    in integers: level -1 on its support, at least -1 elsewhere, and a
+    support of full rank."""
+    scale = lcm(*(a.denominator for a in cert.normal))
+    normal = [int(a * scale) for a in cert.normal]
+    support = set(cert.support)
+    tight = []
+    for lab, x in zip(config.labels, config.vectors):
+        value = sum(a * b for a, b in zip(x, normal))
+        if lab in support:
+            if value != -scale:
+                return False
+            tight.append(x)
+        elif value < -scale:
+            return False
+    return reference_rank(tight) == config.dim
+
+
+def interior_lift_subcells(cell, point):
+    """Subcells of the regular subdivision of a cell induced by lifting a
+    single point to height 1 (the census used in the corank-2 proof)."""
+    weights = [1 if lab == point else 0 for lab in cell.points]
+    return [
+        tuple(lab for i, lab in enumerate(cell.points) if mask >> i & 1)
+        for _, _, mask in regular_subdivision_supports(cell.vectors(), weights)
+    ]
 
 
 def potential_facets(g: Graph):
@@ -167,13 +280,11 @@ def brute_force_subdivision(vectors, weights, dim):
     cells = {}
     for subset in combinations(range(len(vectors)), dim + 1):
         rows = [tuple(vectors[i]) + (-1,) for i in subset]
-        if exactlin.rank(rows, dim + 1) != dim + 1:
+        sol = reference_solve(rows, [-weights[i] for i in subset])
+        if sol is None:
             continue
-        sol = exactlin.solve_unique(rows, [Fraction(-weights[i]) for i in subset])
         gamma, h = sol[:-1], sol[-1]
-        values = [
-            exactlin.dot(v, gamma) + w - h for v, w in zip(vectors, weights)
-        ]
+        values = [sum(a * b for a, b in zip(v, gamma)) + w - h for v, w in zip(vectors, weights)]
         if any(val < 0 for val in values):
             continue
         support = tuple(i for i, val in enumerate(values) if val == 0)

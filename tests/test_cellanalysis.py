@@ -1,27 +1,34 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CORANK2_CELL_ARCS,
+    connected_graphs,
     cycle_graph,
+    interior_lift_subcells,
     running_example,
     random_connected_graph,
+    reference_affine_kernel,
+    reference_is_affinely_independent,
+    reference_is_circuit,
     star_graph,
 )
 
 from apx.cellanalysis import (
     Signature,
+    _is_circuit,
     build_alternating_basis,
+    cell_record,
     cell_subgraphs,
     cell_volume_closed_form,
     classify_special_graphs,
     corank2_cycle_pair,
     corank2_gamma_delta,
     dependence_separates_contracted_pair,
-    interior_lift_subcells,
     max_corank,
-    point_corank,
     signature_of_corank1,
     subset_corank,
     subset_dimension,
@@ -36,7 +43,8 @@ from apx.errors import (
     UnsupportedCorank,
 )
 from apx.graphcore import Graph, balanced_circuit_rank, edge
-from apx.polytope import normalized_volume_of_cell
+from apx.matroid import grouped_ground_set
+from apx.polytope import normalized_volume_of_cell, phi
 from apx.subdivision import edge_contraction_subdivision
 
 
@@ -132,11 +140,8 @@ def test_one_sided_pair_is_independent_despite_cycle():
     # The restriction in the subset theorems is necessary: with only one
     # contracted point the cycle's points are affinely independent.
     cell = corank2_cell()
-    from apx import exactlin
-    from apx.polytope import phi
-
     one_sided = [(0, 2), (3, 2), (0, 3)]
-    assert exactlin.is_affinely_independent([phi(l, cell.dim) for l in one_sided])
+    assert reference_is_affinely_independent([phi(l, cell.dim) for l in one_sided])
 
 
 def test_subset_dimension_examples():
@@ -299,15 +304,13 @@ def test_interior_lift_census_corank2_cell():
     for a in ((3, 5), (0, 5)):
         gamma, _ = corank2_gamma_delta(arcs, o1, o2, (0, 3), reference=edge(*a))
         subcells = interior_lift_subcells(cell, a)
-        corank1 = [s for s in subcells if point_corank(s, cell.dim) == 1]
+        corank1 = [s for s in subcells if len(cell_record(s, cell.dim).kernel) == 1]
         assert len(corank1) == len(o2) // 2 - gamma
         total = sum(normalized_volume_of_cell([c for c in _vecs(s)]) for s in subcells)
         assert total == 4
 
 
 def _vecs(labels):
-    from apx.polytope import phi
-
     return [phi(lab, 6) for lab in labels]
 
 
@@ -342,3 +345,32 @@ def test_classify_special_graphs():
     sample = running_example()
     report = classify_special_graphs(sample, (0, 3), [])
     assert report.graph_class == "general" and report.passed()
+
+
+def test_radon_split_applies_the_pairing_precondition():
+    cell = corank2_cell()
+    # An even cycle without the contracted pair: dependent, but there is
+    # no pair to separate.
+    neither = ((1, 2), (4, 2), (4, 5), (1, 5))
+    assert dependence_separates_contracted_pair(neither, (0, 3), cell.dim) is False
+    with pytest.raises(PreconditionViolated):
+        dependence_separates_contracted_pair(((0, 2), (3, 2), (0, 3)), (0, 3), cell.dim)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(max_nodes=6), st.data())
+def test_record_matches_fraction_references_on_every_subset(g, data):
+    # Every pairing-respecting subset of every cell: the record's rank and
+    # kernel against the Fraction reduced row echelon form, and its circuit
+    # verdict against |C| + 1 rank tests.
+    e = data.draw(st.sampled_from(g.sorted_edges()))
+    for cell in edge_contraction_subdivision(g, e):
+        ground = grouped_ground_set(cell, e)
+        for mask in range(1 << len(ground)):
+            labels = tuple(lab for b, elem in enumerate(ground) if mask >> b & 1 for lab in elem)
+            rec = cell_record(labels, cell.dim)
+            vectors = [phi(lab, cell.dim) for lab in labels]
+            kernel = reference_affine_kernel(vectors)
+            assert rec.kernel == kernel
+            assert rec.rank == len(labels) - len(kernel)
+            assert _is_circuit(rec, e) == reference_is_circuit(vectors)

@@ -1,77 +1,78 @@
 import random
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import reference_affine_kernel, reference_rank, reference_solve
 
 from apx import exactlin
-from apx.errors import SingularMatrix
-from apx.exactlin import (
-    affine_dependence,
-    affine_dimension,
-    canonical_integer_vector,
-    integer_determinant,
-    nullspace_basis,
-    rank,
-    solve_unique,
-)
+from apx.exactlin import affine_kernel, gauss_jordan, integer_determinant, integer_rank
 
 
 def test_rank_empty_matrix():
-    assert rank([], cols=0) == 0
+    assert integer_rank([]) == 0
 
 
 def test_rank_identity():
-    assert rank([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
+    assert integer_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
 
 
 def test_rank_dependent_rows():
     # e1-e2, e2-e3 sum to e1-e3: hand elimination gives rank 2.
     rows = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
-    assert rank(rows) == 2
+    assert integer_rank(rows) == 2
 
 
 def test_nullspace_identity_empty():
-    assert nullspace_basis([(1, 0), (0, 1)], 2) == []
+    # An affine basis of the plane has no dependence.
+    assert affine_kernel([(0, 0), (1, 0), (0, 1)]) == (3, ())
 
 
 def test_nullspace_one_row():
-    (v,) = nullspace_basis([(1, 1)], 2)
-    assert v[0] == -v[1] and v[0] != 0
+    # Two copies of one point: the homogenized matrix has one independent
+    # row, and the kernel is the line of (1, -1).
+    assert affine_kernel([(3,), (3,)]) == (1, ((1, -1),))
 
 
 def test_nullspace_even_cycle_circuit():
     # Homogenized circuit points of an even 4-cycle: kernel is a line.
-    points = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    rows = [tuple(p[i] for p in points) for i in range(2)]
-    rows.append((1, 1, 1, 1))
-    kernel = nullspace_basis(rows, 4)
-    assert len(kernel) == 1
+    rank, kernel = affine_kernel([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    assert rank == 3 and len(kernel) == 1
 
 
 def test_solve_identity():
-    assert solve_unique([(1, 0), (0, 1)], (3, 5)) == (3, 5)
+    # [I | b] is already reduced: the pass keeps it and pivots on I.
+    m = [[1, 0, 3], [0, 1, 5]]
+    assert gauss_jordan(m) == [0, 1]
+    assert m == [[1, 0, 3], [0, 1, 5]]
 
 
 def test_solve_scalar():
-    assert solve_unique([(2,)], (-1,)) == (Fraction(-1, 2),)
+    # 2x = -1: the pass ends at d = 2 on the pivot, so x = -1/2.
+    m = [[2, -1]]
+    assert gauss_jordan(m) == [0]
+    assert Fraction(m[0][1], m[0][0]) == Fraction(-1, 2)
 
 
-def test_solve_singular_raises():
-    with pytest.raises(SingularMatrix):
-        solve_unique([(1, 1), (2, 2)], (1, 1))
+def test_solve_singular_has_no_pivot():
+    # A singular system [[1, 1], [2, 2]] | (1, 1): column 1 is no pivot,
+    # and the right-hand side takes the second pivot (inconsistent).
+    m = [[1, 1, 1], [2, 2, 1]]
+    assert gauss_jordan(m) == [0, 2]
 
 
 def test_affine_dependence_two_points_absent():
-    assert affine_dependence([(0, 0), (1, 0)]) is None
+    assert affine_kernel([(0, 0), (1, 0)]) == (2, ())
 
 
 def test_affine_dependence_single_point_absent():
-    assert affine_dependence([(7, 3)]) is None
+    assert affine_kernel([(7, 3)]) == (1, ())
 
 
 def test_affine_dependence_even_cycle_pattern():
     # {e1, -e1, e2, -e2}: the alternating-sum relation, canonical sign.
-    lam = affine_dependence([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    _, (lam,) = affine_kernel([(1, 0), (-1, 0), (0, 1), (0, -1)])
     assert lam == (1, 1, -1, -1)
 
 
@@ -83,14 +84,13 @@ def test_affine_dependence_defining_equations():
         pts = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(count)]
         if len(set(pts)) != len(pts):
             continue
-        lam = affine_dependence(pts)
-        if lam is None:
-            assert affine_dimension(pts) == len(pts) - 1
-            continue
-        assert any(x != 0 for x in lam)
-        assert sum(lam) == 0
-        for i in range(dim):
-            assert sum(l * p[i] for l, p in zip(lam, pts)) == 0
+        rank, kernel = affine_kernel(pts)
+        assert rank + len(kernel) == len(pts)
+        for lam in kernel:
+            assert any(x != 0 for x in lam)
+            assert sum(lam) == 0
+            for i in range(dim):
+                assert sum(l * p[i] for l, p in zip(lam, pts)) == 0
 
 
 def test_rank_nullity():
@@ -99,16 +99,21 @@ def test_rank_nullity():
         r = rng.randint(0, 4)
         c = rng.randint(1, 5)
         rows = [tuple(rng.randint(-3, 3) for _ in range(c)) for _ in range(r)]
-        kernel = nullspace_basis(rows, c)
-        assert rank(rows, c) + len(kernel) == c
-        for v in kernel:
-            for row in rows:
-                assert exactlin.dot(row, v) == 0
+        m = [list(row) for row in rows]
+        pivots = gauss_jordan(m)
+        assert len(pivots) == integer_rank(rows) == reference_rank(rows)
+        # Every pivot column ends as one common pivot times a unit column.
+        for i, p in enumerate(pivots):
+            assert [row[p] for row in m] == [m[0][pivots[0]] * (k == i) for k in range(r)]
 
 
 def test_canonical_integer_vector():
-    v = canonical_integer_vector((Fraction(-2, 3), Fraction(4, 3), 0))
-    assert v == (1, -2, 0)
+    # Dependences are coprime integers with the first nonzero entry
+    # positive, one per free column in column order.
+    _, (lam,) = affine_kernel([(0,), (-2,), (-3,)])
+    assert lam == (1, -3, 2)
+    _, kernel = affine_kernel([(0, 0), (0, 0), (2, 0), (4, 0)])
+    assert kernel == ((1, -1, 0, 0), (1, 0, -2, 1))
 
 
 def test_integer_determinant_matches_fraction_elimination():
@@ -117,15 +122,12 @@ def test_integer_determinant_matches_fraction_elimination():
         n = rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         det = integer_determinant(rows)
-        # cross-check via rank / cofactor-free: use Fraction Gaussian product
-        frows = exactlin.mat(rows)
-        if exactlin.rank(frows) < n:
+        if reference_rank(rows) < n:
             assert det == 0
         else:
             # Unimodular-free check: det of M times det of M^{-1} is 1.
             inv_cols = [
-                exactlin.solve_unique(frows, [Fraction(int(i == j)) for i in range(n)])
-                for j in range(n)
+                reference_solve(rows, [int(i == j) for i in range(n)]) for j in range(n)
             ]
             inv_rows = [[inv_cols[j][i] for j in range(n)] for i in range(n)]
             det_inv = _fraction_det(inv_rows)
@@ -148,6 +150,23 @@ def _fraction_det(rows):
             f = rows[i][c] / rows[c][c]
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return det
+
+
+@st.composite
+def integer_point_sets(draw):
+    dim = draw(st.integers(0, 5))
+    point = st.tuples(*[st.integers(-3, 3)] * dim)
+    return draw(st.lists(point, max_size=9))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(integer_point_sets())
+def test_affine_kernel_matches_fraction_reference(points):
+    # Rank and kernel, vector for vector, against the Fraction reduced row
+    # echelon form of the homogenized columns.
+    rank, kernel = affine_kernel(points)
+    assert kernel == reference_affine_kernel(points)
+    assert rank == reference_rank([p + (1,) for p in points])
 
 
 def test_format_scalar():

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,14 +16,19 @@ from conftest import (
     potential_facets,
     random_connected_graph,
     reference_dd,
+    reference_is_affinely_independent,
+    reference_rank,
+    reference_solve,
     running_example,
+    validate_facet,
 )
 
-from apx import exactlin
-from apx.errors import DisconnectedGraph, NotFullDimensional
+from apx.errors import DisconnectedGraph, NotFullDimensional, TheoremViolation
+from apx.exactlin import integer_determinant
 from apx.graphcore import Graph
 from apx.polytope import (
     DDCone,
+    PointConfiguration,
     _at_least,
     _PlacingState,
     build_configuration,
@@ -35,7 +40,6 @@ from apx.polytope import (
     phi,
     placing_triangulation,
     regular_subdivision_supports,
-    validate_facet,
 )
 
 
@@ -78,6 +82,15 @@ def test_facets_edge_graph():
     assert [f.normal for f in facets] == [(Fraction(-1),), (Fraction(1),)]
     assert facets[0].support == ((1, 0),)
     assert facets[1].support == ((0, 1),)
+
+
+def test_origin_on_the_boundary_is_a_theorem_violation():
+    # Facets are normalized against the origin, so a configuration with
+    # the origin as a vertex breaks an internal invariant: reported as a
+    # TheoremViolation, not a bare AssertionError.
+    config = PointConfiguration(2, ((0, 1), (0, 2), (1, 2)), ((0, 0), (1, 0), (0, 1)))
+    with pytest.raises(TheoremViolation, match="origin not interior"):
+        enumerate_facets(config)
 
 
 def test_facets_c3_count():
@@ -179,7 +192,7 @@ def test_volume_invariant_under_point_order():
         d = rng.randint(1, 3)
         pts = {tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(d + 1, 8))}
         pts = sorted(pts)
-        if exactlin.affine_dimension(pts) != d:
+        if reference_rank([p + (1,) for p in pts]) != d + 1:
             continue
         reference = normalized_volume_of_points(pts)
         assert reference > 0
@@ -232,12 +245,12 @@ def test_placing_triangulation_simplices_are_independent():
         pts = sorted(
             {tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(4, 9))}
         )
-        if exactlin.affine_dimension(pts) != d:
+        if reference_rank([p + (1,) for p in pts]) != d + 1:
             continue
         tri = placing_triangulation(pts)
         for simplex in tri:
             assert len(simplex) == d + 1
-            assert exactlin.is_affinely_independent([pts[i] for i in simplex])
+            assert reference_is_affinely_independent([pts[i] for i in simplex])
 
 
 def test_regular_subdivision_matches_brute_force():
@@ -261,13 +274,16 @@ def test_ddcone_seed_is_primitive_inverse_columns():
     for _ in range(40):
         n = rng.randint(1, 6)
         rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n)]
-        if exactlin.rank(rows, n) < n:
+        if reference_rank(rows) < n:
             continue
         rays = DDCone(n, rows).rays
         for j, (ray, mask) in enumerate(rays):
-            col = exactlin.solve_unique(rows, [Fraction(int(i == j)) for i in range(n)])
-            expected = [int(x) for x in exactlin.canonical_integer_vector(col)]
-            if exactlin.dot(rows[j], expected) < 0:
+            col = reference_solve(rows, [int(i == j) for i in range(n)])
+            scale = lcm(*(x.denominator for x in col))
+            expected = [int(x * scale) for x in col]
+            g = gcd(*expected)
+            expected = [x // g for x in expected]
+            if sum(a * b for a, b in zip(rows[j], expected)) < 0:
                 expected = [-x for x in expected]
             assert ray == tuple(expected)
             assert mask == ((1 << n) - 1) ^ (1 << j)
@@ -321,7 +337,7 @@ def integer_cones(draw):
     dim = draw(st.integers(1, 6))
     row = st.tuples(*[st.integers(-3, 3)] * dim)
     first = draw(st.lists(row, min_size=dim, max_size=dim + 6))
-    assume(exactlin.rank(first, dim) == dim)
+    assume(reference_rank(first) == dim)
     return dim, first, draw(st.lists(row, max_size=6))
 
 
@@ -375,7 +391,7 @@ def _determinant_volume(points) -> int:
     for simplex in placing_triangulation(points):
         base = points[simplex[0]]
         rows = [[a - b for a, b in zip(points[j], base)] for j in simplex[1:]]
-        det = exactlin.integer_determinant(rows)
+        det = integer_determinant(rows)
         assert det != 0
         total += abs(det)
     return total
@@ -394,7 +410,7 @@ def test_placing_volumes_match_determinants_on_random_points():
         pts |= {tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(d + 1, d + 8))}
         pts = sorted(pts)
         rng.shuffle(pts)
-        if exactlin.affine_dimension(pts) != d:
+        if reference_rank([p + (1,) for p in pts]) != d + 1:
             continue
         assert normalized_volume_of_points(pts) == _determinant_volume(pts)
         checked += 1

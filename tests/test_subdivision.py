@@ -2,10 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import cycle_graph, running_example, random_connected_graph
+from conftest import (
+    connected_graphs,
+    cycle_graph,
+    potential_facets,
+    running_example,
+    random_connected_graph,
+)
 
-from apx.cellanalysis import Signature
+from apx.cellanalysis import Signature, cell_volume_closed_form, subset_corank
 from apx.errors import EdgeNotInGraph, NotAValidSharedEdgeDecomposition
 from apx.graphcore import Graph, contract_edge
 from apx.polytope import build_configuration, enumerate_facets, normalized_volume
@@ -212,3 +219,20 @@ def test_cell_count_equals_contracted_facet_count():
         contracted, _ = contract_edge(g, e)
         facets = enumerate_facets(build_configuration(contracted))
         assert len(cells) == len(facets)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(max_nodes=7))
+def test_bijection_and_volume_additivity_for_every_edge(g):
+    # For every edge e: one cell per facet of G // e, counted by the
+    # integer-potential oracle, and the cell volumes add up to the
+    # polytope's, through the oracle and, when every corank is at most 2,
+    # through the closed forms as well.
+    volume = normalized_volume(build_configuration(g))
+    for e in g.sorted_edges():
+        cells = edge_contraction_subdivision(g, e)
+        contracted, _ = contract_edge(g, e)
+        assert len(cells) == len(potential_facets(contracted))
+        assert sum(cell.nvol for cell in cells) == volume
+        if all(subset_corank(c.points, e, c.dim) <= 2 for c in cells):
+            assert sum(cell_volume_closed_form(c, e) for c in cells) == volume

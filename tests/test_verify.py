@@ -10,6 +10,7 @@ import apx
 from conftest import cycle_graph, running_example, random_connected_graph, star_graph
 
 from apx.graphcore import Graph
+from apx.subdivision import edge_contraction_subdivision
 from apx.verify import run_verification, split_at_contraction
 
 
@@ -90,6 +91,24 @@ def test_cell_oracle_runs_once_per_cell(monkeypatch):
     # One run per cell, shared by the cell analysis and volume additivity,
     # plus one for the whole polytope.
     assert len(calls) == len(report.cell_reports) + 1
+
+
+def test_affine_elimination_runs_once_per_cell(monkeypatch):
+    import apx.exactlin as exactlin
+
+    calls = []
+    kernel = exactlin.affine_kernel
+
+    def counting(points):
+        calls.append(len(points))
+        return kernel(points)
+
+    monkeypatch.setattr(exactlin, "affine_kernel", counting)
+    report = run_verification(running_example(), (0, 3), level="fast")
+    assert report.passed()
+    # One elimination per cell, in its analysis; every per-cell statement
+    # reads that one record.
+    assert calls == [len(c.points) for c in edge_contraction_subdivision(running_example(), (0, 3))]
 
 
 def test_report_json_shape():
