@@ -1,0 +1,86 @@
+"""The mutation ledger: small breaks of the checks in ``src/apx``, each
+with the tests that must fail once it is applied.
+
+A mutant replaces one exact snippet of one file, which must occur there
+exactly once (``tests/test_mutation_ledger.py`` checks this on every
+test run).  ``mutants/run.py`` applies each mutant to a copy of the
+tree and runs its tests; a mutant is killed when every one of them
+fails.  A mutant that survives marks a check that no test can see
+break (mutation testing; DeMillo, Lipton and Sayward 1978).
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the root
+
+
+MATROID = "src/apx/matroid.py"
+
+MUTANTS = (
+    Mutant(
+        "matroid: drop the downward-closure test",
+        MATROID,
+        "    if unclosed:\n",
+        "    if False:\n",
+        (
+            "tests/test_matroid.py::test_axiom_check_matches_exchange_on_every_small_family[2]",
+            "tests/test_matroid.py::test_axiom_check_matches_the_scalar_reference[5]",
+            "tests/test_matroid.py::test_axiom_check_on_a_17_element_graphic_family",
+        ),
+    ),
+    Mutant(
+        "matroid: drop the submodularity pair test",
+        MATROID,
+        "    if first is not None:\n",
+        "    if False:\n",
+        (
+            "tests/test_matroid.py::test_axiom_check_rejects_downward_closed_non_matroid",
+            "tests/test_matroid.py::test_axiom_check_matches_exchange_on_every_small_family[3]",
+            "tests/test_matroid.py::test_axiom_check_matches_the_scalar_reference[6]",
+        ),
+    ),
+    Mutant(
+        "matroid: shift the pair test by 2^b instead of 2^a",
+        MATROID,
+        "~((spans[b] & elements[a]) >> (1 << a))",
+        "~((spans[b] & elements[a]) >> (1 << b))",
+        (
+            "tests/test_matroid.py::test_axiom_check_matches_exchange_on_every_small_family[3]",
+            "tests/test_matroid.py::test_axiom_check_matches_the_scalar_reference[7]",
+        ),
+    ),
+    Mutant(
+        "matroid: skip the gcd reduction in the kernel walk",
+        MATROID,
+        "            a = [x // g for x in v] if g > 1 else v\n",
+        "            a = v\n",
+        ("tests/test_matroid.py::test_cut_divides_out_a_common_factor",),
+    ),
+    Mutant(
+        "matroid: keep the pivot vector in the kernel walk's basis",
+        MATROID,
+        "    out = basis[:p]\n",
+        "    out = basis[: p + 1]\n",
+        (
+            "tests/test_matroid.py::test_point_matroid_basics",
+            "tests/test_matroid.py::test_cut_keeps_a_primitive_annihilator_basis",
+            "tests/test_matroid.py::test_walked_tables_match_per_subset_definitions[K5]",
+            "tests/test_matroid.py::test_morphism_c5_cells",
+        ),
+    ),
+    Mutant(
+        "matroid: drop the table comparison",
+        MATROID,
+        "    if independent != graphic:\n",
+        "    if False:\n",
+        ("tests/test_matroid.py::test_morphism_names_a_flipped_point_mask",),
+    ),
+)

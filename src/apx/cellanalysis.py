@@ -334,14 +334,22 @@ def verify_cell_properties(g: Graph, e: Edge, cell: Cell) -> CellPropertiesRepor
 # ---------------------------------------------------------------------------
 
 
-def max_corank(g: Graph, e: Edge, cells: list[Cell] | None = None) -> tuple[int, Cell]:
-    """Maximum corank over the subdivision's cells, with a witness cell."""
+def max_corank(
+    g: Graph, e: Edge, cells: list[Cell] | None = None, coranks: list | None = None
+) -> tuple[int, Cell]:
+    """Maximum corank over the subdivision's cells, with a witness cell.
+    ``coranks`` may give each cell's corank as its analysis found it, or
+    None for a cell whose analysis failed; only those cells are
+    eliminated here."""
     if cells is None:
         cells = edge_contraction_subdivision(g, e)
+    if coranks is None:
+        coranks = [None] * len(cells)
     best_cell = None
     best = -1
-    for cell in cells:
-        corank = _corank(cell_record(cell.points, cell.dim), e)
+    for cell, corank in zip(cells, coranks):
+        if corank is None:
+            corank = _corank(cell_record(cell.points, cell.dim), e)
         if corank > best:
             best, best_cell = corank, cell
     return best, best_cell
@@ -384,15 +392,13 @@ def build_alternating_basis(g: Graph, e: Edge, tree_edges) -> tuple[DirectedEdge
 
     # The unique alpha with <x, alpha> = -lift(x) on the basis must support
     # the whole lifted configuration from below.  The adjugate columns of
-    # the rows B without (k2, k1) are d*B^-1, so they give d*alpha, and
-    # B times column 0 gives d at row 0.
+    # the rows B without (k2, k1) are d*B^-1, so they give d*alpha.
     rows, rhs = [], []
     for lab, v in zip(x, rec.vectors):
         if lab != (k2, k1):
             rows.append(v)
             rhs.append(0 if lab == (k1, k2) else -1)
-    cols = _adjugate_columns(rows)
-    d = _idot(rows[0], cols[0])
+    cols, d = _adjugate_columns(rows)
     d_alpha = [sum(b * col[i] for b, col in zip(rhs, cols)) for i in range(n)]
     for u, v in g.edges:
         for lab in ((u, v), (v, u)):
@@ -598,10 +604,14 @@ class SpecialGraphReport(NamedTuple):
         return out
 
 
-def classify_special_graphs(g: Graph, e: Edge, cells: list[Cell]) -> SpecialGraphReport:
+def classify_special_graphs(
+    g: Graph, e: Edge, cells: list[Cell], circuits: list | None = None
+) -> SpecialGraphReport:
     """Check the tree / even cycle / odd cycle statements when they apply:
     trees and even cycles give only simplicial cells (a triangulation),
-    odd cycles give only circuits."""
+    odd cycles give only circuits.  ``circuits`` may give each cell's
+    circuit verdict as its analysis found it, or None for a cell whose
+    analysis failed; only those cells are eliminated here."""
     edges = g.edges
     if cyclomatic_number(edges) == 0:
         kind = "tree"
@@ -611,7 +621,12 @@ def classify_special_graphs(g: Graph, e: Edge, cells: list[Cell]) -> SpecialGrap
         return SpecialGraphReport("general")
     if kind in ("tree", "even_cycle"):
         return SpecialGraphReport(kind, all_simplicial=all(c.is_simplicial() for c in cells))
+    if circuits is None:
+        circuits = [None] * len(cells)
     return SpecialGraphReport(
         kind,
-        all_circuits=all(_is_circuit(cell_record(c.points, c.dim), e) for c in cells),
+        all_circuits=all(
+            _is_circuit(cell_record(c.points, c.dim), e) if circuit is None else circuit
+            for c, circuit in zip(cells, circuits)
+        ),
     )

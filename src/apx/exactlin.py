@@ -108,29 +108,6 @@ def affine_kernel(points) -> tuple[int, tuple[IntVector, ...]]:
     return len(pivots), tuple(kernel)
 
 
-def integer_determinant(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def common_denominator(values) -> int:
     """Least positive integer that makes every value integral."""
     return lcm(*(Fraction(x).denominator for x in values))

@@ -11,9 +11,13 @@ are bitmask tables over the same 2^n subsets.
 Each table is built in one depth-first walk, on an explicit stack, that
 goes from a mask to mask | 1 << b for every b above its highest set bit,
 so every subset is visited once, as the child of the mask without its
-last element.  In the point walk a node holds the fraction-free echelon
-rows of its homogenized points (x, 1), and a child reduces only its
-element's one or two rows against them, in integers without division.
+last element.  In the point walk a node holds a basis, of primitive
+integer vectors, of the annihilator of its homogenized points (x, 1):
+the linear forms that vanish on all of them.  The root holds the d + 1
+unit vectors, and a child cuts its parent's basis by its element's one
+or two points: a point on which every form vanishes lies in the span and
+leaves the basis as it is, and otherwise one form is eliminated from the
+others, in integers.  The rank of a mask is d + 1 minus its basis size.
 In the graphic walk a node holds a component label per vertex and its
 cycle count, and a child's edge either closes a cycle or merges two
 components.  Either way each subset gets the exact rank, or cyclomatic
@@ -33,15 +37,31 @@ checked once, on the common table, through the rank axioms (Oxley,
 containing the empty set the rank rises by at most 1 per added element,
 and then the family is a matroid exactly when its rank is locally
 submodular, r(X+a) + r(X+b) >= r(X) + r(X+a+b).
+
+The check runs on the whole family at once.  The table is packed into one
+2^n-bit integer F, bit m set iff mask m is independent, and so is every
+family below: E_b, the masks that hold element b, and P_r, the masks of
+r elements.  Shifting a family left by 2^b adds b to each of its masks
+that lacks it, so F & E_b & ~(F << 2^b) are the independent masks whose
+subset without b is dependent, and the family is downward closed iff
+that is empty for every b.  The masks of rank at least r are the upward
+closure of F & P_r, n shift-ORs, and R_r are those of rank exactly r.
+S_a, the masks X without a with r(X + a) = r(X), is the union over r of
+R_r & ((R_r & E_a) >> 2^a), and the pair a, b breaks submodularity at
+exactly the masks of S_a & S_b & ~((S_b & E_a) >> 2^a).  Each failure
+names its lowest mask, and the lowest pair there, as a scan of the masks
+in order would.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from math import gcd
+from operator import or_
 from typing import NamedTuple
 
 from .errors import MorphismViolation
 from .graphcore import edge
-from .polytope import _echelon_reduce, phi
 from .subdivision import Cell
 
 GroundElement = tuple  # tuple of point labels (size 1, or 2 for the pair)
@@ -54,46 +74,59 @@ def grouped_ground_set(cell: Cell, e) -> tuple[GroundElement, ...]:
     return tuple(sorted(singles) + [pair])
 
 
-def _rank_table(independent: list[bool], n: int) -> list[int]:
-    """rank(X) = size of the largest independent subset of X, by subset
-    DP; valid whether or not the independence family is a matroid."""
-    size = 1 << n
-    table = [0] * size
-    for mask in range(1, size):
-        if independent[mask]:
-            table[mask] = mask.bit_count()
-        else:
-            table[mask] = max(table[mask & ~(1 << b)] for b in range(n) if mask >> b & 1)
-    return table
+def _cut(basis: list[list[int]], i: int, j: int) -> list[list[int]]:
+    """The annihilator basis after one more point (e_i - e_j, 1).
+
+    Each vector a of ``basis`` has a constant-0 slot at index 0 for e_0
+    and the homogenizing coefficient last, so a vanishes on the point iff
+    t = a[i] - a[j] + a[-1] is 0.  When every vector vanishes the point
+    lies in the span and ``basis`` itself is returned.  Otherwise the
+    first vector a0 with t0 != 0 is the pivot: every later a becomes
+    t0*a - t*a0, divided by its gcd, and a0 is dropped.
+    """
+    for p, a0 in enumerate(basis):
+        t0 = a0[i] - a0[j] + a0[-1]
+        if t0:
+            break
+    else:
+        return basis
+    out = basis[:p]
+    for a in basis[p + 1:]:
+        t = a[i] - a[j] + a[-1]
+        if t:
+            v = [t0 * x - t * y for x, y in zip(a, a0)]
+            g = gcd(*v)
+            a = [x // g for x in v] if g > 1 else v
+        out.append(a)
+    return out
 
 
 def _point_table(cell: Cell, e) -> tuple[tuple, list[bool]]:
     """Grouped ground set and its independence table, in one walk over
     the subsets.
 
-    Each node of the walk holds the fraction-free echelon rows of the
-    homogenized points (x, 1) of its mask; a child reduces only its
-    element's one or two rows against them and keeps what is left, so
-    every mask gets the exact rank of its own points.  A mask is
-    independent iff that rank equals its number of points.
+    Each node of the walk holds a basis, of primitive integer vectors, of
+    the annihilator of its homogenized points (x, 1); the root's is the
+    d + 1 unit vectors.  A child cuts it by its element's one or
+    two points (``_cut``), so every mask gets the exact rank of its own
+    points, d + 1 minus the basis size, and is independent iff that rank
+    equals its number of points.
     """
     ground = grouped_ground_set(cell, e)
-    rows = [[phi(lab, cell.dim) + (1,) for lab in elem] for elem in ground]
-    n = len(ground)
+    n, d = len(ground), cell.dim
     independent = [False] * (1 << n)
     independent[0] = True
-    stack = [(0, [], 0)]
+    units = [[int(k == c) for k in range(d + 2)] for c in range(1, d + 2)]
+    stack = [(0, units, 0)]
     while stack:
-        mask, echelon, points = stack.pop()
+        mask, basis, points = stack.pop()
         for b in range(mask.bit_length(), n):
-            child_echelon = echelon
-            for row in rows[b]:
-                reduced = _echelon_reduce(child_echelon, row)
-                if reduced is not None:
-                    child_echelon = child_echelon + [reduced]
-            child, child_points = mask | 1 << b, points + len(rows[b])
-            independent[child] = len(child_echelon) == child_points
-            stack.append((child, child_echelon, child_points))
+            child_basis = basis
+            for i, j in ground[b]:
+                child_basis = _cut(child_basis, i, j)
+            child, child_points = mask | 1 << b, points + len(ground[b])
+            independent[child] = d + 1 - len(child_basis) == child_points
+            stack.append((child, child_basis, child_points))
     return ground, independent
 
 
@@ -127,31 +160,90 @@ def _graphic_table(edges: tuple) -> list[bool]:
     return independent
 
 
+# Byte 0 or 1 of a packed table -> its binary digit.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _element_families(n: int) -> list[int]:
+    """E_b for each element b: the 2^n-bit family of the masks holding b,
+    blocks of 2^b zeros and 2^b ones, doubled up to 2^n bits."""
+    out = []
+    for b in range(n):
+        width = 2 << b
+        family = ((1 << (1 << b)) - 1) << (1 << b)
+        while width < 1 << n:
+            family |= family << width
+            width *= 2
+        out.append(family)
+    return out
+
+
+def _size_families(n: int) -> list[int]:
+    """P_r for r = 0..n: the family of the masks with r elements, built
+    by doubling, each new element b adding P_(r-1) << 2^b to P_r."""
+    levels = [1]
+    for b in range(n):
+        levels = [lo | hi << (1 << b) for lo, hi in zip(levels + [0], [0] + levels)]
+    return levels
+
+
+def _upward_closure(family: int, elements: list[int]) -> int:
+    """The masks that hold some mask of ``family``: for each element b,
+    every mask without b adds its superset with b."""
+    for b, holds_b in enumerate(elements):
+        family |= (family & ~holds_b) << (1 << b)
+    return family
+
+
 def check_matroid_axioms(independent: list[bool], n: int) -> None:
     """Raise MorphismViolation unless the masks with ``independent[mask]``
     are the independent sets of a matroid on n elements: the empty set is
-    independent, the family is downward closed, and its rank table is
-    locally submodular."""
+    independent, the family is downward closed, and its rank is locally
+    submodular.  Each test runs on the table packed into one integer F,
+    bit m set iff mask m is independent, and names its lowest failing
+    mask."""
     if not independent[0]:
         raise MorphismViolation("empty set not independent")
-    for m in range(1 << n):
-        if independent[m]:
-            for b in range(n):
-                if m >> b & 1 and not independent[m & ~(1 << b)]:
-                    raise MorphismViolation(f"downward closure fails at mask {m:b}")
-    rank = _rank_table(independent, n)
-    for x in range(1 << n):
-        rx = rank[x]
-        # The rank rises by at most 1 per element, so the inequality can
-        # only fail for a and b that both leave the rank of X unchanged.
-        flat = [1 << b for b in range(n) if not x >> b & 1 and rank[x | 1 << b] == rx]
-        for i, a in enumerate(flat):
-            for b in flat[i + 1:]:
-                if rank[x | a | b] != rx:
-                    raise MorphismViolation(
-                        f"exchange fails: rank not submodular at mask {x:b} "
-                        f"with elements {a:b}, {b:b}"
-                    )
+    family = int(bytes(reversed(independent)).translate(_DIGITS), 2)
+    elements = _element_families(n)
+    # F << 2^b holds m iff F holds m - 2^b, which for m holding b is m
+    # without b.
+    unclosed = 0
+    for b, holds_b in enumerate(elements):
+        unclosed |= family & holds_b & ~(family << (1 << b))
+    if unclosed:
+        m = (unclosed & -unclosed).bit_length() - 1
+        raise MorphismViolation(f"downward closure fails at mask {m:b}")
+    # rank(X) >= r iff X holds an independent r-set, so the masks of rank
+    # at least r are the upward closure of the independent r-sets.
+    at_least = []
+    for level in _size_families(n):
+        if not family & level:
+            break
+        at_least.append(_upward_closure(family & level, elements))
+    rank_is = [g & ~h for g, h in zip(at_least, at_least[1:] + [0])]
+    # spans[a]: the masks X without a with r(X + a) = r(X), a in the
+    # closure of X.  The rank rises by at most 1 per element, so
+    # r(X+a) + r(X+b) >= r(X) + r(X+a+b) can only fail for X in spans[a]
+    # and spans[b], and there it fails iff X + a is not in spans[b].
+    spans = [
+        reduce(or_, [r & (r & holds_a) >> (1 << a) for r in rank_is])
+        for a, holds_a in enumerate(elements)
+    ]
+    first = None
+    for a in range(n):
+        for b in range(a + 1, n):
+            fails = spans[a] & spans[b] & ~((spans[b] & elements[a]) >> (1 << a))
+            if fails:
+                x = (fails & -fails).bit_length() - 1
+                if first is None or x < first[0]:
+                    first = (x, a, b)
+    if first is not None:
+        x, a, b = first
+        raise MorphismViolation(
+            f"exchange fails: rank not submodular at mask {x:b} "
+            f"with elements {1 << a:b}, {1 << b:b}"
+        )
 
 
 class MorphismReport(NamedTuple):

@@ -12,11 +12,12 @@ with every positive ray in one bit-sliced sum of those bitsets, and
 decides the adjacency of each candidate pair by ANDing the bitsets of
 their common rows.  Volumes come from a placing triangulation
 that places an affine basis first and the remaining points in label
-order: one determinant for the seed simplex, then each new simplex's
-volume as an exact integer ratio off the simplex it is glued to.  The
-two pipelines share no logic beyond the cone engine, and tests re-derive
-facets from brute-force hyperplanes and from integer potentials, and
-volumes from per-simplex determinants.
+order: the seed simplex's determinant is the last pivot of the seed
+cone's elimination, and each new simplex's volume is an exact integer
+ratio off the simplex it is glued to.  The two pipelines share no logic
+beyond the cone engine, and tests re-derive facets from brute-force
+hyperplanes and from integer potentials, and volumes from per-simplex
+determinants.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from operator import and_
 from typing import NamedTuple
 
 from .errors import DisconnectedGraph, NotFullDimensional, TheoremViolation
-from .exactlin import IntVector, Vector, format_scalar, gauss_jordan
-from .exactlin import integer_determinant, integer_rank
+from .exactlin import IntVector, Vector, format_scalar, gauss_jordan, integer_rank
 from .graphcore import Graph
 
 DirectedEdge = tuple[int, int]
@@ -158,14 +158,14 @@ def _greedy_basis(rows, size: int) -> list[int]:
     return basis
 
 
-def _adjugate_columns(basis: list[IntVector]) -> list[list[int]]:
+def _adjugate_columns(basis: list[IntVector]) -> tuple[list[list[int]], int]:
     """Columns of adj(B), up to one common sign, for a nonsingular
-    integer matrix B: ``gauss_jordan`` on [B | I] ends at [d*I | d*B^-1]
-    with d = +-det(B)."""
+    integer matrix B, and that sign times det(B): ``gauss_jordan`` on
+    [B | I] ends at [d*I | d*B^-1] with d = +-det(B) its last pivot."""
     n = len(basis)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(basis)]
     gauss_jordan(m)
-    return [[m[i][n + j] for i in range(n)] for j in range(n)]
+    return [[m[i][n + j] for i in range(n)] for j in range(n)], m[0][0]
 
 
 class DDCone:
@@ -195,7 +195,8 @@ class DDCone:
     bitsets of those rows.  Dot products use only the nonzero entries of
     the row.  ``rays`` lists the live (vector, mask) pairs in id order;
     ``add_row`` returns the rays cut off by the new halfspace, whose masks
-    identify the facets visible from it.
+    identify the facets visible from it.  ``seed_det`` is |det| of the
+    seed basis rows, from the same elimination as the seed rays.
     """
 
     def __init__(self, dim: int, rows: list[IntVector]):
@@ -203,7 +204,8 @@ class DDCone:
         basis_idx = _greedy_basis(rows, dim)
         if len(basis_idx) < dim:
             raise NotFullDimensional(f"constraint rank {len(basis_idx)} < {dim}")
-        cols = _adjugate_columns([rows[i] for i in basis_idx])
+        cols, det = _adjugate_columns([rows[i] for i in basis_idx])
+        self.seed_det = abs(det)
         full = sum(1 << i for i in basis_idx)
         seed_ids = (1 << dim) - 1
         self.rows = list(rows)
@@ -426,7 +428,8 @@ class _PlacingState:
     The boundary of the triangulation is kept per hull facet, as facet
     ray -> {face mask: (volume of the simplex on the face, position of its
     opposite vertex)}, so a visible facet hands over its faces directly.
-    Only the seed simplex takes a determinant.  Every other volume
+    Only the seed simplex takes a determinant, the last pivot of the
+    cone's seed elimination of its rows.  Every other volume
     follows from the simplex it is glued to: det(b, w) over the rows of
     a face b is linear in w and vanishes on the facet hyperplane <v, .> = 0
     of the face, so coning b to the new point r_k instead of its opposite
@@ -449,7 +452,8 @@ class _PlacingState:
         self.rows = [rows[i] for i in self.order]
         self.cone = DDCone(d + 1, self.rows[: d + 1])
         full = (1 << (d + 1)) - 1
-        seed = abs(integer_determinant(self.rows[: d + 1]))
+        # The cone's seed basis is these d + 1 rows, in this order.
+        seed = self.cone.seed_det
         self.simplices: list[int] = [full]
         self.volume = seed
         # facet ray -> {boundary face mask: (volume, opposite position)}
@@ -539,9 +543,9 @@ def normalized_volume_of_points(vectors) -> int:
     """Exact normalized volume (d! times Euclidean) of conv(vectors).
 
     Triangulation oracle: the sum of the simplex volumes of the placing
-    triangulation, one determinant for the seed simplex and exact integer
-    ratios for the rest; a positive integer for full-dimensional lattice
-    input.
+    triangulation, the seed cone's determinant for the seed simplex and
+    exact integer ratios for the rest; a positive integer for
+    full-dimensional lattice input.
     """
     return _PlacingState(_lattice_points(vectors)).run().volume
 

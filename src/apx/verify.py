@@ -170,12 +170,16 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
         f"sum of cells {total}, polytope {polytope_volume}",
     )
 
-    special = classify_special_graphs(g, e, cells)
+    # Each analyzed cell hands on its circuit verdict and corank, so only
+    # a cell whose analysis failed is eliminated again.
+    circuits = [r.circuit if isinstance(r, CellInvariantReport) else None for r in results]
+    coranks = [r.corank if isinstance(r, CellInvariantReport) else None for r in results]
+    special = classify_special_graphs(g, e, cells, circuits)
     report.add("special_graph_classes", special.passed(), special.graph_class)
 
     if level == "full":
         rank = balanced_circuit_rank(g, e)
-        value, _ = max_corank(g, e, cells)
+        value, _ = max_corank(g, e, cells, coranks)
         report.add(
             "max_corank_equals_balanced_circuit_rank",
             value == rank,

@@ -10,6 +10,7 @@ from math import gcd, lcm
 
 from hypothesis import strategies as st
 
+from apx.errors import MorphismViolation
 from apx.graphcore import Graph, edge
 from apx.polytope import regular_subdivision_supports
 
@@ -355,6 +356,69 @@ def exchange_axioms_hold(independent, n) -> bool:
         for a in indep_masks
         for b in by_size.get(a.bit_count() + 1, ())
     )
+
+
+def reference_rank_table(independent, n) -> list[int]:
+    """rank(X) = size of the largest independent subset of X, by subset
+    DP; valid whether or not the independence family is a matroid."""
+    size = 1 << n
+    table = [0] * size
+    for mask in range(1, size):
+        if independent[mask]:
+            table[mask] = mask.bit_count()
+        else:
+            table[mask] = max(table[mask & ~(1 << b)] for b in range(n) if mask >> b & 1)
+    return table
+
+
+def reference_check_matroid_axioms(independent, n) -> None:
+    """The matroid axiom check mask by mask: the same tests, verdicts and
+    messages as ``apx.matroid.check_matroid_axioms``, by a scan of every
+    mask and every pair of elements against a rank table."""
+    if not independent[0]:
+        raise MorphismViolation("empty set not independent")
+    for m in range(1 << n):
+        if independent[m]:
+            for b in range(n):
+                if m >> b & 1 and not independent[m & ~(1 << b)]:
+                    raise MorphismViolation(f"downward closure fails at mask {m:b}")
+    rank = reference_rank_table(independent, n)
+    for x in range(1 << n):
+        rx = rank[x]
+        # The rank rises by at most 1 per element, so the inequality can
+        # only fail for a and b that both leave the rank of X unchanged.
+        flat = [1 << b for b in range(n) if not x >> b & 1 and rank[x | 1 << b] == rx]
+        for i, a in enumerate(flat):
+            for b in flat[i + 1:]:
+                if rank[x | a | b] != rx:
+                    raise MorphismViolation(
+                        f"exchange fails: rank not submodular at mask {x:b} "
+                        f"with elements {a:b}, {b:b}"
+                    )
+
+
+def integer_determinant(rows) -> int:
+    """Bareiss fraction-free determinant of an integer matrix, the
+    reference for the placing volumes."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(map(int, r)) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def reference_dd(rays, dim, idx, row):

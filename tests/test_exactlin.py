@@ -4,10 +4,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_affine_kernel, reference_rank, reference_solve
+from conftest import integer_determinant, reference_affine_kernel, reference_rank, reference_solve
 
 from apx import exactlin
-from apx.exactlin import affine_kernel, gauss_jordan, integer_determinant, integer_rank
+from apx.exactlin import affine_kernel, gauss_jordan, integer_rank
 
 
 def test_rank_empty_matrix():

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from conftest import (
     cycle_graph,
     exchange_axioms_hold,
     random_connected_graph,
+    reference_check_matroid_axioms,
     running_example,
 )
 
@@ -20,6 +22,7 @@ from apx.errors import MorphismViolation
 from apx.exactlin import integer_rank
 from apx.graphcore import Graph, cyclomatic_number, edge, spanning_tree_of
 from apx.matroid import (
+    _cut,
     _graphic_table,
     _point_table,
     check_matroid_axioms,
@@ -57,6 +60,15 @@ def verdict(independent, n):
     except MorphismViolation:
         return False
     return True
+
+
+def outcome(check, independent, n):
+    """None when ``check`` passes the family, else its message."""
+    try:
+        check(independent, n)
+    except MorphismViolation as exc:
+        return str(exc)
+    return None
 
 
 def test_grouped_ground_set_structure():
@@ -157,7 +169,10 @@ def test_axiom_check_matches_exchange_on_every_small_family(n):
     for family in range(1 << size):
         independent = [bool(family >> m & 1) for m in range(size)]
         expected = exchange_axioms_hold(independent, n)
-        assert verdict(independent, n) == expected, bin(family)
+        got = outcome(check_matroid_axioms, independent, n)
+        assert (got is None) == expected, bin(family)
+        # The same verdict and message as the mask-by-mask scan.
+        assert got == outcome(reference_check_matroid_axioms, independent, n), bin(family)
         verdicts.add(expected)
     assert verdicts == {True, False}
 
@@ -177,6 +192,75 @@ def test_axiom_check_matches_exchange_on_downward_closed_families(n, data):
     independent = data.draw(downward_closed_families(n))
     expected = exchange_axioms_hold(independent, n)
     assert verdict(independent, n) == expected
+
+
+@st.composite
+def mixed_families(draw, n):
+    """A graphic matroid on n drawn edges (loops and parallel edges
+    allowed) or the subsets of a few drawn masks, with up to two masks
+    flipped: matroids, downward-closed non-matroids and families that are
+    not downward closed or lack the empty set."""
+    if draw(st.booleans()):
+        ends = st.tuples(st.integers(0, 4), st.integers(0, 4))
+        independent = _graphic_table(tuple(draw(st.lists(ends, min_size=n, max_size=n))))
+    else:
+        independent = draw(downward_closed_families(n))
+    for m in draw(st.lists(st.integers(0, (1 << n) - 1), max_size=2)):
+        independent[m] = not independent[m]
+    return independent
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_axiom_check_matches_the_scalar_reference(n, data):
+    independent = data.draw(mixed_families(n))
+    expected = outcome(reference_check_matroid_axioms, independent, n)
+    assert outcome(check_matroid_axioms, independent, n) == expected
+
+
+def test_axiom_check_on_a_17_element_graphic_family():
+    edges = sorted(combinations(range(7), 2))[:17]
+    independent = _graphic_table(tuple(edges))
+    check_matroid_axioms(independent, 17)
+    # A dependent singleton: closure fails first at the lowest independent
+    # mask that holds it, here the pair with element 0.
+    b = 9
+    independent[1 << b] = False
+    lowest = next(m for m in range(1 << 17) if m >> b & 1 and independent[m])
+    assert lowest == 1 << b | 1
+    with pytest.raises(MorphismViolation) as exc:
+        check_matroid_axioms(independent, 17)
+    assert str(exc.value) == f"downward closure fails at mask {lowest:b}"
+
+
+def test_cut_keeps_a_primitive_annihilator_basis():
+    # Along random orders of each cell's points, the basis stays
+    # primitive, annihilates every homogenized point so far and has
+    # d + 1 - rank vectors, with the e_0 slot 0 throughout.
+    rng = random.Random(11)
+    for cell in edge_contraction_subdivision(Graph.from_edges(combinations(range(5), 2)), (0, 1)):
+        d = cell.dim
+        for _ in range(3):
+            labels = rng.sample(cell.points, len(cell.points))
+            basis = [[int(k == c) for k in range(d + 2)] for c in range(1, d + 2)]
+            rows = []
+            for i, j in labels:
+                basis = _cut(basis, i, j)
+                rows.append(phi((i, j), d) + (1,))
+                assert len(basis) == d + 1 - integer_rank(rows)
+                for a in basis:
+                    assert a[0] == 0 and gcd(*a) == 1, a
+                    assert all(sum(x * y for x, y in zip(a[1:], row)) == 0 for row in rows)
+
+
+def test_cut_divides_out_a_common_factor():
+    # Point (e_1, 1) in dimension 2: both vectors take the value 2, and
+    # 2 * (0, 1, 0, 1) - 2 * (0, 1, 1, 1) = (0, 0, -2, 0).
+    assert _cut([[0, 1, 1, 1], [0, 1, 0, 1]], 1, 0) == [[0, 0, -1, 0]]
+    # A point in the span leaves the basis as it is.
+    basis = [[0, 1, 1, 0]]
+    assert _cut(basis, 1, 2) is basis
 
 
 def wheel_graph(k):
@@ -206,10 +290,11 @@ def assert_tables_match_definitions(g, e):
     "g, e",
     [
         (Graph.from_edges(combinations(range(5), 2)), (0, 1)),
+        (Graph.from_edges(combinations(range(6), 2)), (0, 1)),
         (wheel_graph(6), (0, 1)),
         (running_example(), (0, 3)),
     ],
-    ids=["K5", "W6", "running"],
+    ids=["K5", "K6", "W6", "running"],
 )
 def test_walked_tables_match_per_subset_definitions(g, e):
     assert_tables_match_definitions(g, e)

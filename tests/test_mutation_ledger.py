@@ -1,0 +1,31 @@
+"""The mutation ledger stays applicable: every snippet occurs exactly once
+in its file under src/apx, and every test it names is defined.  The kill
+run itself is ``python3 mutants/run.py``."""
+
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "mutants"))
+
+from ledger import MUTANTS  # noqa: E402
+
+
+def test_every_snippet_occurs_once_in_src_apx():
+    assert MUTANTS
+    for mutant in MUTANTS:
+        assert mutant.file.startswith("src/apx/"), mutant.name
+        text = (ROOT / mutant.file).read_text()
+        assert text.count(mutant.snippet) == 1, mutant.name
+        assert mutant.replacement != mutant.snippet, mutant.name
+
+
+def test_every_named_test_is_defined():
+    for mutant in MUTANTS:
+        assert mutant.tests, mutant.name
+        for node in mutant.tests:
+            path, _, name = node.partition("::")
+            function = name.split("[", 1)[0]
+            source = (ROOT / path).read_text()
+            assert re.search(rf"^def {function}\(", source, re.M), node

@@ -12,6 +12,7 @@ from conftest import (
     brute_force_subdivision,
     connected_graphs,
     cycle_graph,
+    integer_determinant,
     path_graph,
     potential_facets,
     random_connected_graph,
@@ -24,7 +25,6 @@ from conftest import (
 )
 
 from apx.errors import DisconnectedGraph, NotFullDimensional, TheoremViolation
-from apx.exactlin import integer_determinant
 from apx.graphcore import Graph
 from apx.polytope import (
     DDCone,

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from itertools import combinations
 from pathlib import Path
 
 import apx
@@ -104,11 +105,20 @@ def test_affine_elimination_runs_once_per_cell(monkeypatch):
         return kernel(points)
 
     monkeypatch.setattr(exactlin, "affine_kernel", counting)
-    report = run_verification(running_example(), (0, 3), level="fast")
-    assert report.passed()
-    # One elimination per cell, in its analysis; every per-cell statement
-    # reads that one record.
-    assert calls == [len(c.points) for c in edge_contraction_subdivision(running_example(), (0, 3))]
+    k6 = Graph.from_edges(combinations(range(6), 2))
+    # The maximum corank (at full) and the odd-cycle statement (C7) read
+    # the coranks and circuit verdicts of the cell analyses.
+    for g, e, level in [
+        (running_example(), (0, 3), "fast"),
+        (k6, (0, 1), "full"),
+        (cycle_graph(7), (0, 6), "fast"),
+    ]:
+        calls.clear()
+        report = run_verification(g, e, level=level)
+        assert report.passed()
+        # One elimination per cell, in its analysis; every per-cell
+        # statement reads that one record.
+        assert calls == [len(c.points) for c in edge_contraction_subdivision(g, e)], (g, level)
 
 
 def test_report_json_shape():
