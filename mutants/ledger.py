@@ -23,6 +23,8 @@ class Mutant(NamedTuple):
 
 
 MATROID = "src/apx/matroid.py"
+POLYTOPE = "src/apx/polytope.py"
+CLI = "src/apx/cli.py"
 
 MUTANTS = (
     Mutant(
@@ -82,5 +84,57 @@ MUTANTS = (
         "    if independent != graphic:\n",
         "    if False:\n",
         ("tests/test_matroid.py::test_morphism_names_a_flipped_point_mask",),
+    ),
+    Mutant(
+        "polytope: drop the reflexivity check (beta = 1)",
+        POLYTOPE,
+        "        if beta != 1:\n",
+        "        if False:\n",
+        ("tests/test_polytope.py::test_facet_off_level_minus_one_is_not_reflexive",),
+    ),
+    Mutant(
+        "polytope: file a boundary ridge without the exactly-one-facet test",
+        POLYTOPE,
+        "            if not common or common & (common - 1):\n",
+        "            if False:\n",
+        ("tests/test_polytope.py::test_placing_raises_when_no_facet_holds_a_boundary_face",),
+    ),
+    Mutant(
+        "polytope: keep interior ridges as boundary faces",
+        POLYTOPE,
+        "                    if ridges.pop(ridge, None) is None:\n",
+        "                    if True:\n",
+        (
+            "tests/test_polytope.py::test_volume_c4_c5",
+            "tests/test_polytope.py::test_placing_volumes_match_determinants_on_graphs[K4]",
+            "tests/test_polytope.py::test_placing_volumes_match_determinants_on_random_points",
+        ),
+    ),
+    Mutant(
+        "polytope: drop the divisibility check of the volume ratio",
+        POLYTOPE,
+        "                if rem:\n",
+        "                if False:\n",
+        ("tests/test_polytope.py::test_placing_raises_on_an_inexact_volume_ratio",),
+    ),
+    Mutant(
+        "cli: drop sorted on the report's top-level keys",
+        CLI,
+        "    for key, value in sorted(payload.items()):\n",
+        "    for key, value in payload.items():\n",
+        (
+            "tests/test_cli.py::test_reports_are_the_bytes_of_json_dump[facets]",
+            "tests/test_cli.py::test_writer_matches_json_dump_on_drawn_payloads",
+        ),
+    ),
+    Mutant(
+        "cli: drop sorted on nested keys",
+        CLI,
+        "            for k, v in sorted(value.items())\n",
+        "            for k, v in value.items()\n",
+        (
+            "tests/test_cli.py::test_reports_are_the_bytes_of_json_dump[subdivide]",
+            "tests/test_cli.py::test_writer_matches_json_dump_on_drawn_payloads",
+        ),
     ),
 )

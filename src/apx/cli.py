@@ -4,8 +4,9 @@ Commands: ``apx facets FILE``, ``apx subdivide FILE --edge K1,K2``,
 ``apx volume FILE [--method ...]``, ``apx verify FILE --edge K1,K2``.
 Graphs are read from "u v"-per-line text or {"edges": [[u, v], ...]}
 JSON.  All output is canonical JSON (sorted keys, exact "p/q" rationals),
-byte-identical across runs.  Exit codes: 0 success, 1 verification
-failure, 2 input error or an output path that cannot be written.
+byte-identical across runs, written by ``emit``.  Exit codes:
+0 success, 1 verification failure, 2 input error or an output path that
+cannot be written.
 
 Each command imports the layers only it runs (subdivision, cell analysis,
 verification), so ``facets`` and ``volume`` start without them.
@@ -14,8 +15,8 @@ verification), so ``facets`` and ``volume`` start without them.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import (
@@ -56,18 +57,81 @@ def parse_edge(text: str, g: Graph) -> tuple[int, int]:
     return (k1, k2)
 
 
+def _encode(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
+    it when ``newline`` is a newline plus its indentation; the types are
+    tested in the order ``json`` tests them.  Reports hold no floats, so
+    a float is refused like any other type."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        # Strings and ints, most of every report, skip the call; what the
+        # call would return for them is the same.
+        items = [
+            encode_basestring_ascii(v)
+            if type(v) is str
+            else int.__repr__(v)
+            if type(v) is int
+            else _encode(v, inner)
+            for v in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(k) + ": " + _encode(v, inner)
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_canonical(payload: dict, fh) -> None:
+    """Write the bytes of ``json.dump(payload, fh, indent=2,
+    sort_keys=True)`` and a newline.  Each item of a top-level list is
+    encoded and written on its own, so the report is never held as one
+    string."""
+    if not payload:
+        fh.write("{}\n")
+        return
+    head = "{"
+    for key, value in sorted(payload.items()):
+        fh.write(head + "\n  " + encode_basestring_ascii(key) + ": ")
+        head = ","
+        if isinstance(value, (list, tuple)) and value:
+            sep = "["
+            for item in value:
+                fh.write(sep + "\n    " + _encode(item, "\n    "))
+                sep = ","
+            fh.write("\n  ]")
+        else:
+            fh.write(_encode(value, "\n  "))
+    fh.write("\n}\n")
+
+
 def emit(payload: dict, json_path: str | None) -> None:
-    """Stream the canonical JSON report to ``json_path``, or to stdout."""
+    """Write the canonical JSON report to ``json_path``, or to stdout."""
     if json_path:
         try:
             with open(json_path, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                _write_canonical(payload, fh)
         except OSError as exc:
             raise ApxError(f"cannot write {json_path}: {exc}") from exc
     else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        _write_canonical(payload, sys.stdout)
 
 
 def cmd_facets(args) -> int:

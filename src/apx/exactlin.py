@@ -2,8 +2,9 @@
 
 Every elimination works on integer rows and divides only where the
 division is exact (Bareiss 1968), so all geometric predicates downstream
-are bit-exact.  Rationals appear only in what the package reports: facet
-normals, the cell normals gamma and heights, and their JSON form.
+are bit-exact.  Rationals appear only in what the package reports: the
+cell normals gamma and heights, and their JSON form.  Facet normals are
+integer vectors, because adjacency polytopes are reflexive.
 Vectors are tuples, matrices lists of rows.  No floating point.
 """
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 from operator import and_
 from typing import NamedTuple
 
@@ -73,9 +73,11 @@ def build_configuration(g: Graph) -> PointConfiguration:
 class FacetCertificate(NamedTuple):
     """A facet as (inner normal, support), normalized so that every
     supported point x satisfies <x, normal> = -1 and all points satisfy
-    <x, normal> >= -1 (valid because 0 is interior)."""
+    <x, normal> >= -1 (valid because 0 is interior).  The normal is an
+    integer vector: adjacency polytopes are reflexive, and
+    ``enumerate_facets`` checks that on every facet."""
 
-    normal: Vector
+    normal: IntVector
     support: tuple[DirectedEdge, ...]
 
     def to_json_dict(self) -> dict:
@@ -193,7 +195,8 @@ class DDCone:
     (Fukuda and Prodon 1996): two rays are adjacent iff no third ray is
     tight on every row both are tight on, decided by ANDing the ``tight``
     bitsets of those rows.  Dot products use only the nonzero entries of
-    the row.  ``rays`` lists the live (vector, mask) pairs in id order;
+    the row.  The ``rays`` property lists the live (vector, mask) pairs in
+    id order, read off ``slots`` when asked for, not kept across inserts;
     ``add_row`` returns the rays cut off by the new halfspace, whose masks
     identify the facets visible from it.  ``seed_det`` is |det| of the
     seed basis rows, from the same elimination as the seed rays.
@@ -217,11 +220,14 @@ class DDCone:
                 v = tuple(-x for x in v)
             self.slots.append((v, full ^ (1 << i)))
             self.tight[i] = seed_ids ^ (1 << j)
-        self.rays = list(self.slots)
         basis_set = set(basis_idx)
         for i, row in enumerate(rows):
             if i not in basis_set:
                 self._insert(i, row)
+
+    @property
+    def rays(self) -> list[tuple[IntVector, int]]:
+        return [s for s in self.slots if s is not None]
 
     def add_row(self, row: IntVector) -> list[tuple[IntVector, int]]:
         idx = len(self.rows)
@@ -291,7 +297,6 @@ class DDCone:
                 tight[i] |= 1 << j
         while slots and slots[-1] is None:
             slots.pop()
-        self.rays = [s for s in slots if s is not None]
         return [ray for _, ray, _ in neg]
 
 
@@ -352,8 +357,11 @@ def enumerate_facets(config: PointConfiguration) -> list[FacetCertificate]:
     """All facets of the adjacency polytope, canonically ordered.
 
     Normals are scaled so supported points sit at level -1, which is
-    possible because the origin is interior.  For the zero-dimensional
-    configuration the single facet is the empty set.
+    possible because the origin is interior.  Adjacency polytopes are
+    reflexive (Matsui, Higashitani, Nagazawa, Ohsugi and Hibi 2011), so
+    each primitive facet inequality <x, alpha> + beta >= 0 has beta = 1
+    and the normal is alpha itself; any other beta raises.  For the
+    zero-dimensional configuration the single facet is the empty set.
     """
     if config.dim == 0:
         return [FacetCertificate((), ())]
@@ -362,18 +370,18 @@ def enumerate_facets(config: PointConfiguration) -> list[FacetCertificate]:
     rays = hull_facet_rays(config.vectors)
     if any(beta <= 0 for _, beta, _ in rays):
         raise TheoremViolation("origin not interior; cannot normalize facet")
-    # alpha * (scale / beta) is the normal times one common positive
-    # integer, so these integer keys sort the normals exactly.
-    scale = lcm(*(beta for _, beta, _ in rays))
-    rays.sort(key=lambda r: tuple(a * (scale // r[1]) for a in r[0]))
+    for alpha, beta, _ in rays:
+        if beta != 1:
+            raise TheoremViolation(
+                f"facet {alpha} at level -{beta}: the polytope is not reflexive"
+            )
+    rays.sort()
     # The labels are sorted, so reading a mask's bits in increasing order
     # gives its support sorted.
     labels = config.labels
-    certs = []
-    for alpha, beta, mask in rays:
-        normal = tuple(Fraction(a, beta) for a in alpha)
-        certs.append(FacetCertificate(normal, tuple(labels[i] for i in _bits(mask))))
-    return certs
+    return [
+        FacetCertificate(alpha, tuple(labels[i] for i in _bits(mask))) for alpha, _, mask in rays
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +441,14 @@ class _PlacingState:
     follows from the simplex it is glued to: det(b, w) over the rows of
     a face b is linear in w and vanishes on the facet hyperplane <v, .> = 0
     of the face, so coning b to the new point r_k instead of its opposite
-    vertex r_j scales the volume by -<v, r_k> / <v, r_j>.  The new
-    boundary faces are the ridges that occur in exactly one new simplex,
-    each filed under the one facet through r_k that contains it.  Masks
-    are over placing positions; ``order`` maps them back to point indices.
+    vertex r_j scales the volume by -<v, r_k> / <v, r_j>, both dot
+    products taken over the nonzero entries of the rows only.  The new
+    boundary faces are the ridges that occur in exactly one new simplex:
+    a ridge is dropped when a second new simplex has it.  Each is filed
+    under the one facet through r_k that contains it, the one ray left
+    by ANDing the cone's ``tight`` bitsets of its rows; the cone's row i
+    is the point at placing position i.  Masks are over placing
+    positions; ``order`` maps them back to point indices.
     """
 
     def __init__(self, vectors: list[IntVector]):
@@ -450,6 +462,9 @@ class _PlacingState:
         chosen = set(basis)
         self.order = basis + [i for i in range(len(vectors)) if i not in chosen]
         self.rows = [rows[i] for i in self.order]
+        # (column, entry) pairs of each row's nonzero entries, for the
+        # facet dot products of the volume ratios.
+        self.sparse = [[(c, a) for c, a in enumerate(r) if a] for r in self.rows]
         self.cone = DDCone(d + 1, self.rows[: d + 1])
         full = (1 << (d + 1)) - 1
         # The cone's seed basis is these d + 1 rows, in this order.
@@ -462,18 +477,19 @@ class _PlacingState:
         }
 
     def insert(self, k: int) -> None:
-        row = self.rows[k]
-        removed = self.cone.add_row(row)
+        removed = self.cone.add_row(self.rows[k])
         if not removed:
             return
+        sparse = self.sparse
+        on_k = sparse[k]
         bit = 1 << k
-        # ridge mask -> (volume, opposite position), or None once it is
-        # shared by two new simplices.
-        ridges: dict[int, tuple[int, int] | None] = {}
+        # ridge mask -> (volume, opposite position) of the one new simplex
+        # it lies in so far; a ridge met twice is interior and dropped.
+        ridges: dict[int, tuple[int, int]] = {}
         for v, _ in removed:
-            beyond = -_idot(v, row)
+            beyond = -sum(v[c] * a for c, a in on_k)
             for face, (vol, j) in self.faces.pop(v).items():
-                vol, rem = divmod(vol * beyond, _idot(v, self.rows[j]))
+                vol, rem = divmod(vol * beyond, sum(v[c] * a for c, a in sparse[j]))
                 if rem:
                     raise TheoremViolation("placing volume is not an integer")
                 simplex = face | bit
@@ -483,30 +499,22 @@ class _PlacingState:
                 while rest:
                     low = rest & -rest
                     ridge = simplex ^ low
-                    ridges[ridge] = None if ridge in ridges else (vol, low.bit_length() - 1)
+                    if ridges.pop(ridge, None) is None:
+                        ridges[ridge] = (vol, low.bit_length() - 1)
                     rest ^= low
-        # holders[i]: bitset of the facets through k that contain point i.
-        through_k = [(v, m) for v, m in self.cone.rays if m & bit]
-        holders = [0] * (k + 1)
-        for f, (_, m) in enumerate(through_k):
-            b = 1 << f
-            while m:
-                low = m & -m
-                holders[low.bit_length() - 1] |= b
-                m ^= low
+        # The facet of a boundary ridge is the one ray tight on all of its
+        # rows, read off the cone's per-row bitsets of tight ray ids.
+        tight, slots = self.cone.tight, self.cone.slots
         for ridge, entry in ridges.items():
-            if entry is None:
-                continue
-            common = -1
-            rest = ridge
+            common = tight[k]
+            rest = ridge ^ bit
             while rest:
                 low = rest & -rest
-                common &= holders[low.bit_length() - 1]
+                common &= tight[low.bit_length() - 1]
                 rest ^= low
             if not common or common & (common - 1):
                 raise TheoremViolation("boundary face is not in exactly one hull facet")
-            facet = through_k[common.bit_length() - 1][0]
-            self.faces.setdefault(facet, {})[ridge] = entry
+            self.faces.setdefault(slots[common.bit_length() - 1][0], {})[ridge] = entry
 
     def run(self) -> _PlacingState:
         for k in range(self.cone.dim, len(self.rows)):

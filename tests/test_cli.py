@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -6,13 +7,14 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs
 
 import apx
-from apx.cli import main
+import apx.cli
+from apx.cli import _write_canonical, main
 from apx.graphcore import Graph
 
 
@@ -123,6 +125,65 @@ def test_json_file_output(tmp_path, capsys):
     assert main(["facets", path, "--json", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["facet_count"] == 6
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["facets"],
+        ["subdivide", "--edge", "0,4"],
+        ["volume"],
+        ["volume", "--method", "subdivision", "--edge", "0,4"],
+        ["verify", "--edge", "0,4", "--level", "fast"],
+        ["verify", "--edge", "0,4", "--level", "full"],
+    ],
+    ids=["facets", "subdivide", "volume", "volume-subdivision", "verify-fast", "verify-full"],
+)
+def test_reports_are_the_bytes_of_json_dump(tmp_path, capsys, monkeypatch, args):
+    payloads = []
+    emit = apx.cli.emit
+
+    def recording_emit(payload, json_path):
+        payloads.append(payload)
+        emit(payload, json_path)
+
+    monkeypatch.setattr(apx.cli, "emit", recording_emit)
+    path = write_graph(tmp_path, "c5.txt", C5)
+    out = tmp_path / "report.json"
+    assert main([args[0], path, *args[1:]]) == 0
+    stdout = capsys.readouterr().out
+    assert main([args[0], path, *args[1:], "--json", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    first, second = payloads
+    expected = json.dumps(first, indent=2, sort_keys=True) + "\n"
+    assert stdout == expected
+    assert out.read_bytes() == expected.encode()
+    assert json.dumps(second, indent=2, sort_keys=True) + "\n" == expected
+
+
+# Escapes, control characters and non-ASCII text, including a character
+# outside the basic plane, which json writes as a surrogate pair.
+_chars = st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600')
+_text = st.text(_chars, max_size=6)
+_leaves = st.none() | st.booleans() | st.integers(-(10**30), 10**30) | _text
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(payload=st.dictionaries(_text, _values, max_size=5))
+@example(payload={})
+@example(payload={"z": [], "y": {}, "x": [[], {}], "w": [{"b": None, "a": True}, False, -7]})
+@example(payload={"\u00e9\n\"": ["\\", "\U0001f600", "\x00"], "\t": -(2**70)})
+def test_writer_matches_json_dump_on_drawn_payloads(payload):
+    fh = io.StringIO()
+    _write_canonical(payload, fh)
+    assert fh.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_missing_file_is_input_error(capsys):

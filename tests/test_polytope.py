@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
@@ -79,7 +78,8 @@ def test_build_configuration_disconnected():
 
 def test_facets_edge_graph():
     facets = enumerate_facets(build_configuration(Graph.from_edges([(0, 1)])))
-    assert [f.normal for f in facets] == [(Fraction(-1),), (Fraction(1),)]
+    assert [f.normal for f in facets] == [(-1,), (1,)]
+    assert all(type(a) is int for f in facets for a in f.normal)
     assert facets[0].support == ((1, 0),)
     assert facets[1].support == ((0, 1),)
 
@@ -90,6 +90,16 @@ def test_origin_on_the_boundary_is_a_theorem_violation():
     # TheoremViolation, not a bare AssertionError.
     config = PointConfiguration(2, ((0, 1), (0, 2), (1, 2)), ((0, 0), (1, 0), (0, 1)))
     with pytest.raises(TheoremViolation, match="origin not interior"):
+        enumerate_facets(config)
+
+
+def test_facet_off_level_minus_one_is_not_reflexive():
+    # conv{-1, 2} has the facet -x + 2 >= 0, so its normal scaled to
+    # level -1 would be (-1/2,): the points are not those of an
+    # adjacency polytope, which is reflexive.
+    config = PointConfiguration(1, ((0, 1), (1, 0)), ((2,), (-1,)))
+    assert ((-1,), 2) in [(alpha, beta) for alpha, beta, _ in hull_facet_rays(config.vectors)]
+    with pytest.raises(TheoremViolation, match="not reflexive"):
         enumerate_facets(config)
 
 
@@ -385,6 +395,34 @@ def test_ddcone_ids_stay_narrow_in_the_grid_placing_run():
     assert state.volume == 22720
 
 
+def test_placing_raises_on_an_inexact_volume_ratio():
+    # Seed [0, 2] has volume 2 on its face {2}, whose facet normal is
+    # (-1, 2); placing 3 scales that volume by 1/2.  A boundary volume
+    # of 1 instead makes the ratio inexact, which no triangulation gives.
+    state = _PlacingState([(0,), (2,), (3,)])
+    for faces in state.faces.values():
+        for m, (_, j) in faces.items():
+            faces[m] = (1, j)
+    with pytest.raises(TheoremViolation, match="not an integer"):
+        state.run()
+
+
+def test_placing_raises_when_no_facet_holds_a_boundary_face():
+    # Blank the cone's bitset of the rays tight on each new row, so that
+    # no hull facet holds the new boundary faces.
+    state = _PlacingState([(0, 0), (1, 0), (0, 1), (1, 1)])
+    add_row = state.cone.add_row
+
+    def blind(row):
+        removed = add_row(row)
+        state.cone.tight[-1] = 0
+        return removed
+
+    state.cone.add_row = blind
+    with pytest.raises(TheoremViolation, match="exactly one hull facet"):
+        state.run()
+
+
 def _determinant_volume(points) -> int:
     """Sum of |det| over the simplices of the placing triangulation."""
     total = 0
@@ -433,6 +471,5 @@ def test_placing_volumes_match_determinants_on_graphs(g):
 @given(connected_graphs())
 def test_facets_match_potential_oracle(g):
     expected = potential_facets(g)
-    # Fractions hash and compare equal to the integers they equal.
     got = {f.normal: f.support for f in enumerate_facets(build_configuration(g))}
     assert got == expected

@@ -175,3 +175,15 @@ def test_cell_invariants_names_failing_checks(monkeypatch):
     check = next(c for c in report.checks if c.name == "cell_invariants")
     assert not check.passed
     assert check.detail == "; ".join(f"cell {i}: properties" for i in range(6))
+
+
+def test_skipped_matroid_cells_are_counted(monkeypatch):
+    # K5 with edge {0, 1} has 14 cells: 8 with 7 grouped elements and 6
+    # with 5.  Below the limit of 6 the 8 larger cells are skipped.
+    import apx.verify
+
+    monkeypatch.setattr(apx.verify, "MATROID_GROUND_LIMIT", 6)
+    report = run_verification(Graph.from_edges(combinations(range(5), 2)), (0, 1), level="full")
+    check = next(c for c in report.checks if c.name == "matroid_morphism")
+    assert check.passed
+    assert check.detail == "8 of 14 cells skipped: ground set above 6"
