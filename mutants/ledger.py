@@ -25,6 +25,8 @@ class Mutant(NamedTuple):
 MATROID = "src/apx/matroid.py"
 POLYTOPE = "src/apx/polytope.py"
 CLI = "src/apx/cli.py"
+SUBDIVISION = "src/apx/subdivision.py"
+CELLANALYSIS = "src/apx/cellanalysis.py"
 
 MUTANTS = (
     Mutant(
@@ -116,6 +118,27 @@ MUTANTS = (
         "                if rem:\n",
         "                if False:\n",
         ("tests/test_polytope.py::test_placing_raises_on_an_inexact_volume_ratio",),
+    ),
+    Mutant(
+        "polytope: drop the seed-ray orientation",
+        POLYTOPE,
+        "        sign = 1 if det > 0 else -1\n",
+        "        sign = 1\n",
+        ("tests/test_polytope.py::test_ddcone_seed_is_primitive_inverse_columns",),
+    ),
+    Mutant(
+        "subdivision: drop the lift integrality check",
+        SUBDIVISION,
+        "        if any(x % t for x in ray):\n",
+        "        if False:\n",
+        ("tests/test_subdivision.py::test_lift_ray_with_fractional_entries_raises",),
+    ),
+    Mutant(
+        "cellanalysis: drop the corank-2 parity check",
+        CELLANALYSIS,
+        "        if twice % 2 or twice <= 0:\n",
+        "        if twice <= 0:\n",
+        ("tests/test_cellanalysis.py::test_corank2_closed_form_needs_an_even_numerator",),
     ),
     Mutant(
         "cli: drop sorted on the report's top-level keys",

@@ -19,7 +19,6 @@ every check) instead of returning silently.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import exactlin
@@ -46,7 +45,7 @@ from .graphcore import (
     vertices_of,
     _tree_path,
 )
-from .polytope import DirectedEdge, IntVector, _adjugate_columns, _idot, phi
+from .polytope import DirectedEdge, IntVector, _idot, _seed, phi
 from .subdivision import Cell, edge_contraction_subdivision
 
 Edge = tuple[int, int]
@@ -391,14 +390,16 @@ def build_alternating_basis(g: Graph, e: Edge, tree_edges) -> tuple[DirectedEdge
         raise TheoremViolation("alternating basis is affinely dependent")
 
     # The unique alpha with <x, alpha> = -lift(x) on the basis must support
-    # the whole lifted configuration from below.  The adjugate columns of
-    # the rows B without (k2, k1) are d*B^-1, so they give d*alpha.
+    # the whole lifted configuration from below.  The seed rays of the
+    # rows B without (k2, k1) are the columns of d*B^-1, so they give
+    # d*alpha.  B is nonsingular: its affine hull holds (k1, k2) but not
+    # (k2, k1), so not the origin between them.
     rows, rhs = [], []
     for lab, v in zip(x, rec.vectors):
         if lab != (k2, k1):
             rows.append(v)
             rhs.append(0 if lab == (k1, k2) else -1)
-    cols, d = _adjugate_columns(rows)
+    _, cols, d = _seed(rows, n)
     d_alpha = [sum(b * col[i] for b, col in zip(rhs, cols)) for i in range(n)]
     for u, v in g.edges:
         for lab in ((u, v), (v, u)):
@@ -500,10 +501,10 @@ def _closed_form(cell: Cell, e: Edge, rec: CellRecord) -> int:
         o1, o2 = corank2_cycle_pair(rec.undirected, e)
         gamma, delta = corank2_gamma_delta(rec.arcs, o1, o2, e)
         m1, m2 = len(o1), len(o2)
-        value = Fraction(m1 * m2, 2) - 2 * gamma * delta
-        if value.denominator != 1 or value <= 0:
-            raise TheoremViolation(f"corank-2 closed form {value} is not a positive integer")
-        result = int(value)
+        twice = m1 * m2 - 4 * gamma * delta
+        if twice % 2 or twice <= 0:
+            raise TheoremViolation(f"corank-2 closed form {twice}/2 is not a positive integer")
+        result = twice // 2
     else:
         raise UnsupportedCorank(f"corank {corank}: triangulation oracle only")
     if result != cell.nvol:

@@ -1,46 +1,20 @@
 """Exact integer linear algebra, fraction-free.
 
-Every elimination works on integer rows and divides only where the
-division is exact (Bareiss 1968), so all geometric predicates downstream
-are bit-exact.  Rationals appear only in what the package reports: the
-cell normals gamma and heights, and their JSON form.  Facet normals are
-integer vectors, because adjacency polytopes are reflexive.
-Vectors are tuples, matrices lists of rows.  No floating point.
+One elimination, ``gauss_jordan``, gives every rank, basis, kernel and
+cone seed of the geometry (the matroid table walk keeps its own
+incremental kernel).  It works on integer rows and divides only where
+the division is exact (Bareiss 1968), so all geometric predicates
+downstream are bit-exact.  Nothing in the package is rational: facet
+normals and cell normals are integer vectors, because adjacency
+polytopes are reflexive.  Vectors are tuples, matrices lists of rows.
+No floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
-
-
-def integer_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    cols = len(m[0])
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            if f:
-                m[i] = [pv * a - f * b for a, b in zip(m[i], m[r])]
-                g = gcd(*m[i])
-                if g > 1:
-                    m[i] = [x // g for x in m[i]]
-        r += 1
-        if r == len(m):
-            break
-    return r
 
 
 def gauss_jordan(m: list[list[int]]) -> list[int]:
@@ -107,13 +81,3 @@ def affine_kernel(points) -> tuple[int, tuple[IntVector, ...]]:
             g = -g
         kernel.append(tuple(x // g for x in lam))
     return len(pivots), tuple(kernel)
-
-
-def common_denominator(values) -> int:
-    """Least positive integer that makes every value integral."""
-    return lcm(*(Fraction(x).denominator for x in values))
-
-
-def format_scalar(x: Fraction) -> str:
-    """Serialize a rational as "p/q", or "p" when integral."""
-    return str(x)

@@ -4,8 +4,9 @@ exact normalized-volume oracle.
 Geometry is done in integers and bitsets throughout.  Facets and regular
 subdivisions are read off the extreme rays of polyhedral cones computed
 with the double description method (exact, incremental).  A cone starts
-from the primitive columns of the adjugate of a row basis, found by one
-fraction-free Gauss-Jordan pass.  Its rays have stable ids, and for
+from one fraction-free Gauss-Jordan pass over its rows as columns: the
+pass finds the greedy row basis, its determinant and the seed rays
+together.  Its rays have stable ids, and for
 every row it keeps the bitset of the ids of the rays tight on it across
 inserts.  Inserting a row counts, for each cut ray, the rows it shares
 with every positive ray in one bit-sliced sum of those bitsets, and
@@ -22,14 +23,13 @@ determinants.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from math import gcd
 from operator import and_
 from typing import NamedTuple
 
 from .errors import DisconnectedGraph, NotFullDimensional, TheoremViolation
-from .exactlin import IntVector, Vector, format_scalar, gauss_jordan, integer_rank
+from .exactlin import IntVector, gauss_jordan
 from .graphcore import Graph
 
 DirectedEdge = tuple[int, int]
@@ -82,7 +82,7 @@ class FacetCertificate(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "normal": [format_scalar(a) for a in self.normal],
+            "normal": [str(a) for a in self.normal],
             "support": [list(lab) for lab in self.support],
         }
 
@@ -114,70 +114,35 @@ def _idot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _echelon_reduce(echelon, row) -> tuple[int, IntVector] | None:
-    """Reduce an integer row against fraction-free echelon rows.
+def _seed(rows, dim: int) -> tuple[list[int], list[list[int]], int]:
+    """The greedy basis B of integer rows in R^dim and a cone's seed over
+    it, from one ``gauss_jordan`` pass over [rows^T | I].
 
-    ``echelon`` holds (pivot column, row) pairs, each row zero in the
-    pivot columns of the rows before it.  The row is eliminated at each
-    pivot in turn, p * r - f * e, in integers and without division.
-    Returns None when nothing is left, that is, when the row lies in the
-    span of the echelon rows; otherwise the remainder divided by the gcd
-    of its entries, with its pivot, ready to be appended to the echelon.
+    Column i of rows^T becomes a pivot iff row i is independent of the
+    rows before it, so the pivots below len(rows) are the first rows that
+    each raise the rank, in order; on rank-deficient rows the pass goes
+    on to pivot in the identity block, and those pivots are dropped.
+    When the basis has ``dim`` rows the pass ends at d * I on them, with
+    d = +-det B its last pivot, so the right block is d * B^-T: its row j
+    is d times column j of B^-1, tight on every basis row but the j-th.
+    Returns the basis, the right block and d.
     """
-    # Lists, not tuple(generator): that tuple is over-allocated and then
-    # shrunk, and on this hot path the shrunk tuples fill the
-    # interpreter's tuple free list (about 0.17 MB of peak memory).
-    r = list(row)
-    for c, e in echelon:
-        f = r[c]
-        if f:
-            p = e[c]
-            r = [p * a - f * b for a, b in zip(r, e)]
-    pivot = next((c for c, x in enumerate(r) if x), None)
-    if pivot is None:
-        return None
-    return pivot, _reduce_ray(r)
-
-
-def _greedy_basis(rows, size: int) -> list[int]:
-    """Indices of the first rows, in order, that each raise the rank of
-    the rows chosen so far; stops once ``size`` rows are chosen.
-
-    The chosen rows are kept in fraction-free echelon form, and a
-    candidate raises the rank iff ``_echelon_reduce`` leaves anything of
-    it.
-    """
-    echelon: list[tuple[int, IntVector]] = []
-    basis: list[int] = []
-    for i, row in enumerate(rows):
-        reduced = _echelon_reduce(echelon, row)
-        if reduced is None:
-            continue
-        echelon.append(reduced)
-        basis.append(i)
-        if len(basis) == size:
-            break
-    return basis
-
-
-def _adjugate_columns(basis: list[IntVector]) -> tuple[list[list[int]], int]:
-    """Columns of adj(B), up to one common sign, for a nonsingular
-    integer matrix B, and that sign times det(B): ``gauss_jordan`` on
-    [B | I] ends at [d*I | d*B^-1] with d = +-det(B) its last pivot."""
-    n = len(basis)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(basis)]
-    gauss_jordan(m)
-    return [[m[i][n + j] for i in range(n)] for j in range(n)], m[0][0]
+    n = len(rows)
+    m = [[row[c] for row in rows] + [int(c == j) for j in range(dim)] for c in range(dim)]
+    pivots = gauss_jordan(m)
+    return [p for p in pivots if p < n], [row[n:] for row in m], m[0][pivots[0]]
 
 
 class DDCone:
     """Incremental double description for a pointed cone, in integers.
 
     ``rows`` are integer constraint vectors; the initial batch must have
-    full rank (pointedness).  The start is simplicial: the columns of the
-    adjugate of a greedy row basis, each reduced to a primitive vector
-    and oriented into the cone, so ray j is tight on every basis row but
-    the j-th.
+    full rank (pointedness), else NotFullDimensional.  The start is
+    simplicial: the rows of d * B^-T for the greedy row basis B, from
+    ``_seed`` (or from ``seed``, that call's result when the caller has
+    it already), each reduced to a primitive vector and oriented into the
+    cone by the sign of d, so ray j is tight on every basis row but the
+    j-th.
 
     Every ray has a stable id, its index in ``slots`` (None marks a free
     id).  Each ray carries a bitmask of the rows it is tight on, and
@@ -202,25 +167,22 @@ class DDCone:
     seed basis rows, from the same elimination as the seed rays.
     """
 
-    def __init__(self, dim: int, rows: list[IntVector]):
+    def __init__(self, dim: int, rows: list[IntVector], seed=None):
         self.dim = dim
-        basis_idx = _greedy_basis(rows, dim)
-        if len(basis_idx) < dim:
-            raise NotFullDimensional(f"constraint rank {len(basis_idx)} < {dim}")
-        cols, det = _adjugate_columns([rows[i] for i in basis_idx])
+        basis, seed_rays, det = seed or _seed(rows, dim)
+        if len(basis) < dim:
+            raise NotFullDimensional(f"constraint rank {len(basis)} < {dim}")
         self.seed_det = abs(det)
-        full = sum(1 << i for i in basis_idx)
+        sign = 1 if det > 0 else -1
+        full = sum(1 << i for i in basis)
         seed_ids = (1 << dim) - 1
         self.rows = list(rows)
         self.tight = [0] * len(rows)
         self.slots: list[tuple[IntVector, int] | None] = []
-        for j, (i, col) in enumerate(zip(basis_idx, cols)):
-            v = _reduce_ray(col)
-            if _idot(rows[i], v) < 0:
-                v = tuple(-x for x in v)
-            self.slots.append((v, full ^ (1 << i)))
+        for j, (i, ray) in enumerate(zip(basis, seed_rays)):
+            self.slots.append((_reduce_ray([sign * x for x in ray]), full ^ (1 << i)))
             self.tight[i] = seed_ids ^ (1 << j)
-        basis_set = set(basis_idx)
+        basis_set = set(basis)
         for i, row in enumerate(rows):
             if i not in basis_set:
                 self._insert(i, row)
@@ -339,7 +301,8 @@ def hull_facet_rays(vectors) -> list[tuple[IntVector, int, int]]:
     Returns (alpha, beta, tight_mask) triples: <x, alpha> + beta >= 0
     holds on all points with equality exactly on the tight set, and each
     facet appears once.  Derived from the extreme rays of the cone of
-    valid inequalities, which is pointed iff the set affinely spans.
+    valid inequalities, which is pointed iff the set affinely spans: the
+    cone raises NotFullDimensional otherwise.
     """
     d = len(vectors[0])
     rows = [v + (1,) for v in _lattice_points(vectors)]
@@ -362,11 +325,10 @@ def enumerate_facets(config: PointConfiguration) -> list[FacetCertificate]:
     each primitive facet inequality <x, alpha> + beta >= 0 has beta = 1
     and the normal is alpha itself; any other beta raises.  For the
     zero-dimensional configuration the single facet is the empty set.
+    Points that do not span their space raise NotFullDimensional.
     """
     if config.dim == 0:
         return [FacetCertificate((), ())]
-    if integer_rank(config.vectors) < config.dim:
-        raise NotFullDimensional("configuration does not span its space")
     rays = hull_facet_rays(config.vectors)
     if any(beta <= 0 for _, beta, _ in rays):
         raise TheoremViolation("origin not interior; cannot normalize facet")
@@ -389,30 +351,22 @@ def enumerate_facets(config: PointConfiguration) -> list[FacetCertificate]:
 # ---------------------------------------------------------------------------
 
 
-def regular_subdivision_supports(vectors, weights) -> list[tuple[Vector, Fraction, int]]:
+def regular_subdivision_supports(vectors, weights) -> list[tuple[IntVector, int]]:
     """Full-dimensional cells of the regular subdivision of a point set.
 
     Each cell is the tight set of a lower facet of the lifted hull, i.e.
     a vertex (gamma, h) of {(a, h) : <x_i, a> + w_i >= h}; those vertices
-    are the extreme rays with positive last coordinate of the homogenized
-    cone.  Returns (gamma, h, tight_mask) with masks over point indices.
+    are the extreme rays (t * gamma, t * h, t) with t > 0 of the
+    homogenized cone.  Returns each such primitive integer ray with its
+    tight mask over point indices, in the cone's ray order; dividing by
+    t is the caller's.  Raises NotFullDimensional unless the points
+    affinely span their space.
     """
     d = len(vectors[0])
-    if integer_rank(vectors) < d:
-        raise NotFullDimensional("point set does not span its space")
     rows = [tuple(v) + (-1, int(w)) for v, w in zip(vectors, weights)]
     rows.append((0,) * (d + 1) + (1,))
-    cone = DDCone(d + 2, rows)
-    cells = []
-    for v, mask in cone.rays:
-        t = v[-1]
-        if t == 0:
-            continue
-        gamma = tuple(Fraction(a, t) for a in v[:-2])
-        h = Fraction(v[-2], t)
-        cells.append((gamma, h, mask & ~(1 << len(vectors))))
-    cells.sort(key=lambda c: (c[0], c[1]))
-    return cells
+    drop = ~(1 << len(vectors))
+    return [(v, mask & drop) for v, mask in DDCone(d + 2, rows).rays if v[-1] > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +379,8 @@ class _PlacingState:
     normalized volume of every simplex.
 
     Places an affine basis first (the first points, in label order, that
-    raise the rank of the homogenized rows r = (x, 1)), then every other
+    raise the rank of the homogenized rows r = (x, 1), found by the
+    ``_seed`` pass that also seeds the cone), then every other
     point in label order, coning each new point over the hull facets it
     is beyond.  Any placing order yields a triangulation.  Starting from
     a basis keeps the hull full-dimensional throughout, so its facet list
@@ -456,7 +411,7 @@ class _PlacingState:
             raise NotFullDimensional("empty point set")
         d = len(vectors[0])
         rows = [v + (1,) for v in vectors]
-        basis = _greedy_basis(rows, d + 1)
+        basis, seed_rays, det = _seed(rows, d + 1)
         if len(basis) < d + 1:
             raise NotFullDimensional(f"affine dimension {len(basis) - 1} < {d}")
         chosen = set(basis)
@@ -465,9 +420,9 @@ class _PlacingState:
         # (column, entry) pairs of each row's nonzero entries, for the
         # facet dot products of the volume ratios.
         self.sparse = [[(c, a) for c, a in enumerate(r) if a] for r in self.rows]
-        self.cone = DDCone(d + 1, self.rows[: d + 1])
+        # The cone's seed basis is its d + 1 rows, in this order.
+        self.cone = DDCone(d + 1, self.rows[: d + 1], (list(range(d + 1)), seed_rays, det))
         full = (1 << (d + 1)) - 1
-        # The cone's seed basis is these d + 1 rows, in this order.
         seed = self.cone.seed_det
         self.simplices: list[int] = [full]
         self.volume = seed

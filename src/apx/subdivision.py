@@ -10,7 +10,6 @@ that edge, with pairs of facets of the two contracted halves.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -18,13 +17,15 @@ from .errors import (
     CorrespondenceViolation,
     EdgeNotInGraph,
     NotAValidSharedEdgeDecomposition,
+    TheoremViolation,
 )
-from .exactlin import Vector, common_denominator, format_scalar
+from .exactlin import IntVector
 from .graphcore import Graph, contract_edge, edge, vertices_of
 from .polytope import (
     DirectedEdge,
     FacetCertificate,
     PointConfiguration,
+    _idot,
     build_configuration,
     enumerate_facets,
     normalized_volume_of_cell,
@@ -42,15 +43,16 @@ def lift_weight(label: DirectedEdge, e: Edge) -> int:
 
 class _CellFields(NamedTuple):
     points: tuple[DirectedEdge, ...]
-    gamma: Vector
-    height: Fraction
+    gamma: IntVector
+    height: int
     dim: int
 
 
 class Cell(_CellFields):
     """A cell of the subdivision: the configuration points on one lower
     facet, with the normal gamma and support level h of that facet
-    normalized so the lifted normal is (gamma, 1).  It subclasses its
+    normalized so the lifted normal is (gamma, 1).  Both are integers
+    (``edge_contraction_subdivision`` checks it).  It subclasses its
     fields' NamedTuple to get the ``__dict__`` that ``nvol`` is cached in."""
 
     def vectors(self) -> list[tuple[int, ...]]:
@@ -72,14 +74,20 @@ class Cell(_CellFields):
     def to_json_dict(self) -> dict:
         return {
             "points": [list(lab) for lab in self.points],
-            "gamma": [format_scalar(g) for g in self.gamma],
-            "h": format_scalar(self.height),
+            "gamma": [str(g) for g in self.gamma],
+            "h": str(self.height),
         }
 
 
 def edge_contraction_subdivision(g: Graph, e: Edge) -> list[Cell]:
     """All cells of the subdivision induced by contracting e, in canonical
-    (lexicographic on gamma) order."""
+    (lexicographic on gamma) order.
+
+    Each lift ray (t * gamma, t * h, t) is divided by t, which must divide
+    every entry: gamma projects onto a facet normal of the contracted
+    graph's reflexive polytope, so it is integral, and h = 0.  A ray with
+    a fractional gamma or h raises TheoremViolation.
+    """
     e = edge(*e)
     if e not in g.edges:
         raise EdgeNotInGraph(f"{e} not in graph")
@@ -87,14 +95,18 @@ def edge_contraction_subdivision(g: Graph, e: Edge) -> list[Cell]:
     n = config.dim
     if len(g.edges) == 1:
         # The lift is affine here, so the subdivision is the whole polytope.
-        return [Cell(config.labels, (Fraction(0),) * n, Fraction(0), n)]
+        return [Cell(config.labels, (0,) * n, 0, n)]
     weights = [lift_weight(lab, e) for lab in config.labels]
     cells = []
-    for gamma, h, mask in regular_subdivision_supports(config.vectors, weights):
+    for ray, mask in regular_subdivision_supports(config.vectors, weights):
+        t = ray[-1]
+        if any(x % t for x in ray):
+            raise TheoremViolation(f"lift ray {ray} is not integral after division by {t}")
         labels = tuple(
             sorted(config.labels[i] for i in range(len(config.labels)) if mask >> i & 1)
         )
-        cells.append(Cell(labels, gamma, h, n))
+        cells.append(Cell(labels, tuple(x // t for x in ray[:-2]), ray[-2] // t, n))
+    cells.sort(key=lambda c: (c.gamma, c.height))
     return cells
 
 
@@ -119,17 +131,19 @@ def _project_labels(points, e: Edge, mapping: dict[int, int]) -> tuple[DirectedE
     return tuple(sorted(out))
 
 
-def _projected_normal(gamma: Vector, e: Edge, mapping: dict[int, int], new_dim: int) -> Vector:
+def _projected_normal(
+    gamma: IntVector, e: Edge, mapping: dict[int, int], new_dim: int
+) -> IntVector:
     """Normal of the image facet read off gamma, using gamma_0 := 0.
 
     Well defined because gamma agrees on the two merged nodes (the h = 0
     corollary); a disagreement is a correspondence violation.
     """
-    full = (Fraction(0),) + tuple(gamma)
+    full = (0,) + tuple(gamma)
     k1, k2 = e
     if full[k1] != full[k2]:
         raise CorrespondenceViolation(f"gamma differs on contracted nodes {e}")
-    out = [Fraction(0)] * (new_dim + 1)
+    out = [0] * (new_dim + 1)
     for node, image in mapping.items():
         out[image] = full[node]
     if out[0] != 0:
@@ -260,17 +274,13 @@ def verify_cell_support(
     points, strictly above elsewhere, with h = 0 on the contracted pair.
 
     ``config`` is g's configuration, for callers that check many cells.
-    The levels are compared in integers, with gamma and h scaled by their
-    common denominator.
     """
     if config is None:
         config = build_configuration(g)
-    scale = common_denominator(cell.gamma + (cell.height,))
-    gamma = [int(x * scale) for x in cell.gamma]
-    height = int(cell.height * scale)
+    gamma, height = cell.gamma, cell.height
     members = set(cell.points)
     for lab, x in zip(config.labels, config.vectors):
-        value = sum(a * b for a, b in zip(x, gamma)) + scale * lift_weight(lab, e)
+        value = _idot(x, gamma) + lift_weight(lab, e)
         if lab in members:
             if value != height:
                 return False

@@ -3,7 +3,6 @@ one (graph, contraction edge) instance and report pass/fail evidence."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .cellanalysis import (
@@ -102,7 +101,7 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     config = build_configuration(g)
     ok = True
     for cell in cells:
-        full_gamma = (Fraction(0),) + tuple(cell.gamma)
+        full_gamma = (0,) + cell.gamma
         if cell.height != 0 or full_gamma[e[0]] != full_gamma[e[1]]:
             ok = False
             break

@@ -223,7 +223,7 @@ def interior_lift_subcells(cell, point):
     weights = [1 if lab == point else 0 for lab in cell.points]
     return [
         tuple(lab for i, lab in enumerate(cell.points) if mask >> i & 1)
-        for _, _, mask in regular_subdivision_supports(cell.vectors(), weights)
+        for _, mask in regular_subdivision_supports(cell.vectors(), weights)
     ]
 
 

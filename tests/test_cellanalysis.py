@@ -17,6 +17,7 @@ from conftest import (
     star_graph,
 )
 
+import apx.cellanalysis as cellanalysis
 from apx.cellanalysis import (
     Signature,
     _is_circuit,
@@ -39,6 +40,7 @@ from apx.cellanalysis import (
 from apx.errors import (
     NotCorankOne,
     PreconditionViolated,
+    TheoremViolation,
     TreeMissingContractedEdge,
     UnsupportedCorank,
 )
@@ -282,6 +284,19 @@ def test_cell_volume_corank2_cell():
     assert gamma * delta == 1
     assert cell_volume_closed_form(cell, (0, 3)) == 4
     assert normalized_volume_of_cell(cell.vectors()) == 4
+
+
+def test_corank2_closed_form_needs_an_even_numerator(monkeypatch):
+    # The closed form is (m1 * m2 - 4 * gamma * delta) / 2.  A forced odd
+    # numerator, from the triangle taken twice and no shared-edge census,
+    # must raise, although its floor 9 // 2 = 4 equals the oracle.
+    cell = corank2_cell()
+    _, undirected = cell_subgraphs(cell.points)
+    o1, _ = corank2_cycle_pair(undirected, (0, 3))
+    monkeypatch.setattr(cellanalysis, "corank2_cycle_pair", lambda *args: (o1, o1))
+    monkeypatch.setattr(cellanalysis, "corank2_gamma_delta", lambda *args: (0, 0))
+    with pytest.raises(TheoremViolation, match="closed form 9/2 is not a positive integer"):
+        cell_volume_closed_form(cell, (0, 3))
 
 
 def test_unsupported_corank_raises():

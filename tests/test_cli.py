@@ -264,7 +264,7 @@ def test_cli_import_defers_the_analysis_layers():
     script = textwrap.dedent(
         """
         import json, sys
-        heavy = ("dataclasses", "inspect")
+        heavy = ("dataclasses", "inspect", "fractions", "decimal")
         import apx.cli
         loaded = sorted(m for m in sys.modules if m.startswith("apx."))
         heavy_after_cli = [m for m in heavy if m in sys.modules]

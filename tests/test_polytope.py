@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
@@ -30,6 +31,7 @@ from apx.polytope import (
     PointConfiguration,
     _at_least,
     _PlacingState,
+    _seed,
     build_configuration,
     enumerate_facets,
     hull_facet_rays,
@@ -226,6 +228,69 @@ def test_volume_lower_dimensional_raises():
         normalized_volume_of_points([(0, 0), (1, 1), (2, 2)])
     with pytest.raises(NotFullDimensional):
         placing_triangulation([(0, 0), (1, 1), (2, 2)])
+    # Facets and lower hulls raise from their cone's rank test, on points
+    # that span a line, and on points that span R^2 linearly but lie on
+    # one affine line.
+    line = ((1, 1), (-1, -1), (2, 2))
+    for vectors in (line, ((1, 0), (0, 1), (2, -1))):
+        config = PointConfiguration(2, ((0, 1), (1, 0), (1, 2)), vectors)
+        with pytest.raises(NotFullDimensional):
+            enumerate_facets(config)
+        with pytest.raises(NotFullDimensional):
+            regular_subdivision_supports(vectors, [0, 1, 0])
+
+
+def _reference_greedy_basis(rows, size):
+    """The first rows that each raise the rank, by reference ranks."""
+    basis = []
+    for i, row in enumerate(rows):
+        if len(basis) < size and reference_rank([rows[k] for k in basis] + [row]) > len(basis):
+            basis.append(i)
+    return basis
+
+
+def test_seed_basis_skips_dependent_rows():
+    # Row 1 = 2 * row 0 and row 3 = row 0 + row 2 raise no rank.
+    rows = [(1, 2, 0), (2, 4, 0), (0, 1, 1), (1, 3, 1), (0, 0, 5), (3, 1, 4)]
+    basis, _, d = _seed(rows, 3)
+    assert basis == [0, 2, 4] == _reference_greedy_basis(rows, 3)
+    assert abs(d) == abs(integer_determinant([rows[i] for i in basis])) == 5
+    # Random rows, each a combination of earlier ones with probability
+    # one half: the basis is the greedy one, also when it is short, and
+    # on a full basis B the right block is d * B^-T with d = +-det B.
+    rng = random.Random(89)
+    for _ in range(80):
+        dim = rng.randint(1, 5)
+        rows = []
+        for _ in range(rng.randint(0, dim + 3)):
+            if rows and rng.random() < 0.5:
+                row = [0] * dim
+                for earlier in rng.sample(rows, rng.randint(1, len(rows))):
+                    c = rng.randint(-2, 2)
+                    row = [a + c * b for a, b in zip(row, earlier)]
+            else:
+                row = [rng.randint(-3, 3) for _ in range(dim)]
+            rows.append(tuple(row))
+        basis, rays, d = _seed(rows, dim)
+        assert basis == _reference_greedy_basis(rows, dim)
+        if len(basis) < dim:
+            with pytest.raises(NotFullDimensional):
+                DDCone(dim, rows)
+            continue
+        b = [rows[i] for i in basis]
+        assert abs(d) == abs(integer_determinant(b)) > 0
+        for j, ray in enumerate(rays):
+            assert [sum(x * y for x, y in zip(row, ray)) for row in b] == [
+                d * (i == j) for i in range(dim)
+            ]
+        # The placing oracle places the greedy affine basis first: its
+        # positions 0..d are the bits of the seed simplex's mask.
+        points = sorted(set(rows))
+        homogenized = [p + (1,) for p in points]
+        if reference_rank(homogenized) == dim + 1:
+            state = _PlacingState(points)
+            assert state.order[: dim + 1] == _reference_greedy_basis(homogenized, dim + 1)
+            assert state.simplices[0] == (1 << (dim + 1)) - 1
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -269,7 +334,12 @@ def test_regular_subdivision_matches_brute_force():
         g = random_connected_graph(rng, max_nodes=5, max_edges=7)
         config = build_configuration(g)
         weights = [rng.randint(0, 2) for _ in config.labels]
-        got = regular_subdivision_supports(config.vectors, weights)
+        # Weights 0 to 2 can give rational lower facets: divide each ray
+        # (t * gamma, t * h, t) by t here, and sort as the brute force does.
+        got = sorted(
+            (tuple(Fraction(a, ray[-1]) for a in ray[:-2]), Fraction(ray[-2], ray[-1]), mask)
+            for ray, mask in regular_subdivision_supports(config.vectors, weights)
+        )
         expected = brute_force_subdivision(config.vectors, weights, config.dim)
         assert len(got) == len(expected)
         for (gamma, h, mask), ((bg, bh), bsupport) in zip(got, expected):
@@ -278,7 +348,7 @@ def test_regular_subdivision_matches_brute_force():
 
 
 def test_ddcone_seed_is_primitive_inverse_columns():
-    # The adjugate seed must give, for each basis row j, the primitive
+    # The seed must give, for each basis row j, the primitive
     # integer multiple of column j of the inverse, oriented into the cone.
     rng = random.Random(83)
     for _ in range(40):

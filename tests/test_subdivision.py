@@ -12,8 +12,9 @@ from conftest import (
     random_connected_graph,
 )
 
+import apx.subdivision as subdivision
 from apx.cellanalysis import Signature, cell_volume_closed_form, subset_corank
-from apx.errors import EdgeNotInGraph, NotAValidSharedEdgeDecomposition
+from apx.errors import EdgeNotInGraph, NotAValidSharedEdgeDecomposition, TheoremViolation
 from apx.graphcore import Graph, contract_edge
 from apx.polytope import build_configuration, enumerate_facets, normalized_volume
 from apx.polytope import normalized_volume_of_cell
@@ -100,18 +101,32 @@ def test_cells_contain_contracted_pair_and_h_zero():
             assert verify_cell_support(g, e, cell)
 
 
+def test_lift_ray_with_fractional_entries_raises(monkeypatch):
+    # A lift ray (t * gamma, t * h, t) is divided by t; when t does not
+    # divide every entry the cell's normal would be rational, which the
+    # reflexivity of the contracted polytope rules out.
+    rays = [((1, 0, 0, 0, 2), 0b1111)]
+    monkeypatch.setattr(subdivision, "regular_subdivision_supports", lambda *args: rays)
+    with pytest.raises(TheoremViolation, match="not integral after division by 2"):
+        edge_contraction_subdivision(cycle_graph(4), (0, 3))
+    # A non-primitive ray whose t divides every entry is divided exactly.
+    rays[0] = ((2, 0, -2, 0, 2), 0b1111)
+    (cell,) = edge_contraction_subdivision(cycle_graph(4), (0, 3))
+    assert cell.gamma == (1, 0, -1) and cell.height == 0
+
+
 def test_verify_cell_support_levels_in_integers():
     g = running_example()
     e = (0, 3)
     config = build_configuration(g)
     for cell in edge_contraction_subdivision(g, e):
         assert verify_cell_support(g, e, cell, config)
-        # A third off the first coordinate of gamma, or a half off the
-        # level, must break the support; both need the common denominator.
-        shifted = (cell.gamma[0] + Fraction(1, 3),) + tuple(cell.gamma[1:])
+        # One off the first coordinate of gamma, or one off the level,
+        # must break the support.
+        shifted = (cell.gamma[0] + 1,) + tuple(cell.gamma[1:])
         assert not verify_cell_support(g, e, Cell(cell.points, shifted, cell.height, cell.dim))
         assert not verify_cell_support(
-            g, e, Cell(cell.points, cell.gamma, Fraction(1, 2), cell.dim), config
+            g, e, Cell(cell.points, cell.gamma, cell.height + 1, cell.dim), config
         )
 
 
