@@ -27,6 +27,7 @@ POLYTOPE = "src/apx/polytope.py"
 CLI = "src/apx/cli.py"
 SUBDIVISION = "src/apx/subdivision.py"
 CELLANALYSIS = "src/apx/cellanalysis.py"
+GRAPHCORE = "src/apx/graphcore.py"
 
 MUTANTS = (
     Mutant(
@@ -139,6 +140,48 @@ MUTANTS = (
         "        if twice % 2 or twice <= 0:\n",
         "        if twice <= 0:\n",
         ("tests/test_cellanalysis.py::test_corank2_closed_form_needs_an_even_numerator",),
+    ),
+    Mutant(
+        "cellanalysis: order the contracted edge first in the record's forest",
+        CELLANALYSIS,
+        "key=lambda f: (f in arcs and f[::-1] in arcs, f)",
+        "key=lambda f: (not (f in arcs and f[::-1] in arcs), f)",
+        ("tests/test_cellanalysis.py::test_cell_properties_corank2_cell_basis",),
+    ),
+    Mutant(
+        "graphcore: plain-cycle test without its one cycle through every edge",
+        GRAPHCORE,
+        "            and len(self.cycles) == 1\n"
+        "            and len(self.cycles[0]) == len(self.tree) + 1\n",
+        "",
+        (
+            "tests/test_graphcore.py::test_is_balanced_cycle_rejects_non_cycles",
+            "tests/test_cellanalysis.py::test_subset_dependent_but_not_minimal",
+        ),
+    ),
+    Mutant(
+        "cellanalysis: drop the circuit-versus-plain-cycle check",
+        CELLANALYSIS,
+        "    if minimal != graph_side:\n",
+        "    if False:\n",
+        ("tests/test_cellanalysis.py::test_graph_side_faults_raise_theorem_violations",),
+    ),
+    Mutant(
+        "cellanalysis: drop the corank-versus-cyclomatic-number check",
+        CELLANALYSIS,
+        "    if corank != rec.cyclomatic:\n",
+        "    if False:\n",
+        (
+            "tests/test_cellanalysis.py::test_graph_side_faults_raise_theorem_violations",
+            "tests/test_verify.py::test_theorem_checks_survive_python_O",
+        ),
+    ),
+    Mutant(
+        "cellanalysis: drop the corank-1 signature check",
+        CELLANALYSIS,
+        "    if (pos, neg, zero) != expected:\n",
+        "    if False:\n",
+        ("tests/test_cellanalysis.py::test_graph_side_faults_raise_theorem_violations",),
     ),
     Mutant(
         "cli: drop sorted on the report's top-level keys",

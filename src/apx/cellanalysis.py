@@ -4,12 +4,14 @@ maximum corank realization, and closed-form cell volumes.
 
 Every statement about a point set reads one ``CellRecord``: one
 fraction-free elimination of its homogenized points (the affine rank and
-the primitive integer kernel) and one pass over its subgraph (vertices,
-components, cyclomatic number).  Corank, dependence, the corank-1
-signature and the Radon split all come from the kernel; each check
-compares that point side with the graph side and never derives one from
-the other.  The record is built where a statement needs it and passed
-down, not kept for the run.
+the primitive integer kernel) and one ``graphcore.forest`` pass over its
+subgraph (components and fundamental cycles).  Corank, dependence, the
+corank-1 signature and the Radon split all come from the kernel;
+cyclomatic number, balancedness, the plain-cycle test, the odd basis
+cycles, the corank-1 circumference and the corank-2 cycle pair all come
+from the cycles.  Each check compares that point side with the graph
+side and never derives one from the other.  The record is built where a
+statement needs it and passed down, not kept for the run.
 
 Every closed form is cross-checked against the exact triangulation
 oracle, so these functions double as theorem checkers; a disagreement
@@ -24,7 +26,6 @@ from typing import NamedTuple
 from . import exactlin
 from .errors import (
     EdgeNotInGraph,
-    NoSuchSpanningTree,
     NotCorankOne,
     NoValidCyclePair,
     PreconditionViolated,
@@ -32,19 +33,7 @@ from .errors import (
     TreeMissingContractedEdge,
     UnsupportedCorank,
 )
-from .graphcore import (
-    Graph,
-    all_cycles,
-    circumference,
-    components_of_edges,
-    cyclomatic_number,
-    edge,
-    fundamental_cycles_of,
-    is_balanced_subgraph,
-    is_cycle,
-    vertices_of,
-    _tree_path,
-)
+from .graphcore import Forest, Graph, cyclomatic_number, edge, forest, is_cycle, vertices_of
 from .polytope import DirectedEdge, IntVector, _idot, _seed, phi
 from .subdivision import Cell, edge_contraction_subdivision
 
@@ -74,33 +63,39 @@ def _check_pairing(labels, e: Edge) -> bool:
 
 
 class CellRecord(NamedTuple):
-    """What one elimination and one pass over the subgraph say about a
-    point set, a cell or a subset of one.  The point side (vectors, rank,
-    kernel) and the graph side (arcs, undirected subgraph, its vertices,
-    components and cyclomatic number) are computed apart, so every check
-    that reads the record compares two independent derivations."""
+    """What one elimination and one forest pass say about a point set, a
+    cell or a subset of one.  The point side (vectors, rank, kernel) and
+    the graph side (arcs, undirected subgraph, its vertices and its
+    spanning forest) are computed apart, so every check that reads the
+    record compares two independent derivations."""
 
     labels: tuple[DirectedEdge, ...]
     vectors: tuple[IntVector, ...]
     arcs: frozenset[DirectedEdge]
     undirected: frozenset[Edge]
     vertices: set[int]
-    components: list[set[int]]
-    cyclomatic: int
+    forest: Forest
     rank: int
     kernel: tuple[IntVector, ...]
+
+    @property
+    def cyclomatic(self) -> int:
+        return len(self.forest.cycles)
 
 
 def cell_record(labels, dim: int) -> CellRecord:
     """The record of a point set: one ``exactlin.affine_kernel`` pass
-    over its points and one pass over its subgraph."""
+    over its points and one ``forest`` pass over its subgraph, in sorted
+    order with the doubled edge (the one both of whose arcs are points)
+    last.  Under the pairing precondition that edge is the contracted
+    one, so the forest avoids it unless it is a bridge."""
     labels = tuple(labels)
     vectors = tuple(phi(lab, dim) for lab in labels)
     rank, kernel = exactlin.affine_kernel(vectors)
     arcs, undirected = cell_subgraphs(labels)
+    order = sorted(undirected, key=lambda f: (f in arcs and f[::-1] in arcs, f))
     return CellRecord(
-        labels, vectors, arcs, undirected, vertices_of(undirected),
-        components_of_edges(undirected), cyclomatic_number(undirected), rank, kernel,
+        labels, vectors, arcs, undirected, vertices_of(undirected), forest(order), rank, kernel
     )
 
 
@@ -120,7 +115,7 @@ def _is_circuit(rec: CellRecord, e: Edge) -> bool:
     # zero coefficient.
     _check_pairing(rec.labels, e)
     minimal = len(rec.kernel) == 1 and all(rec.kernel[0])
-    graph_side = is_cycle(rec.undirected)
+    graph_side = rec.forest.is_cycle
     if minimal != graph_side:
         raise TheoremViolation(f"circuit test {minimal} != cycle test {graph_side}")
     return minimal
@@ -131,7 +126,7 @@ def _dimension(rec: CellRecord, e: Edge) -> int:
     # when both of its points are in X.
     indicator = 1 if _check_pairing(rec.labels, e) else 0
     affine_dim = rec.rank - 1
-    formula = len(rec.vertices) + indicator - len(rec.components) - 1
+    formula = len(rec.vertices) + indicator - len(rec.forest.components) - 1
     if affine_dim != formula:
         raise TheoremViolation(f"dimension {affine_dim} != formula {formula}")
     return affine_dim
@@ -176,17 +171,18 @@ class Signature(NamedTuple):
 
 
 def _signature(rec: CellRecord, e: Edge) -> Signature:
-    _check_pairing(rec.labels, e)
-    if len(rec.kernel) != 1:
-        raise NotCorankOne(f"corank {len(rec.kernel)} != 1")
+    corank = _corank(rec, e)
+    if corank != 1:
+        raise NotCorankOne(f"corank {corank} != 1")
+    # The corank check has matched one dependence with one cycle.
     (lam,) = rec.kernel
+    (cycle,) = rec.forest.cycles
     pos = sum(1 for x in lam if x > 0)
     neg = sum(1 for x in lam if x < 0)
     zero = len(lam) - pos - neg
     if pos < neg:
         pos, neg = neg, pos
-    m = circumference(rec.undirected)
-    half = -(-m // 2)
+    half = -(-len(cycle) // 2)
     expected = (half, half, len(rec.labels) - 2 * half)
     if (pos, neg, zero) != expected:
         raise TheoremViolation(f"signature {(pos, neg, zero)} != {expected}")
@@ -287,13 +283,14 @@ def _reachable(arcs, start: int, goal: int) -> bool:
     return False
 
 
-def verify_cell_properties(g: Graph, e: Edge, cell: Cell) -> CellPropertiesReport:
-    """Check the five structural properties of the cell subgraphs."""
+def verify_cell_properties(g: Graph, e: Edge, rec: CellRecord) -> CellPropertiesReport:
+    """Check the five structural properties of a cell's subgraphs, read
+    off the cell's record."""
     k1, k2 = e
-    arcs, undirected = cell_subgraphs(cell.points)
+    arcs = rec.arcs
     p, q = _contracted_pair(e)
 
-    rest = frozenset(arcs) - {p, q}
+    rest = arcs - {p, q}
     only_cycle = (
         p in arcs
         and q in arcs
@@ -302,7 +299,7 @@ def verify_cell_properties(g: Graph, e: Edge, cell: Cell) -> CellPropertiesRepor
         and not _reachable(rest, k1, k2)
     )
 
-    spans = vertices_of(undirected) == set(range(g.node_count))
+    spans = rec.vertices == set(range(g.node_count))
 
     def swap(v: int) -> int:
         return k2 if v == k1 else k1 if v == k2 else v
@@ -316,14 +313,12 @@ def verify_cell_properties(g: Graph, e: Edge, cell: Cell) -> CellPropertiesRepor
             closed = False
             break
 
-    balanced = is_balanced_subgraph(undirected, e)
-
-    try:
-        basis_cycles = fundamental_cycles_of(undirected, forbid=edge(*e))
-    except NoSuchSpanningTree:
-        # The contracted edge is a bridge of G_C: no cycle contains it.
-        basis_cycles = fundamental_cycles_of(undirected)
-    odd = sum(1 for cyc in basis_cycles if len(cyc) % 2 == 1)
+    # Balancedness is Z2-linear on the cycle space, so the fundamental
+    # cycles of any spanning forest decide it.  The record's forest avoids
+    # the contracted edge unless it is a bridge of G_C.
+    cycles = rec.forest.cycles
+    balanced = all(len(c - {edge(*e)}) % 2 == 0 for c in cycles)
+    odd = sum(len(c) % 2 for c in cycles)
 
     return CellPropertiesReport(only_cycle, spans, closed, balanced, odd)
 
@@ -338,18 +333,16 @@ def max_corank(
 ) -> tuple[int, Cell]:
     """Maximum corank over the subdivision's cells, with a witness cell.
     ``coranks`` may give each cell's corank as its analysis found it, or
-    None for a cell whose analysis failed; only those cells are
-    eliminated here."""
+    None for a cell whose analysis failed, which is left out; without
+    it, every cell is analysed here."""
     if cells is None:
         cells = edge_contraction_subdivision(g, e)
     if coranks is None:
-        coranks = [None] * len(cells)
+        coranks = [_corank(cell_record(c.points, c.dim), e) for c in cells]
     best_cell = None
     best = -1
     for cell, corank in zip(cells, coranks):
-        if corank is None:
-            corank = _corank(cell_record(cell.points, cell.dim), e)
-        if corank > best:
+        if corank is not None and corank > best:
             best, best_cell = corank, cell
     return best, best_cell
 
@@ -371,15 +364,22 @@ def build_alternating_basis(g: Graph, e: Edge, tree_edges) -> tuple[DirectedEdge
     if vertices_of(tree) != set(range(g.node_count)) and g.node_count > 1:
         raise ValueError("tree does not span the graph")
 
+    # Walk the tree from the contracted edge, taken as one root: a node
+    # at an even distance from it points at its parent, an odd one away.
+    adj: dict[int, list[int]] = {}
+    for u, v in tree:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
     labels = list(_contracted_pair(e))
-    for i in range(g.node_count):
-        if i in (k1, k2):
-            continue
-        path = _tree_path(tree, k1, i)
-        r = len(path) - 1
-        a, b = path[-1], path[-2]
-        sign = (-1) ** (r - 1) if path[1] == k2 else (-1) ** r
-        labels.append((a, b) if sign == 1 else (b, a))
+    depth = {k1: 0, k2: 0}
+    stack = [k1, k2]
+    while stack:
+        b = stack.pop()
+        for a in adj[b]:
+            if a not in depth:
+                depth[a] = depth[b] + 1
+                labels.append((a, b) if depth[a] % 2 == 0 else (b, a))
+                stack.append(a)
 
     x = tuple(sorted(labels))
     n = g.node_count - 1
@@ -414,18 +414,21 @@ def build_alternating_basis(g: Graph, e: Edge, tree_edges) -> tuple[DirectedEdge
 # ---------------------------------------------------------------------------
 
 
-def corank2_cycle_pair(undirected, e: Edge) -> tuple[frozenset[Edge], frozenset[Edge]]:
-    """Basis pair of plain cycles for a corank-2 cell subgraph: the second
-    cycle even and avoiding the contracted edge; lexicographically least
-    such pair.  Any two distinct cycles of a cyclomatic-number-2 graph
-    are a basis of its cycle space."""
+def corank2_cycle_pair(cycles, e: Edge) -> tuple[frozenset[Edge], frozenset[Edge]]:
+    """Basis pair of plain cycles for a corank-2 cell subgraph, given its
+    two fundamental ``cycles``: the second cycle even and avoiding the
+    contracted edge; lexicographically least such pair.  Any two distinct
+    cycles of a cyclomatic-number-2 graph are a basis of its cycle space."""
     e = edge(*e)
-    cycles = all_cycles(undirected)
+    c1, c2 = cycles
+    # The third element of the cycle space is a plain cycle exactly when
+    # the two share an edge: their union is then a theta graph.
+    plain = [c1, c2, c1 ^ c2] if c1 & c2 else [c1, c2]
     candidates = []
-    for o2 in cycles:
+    for o2 in plain:
         if len(o2) % 2 != 0 or e in o2:
             continue
-        for o1 in cycles:
+        for o1 in plain:
             if o1 != o2:
                 candidates.append((tuple(sorted(o1)), tuple(sorted(o2))))
     if not candidates:
@@ -496,9 +499,9 @@ def _closed_form(cell: Cell, e: Edge, rec: CellRecord) -> int:
     if corank == 0:
         result = 2
     elif corank == 1:
-        result = circumference(rec.undirected)
+        result = len(rec.forest.cycles[0])
     elif corank == 2:
-        o1, o2 = corank2_cycle_pair(rec.undirected, e)
+        o1, o2 = corank2_cycle_pair(rec.forest.cycles, e)
         gamma, delta = corank2_gamma_delta(rec.arcs, o1, o2, e)
         m1, m2 = len(o1), len(o2)
         twice = m1 * m2 - 4 * gamma * delta
@@ -552,14 +555,14 @@ def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
     plain cycle, signatures of corank-1 cells, and volume closed forms
     against the oracle.  Every statement reads one record of the cell."""
     rec = cell_record(cell.points, cell.dim)
-    properties = verify_cell_properties(g, e, cell)
+    properties = verify_cell_properties(g, e, rec)
     corank = _corank(rec, e)
     cyclomatic = rec.cyclomatic
     simplicial = cell.is_simplicial()
     spanning_tree = (
         cyclomatic == 0
         and rec.vertices == set(range(g.node_count))
-        and len(rec.components) == 1
+        and len(rec.forest.components) == 1
     )
     circuit = _is_circuit(rec, e)
     dependent = bool(rec.kernel)
@@ -569,7 +572,7 @@ def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
         "properties": properties.all_pass(),
         "corank_equals_cyclomatic": corank == cyclomatic,
         "simplicial_iff_spanning_tree": simplicial == spanning_tree,
-        "circuit_iff_plain_cycle": circuit == is_cycle(rec.undirected),
+        "circuit_iff_plain_cycle": circuit == rec.forest.is_cycle,
         "dependent_iff_cyclic": dependent == (cyclomatic > 0),
         "volume_closed_form": closed is None or closed == oracle,
     }
@@ -612,7 +615,8 @@ def classify_special_graphs(
     trees and even cycles give only simplicial cells (a triangulation),
     odd cycles give only circuits.  ``circuits`` may give each cell's
     circuit verdict as its analysis found it, or None for a cell whose
-    analysis failed; only those cells are eliminated here."""
+    analysis failed, which counts as no circuit; without it, every cell
+    is analysed here."""
     edges = g.edges
     if cyclomatic_number(edges) == 0:
         kind = "tree"
@@ -623,11 +627,5 @@ def classify_special_graphs(
     if kind in ("tree", "even_cycle"):
         return SpecialGraphReport(kind, all_simplicial=all(c.is_simplicial() for c in cells))
     if circuits is None:
-        circuits = [None] * len(cells)
-    return SpecialGraphReport(
-        kind,
-        all_circuits=all(
-            _is_circuit(cell_record(c.points, c.dim), e) if circuit is None else circuit
-            for c, circuit in zip(cells, circuits)
-        ),
-    )
+        circuits = [_is_circuit(cell_record(c.points, c.dim), e) for c in cells]
+    return SpecialGraphReport(kind, all_circuits=all(circuits))

@@ -17,10 +17,6 @@ class NotACycle(ApxError):
     """Edge set does not form a single cycle."""
 
 
-class NoSuchSpanningTree(ApxError):
-    """No spanning tree satisfies the include/exclude constraint."""
-
-
 class DisconnectedGraph(ApxError):
     """Operation requires a connected graph."""
 

@@ -3,6 +3,13 @@
 Nodes are labelled 0..n.  Edges are unordered pairs stored as sorted
 tuples.  An edge subset ("subgraph") is any frozenset of such pairs; its
 vertex set is the set of endpoints.
+
+What this module says about the cycle space of a subgraph reads one
+``forest`` pass over it: a Kruskal spanning forest in the caller's edge
+order, the components, and the fundamental cycle of each non-tree edge.
+Components, cyclomatic number (the number of those cycles), the
+plain-cycle and balancedness tests and the cycle enumeration are reads
+of that pass.
 """
 
 from __future__ import annotations
@@ -11,13 +18,7 @@ import json
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import (
-    DisconnectedGraph,
-    EdgeNotInGraph,
-    NoSuchSpanningTree,
-    NotACycle,
-    ParseError,
-)
+from .errors import EdgeNotInGraph, NotACycle, ParseError
 
 Edge = tuple[int, int]
 EdgeSet = frozenset[Edge]
@@ -131,20 +132,84 @@ def vertices_of(edges) -> set[int]:
     return {v for e in edges for v in e}
 
 
+class Forest(NamedTuple):
+    """What one Kruskal pass says about an edge set: a spanning forest,
+    the connected components, and the fundamental cycle of each non-tree
+    edge, in the order the edges came."""
+
+    tree: EdgeSet
+    components: list[set[int]]
+    cycles: tuple[EdgeSet, ...]
+
+    @property
+    def is_cycle(self) -> bool:
+        """The edge set is one plain cycle: connected, with one cycle that
+        holds every edge."""
+        return (
+            len(self.components) == 1
+            and len(self.cycles) == 1
+            and len(self.cycles[0]) == len(self.tree) + 1
+        )
+
+
+def forest(edges) -> Forest:
+    """One Kruskal pass over distinct edges in the order given.  An edge
+    joins the forest unless the edges before it already connect its ends,
+    so the first edge is always in the forest and the last is in it
+    exactly when it is a bridge.  Each tree is then rooted, and a non-tree
+    edge's cycle is found by walking its two ends up to where they meet."""
+    root: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    adj: dict[int, list[int]] = {}
+    tree, nontree = [], []
+    for u, v in edges:
+        a, b = find(root.setdefault(u, u)), find(root.setdefault(v, v))
+        if a == b:
+            nontree.append((u, v))
+            continue
+        root[a] = b
+        tree.append((u, v))
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+
+    parent: dict[int, int] = {}
+    depth: dict[int, int] = {}
+    components = []
+    for r in adj:
+        if r in depth:
+            continue
+        depth[r] = 0
+        component, stack = {r}, [r]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in depth:
+                    depth[y], parent[y] = depth[x] + 1, x
+                    component.add(y)
+                    stack.append(y)
+        components.append(component)
+
+    cycles = []
+    for u, v in nontree:
+        cycle = {(u, v)}
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            cycle.add(edge(u, parent[u]))
+            u = parent[u]
+        cycles.append(frozenset(cycle))
+    return Forest(frozenset(tree), components, tuple(cycles))
+
+
 def components_of_edges(edges) -> list[set[int]]:
     """Connected components of the subgraph spanned by an edge set."""
-    verts = vertices_of(edges)
-    adj: dict[int, set[int]] = {v: set() for v in verts}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    comps = []
-    remaining = set(verts)
-    while remaining:
-        comp = _component_of(next(iter(remaining)), adj)
-        comps.append(comp)
-        remaining -= comp
-    return comps
+    return forest(frozenset(edges)).components
 
 
 def contract_edge(g: Graph, e: Edge) -> tuple[Graph, dict[int, int]]:
@@ -190,125 +255,13 @@ def contract_subgraph_edges(edges, e: Edge, mapping: dict[int, int]) -> EdgeSet:
 
 
 def cyclomatic_number(edges) -> int:
-    """|E| - |V| + number of connected components of the edge set."""
-    edges = frozenset(edges)
-    if not edges:
-        return 0
-    return len(edges) - len(vertices_of(edges)) + len(components_of_edges(edges))
-
-
-class CycleBasis(NamedTuple):
-    spanning_tree: EdgeSet
-    nontree_edges: tuple[Edge, ...]
-    fundamental_cycles: tuple[EdgeSet, ...]
-
-
-def _tree_path(tree: EdgeSet, u: int, v: int) -> list[int]:
-    """Vertex path from u to v inside a forest; raises if not connected."""
-    adj: dict[int, list[int]] = {}
-    for a, b in tree:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    parent = {u: None}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        if x == v:
-            break
-        for y in adj.get(x, ()):
-            if y not in parent:
-                parent[y] = x
-                stack.append(y)
-    if v not in parent:
-        raise NoSuchSpanningTree(f"no tree path {u}..{v}")
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def spanning_tree_of(edges, require: Edge | None = None, forbid: Edge | None = None) -> EdgeSet:
-    """Spanning tree of a connected edge set, honoring one constraint.
-
-    ``require``: the edge must be in the tree (always possible).
-    ``forbid``: the edge must be left out; fails iff it is a bridge.
-    """
-    edges = frozenset(edges)
-    verts = vertices_of(edges)
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = set()
-
-    def try_add(e):
-        a, b = find(e[0]), find(e[1])
-        if a != b:
-            parent[a] = b
-            tree.add(e)
-
-    if require is not None:
-        require = edge(*require)
-        if require not in edges:
-            raise EdgeNotInGraph(f"{require} not in edge set")
-        try_add(require)
-    for e in sorted(edges):
-        if forbid is not None and e == edge(*forbid):
-            continue
-        try_add(e)
-    if len(tree) != len(verts) - len(components_of_edges(edges)):
-        raise NoSuchSpanningTree(f"cannot avoid bridge {forbid}")
-    return frozenset(tree)
-
-
-def fundamental_cycle_basis(
-    g: Graph, required_edge: Edge | None = None, mode: str = "include"
-) -> CycleBasis:
-    """Spanning tree plus the fundamental cycle of each non-tree edge.
-
-    ``mode`` is "include" or "exclude" and applies to ``required_edge``;
-    exclude mode raises NoSuchSpanningTree when the edge is a bridge.
-    """
-    if not g.is_connected():
-        raise DisconnectedGraph("cycle basis needs a connected graph")
-    require = forbid = None
-    if required_edge is not None:
-        if mode == "include":
-            require = required_edge
-        elif mode == "exclude":
-            forbid = edge(*required_edge)
-            if forbid not in g.edges:
-                raise EdgeNotInGraph(f"{forbid} not in graph")
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    if g.node_count == 1:
-        return CycleBasis(frozenset(), (), ())
-    tree = spanning_tree_of(g.edges, require=require, forbid=forbid)
-    nontree = tuple(sorted(g.edges - tree))
-    cycles = []
-    for u, v in nontree:
-        path = _tree_path(tree, u, v)
-        cyc = {edge(path[i], path[i + 1]) for i in range(len(path) - 1)}
-        cyc.add(edge(u, v))
-        cycles.append(frozenset(cyc))
-    return CycleBasis(tree, nontree, tuple(cycles))
+    """|E| - |V| + number of components: the number of fundamental cycles."""
+    return len(forest(frozenset(edges)).cycles)
 
 
 def is_cycle(edges) -> bool:
-    """True iff the edge set is a single cycle (connected, all degrees 2)."""
-    edges = frozenset(edges)
-    if len(edges) < 3 or len(components_of_edges(edges)) != 1:
-        return False
-    deg: dict[int, int] = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return all(d == 2 for d in deg.values())
+    """True iff the edge set is a single plain cycle."""
+    return forest(frozenset(edges)).is_cycle
 
 
 def is_balanced_cycle(cycle_edges, e: Edge) -> bool:
@@ -326,28 +279,8 @@ def is_balanced_subgraph(edges, e: Edge) -> bool:
     the contracted edge 0; symmetric differences cancel pairs), so it
     suffices to test the fundamental cycles of any spanning forest.
     """
-    edges = frozenset(edges)
     e = edge(*e)
-    for basis_cycle in fundamental_cycles_of(edges):
-        if len(basis_cycle - {e}) % 2 != 0:
-            return False
-    return True
-
-
-def fundamental_cycles_of(edges, forbid: Edge | None = None) -> list[EdgeSet]:
-    """Fundamental cycles of an arbitrary edge set w.r.t. a spanning
-    forest, optionally one avoiding ``forbid`` (raises on a bridge)."""
-    edges = frozenset(edges)
-    if not edges:
-        return []
-    tree = spanning_tree_of(edges, forbid=forbid)
-    cycles = []
-    for u, v in sorted(edges - tree):
-        path = _tree_path(tree, u, v)
-        cyc = {edge(path[i], path[i + 1]) for i in range(len(path) - 1)}
-        cyc.add(edge(u, v))
-        cycles.append(frozenset(cyc))
-    return cycles
+    return all(len(c - {e}) % 2 == 0 for c in forest(frozenset(edges)).cycles)
 
 
 def all_cycles(edges) -> list[EdgeSet]:
@@ -357,8 +290,7 @@ def all_cycles(edges) -> list[EdgeSet]:
     connected and 2-regular.  Exponential in the cyclomatic number, which
     stays tiny at the scales this package targets.
     """
-    edges = frozenset(edges)
-    basis = fundamental_cycles_of(edges)
+    basis = forest(frozenset(edges)).cycles
     cycles = []
     for r in range(1, len(basis) + 1):
         for combo in combinations(basis, r):

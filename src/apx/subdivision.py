@@ -115,8 +115,7 @@ class Correspondence(NamedTuple):
     (two-subgraph mode) of the contracted polytopes."""
 
     mode: str
-    cells: tuple[Cell, ...]
-    images: tuple  # FacetCertificate, or (FacetCertificate, FacetCertificate)
+    images: tuple  # in cell order: FacetCertificate, or a pair of them
     facets: tuple  # facet list, or (facet list 1, facet list 2)
 
 
@@ -180,7 +179,7 @@ def facet_correspondence(g: Graph, e: Edge, cells: list[Cell]) -> Correspondence
         raise CorrespondenceViolation(
             f"{len(cells)} cells but {len(facets)} facets of the contraction"
         )
-    return Correspondence("single", tuple(cells), tuple(images), tuple(facets))
+    return Correspondence("single", tuple(images), tuple(facets))
 
 
 def _relabel_contiguous(nodes) -> dict[int, int]:
@@ -243,9 +242,7 @@ def product_correspondence(
         raise CorrespondenceViolation(
             f"{len(cells)} cells but {expected} facet pairs"
         )
-    return Correspondence(
-        "product", tuple(cells), tuple(images), (side_data[0][2], side_data[1][2])
-    )
+    return Correspondence("product", tuple(images), (side_data[0][2], side_data[1][2]))
 
 
 def _facet_is_simplicial(facet: FacetCertificate) -> bool:
@@ -256,15 +253,14 @@ def _facet_is_simplicial(facet: FacetCertificate) -> bool:
     return len(facet.support) == len(facet.normal)
 
 
-def check_simpliciality_transfer(cell: Cell, correspondence: Correspondence) -> bool:
-    """Simplicial cells must map to simplicial facets; vacuous otherwise."""
-    if not cell.is_simplicial():
-        return True
-    idx = correspondence.cells.index(cell)
-    image = correspondence.images[idx]
-    if correspondence.mode == "single":
-        return _facet_is_simplicial(image)
-    return _facet_is_simplicial(image[0]) and _facet_is_simplicial(image[1])
+def check_simpliciality_transfer(cells, correspondence: Correspondence) -> bool:
+    """Simplicial cells must map to simplicial facets (or facet pairs);
+    ``correspondence`` is the one built from ``cells``, in their order."""
+    return all(
+        all(map(_facet_is_simplicial, (image,) if correspondence.mode == "single" else image))
+        for cell, image in zip(cells, correspondence.images)
+        if cell.is_simplicial()
+    )
 
 
 def verify_cell_support(

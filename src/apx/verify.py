@@ -117,8 +117,7 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
             True,
             f"{len(cells)} cells <-> {len(corr.facets)} facets",
         )
-        transfer = all(check_simpliciality_transfer(c, corr) for c in cells)
-        report.add("simpliciality_transfer", transfer)
+        report.add("simpliciality_transfer", check_simpliciality_transfer(cells, corr))
     except ApxError as exc:
         report.add("facet_correspondence", False, str(exc))
         report.add("simpliciality_transfer", False, "correspondence unavailable")
@@ -169,8 +168,8 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
         f"sum of cells {total}, polytope {polytope_volume}",
     )
 
-    # Each analyzed cell hands on its circuit verdict and corank, so only
-    # a cell whose analysis failed is eliminated again.
+    # Each analyzed cell hands on its circuit verdict and corank; a cell
+    # whose analysis failed hands on None, failing evidence for both.
     circuits = [r.circuit if isinstance(r, CellInvariantReport) else None for r in results]
     coranks = [r.corank if isinstance(r, CellInvariantReport) else None for r in results]
     special = classify_special_graphs(g, e, cells, circuits)
@@ -179,10 +178,12 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     if level == "full":
         rank = balanced_circuit_rank(g, e)
         value, _ = max_corank(g, e, cells, coranks)
+        detail = f"max corank {value}, balanced circuit rank {rank}"
+        missing = coranks.count(None)
+        if missing:
+            detail += f", {missing} of {len(cells)} cells not analysed"
         report.add(
-            "max_corank_equals_balanced_circuit_rank",
-            value == rank,
-            f"max corank {value}, balanced circuit rank {rank}",
+            "max_corank_equals_balanced_circuit_rank", value == rank and not missing, detail
         )
         ok = True
         detail = ""

@@ -84,6 +84,13 @@ def connected_graphs(draw, max_nodes=7):
     return Graph.from_edges(tree | extra)
 
 
+@st.composite
+def edge_lists(draw, max_nodes=7):
+    """Distinct edges on 0..n-1 in a drawn order; not necessarily connected."""
+    n = draw(st.integers(2, max_nodes))
+    return draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True))
+
+
 def random_tree(rng: random.Random, max_nodes: int = 8) -> Graph:
     n = rng.randint(2, max_nodes)
     nodes = list(range(n))
@@ -291,6 +298,39 @@ def brute_force_subdivision(vectors, weights, dim):
         support = tuple(i for i, val in enumerate(values) if val == 0)
         cells[(gamma, h)] = support
     return sorted(cells.items())
+
+
+def reference_components(vertices, edges) -> list[set[int]]:
+    """Components of the graph on ``vertices`` with ``edges``, by depth-first
+    search from each unseen vertex in label order."""
+    adj = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, components = set(), []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        component, stack = {start}, [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in component:
+                    component.add(w)
+                    stack.append(w)
+        seen |= component
+        components.append(component)
+    return components
+
+
+def reference_is_plain_cycle(edges) -> bool:
+    """At least three edges, every degree 2, and connected."""
+    vertices = {v for e in edges for v in e}
+    degrees = [sum(v in e for e in edges) for v in vertices]
+    return (
+        len(edges) >= 3
+        and all(d == 2 for d in degrees)
+        and len(reference_components(vertices, edges)) == 1
+    )
 
 
 def brute_force_cycles(g: Graph):

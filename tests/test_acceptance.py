@@ -15,6 +15,7 @@ from conftest import (
 )
 
 from apx.cellanalysis import (
+    cell_record,
     cell_volume_closed_form,
     classify_special_graphs,
     max_corank,
@@ -175,11 +176,11 @@ def test_criterion_5_invariants_on_corpus(corpus):
             full_gamma = (Fraction(0),) + tuple(cell.gamma)
             assert full_gamma[e[0]] == full_gamma[e[1]]
             assert verify_cell_support(g, e, cell)
-            assert verify_cell_properties(g, e, cell).all_pass()
+            assert verify_cell_properties(g, e, cell_record(cell.points, cell.dim)).all_pass()
             corank = subset_corank(cell.points, e, cell.dim)  # asserts = cyclomatic
             if corank <= 2:
                 assert cell_volume_closed_form(cell, e) == oracle
-            assert check_simpliciality_transfer(cell, corr)
+        assert check_simpliciality_transfer(cells, corr)
     announce("criterion-5 (full invariant suite on the corpus, zero failures)", started)
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,12 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     CORANK2_CELL_ARCS,
+    brute_force_cycles,
     connected_graphs,
     cycle_graph,
     interior_lift_subcells,
     running_example,
     random_connected_graph,
     reference_affine_kernel,
+    reference_components,
     reference_is_affinely_independent,
     reference_is_circuit,
     star_graph,
@@ -20,7 +23,9 @@ from conftest import (
 import apx.cellanalysis as cellanalysis
 from apx.cellanalysis import (
     Signature,
+    _corank,
     _is_circuit,
+    _signature,
     build_alternating_basis,
     cell_record,
     cell_subgraphs,
@@ -38,13 +43,14 @@ from apx.cellanalysis import (
     verify_cell_properties,
 )
 from apx.errors import (
+    NoValidCyclePair,
     NotCorankOne,
     PreconditionViolated,
     TheoremViolation,
     TreeMissingContractedEdge,
     UnsupportedCorank,
 )
-from apx.graphcore import Graph, balanced_circuit_rank, edge
+from apx.graphcore import Graph, balanced_circuit_rank, edge, forest
 from apx.matroid import grouped_ground_set
 from apx.polytope import normalized_volume_of_cell, phi
 from apx.subdivision import edge_contraction_subdivision
@@ -82,7 +88,7 @@ def test_c5_cells_are_six_arrow_graphs():
 def test_cell_properties_c4():
     g = cycle_graph(4)
     for cell in edge_contraction_subdivision(g, (0, 3)):
-        report = verify_cell_properties(g, (0, 3), cell)
+        report = verify_cell_properties(g, (0, 3), cell_record(cell.points, cell.dim))
         assert report.all_pass()
         _, undirected = cell_subgraphs(cell.points)
         # Simplicial cells: spanning tree plus the doubled edge.
@@ -92,11 +98,12 @@ def test_cell_properties_c4():
 def test_cell_properties_running_example_all_cells():
     g = running_example()
     for cell in edge_contraction_subdivision(g, (0, 3)):
-        assert verify_cell_properties(g, (0, 3), cell).all_pass()
+        assert verify_cell_properties(g, (0, 3), cell_record(cell.points, cell.dim)).all_pass()
 
 
 def test_cell_properties_corank2_cell_basis():
-    report = verify_cell_properties(running_example(), (0, 3), corank2_cell())
+    cell = corank2_cell()
+    report = verify_cell_properties(running_example(), (0, 3), cell_record(cell.points, cell.dim))
     assert report.all_pass()
     assert report.basis_odd_cycles == 1
 
@@ -255,12 +262,11 @@ def test_alternating_basis_running_example_corank2_completion():
 
 def test_alternating_basis_random_properties():
     rng = random.Random(103)
-    from apx.graphcore import spanning_tree_of
-
     for _ in range(15):
         g = random_connected_graph(rng, max_nodes=7, max_edges=11)
         e = rng.choice(g.sorted_edges())
-        tree = spanning_tree_of(g.edges, require=e)
+        # A forest whose first edge is e goes through e.
+        tree = forest([e] + sorted(g.edges - {e})).tree
         x = build_alternating_basis(g, e, tree)
         assert len(x) == g.node_count
         _, undirected = cell_subgraphs(x)
@@ -276,14 +282,65 @@ def test_cell_volume_c4_and_c5():
 
 def test_cell_volume_corank2_cell():
     cell = corank2_cell()
-    arcs, undirected = cell_subgraphs(cell.points)
-    o1, o2 = corank2_cycle_pair(undirected, (0, 3))
+    rec = cell_record(cell.points, cell.dim)
+    o1, o2 = corank2_cycle_pair(rec.forest.cycles, (0, 3))
     assert sorted(o1) == [(0, 2), (0, 3), (2, 3)]
     assert sorted(o2) == [(0, 2), (0, 5), (2, 3), (3, 5)]
-    gamma, delta = corank2_gamma_delta(arcs, o1, o2, (0, 3))
+    gamma, delta = corank2_gamma_delta(rec.arcs, o1, o2, (0, 3))
     assert gamma * delta == 1
     assert cell_volume_closed_form(cell, (0, 3)) == 4
     assert normalized_volume_of_cell(cell.vectors()) == 4
+
+
+def test_corank2_cycle_pair_matches_the_cycle_enumeration():
+    # In a graph of cyclomatic number 2 the two fundamental cycles and,
+    # when they share an edge, their sum are all of its cycles: the pair
+    # chosen from them is the one chosen from every cycle by brute force.
+    rng = random.Random(131)
+    pairs = list(combinations(range(6), 2))
+    seen = found = 0
+    while seen < 80:
+        edges = rng.sample(pairs, rng.randint(3, 9))
+        vertices = {v for f in edges for v in f}
+        if len(edges) - len(vertices) + len(reference_components(vertices, edges)) != 2:
+            continue
+        seen += 1
+        e = rng.choice(edges)
+        cycles = brute_force_cycles(Graph.from_edges(edges))
+        expected = min(
+            (
+                (frozenset(o1), frozenset(o2))
+                for o2 in cycles
+                if len(o2) % 2 == 0 and e not in o2
+                for o1 in cycles
+                if o1 != o2
+            ),
+            key=lambda pair: (sorted(pair[0]), sorted(pair[1])),
+            default=None,
+        )
+        try:
+            pair = corank2_cycle_pair(forest(edges).cycles, e)
+        except NoValidCyclePair:
+            pair = None
+        assert pair == expected, (edges, e)
+        found += pair is not None
+    assert 0 < found < seen
+
+
+def test_graph_side_faults_raise_theorem_violations():
+    # A record whose graph side disagrees with its points: each statement
+    # that compares the two sides must raise.
+    e = (0, 4)
+    cell = edge_contraction_subdivision(cycle_graph(5), e)[0]
+    rec = cell_record(cell.points, cell.dim)
+    path = rec._replace(forest=forest(sorted(rec.undirected - {(1, 2)})))
+    with pytest.raises(TheoremViolation, match="circuit test True != cycle test False"):
+        _is_circuit(path, e)
+    with pytest.raises(TheoremViolation, match="corank 1 != cyclomatic number 0"):
+        _corank(path, e)
+    square = rec._replace(forest=forest(cycle_graph(4).sorted_edges()))
+    with pytest.raises(TheoremViolation, match=r"signature \(3, 3, 0\) != \(2, 2, 2\)"):
+        _signature(square, e)
 
 
 def test_corank2_closed_form_needs_an_even_numerator(monkeypatch):
@@ -291,8 +348,7 @@ def test_corank2_closed_form_needs_an_even_numerator(monkeypatch):
     # numerator, from the triangle taken twice and no shared-edge census,
     # must raise, although its floor 9 // 2 = 4 equals the oracle.
     cell = corank2_cell()
-    _, undirected = cell_subgraphs(cell.points)
-    o1, _ = corank2_cycle_pair(undirected, (0, 3))
+    o1, _ = corank2_cycle_pair(cell_record(cell.points, cell.dim).forest.cycles, (0, 3))
     monkeypatch.setattr(cellanalysis, "corank2_cycle_pair", lambda *args: (o1, o1))
     monkeypatch.setattr(cellanalysis, "corank2_gamma_delta", lambda *args: (0, 0))
     with pytest.raises(TheoremViolation, match="closed form 9/2 is not a positive integer"):
@@ -314,10 +370,10 @@ def test_interior_lift_census_corank2_cell():
     # Lifting one point of the even cycle splits the corank-2 cell into
     # m2/2 - gamma corank-1 subcells (census from the volume proof).
     cell = corank2_cell()
-    arcs, undirected = cell_subgraphs(cell.points)
-    o1, o2 = corank2_cycle_pair(undirected, (0, 3))
+    rec = cell_record(cell.points, cell.dim)
+    o1, o2 = corank2_cycle_pair(rec.forest.cycles, (0, 3))
     for a in ((3, 5), (0, 5)):
-        gamma, _ = corank2_gamma_delta(arcs, o1, o2, (0, 3), reference=edge(*a))
+        gamma, _ = corank2_gamma_delta(rec.arcs, o1, o2, (0, 3), reference=edge(*a))
         subcells = interior_lift_subcells(cell, a)
         corank1 = [s for s in subcells if len(cell_record(s, cell.dim).kernel) == 1]
         assert len(corank1) == len(o2) // 2 - gamma

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     TWO_TRIANGLE_BALANCED_EDGES,
@@ -8,12 +9,15 @@ from conftest import (
     brute_force_cycles,
     cycle_graph,
     chorded_pentagon,
+    edge_lists,
     running_example,
     path_graph,
     random_connected_graph,
+    reference_components,
+    reference_is_plain_cycle,
 )
 
-from apx.errors import EdgeNotInGraph, NoSuchSpanningTree, NotACycle, ParseError
+from apx.errors import EdgeNotInGraph, NotACycle, ParseError
 from apx.graphcore import (
     Graph,
     all_cycles,
@@ -23,7 +27,7 @@ from apx.graphcore import (
     contract_subgraph_edges,
     cyclomatic_number,
     edge,
-    fundamental_cycle_basis,
+    forest,
     graph_to_dot,
     is_balanced_cycle,
     is_balanced_subgraph,
@@ -102,22 +106,25 @@ def test_cyclomatic_number():
 
 
 def test_fundamental_basis_c4_include():
-    basis = fundamental_cycle_basis(cycle_graph(4), (0, 3), mode="include")
-    assert (0, 3) in basis.spanning_tree
-    assert len(basis.fundamental_cycles) == 1
-    assert len(basis.fundamental_cycles[0]) == 4
+    # An edge placed first is always in the forest.
+    e = (0, 3)
+    basis = forest([e] + sorted(cycle_graph(4).edges - {e}))
+    assert e in basis.tree
+    assert len(basis.cycles) == 1
+    assert len(basis.cycles[0]) == 4
 
 
 def test_fundamental_basis_tree():
-    basis = fundamental_cycle_basis(path_graph(4))
-    assert basis.fundamental_cycles == ()
+    assert forest(path_graph(4).sorted_edges()).cycles == ()
 
 
 def test_fundamental_basis_running_example_exclude():
-    basis = fundamental_cycle_basis(running_example(), (0, 3), mode="exclude")
-    assert edge(0, 3) not in basis.spanning_tree
-    assert len(basis.fundamental_cycles) == 5
-    containing = [c for c in basis.fundamental_cycles if edge(0, 3) in c]
+    # An edge placed last stays out of the forest when it is no bridge.
+    e = (0, 3)
+    basis = forest(sorted(running_example().edges - {e}) + [e])
+    assert e not in basis.tree
+    assert len(basis.cycles) == 5
+    containing = [c for c in basis.cycles if e in c]
     assert len(containing) == 1
 
 
@@ -125,16 +132,43 @@ def test_fundamental_basis_counts_and_membership():
     rng = random.Random(9)
     for _ in range(25):
         g = random_connected_graph(rng, max_nodes=7, max_edges=11)
-        basis = fundamental_cycle_basis(g)
-        assert len(basis.fundamental_cycles) == cyclomatic_number(g.edges)
-        for cyc in basis.fundamental_cycles:
-            assert is_cycle(cyc)
+        basis = forest(g.sorted_edges())
+        assert len(basis.cycles) == len(g.edges) - g.node_count + 1
+        for cyc in basis.cycles:
+            assert reference_is_plain_cycle(cyc)
             assert cyc <= g.edges
 
 
-def test_exclude_bridge_raises():
-    with pytest.raises(NoSuchSpanningTree):
-        fundamental_cycle_basis(path_graph(3), (0, 1), mode="exclude")
+def test_forest_keeps_a_bridge_placed_last():
+    assert (0, 1) in forest([(1, 2), (0, 1)]).tree
+    # (2, 3) is the bridge between two triangles.
+    triangles = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    assert (2, 3) in forest(triangles + [(2, 3)]).tree
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(edge_lists())
+def test_forest_against_references(edges):
+    basis = forest(edges)
+    vertices = {v for f in edges for v in f}
+    components = reference_components(vertices, edges)
+    key = lambda comps: sorted(map(sorted, comps))  # noqa: E731
+    assert key(basis.components) == key(components)
+    # The tree spans each component, with one edge fewer than its
+    # vertices, so it is acyclic.
+    assert basis.tree <= set(edges)
+    assert key(reference_components(vertices, basis.tree)) == key(components)
+    assert len(basis.tree) == len(vertices) - len(components)
+    # Each non-tree edge, in the order given, closes one plain cycle.
+    nontree = [f for f in edges if f not in basis.tree]
+    assert len(basis.cycles) == len(nontree) == len(edges) - len(vertices) + len(components)
+    for cycle, f in zip(basis.cycles, nontree):
+        assert reference_is_plain_cycle(cycle)
+        assert cycle - basis.tree == {f}
+    if edges:
+        bridge = len(reference_components(vertices, edges[:-1])) > len(components)
+        assert (edges[-1] in basis.tree) == bridge
+    assert all_cycles(edges) == brute_force_cycles(Graph.from_edges(edges))
 
 
 def test_is_balanced_cycle():

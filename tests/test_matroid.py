@@ -21,7 +21,7 @@ from conftest import (
 import apx.matroid as matroid
 from apx.cellanalysis import cell_subgraphs
 from apx.errors import MorphismViolation
-from apx.graphcore import Graph, cyclomatic_number, edge, spanning_tree_of
+from apx.graphcore import Graph, cyclomatic_number, edge, forest
 from apx.matroid import (
     _cut,
     _graphic_table,
@@ -98,7 +98,7 @@ def test_graphic_matroid_basics():
     independent = _graphic_table(ground)
     full = (1 << len(ground)) - 1
     assert independent[0]
-    tree = mask_of(ground, spanning_tree_of(frozenset(ground)))
+    tree = mask_of(ground, forest(ground).tree)
     assert independent[tree]
     assert rank(independent, tree) == rank(independent, full) == cell.dim
     # The 5-cycle is dependent: it is the unique circuit.

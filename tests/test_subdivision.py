@@ -211,18 +211,16 @@ def test_simpliciality_transfer_c4():
     g = cycle_graph(4)
     cells = edge_contraction_subdivision(g, (0, 3))
     corr = facet_correspondence(g, (0, 3), cells)
-    for cell in cells:
-        assert cell.is_simplicial()
-        assert check_simpliciality_transfer(cell, corr)
+    assert all(cell.is_simplicial() for cell in cells)
+    assert check_simpliciality_transfer(cells, corr)
 
 
 def test_simpliciality_transfer_c5_vacuous():
     g = cycle_graph(5)
     cells = edge_contraction_subdivision(g, (0, 4))
     corr = facet_correspondence(g, (0, 4), cells)
-    for cell in cells:
-        assert not cell.is_simplicial()
-        assert check_simpliciality_transfer(cell, corr)
+    assert not any(cell.is_simplicial() for cell in cells)
+    assert check_simpliciality_transfer(cells, corr)
 
 
 def test_cell_count_equals_contracted_facet_count():

@@ -10,7 +10,8 @@ from pathlib import Path
 import apx
 from conftest import cycle_graph, running_example, random_connected_graph, star_graph
 
-from apx.graphcore import Graph
+from apx.errors import TheoremViolation
+from apx.graphcore import Graph, edge
 from apx.subdivision import edge_contraction_subdivision
 from apx.verify import run_verification, split_at_contraction
 
@@ -95,16 +96,38 @@ def test_cell_oracle_runs_once_per_cell(monkeypatch):
 
 
 def test_affine_elimination_runs_once_per_cell(monkeypatch):
+    import apx.cellanalysis as cellanalysis
     import apx.exactlin as exactlin
+    import apx.graphcore as graphcore
+    import apx.verify as verify
 
-    calls = []
-    kernel = exactlin.affine_kernel
+    calls, forests, analysing = [], [], []
+    kernel, forest, analyze = exactlin.affine_kernel, graphcore.forest, verify.analyze_cell
 
     def counting(points):
         calls.append(len(points))
         return kernel(points)
 
+    def counting_forest(edges):
+        forests.append(len(edges))
+        return forest(edges)
+
+    def graph_forest(edges):
+        # graphcore's own readers run on whole graphs, never for a cell.
+        assert not analysing, "a second forest pass inside a cell's analysis"
+        return forest(edges)
+
+    def analysing_cell(*args):
+        analysing.append(True)
+        try:
+            return analyze(*args)
+        finally:
+            analysing.pop()
+
     monkeypatch.setattr(exactlin, "affine_kernel", counting)
+    monkeypatch.setattr(cellanalysis, "forest", counting_forest)
+    monkeypatch.setattr(graphcore, "forest", graph_forest)
+    monkeypatch.setattr(verify, "analyze_cell", analysing_cell)
     k6 = Graph.from_edges(combinations(range(6), 2))
     # The maximum corank (at full) and the odd-cycle statement (C7) read
     # the coranks and circuit verdicts of the cell analyses.
@@ -114,11 +137,40 @@ def test_affine_elimination_runs_once_per_cell(monkeypatch):
         (cycle_graph(7), (0, 6), "fast"),
     ]:
         calls.clear()
+        forests.clear()
         report = run_verification(g, e, level=level)
         assert report.passed()
-        # One elimination per cell, in its analysis; every per-cell
-        # statement reads that one record.
-        assert calls == [len(c.points) for c in edge_contraction_subdivision(g, e)], (g, level)
+        # One elimination and one forest pass per cell, in its analysis;
+        # every per-cell statement reads that one record.
+        cells = edge_contraction_subdivision(g, e)
+        assert calls == [len(c.points) for c in cells], (g, level)
+        assert forests == [len({edge(*lab) for lab in c.points}) for c in cells], (g, level)
+
+
+def test_failed_cell_analyses_are_failing_evidence(monkeypatch):
+    # A cell whose analysis raised is not analysed again: the maximum
+    # corank leaves it out and says how many cells it left out, and the
+    # odd-cycle class counts it as no circuit.
+    import apx.cellanalysis as cellanalysis
+
+    corank = cellanalysis._corank
+
+    def failing_on_odd_corank(rec, e):
+        value = corank(rec, e)
+        if value % 2:
+            raise TheoremViolation(f"injected at corank {value}")
+        return value
+
+    monkeypatch.setattr(cellanalysis, "_corank", failing_on_odd_corank)
+    k4 = Graph.from_edges(combinations(range(4), 2))
+    checks = {c.name: c for c in run_verification(k4, (0, 1), level="full").checks}
+    assert not checks["cell_invariants"].passed
+    check = checks["max_corank_equals_balanced_circuit_rank"]
+    assert not check.passed
+    assert check.detail == "max corank 2, balanced circuit rank 2, 4 of 6 cells not analysed"
+    checks = {c.name: c for c in run_verification(cycle_graph(5), (0, 4), level="fast").checks}
+    assert not checks["special_graph_classes"].passed
+    assert checks["special_graph_classes"].detail == "odd_cycle"
 
 
 def test_report_json_shape():
@@ -142,8 +194,14 @@ def test_theorem_checks_survive_python_O():
         from apx.graphcore import Graph
         from apx.verify import run_verification
 
-        real = cellanalysis.cyclomatic_number
-        cellanalysis.cyclomatic_number = lambda edges: real(edges) + 1
+        real = cellanalysis.forest
+
+        def forest(edges):
+            # One cycle too many on the graph side.
+            result = real(edges)
+            return result._replace(cycles=result.cycles + (result.tree,))
+
+        cellanalysis.forest = forest
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
         report = run_verification(g, (0, 1), level="fast")
         check = next(c for c in report.checks if c.name == "cell_invariants")
@@ -167,8 +225,8 @@ def test_cell_invariants_names_failing_checks(monkeypatch):
 
     real = cellanalysis.verify_cell_properties
 
-    def failing(g, e, cell):
-        return real(g, e, cell)._replace(spans_all_nodes=False)
+    def failing(g, e, rec):
+        return real(g, e, rec)._replace(spans_all_nodes=False)
 
     monkeypatch.setattr(cellanalysis, "verify_cell_properties", failing)
     report = run_verification(cycle_graph(4), (0, 3), level="fast")
