@@ -28,6 +28,8 @@ CLI = "src/apx/cli.py"
 SUBDIVISION = "src/apx/subdivision.py"
 CELLANALYSIS = "src/apx/cellanalysis.py"
 GRAPHCORE = "src/apx/graphcore.py"
+EXACTLIN = "src/apx/exactlin.py"
+WALKED = "tests/test_matroid.py::test_walked_tables_match_per_subset_definitions"
 
 MUTANTS = (
     Mutant(
@@ -82,11 +84,46 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "matroid: rank a leaf as if its point always raised the rank",
+        MATROID,
+        "d + 1 - len(basis) + grows == points + 1",
+        "d + 1 - len(basis) + 1 == points + 1",
+        (f"{WALKED}[K5]", f"{WALKED}[running]"),
+    ),
+    Mutant(
+        "matroid: graphic leaf acyclic without joining two components",
+        MATROID,
+        "independent[mask | last] = cycles == 0 and cu != cv",
+        "independent[mask | last] = cycles == 0",
+        (f"{WALKED}[K5]", f"{WALKED}[W6]"),
+    ),
+    Mutant(
+        "matroid: point walk without the contracted pair",
+        MATROID,
+        "    walk = [n - 1, *range(n - 1)]\n",
+        "    walk = list(range(n - 1))\n",
+        (f"{WALKED}[K5]", f"{WALKED}[running]"),
+    ),
+    Mutant(
         "matroid: drop the table comparison",
         MATROID,
         "    if independent != graphic:\n",
         "    if False:\n",
         ("tests/test_matroid.py::test_morphism_names_a_flipped_point_mask",),
+    ),
+    Mutant(
+        "exactlin: leave a zero-entry row unscaled when pv != +-prev",
+        EXACTLIN,
+        "                    m[i] = [pv * a // prev for a in m[i]]\n",
+        "                    pass\n",
+        ("tests/test_exactlin.py::test_rank_nullity",),
+    ),
+    Mutant(
+        "exactlin: leave a zero-entry row unnegated when pv == -prev",
+        EXACTLIN,
+        "                    m[i] = [-a for a in m[i]]\n",
+        "                    pass\n",
+        ("tests/test_exactlin.py::test_rank_nullity",),
     ),
     Mutant(
         "polytope: drop the reflexivity check (beta = 1)",

@@ -24,7 +24,11 @@ def gauss_jordan(m: list[list[int]]) -> list[int]:
     at or below the current row becomes a pivot column.  After pivot k
     every entry is a (k+1)-minor of the input (Bareiss 1968), so each
     division by the previous pivot is exact, and the pass ends with every
-    pivot column equal to d times a unit column, d the last pivot.
+    pivot column equal to d times a unit column, d the last pivot.  A
+    row with 0 in the pivot column only scales by pv / prev, the new
+    pivot over the previous one: it is left as it is when they are
+    equal, negated when pv == -prev and rescaled otherwise, each entry
+    exactly, as the same invariant holds for that row.
     Returns the pivot columns; row i holds the pivot of the i-th.
     """
     rows = len(m)
@@ -41,7 +45,12 @@ def gauss_jordan(m: list[list[int]]) -> list[int]:
         for i in range(rows):
             if i != r:
                 f = m[i][c]
-                m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], pivot_row)]
+                if f:
+                    m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], pivot_row)]
+                elif pv == -prev:
+                    m[i] = [-a for a in m[i]]
+                elif pv != prev:
+                    m[i] = [pv * a // prev for a in m[i]]
         prev = pv
         pivots.append(c)
         if len(pivots) == rows:

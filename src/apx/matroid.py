@@ -8,24 +8,31 @@ undirected cell subgraph; an edge set is independent when it is acyclic.
 Mapping each grouped element to its edge is a bijection, so both families
 are bitmask tables over the same 2^n subsets.
 
-Each table is built in one depth-first walk, on an explicit stack, that
-goes from a mask to mask | 1 << b for every b above its highest set bit,
-so every subset is visited once, as the child of the mask without its
-last element.  In the point walk a node holds a basis, of primitive
-integer vectors, of the annihilator of its homogenized points (x, 1):
-the linear forms that vanish on all of them.  The root holds the d + 1
-unit vectors, and a child cuts its parent's basis by its element's one
-or two points: a point on which every form vanishes lies in the span and
+Each table is built in one depth-first walk, on an explicit stack, over
+a fixed walk order of the elements: it goes from a mask to its child
+with each element later in walk order than all of the mask's, so every
+subset is visited once, as the child of the mask without its last
+element.  In the point walk a node holds a basis, of primitive integer
+vectors, of the annihilator of its homogenized points (x, 1): the
+linear forms that vanish on all of them.  The root holds the d + 1 unit
+vectors, and a child cuts its parent's basis by its element's one or
+two points: a point on which every form vanishes lies in the span and
 leaves the basis as it is, and otherwise one form is eliminated from the
 others, in integers.  The rank of a mask is d + 1 minus its basis size.
-In the graphic walk a node holds a component label per vertex and its
-cycle count, and a child's edge either closes a cycle or merges two
-components.  Either way each subset gets the exact rank, or cyclomatic
-number, of its own elements.  No verdict is derived from a sub-mask's
-verdict and no child of a dependent mask is skipped: the tables must
-hold what each subset is, not what the matroid axioms say it should be,
-or the downward-closure and submodularity checks below would only
-confirm their own premise.
+The point walk takes the pair first, [n-1, 0, ..., n-2] over the ground
+positions (table indices stay in ground order), so the pair's two cuts
+run once and not in every mask that holds it.  A leaf, a mask whose
+last element is last in walk order, has no child, so it needs no basis:
+its rank is its parent's plus 1 iff some form of the parent's basis
+misses its point.  In the graphic walk a node holds a component label
+per vertex and its cycle count, and a child's edge either closes a cycle
+or merges two components; a leaf is acyclic iff its parent is and its
+edge joins two components.  Either way each subset gets the exact rank,
+or cyclomatic number, of its own elements.  No verdict is derived from a
+sub-mask's verdict and no child of a dependent mask is skipped: the
+tables must hold what each subset is, not what the matroid axioms say it
+should be, or the downward-closure and submodularity checks below would
+only confirm their own premise.
 
 The morphism is one comparison of the two tables.  Rank (the size of the
 largest independent subset), bases (the independent sets of full rank)
@@ -110,23 +117,43 @@ def _point_table(cell: Cell, e) -> tuple[tuple, list[bool]]:
     d + 1 unit vectors.  A child cuts it by its element's one or
     two points (``_cut``), so every mask gets the exact rank of its own
     points, d + 1 minus the basis size, and is independent iff that rank
-    equals its number of points.
+    equals its number of points.  The walk takes the pair first, so its
+    two cuts run once, and ranks each leaf, the last single added to a
+    node, as the node's rank plus 1 iff some form misses its point.
     """
     ground = grouped_ground_set(cell, e)
     n, d = len(ground), cell.dim
     independent = [False] * (1 << n)
     independent[0] = True
+    # Walk order: the pair, last in ground order, then the singles.  The
+    # last single in walk order is the leaf element, unless the pair is
+    # alone.
+    walk = [n - 1, *range(n - 1)]
+    inner = max(n - 1, 1)
+    leaf = ground[walk[-1]][0] if n > 1 else None
+    leaf_bit = 1 << walk[-1]
     units = [[int(k == c) for k in range(d + 2)] for c in range(1, d + 2)]
-    stack = [(0, units, 0)]
+    steps = [(1 << b, ground[b], len(ground[b])) for b in walk[:inner]]
+    stack = [(0, 0, units, 0)]
     while stack:
-        mask, basis, points = stack.pop()
-        for b in range(mask.bit_length(), n):
+        mask, start, basis, points = stack.pop()
+        for k, (bit, elem, size) in enumerate(steps[start:], start + 1):
             child_basis = basis
-            for i, j in ground[b]:
+            for i, j in elem:
                 child_basis = _cut(child_basis, i, j)
-            child, child_points = mask | 1 << b, points + len(ground[b])
+            child, child_points = mask | bit, points + size
             independent[child] = d + 1 - len(child_basis) == child_points
-            stack.append((child, child_basis, child_points))
+            stack.append((child, k, child_basis, child_points))
+        if leaf:
+            # One test in place of a cut: the rank grows iff some form
+            # misses the leaf's point.
+            i, j = leaf
+            grows = 0
+            for a in basis:
+                if a[i] - a[j] + a[-1]:
+                    grows = 1
+                    break
+            independent[mask | leaf_bit] = d + 1 - len(basis) + grows == points + 1
     return ground, independent
 
 
@@ -137,16 +164,22 @@ def _graphic_table(edges: tuple) -> list[bool]:
     Each node of the walk holds a component label per vertex and the
     cyclomatic number of its edge set.  A child's edge adds a cycle when
     its ends share a component, and merges their components otherwise.
+    A leaf, a node plus the last edge, is acyclic iff the node is and
+    the edge joins two components; it is never walked.
     """
     n = len(edges)
     index = {v: i for i, v in enumerate(sorted({v for uv in edges for v in uv}))}
     ends = [(index[u], index[v]) for u, v in edges]
     independent = [False] * (1 << n)
     independent[0] = True
+    if not n:
+        return independent
+    last = 1 << n - 1
+    lu, lv = ends[-1]
     stack = [(0, list(range(len(index))), 0)]
     while stack:
         mask, component, cycles = stack.pop()
-        for b in range(mask.bit_length(), n):
+        for b in range(mask.bit_length(), n - 1):
             u, v = ends[b]
             cu, cv = component[u], component[v]
             if cu == cv:
@@ -157,6 +190,8 @@ def _graphic_table(edges: tuple) -> list[bool]:
             child = mask | 1 << b
             independent[child] = child_cycles == 0
             stack.append((child, child_component, child_cycles))
+        cu, cv = component[lu], component[lv]
+        independent[mask | last] = cycles == 0 and cu != cv
     return independent
 
 

@@ -480,9 +480,10 @@ class _PlacingState:
 def _lattice_points(vectors) -> list[IntVector]:
     out = []
     for v in vectors:
-        if any(x != int(x) for x in v):
+        p = tuple(map(int, v))
+        if p != tuple(v):
             raise ValueError(f"non-lattice point {tuple(v)}")
-        out.append(tuple(int(x) for x in v))
+        out.append(p)
     return out
 
 

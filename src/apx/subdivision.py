@@ -25,7 +25,6 @@ from .polytope import (
     DirectedEdge,
     FacetCertificate,
     PointConfiguration,
-    _idot,
     build_configuration,
     enumerate_facets,
     normalized_volume_of_cell,
@@ -273,10 +272,15 @@ def verify_cell_support(
     """
     if config is None:
         config = build_configuration(g)
-    gamma, height = cell.gamma, cell.height
+    # With gamma_0 = 0 in front, <e_i - e_j, gamma> = gamma[i] - gamma[j].
+    # The lift weight (``lift_weight``) is 0 on the pair, 1 elsewhere.
+    gamma, height = (0, *cell.gamma), cell.height
+    k1, k2 = e
+    pair = {(k1, k2), (k2, k1)}
     members = set(cell.points)
-    for lab, x in zip(config.labels, config.vectors):
-        value = _idot(x, gamma) + lift_weight(lab, e)
+    for lab in config.labels:
+        i, j = lab
+        value = gamma[i] - gamma[j] + (lab not in pair)
         if lab in members:
             if value != height:
                 return False

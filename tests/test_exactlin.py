@@ -97,9 +97,36 @@ def test_affine_dependence_defining_equations():
                 assert sum(l * p[i] for l, p in zip(lam, pts)) == 0
 
 
+def _textbook_bareiss(m):
+    """Fraction-free Gauss-Jordan with the same pivot choice as
+    ``gauss_jordan``, rewriting every other row at every pivot as
+    (pv * a - f * b) // prev, with no row skipped."""
+    pivots, prev = [], 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        pv = m[r][c]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], m[r])]
+        prev = pv
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return pivots
+
+
 def test_rank_nullity():
+    # Entries, and so many pivots, in -3..3: rows with a zero in the pivot
+    # column meet pv == prev, pv == -prev and other ratios, so the rows
+    # ``gauss_jordan`` keeps, negates or rescales must end as the textbook
+    # pass leaves them.
     rng = random.Random(11)
-    for _ in range(60):
+    for _ in range(200):
         r = rng.randint(0, 4)
         c = rng.randint(1, 5)
         rows = [tuple(rng.randint(-3, 3) for _ in range(c)) for _ in range(r)]
@@ -109,6 +136,9 @@ def test_rank_nullity():
         # Every pivot column ends as one common pivot times a unit column.
         for i, p in enumerate(pivots):
             assert [row[p] for row in m] == [m[0][pivots[0]] * (k == i) for k in range(r)]
+        textbook = [list(row) for row in rows]
+        assert _textbook_bareiss(textbook) == pivots
+        assert m == textbook, rows
 
 
 def test_canonical_integer_vector():

@@ -270,25 +270,30 @@ def wheel_graph(k):
     return Graph.from_edges([(0, i) for i in rim] + [(i, i % (k - 1) + 1) for i in rim])
 
 
+def assert_cell_tables_match_definitions(cell, e):
+    """Each mask of both walked tables of one cell against a test of its
+    own subset: an affine-rank test of its points, and its cyclomatic
+    number."""
+    ground, independent = _point_table(cell, e)
+    n = len(ground)
+    edges = tuple(edge(*elem[0]) for elem in ground)
+    graphic = _graphic_table(edges)
+    for mask in range(1 << n):
+        subset = [b for b in range(n) if mask >> b & 1]
+        rows = [phi(lab, cell.dim) + (1,) for b in subset for lab in ground[b]]
+        # Independent iff at most d + 1 homogenized points have a
+        # nonzero Gram determinant.
+        free = len(rows) <= cell.dim + 1 and integer_determinant(
+            [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+        ) != 0
+        assert independent[mask] == free, (cell.points, mask)
+        cyclic = cyclomatic_number(frozenset(edges[b] for b in subset)) != 0
+        assert graphic[mask] != cyclic, (edges, mask)
+
+
 def assert_tables_match_definitions(g, e):
-    """Each mask of both walked tables against a test of its own subset:
-    an affine-rank test of its points, and its cyclomatic number."""
     for cell in edge_contraction_subdivision(g, e):
-        ground, independent = _point_table(cell, e)
-        n = len(ground)
-        edges = tuple(edge(*elem[0]) for elem in ground)
-        graphic = _graphic_table(edges)
-        for mask in range(1 << n):
-            subset = [b for b in range(n) if mask >> b & 1]
-            rows = [phi(lab, cell.dim) + (1,) for b in subset for lab in ground[b]]
-            # Independent iff at most d + 1 homogenized points have a
-            # nonzero Gram determinant.
-            free = len(rows) <= cell.dim + 1 and integer_determinant(
-                [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
-            ) != 0
-            assert independent[mask] == free, (cell.points, mask)
-            cyclic = cyclomatic_number(frozenset(edges[b] for b in subset)) != 0
-            assert graphic[mask] != cyclic, (edges, mask)
+        assert_cell_tables_match_definitions(cell, e)
 
 
 @pytest.mark.parametrize(
@@ -298,8 +303,10 @@ def assert_tables_match_definitions(g, e):
         (Graph.from_edges(combinations(range(6), 2)), (0, 1)),
         (wheel_graph(6), (0, 1)),
         (running_example(), (0, 3)),
+        # One cell, the contracted pair alone: a walk with no leaf.
+        (Graph.from_edges([(0, 1)]), (0, 1)),
     ],
-    ids=["K5", "K6", "W6", "running"],
+    ids=["K5", "K6", "W6", "running", "K2"],
 )
 def test_walked_tables_match_per_subset_definitions(g, e):
     assert_tables_match_definitions(g, e)
@@ -311,3 +318,10 @@ def test_walked_tables_match_per_subset_definitions_on_random_graphs(data):
     g = data.draw(connected_graphs(max_nodes=6))
     e = data.draw(st.sampled_from(g.sorted_edges()))
     assert_tables_match_definitions(g, e)
+
+
+def test_walked_tables_match_definitions_on_a_large_k7_cell():
+    e = (0, 1)
+    cells = edge_contraction_subdivision(Graph.from_edges(combinations(range(7), 2)), e)
+    cell = next(c for c in cells if len(grouped_ground_set(c, e)) >= 12)
+    assert_cell_tables_match_definitions(cell, e)

@@ -30,6 +30,7 @@ from apx.polytope import (
     DDCone,
     PointConfiguration,
     _at_least,
+    _lattice_points,
     _PlacingState,
     _seed,
     build_configuration,
@@ -212,6 +213,17 @@ def test_volume_invariant_under_point_order():
             shuffled = pts[:]
             rng.shuffle(shuffled)
             assert normalized_volume_of_points(shuffled) == reference
+
+
+def test_lattice_points_accept_integral_values_only():
+    points = _lattice_points([(Fraction(2), 1.0), [0, Fraction(-6, 2)]])
+    assert points == [(2, 1), (0, -3)]
+    assert all(type(x) is int for p in points for x in p)
+    with pytest.raises(ValueError, match=r"non-lattice point \(0, Fraction\(1, 2\)\)"):
+        _lattice_points([(1, 1), (0, Fraction(1, 2))])
+    with pytest.raises(ValueError, match="non-lattice point"):
+        normalized_volume_of_points([(0,), (1.5,)])
+    assert normalized_volume_of_points([(Fraction(0),), (2.0,)]) == 2
 
 
 def test_volume_with_interior_and_boundary_points():

@@ -121,13 +121,18 @@ def test_verify_cell_support_levels_in_integers():
     config = build_configuration(g)
     for cell in edge_contraction_subdivision(g, e):
         assert verify_cell_support(g, e, cell, config)
-        # One off the first coordinate of gamma, or one off the level,
-        # must break the support.
+        # Every node meets a point of a full-dimensional cell, so one off
+        # any coordinate of gamma, or one off the level, takes some point
+        # off the level and must break the support.
         shifted = (cell.gamma[0] + 1,) + tuple(cell.gamma[1:])
         assert not verify_cell_support(g, e, Cell(cell.points, shifted, cell.height, cell.dim))
-        assert not verify_cell_support(
-            g, e, Cell(cell.points, cell.gamma, cell.height + 1, cell.dim), config
-        )
+        for step in (1, -1):
+            for k in range(cell.dim):
+                gamma = tuple(x + step * (i == k) for i, x in enumerate(cell.gamma))
+                assert not verify_cell_support(g, e, cell._replace(gamma=gamma), config)
+            assert not verify_cell_support(
+                g, e, cell._replace(height=cell.height + step), config
+            )
 
 
 def test_cell_volumes_sum_to_polytope_volume():
