@@ -30,6 +30,8 @@ CELLANALYSIS = "src/apx/cellanalysis.py"
 GRAPHCORE = "src/apx/graphcore.py"
 EXACTLIN = "src/apx/exactlin.py"
 WALKED = "tests/test_matroid.py::test_walked_tables_match_per_subset_definitions"
+POTENTIAL = "tests/test_polytope.py::test_potential_search_matches_the_cone"
+MEMOISED = "tests/test_cli.py::test_memoised_leaf_tuples_write_the_bytes_of_json_dump"
 
 MUTANTS = (
     Mutant(
@@ -133,6 +135,38 @@ MUTANTS = (
         ("tests/test_polytope.py::test_facet_off_level_minus_one_is_not_reflexive",),
     ),
     Mutant(
+        "polytope: potential search without the closed-component cut",
+        POLYTOPE,
+        "            elif c & act:\n",
+        "            elif True:\n",
+        (
+            f"{POTENTIAL}_on_named_graphs[W10]",
+            f"{POTENTIAL}_on_drawn_graphs",
+            "tests/test_polytope.py::test_every_leaf_of_the_potential_search_is_a_facet[W10]",
+        ),
+    ),
+    Mutant(
+        "polytope: potential window narrowed to {p, p + 1}",
+        POLYTOPE,
+        "range(max(near) - 1, min(near) + 2)",
+        "range(max(near), min(near) + 2)",
+        (
+            "tests/test_polytope.py::test_tree_facet_counts",
+            "tests/test_polytope.py::test_cycle_facet_counts[5]",
+            f"{POTENTIAL}_on_named_graphs[C12]",
+        ),
+    ),
+    Mutant(
+        "polytope: potential support with the arc reversed",
+        POLYTOPE,
+        "                m |= to_k\n",
+        "                m |= from_k\n",
+        (
+            "tests/test_polytope.py::test_facets_edge_graph",
+            f"{POTENTIAL}_on_named_graphs[K7]",
+        ),
+    ),
+    Mutant(
         "polytope: file a boundary ridge without the exactly-one-facet test",
         POLYTOPE,
         "            if not common or common & (common - 1):\n",
@@ -229,6 +263,13 @@ MUTANTS = (
             "tests/test_cli.py::test_reports_are_the_bytes_of_json_dump[facets]",
             "tests/test_cli.py::test_writer_matches_json_dump_on_drawn_payloads",
         ),
+    ),
+    Mutant(
+        "cli: memoise tuples that hold bools",
+        CLI,
+        "        if type(v) is not int and type(v) is not str:\n",
+        "        if not isinstance(v, (int, str)):\n",
+        (f"{MEMOISED}[bool-next-to-int]",),
     ),
     Mutant(
         "cli: drop sorted on nested keys",

@@ -5,8 +5,8 @@ Commands: ``apx facets FILE``, ``apx subdivide FILE --edge K1,K2``,
 Graphs are read from "u v"-per-line text or {"edges": [[u, v], ...]}
 JSON.  All output is canonical JSON (sorted keys, exact "p/q" rationals),
 byte-identical across runs, written by ``emit``.  Exit codes:
-0 success, 1 verification failure, 2 input error or an output path that
-cannot be written.
+0 success, 1 verification failure, 2 input error or output that cannot be
+written (an unwritable path, or a reader of stdout that has gone).
 
 Each command imports the layers only it runs (subdivision, cell analysis,
 verification), so ``facets`` and ``volume`` start without them.
@@ -15,6 +15,7 @@ verification), so ``facets`` and ``volume`` start without them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -57,11 +58,24 @@ def parse_edge(text: str, g: Graph) -> tuple[int, int]:
     return (k1, k2)
 
 
-def _encode(value, newline: str) -> str:
+def _is_leaf(value: tuple) -> bool:
+    """Whether every item of a tuple is exactly an int or a str: only
+    those tuples share memoised text, since ``True == 1``."""
+    for v in value:
+        if type(v) is not int and type(v) is not str:
+            return False
+    return True
+
+
+def _encode(value, newline: str, memo: dict) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
     it when ``newline`` is a newline plus its indentation; the types are
     tested in the order ``json`` tests them.  Reports hold no floats, so
-    a float is refused like any other type."""
+    a float is refused like any other type.
+
+    ``memo`` maps an indentation to {leaf tuple: text}, for the leaf
+    tuples met as items of a list or tuple at that indentation (one dict
+    per indentation hashes faster than (tuple, indentation) keys)."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -76,23 +90,31 @@ def _encode(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        # Strings and ints, most of every report, skip the call; what the
-        # call would return for them is the same.
-        items = [
-            encode_basestring_ascii(v)
-            if type(v) is str
-            else int.__repr__(v)
-            if type(v) is int
-            else _encode(v, inner)
-            for v in value
-        ]
+        texts = memo.get(inner)
+        if texts is None:
+            texts = memo[inner] = {}
+        items = []
+        for v in value:
+            # Strings and ints, most of every report, skip the call; what
+            # the call would return for them is the same.
+            if type(v) is str:
+                items.append(encode_basestring_ascii(v))
+            elif type(v) is int:
+                items.append(int.__repr__(v))
+            elif type(v) is tuple and _is_leaf(v):
+                text = texts.get(v)
+                if text is None:
+                    text = texts[v] = _encode(v, inner, memo)
+                items.append(text)
+            else:
+                items.append(_encode(v, inner, memo))
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + "  "
         items = [
-            encode_basestring_ascii(k) + ": " + _encode(v, inner)
+            encode_basestring_ascii(k) + ": " + _encode(v, inner, memo)
             for k, v in sorted(value.items())
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
@@ -103,10 +125,11 @@ def _write_canonical(payload: dict, fh) -> None:
     """Write the bytes of ``json.dump(payload, fh, indent=2,
     sort_keys=True)`` and a newline.  Each item of a top-level list is
     encoded and written on its own, so the report is never held as one
-    string."""
+    string; the text of leaf tuples is memoised for the one write."""
     if not payload:
         fh.write("{}\n")
         return
+    memo: dict = {}
     head = "{"
     for key, value in sorted(payload.items()):
         fh.write(head + "\n  " + encode_basestring_ascii(key) + ": ")
@@ -114,11 +137,11 @@ def _write_canonical(payload: dict, fh) -> None:
         if isinstance(value, (list, tuple)) and value:
             sep = "["
             for item in value:
-                fh.write(sep + "\n    " + _encode(item, "\n    "))
+                fh.write(sep + "\n    " + _encode(item, "\n    ", memo))
                 sep = ","
             fh.write("\n  ]")
         else:
-            fh.write(_encode(value, "\n  "))
+            fh.write(_encode(value, "\n  ", memo))
     fh.write("\n}\n")
 
 
@@ -259,7 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # The reader of stdout is gone (``apx facets G | head``).  What is
+        # still buffered goes to devnull, so the flush at exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except (CorrespondenceViolation, MorphismViolation, TheoremViolation) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED

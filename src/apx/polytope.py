@@ -1,9 +1,12 @@
 """Point configurations of adjacency polytopes, facet enumeration, and an
 exact normalized-volume oracle.
 
-Geometry is done in integers and bitsets throughout.  Facets and regular
-subdivisions are read off the extreme rays of polyhedral cones computed
-with the double description method (exact, incremental).  A cone starts
+Geometry is done in integers and bitsets throughout.  The facets of an
+adjacency configuration are its integer potentials whose tight edges
+connect the graph, found by a pruned depth-first search.  Facets of any
+other point configuration, and regular subdivisions, are read off the
+extreme rays of polyhedral cones computed with the double description
+method (exact, incremental).  A cone starts
 from one fraction-free Gauss-Jordan pass over its rows as columns: the
 pass finds the greedy row basis, its determinant and the seed rays
 together.  Its rays have stable ids, and for
@@ -15,10 +18,10 @@ their common rows.  Volumes come from a placing triangulation
 that places an affine basis first and the remaining points in label
 order: the seed simplex's determinant is the last pivot of the seed
 cone's elimination, and each new simplex's volume is an exact integer
-ratio off the simplex it is glued to.  The two pipelines share no logic
-beyond the cone engine, and tests re-derive facets from brute-force
-hyperplanes and from integer potentials, and volumes from per-simplex
-determinants.
+ratio off the simplex it is glued to.  The potential search and the
+volume pipeline share no logic with each other, and tests re-derive
+facets from the cone, from brute-force hyperplanes and from a separate
+potential enumeration, and volumes from per-simplex determinants.
 """
 
 from __future__ import annotations
@@ -74,8 +77,11 @@ class FacetCertificate(NamedTuple):
     """A facet as (inner normal, support), normalized so that every
     supported point x satisfies <x, normal> = -1 and all points satisfy
     <x, normal> >= -1 (valid because 0 is interior).  The normal is an
-    integer vector: adjacency polytopes are reflexive, and
-    ``enumerate_facets`` checks that on every facet."""
+    integer vector: for an adjacency configuration it is an integer
+    potential by construction (total unimodularity, see
+    ``enumerate_facets``), and on any other configuration the cone path
+    checks reflexivity on every facet.  The support lists its labels, the
+    tuples themselves, in label order."""
 
     normal: IntVector
     support: tuple[DirectedEdge, ...]
@@ -83,7 +89,7 @@ class FacetCertificate(NamedTuple):
     def to_json_dict(self) -> dict:
         return {
             "normal": [str(a) for a in self.normal],
-            "support": [list(lab) for lab in self.support],
+            "support": self.support,
         }
 
 
@@ -316,33 +322,165 @@ def hull_facet_rays(vectors) -> list[tuple[IntVector, int, int]]:
     return out
 
 
+def _is_adjacency_configuration(config: PointConfiguration) -> bool:
+    """Whether ``config`` is the adjacency configuration of its own
+    labels: distinct labels (i, j), i != j, on nodes 0..dim, closed under
+    reversal, each with the point phi(i, j)."""
+    labels, dim = config.labels, config.dim
+    present = set(labels)
+    return len(present) == len(labels) == len(config.vectors) and all(
+        0 <= i <= dim and 0 <= j <= dim and i != j and (j, i) in present
+        and tuple(v) == phi((i, j), dim)
+        for (i, j), v in zip(labels, config.vectors)
+    )
+
+
+def _potential_leaves(config: PointConfiguration):
+    """Facets of an adjacency configuration as integer potentials: yields
+    (normal, support mask over the labels) once per facet, unordered.
+
+    The candidates are the f with f(0) = 0 and |f(u) - f(v)| <= 1 on
+    every edge of the label graph; such an f is a facet normal iff its
+    tight edges (|f(u) - f(v)| = 1) connect every node.  Nodes are valued
+    in BFS order from 0, each within 1 of its BFS parent and of every
+    other valued neighbour.  A branch ends as soon as its tight edges
+    cannot connect every node: when more than |E| - n + 1 edges are slack
+    (f(u) = f(v)), since a connected spanning subgraph keeps n - 1 of
+    them tight, or when a component of the tight edges lacks a node but
+    has no node left with a neighbour to value.  So every leaf is a
+    facet.  In a bipartite graph no edge may be slack: the slack edges
+    are then exactly the edges leaving {v : f(v) + d(0, v) odd}, which no
+    tight edge leaves.  The search keeps its own stack, one frame of
+    state per depth, not Python recursion: the components are node masks,
+    one list per depth, and the support, the arcs (i, j) with
+    f(j) - f(i) = 1, is a label mask that grows with the search.  A label graph that does not connect
+    its nodes raises NotFullDimensional: its points span less.
+    """
+    labels = config.labels
+    n = config.dim + 1
+    arc = {lab: 1 << k for k, lab in enumerate(labels)}
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in labels:
+        adj[i].append(j)
+    order, pos, depth = [0], {0: 0}, {0: 0}
+    for v in order:
+        for w in sorted(adj[v]):
+            if w not in pos:
+                pos[w] = len(order)
+                depth[w] = depth[v] + 1
+                order.append(w)
+    if len(order) < n:
+        raise NotFullDimensional("the label graph does not connect its nodes")
+    # From here on node order[k] is called k.  For each k: (a, bit of
+    # node a, bit of arc a -> k, bit of arc k -> a) for every neighbour
+    # a < k, and the mask of the nodes up to k with a neighbour after k.
+    back = [
+        [(pos[w], 1 << pos[w], arc[w, v], arc[v, w]) for w in adj[v] if pos[w] < k]
+        for k, v in enumerate(order)
+    ]
+    last = [max(pos[w] for w in adj[v]) for v in order]
+    active = [sum(1 << a for a in range(k + 1) if last[a] > k) for k in range(n)]
+    bipartite = all((depth[i] + depth[j]) % 2 for i, j in labels)
+    budget = 0 if bipartite else len(labels) // 2 - n + 1
+    # Per depth k: the value of node k, the support mask and slack count
+    # so far, the values left to try, and the components of the tight
+    # edges among nodes 0..k as node masks.
+    f, mask, slack = [0] * n, [0] * n, [0] * n
+    todo: list[list[int]] = [[] for _ in range(n)]
+    comps: list[list[int]] = [[1]] + [[] for _ in range(n - 1)]
+
+    def window(k: int) -> list[int]:
+        """The values node k may take, within the slack budget."""
+        near = [f[a] for a, _, _, _ in back[k]]
+        room = budget - slack[k - 1]
+        return [x for x in range(max(near) - 1, min(near) + 2) if near.count(x) <= room]
+
+    perm = [pos[v] for v in range(1, n)]
+    k = 1
+    todo[1] = window(1)
+    while k:
+        if not todo[k]:
+            k -= 1
+            continue
+        x = f[k] = todo[k].pop()
+        m, s = mask[k - 1], slack[k - 1]
+        joined = 1 << k
+        for a, bit, to_k, from_k in back[k]:
+            d = x - f[a]
+            if d == 1:
+                m |= to_k
+                joined |= bit
+            elif d:
+                m |= from_k
+                joined |= bit
+            else:
+                s += 1
+        # A component that k does not join and that has no node left with
+        # a neighbour to value is closed: the branch ends.  So the last
+        # node leaves one component.
+        act = active[k]
+        rest = []
+        for c in comps[k - 1]:
+            if c & joined:
+                joined |= c
+            elif c & act:
+                rest.append(c)
+            else:
+                break
+        else:
+            if k == n - 1:
+                yield tuple([f[p] for p in perm]), m
+                continue
+            rest.append(joined)
+            mask[k], slack[k], comps[k] = m, s, rest
+            k += 1
+            todo[k] = window(k)
+
+
 def enumerate_facets(config: PointConfiguration) -> list[FacetCertificate]:
-    """All facets of the adjacency polytope, canonically ordered.
+    """All facets of the adjacency polytope, ordered by normal.
 
     Normals are scaled so supported points sit at level -1, which is
-    possible because the origin is interior.  Adjacency polytopes are
-    reflexive (Matsui, Higashitani, Nagazawa, Ohsugi and Hibi 2011), so
-    each primitive facet inequality <x, alpha> + beta >= 0 has beta = 1
-    and the normal is alpha itself; any other beta raises.  For the
-    zero-dimensional configuration the single facet is the empty set.
-    Points that do not span their space raise NotFullDimensional.
+    possible because the origin is interior.  For the zero-dimensional
+    configuration the single facet is the empty set.  Points that do not
+    span their space raise NotFullDimensional.
+
+    A configuration that is the adjacency configuration of its own labels
+    (what ``build_configuration`` makes) takes the potential search of
+    ``_potential_leaves``.  Its facets are exactly the integer potentials
+    f with f(0) = 0, |f(u) - f(v)| <= 1 on every edge, whose tight edges
+    connect every node (Higashitani, Jochemko and Michalek 2019): a
+    facet's support holds n - 1 independent points e_i - e_j, the arcs of
+    a spanning tree, and the incidence matrix of a tree is totally
+    unimodular, so the level -1 normal solving <x, f> = -1 on them is
+    integral; validity is |f(u) - f(v)| <= 1, and the tight points span
+    iff the tight edges connect.  Every other configuration takes the
+    double description cone of ``hull_facet_rays``, which checks that the
+    origin is interior and that the polytope is reflexive (Matsui,
+    Higashitani, Nagazawa, Ohsugi and Hibi 2011): each primitive facet
+    inequality <x, alpha> + beta >= 0 must have beta = 1, so the normal
+    is alpha itself; any other beta raises.
     """
     if config.dim == 0:
         return [FacetCertificate((), ())]
-    rays = hull_facet_rays(config.vectors)
-    if any(beta <= 0 for _, beta, _ in rays):
-        raise TheoremViolation("origin not interior; cannot normalize facet")
-    for alpha, beta, _ in rays:
-        if beta != 1:
-            raise TheoremViolation(
-                f"facet {alpha} at level -{beta}: the polytope is not reflexive"
-            )
-    rays.sort()
-    # The labels are sorted, so reading a mask's bits in increasing order
-    # gives its support sorted.
+    if _is_adjacency_configuration(config):
+        facets = sorted(_potential_leaves(config))
+    else:
+        rays = hull_facet_rays(config.vectors)
+        if any(beta <= 0 for _, beta, _ in rays):
+            raise TheoremViolation("origin not interior; cannot normalize facet")
+        for alpha, beta, _ in rays:
+            if beta != 1:
+                raise TheoremViolation(
+                    f"facet {alpha} at level -{beta}: the polytope is not reflexive"
+                )
+        facets = sorted((alpha, mask) for alpha, _, mask in rays)
+    # A support lists its labels in label order, which is sorted order for
+    # the configurations ``build_configuration`` makes.
     labels = config.labels
     return [
-        FacetCertificate(alpha, tuple(labels[i] for i in _bits(mask))) for alpha, _, mask in rays
+        FacetCertificate(normal, tuple([labels[i] for i in _bits(mask)]))
+        for normal, mask in facets
     ]
 
 

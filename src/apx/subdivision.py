@@ -72,7 +72,7 @@ class Cell(_CellFields):
 
     def to_json_dict(self) -> dict:
         return {
-            "points": [list(lab) for lab in self.points],
+            "points": self.points,
             "gamma": [str(g) for g in self.gamma],
             "h": str(self.height),
         }

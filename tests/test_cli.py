@@ -186,6 +186,51 @@ def test_writer_matches_json_dump_on_drawn_payloads(payload):
     assert fh.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # True == 1 and hash(True) == hash(1): a tuple holding a bool must
+        # not share memoised text with the int tuple, whichever comes first.
+        {"a": [[(1, 1), (True, 1), (1, True), (1, 1)]], "b": [[(False, 0), (0, 0)]]},
+        # Tuples holding a list or a dict cannot be hashed, so are not leaves.
+        {"a": [[(1, [2, 3]), (1, [2, 3]), ({"k": (1,)}, 2)]]},
+        # The same tuple at two depths is indented differently.
+        {"a": [[(0, 1), [(0, 1), [(0, 1)]]], [(0, 1)]], "b": (0, 1)},
+    ],
+    ids=["bool-next-to-int", "tuple-holding-a-list", "two-depths"],
+)
+def test_memoised_leaf_tuples_write_the_bytes_of_json_dump(payload):
+    fh = io.StringIO()
+    _write_canonical(payload, fh)
+    assert fh.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_closed_stdout_pipe_exits_two_without_a_traceback(tmp_path):
+    # W10's facet report is about 1 MB, far more than a pipe holds, so the
+    # child is still writing when the reader goes.
+    wheel = [(0, i) for i in range(1, 10)] + [(i, i % 9 + 1) for i in range(1, 10)]
+    graph = write_graph(tmp_path, "w10.txt", wheel)
+    src = str(Path(apx.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from apx.cli import main; sys.exit(main())",
+         "facets", graph],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert child.stdout.read(4096).startswith(b"{")
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 2
+    finally:
+        child.kill()
+        child.wait()
+    assert "Traceback" not in err
+    assert err.startswith("error: cannot write the report: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["facets", "/nonexistent/graph.txt"]) == 2
 

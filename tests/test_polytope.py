@@ -16,11 +16,13 @@ from conftest import (
     path_graph,
     potential_facets,
     random_connected_graph,
+    random_tree,
     reference_dd,
     reference_is_affinely_independent,
     reference_rank,
     reference_solve,
     running_example,
+    star_graph,
     validate_facet,
 )
 
@@ -32,6 +34,7 @@ from apx.polytope import (
     _at_least,
     _lattice_points,
     _PlacingState,
+    _potential_leaves,
     _seed,
     build_configuration,
     enumerate_facets,
@@ -555,3 +558,109 @@ def test_facets_match_potential_oracle(g):
     expected = potential_facets(g)
     got = {f.normal: f.support for f in enumerate_facets(build_configuration(g))}
     assert got == expected
+
+
+def _wheel(k):
+    """W_k: a hub joined to every node of a (k - 1)-cycle."""
+    rim = [(i, i % (k - 1) + 1) for i in range(1, k)]
+    return Graph.from_edges([(0, i) for i in range(1, k)] + rim)
+
+
+def _grid(rows, cols):
+    right = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    down = [(v, v + cols) for v in range(rows * cols - cols)]
+    return Graph.from_edges(right + down)
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def _prism(k):
+    top = [(i, (i + 1) % k) for i in range(k)]
+    return Graph.from_edges(top + [(u + k, v + k) for u, v in top] + [(i, i + k) for i in range(k)])
+
+
+NAMED_GRAPHS = {
+    "W10": _wheel(10),
+    "petersen": _petersen(),
+    "prism5": _prism(5),
+    "grid3x4": _grid(3, 4),
+    "C12": cycle_graph(12),
+    "K7": Graph.from_edges(combinations(range(7), 2)),
+    "W12": _wheel(12),
+}
+
+
+def _cone_facets(config):
+    """(normal, support) of every facet, read off the double description
+    cone of ``hull_facet_rays`` with no use of the potential search."""
+    out = []
+    for alpha, beta, mask in hull_facet_rays(config.vectors):
+        assert beta == 1
+        out.append((alpha, tuple(lab for i, lab in enumerate(config.labels) if mask >> i & 1)))
+    return sorted(out)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(max_nodes=8))
+def test_potential_search_matches_the_cone_on_drawn_graphs(g):
+    config = build_configuration(g)
+    assert [tuple(f) for f in enumerate_facets(config)] == _cone_facets(config)
+
+
+@pytest.mark.parametrize("name", NAMED_GRAPHS)
+def test_potential_search_matches_the_cone_on_named_graphs(name):
+    config = build_configuration(NAMED_GRAPHS[name])
+    facets = enumerate_facets(config)
+    assert [tuple(f) for f in facets] == _cone_facets(config)
+    if name == "W12":
+        assert len(facets) == 8230
+
+
+@pytest.mark.parametrize("name", ["W10", "C12", "grid3x4"])
+def test_every_leaf_of_the_potential_search_is_a_facet(name):
+    # The cuts leave no leaf to discard: one leaf per facet, no repeats.
+    config = build_configuration(NAMED_GRAPHS[name])
+    leaves = list(_potential_leaves(config))
+    assert len(leaves) == len(set(leaves)) == len(hull_facet_rays(config.vectors))
+
+
+def test_potential_search_keeps_the_label_order_of_a_shuffled_configuration():
+    # Not what build_configuration makes, but still the adjacency
+    # configuration of its labels: supports follow the given label order.
+    config = build_configuration(running_example())
+    order = list(range(len(config.labels)))
+    random.Random(97).shuffle(order)
+    shuffled = PointConfiguration(
+        config.dim,
+        tuple(config.labels[i] for i in order),
+        tuple(config.vectors[i] for i in order),
+    )
+    assert [tuple(f) for f in enumerate_facets(shuffled)] == _cone_facets(shuffled)
+
+
+@pytest.mark.parametrize("m", range(3, 15))
+def test_cycle_facet_counts(m):
+    # C_m has C(m, m/2) facets for even m and m C(m-1, (m-1)/2) for odd m.
+    expected = comb(m, m // 2) if m % 2 == 0 else m * comb(m - 1, (m - 1) // 2)
+    assert len(enumerate_facets(build_configuration(cycle_graph(m)))) == expected
+
+
+def test_tree_facet_counts():
+    # Every +-1 potential on a tree is a facet: 2^(n-1) of them.
+    rng = random.Random(101)
+    trees = [path_graph(n) for n in range(2, 11)] + [star_graph(n) for n in range(2, 11)]
+    trees += [random_tree(rng, max_nodes=11) for _ in range(10)]
+    for g in trees:
+        assert len(enumerate_facets(build_configuration(g))) == 2 ** (g.node_count - 1)
+
+
+def test_adjacency_configuration_of_a_disconnected_label_graph_is_not_full_dimensional():
+    for dim, labels in ((3, [(0, 1), (2, 3)]), (2, [(0, 1)]), (4, [(0, 1), (1, 2), (3, 4)])):
+        labels = tuple(sorted(labels + [(j, i) for i, j in labels]))
+        config = PointConfiguration(dim, labels, tuple(phi(lab, dim) for lab in labels))
+        with pytest.raises(NotFullDimensional):
+            enumerate_facets(config)
