@@ -32,6 +32,7 @@ EXACTLIN = "src/apx/exactlin.py"
 WALKED = "tests/test_matroid.py::test_walked_tables_match_per_subset_definitions"
 POTENTIAL = "tests/test_polytope.py::test_potential_search_matches_the_cone"
 MEMOISED = "tests/test_cli.py::test_memoised_leaf_tuples_write_the_bytes_of_json_dump"
+GATE = "tests/test_polytope.py::test_facets_refuse_other_configurations"
 
 MUTANTS = (
     Mutant(
@@ -128,11 +129,15 @@ MUTANTS = (
         ("tests/test_exactlin.py::test_rank_nullity",),
     ),
     Mutant(
-        "polytope: drop the reflexivity check (beta = 1)",
+        "polytope: facets without the adjacency-configuration gate",
         POLYTOPE,
-        "        if beta != 1:\n",
-        "        if False:\n",
-        ("tests/test_polytope.py::test_facet_off_level_minus_one_is_not_reflexive",),
+        "    if not _is_adjacency_configuration(config):\n",
+        "    if False:\n",
+        (
+            f"{GATE}[origin-on-boundary]",
+            f"{GATE}[level-minus-two]",
+            f"{GATE}[not-closed-under-reversal]",
+        ),
     ),
     Mutant(
         "polytope: potential search without the closed-component cut",
@@ -226,9 +231,17 @@ MUTANTS = (
         "            and len(self.cycles[0]) == len(self.tree) + 1\n",
         "",
         (
-            "tests/test_graphcore.py::test_is_balanced_cycle_rejects_non_cycles",
             "tests/test_cellanalysis.py::test_subset_dependent_but_not_minimal",
+            "tests/test_cellanalysis.py::test_classify_special_graphs",
         ),
+    ),
+    Mutant(
+        "cellanalysis: only-directed-cycle test without the k2 -> k1 rename",
+        CELLANALYSIS,
+        "    merged = [(k1 if i == k2 else i, k1 if j == k2 else j)"
+        " for i, j in arcs - {p, q}]\n",
+        "    merged = list(arcs - {p, q})\n",
+        ("tests/test_cellanalysis.py::test_only_directed_cycle_flag_matches_the_cycle_enumeration",),
     ),
     Mutant(
         "cellanalysis: drop the circuit-versus-plain-cycle check",

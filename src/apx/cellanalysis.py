@@ -35,7 +35,7 @@ from .errors import (
 )
 from .graphcore import Forest, Graph, cyclomatic_number, edge, forest, is_cycle, vertices_of
 from .polytope import DirectedEdge, IntVector, _idot, _seed, phi
-from .subdivision import Cell, edge_contraction_subdivision
+from .subdivision import Cell
 
 Edge = tuple[int, int]
 
@@ -247,40 +247,23 @@ class CellPropertiesReport(NamedTuple):
         }
 
 
-def _digraph_has_cycle(arcs) -> bool:
-    adj: dict[int, list[int]] = {}
+def _is_acyclic(arcs: list[DirectedEdge]) -> bool:
+    """Kahn's algorithm: a digraph is acyclic iff taking away nodes of
+    in-degree zero, and their arcs, takes away every arc."""
+    out: dict[int, list[int]] = {}
+    indegree: dict[int, int] = {}
     for i, j in arcs:
-        adj.setdefault(i, []).append(j)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-
-    def visit(v) -> bool:
-        color[v] = GRAY
-        for w in adj.get(v, ()):
-            c = color.get(w, WHITE)
-            if c == GRAY or (c == WHITE and visit(w)):
-                return True
-        color[v] = BLACK
-        return False
-
-    return any(color.get(v, WHITE) == WHITE and visit(v) for v in list(adj))
-
-
-def _reachable(arcs, start: int, goal: int) -> bool:
-    adj: dict[int, list[int]] = {}
-    for i, j in arcs:
-        adj.setdefault(i, []).append(j)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if w == goal:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
+        out.setdefault(i, []).append(j)
+        indegree[j] = indegree.get(j, 0) + 1
+    ready = [v for v in out if v not in indegree]
+    taken = 0
+    while ready:
+        for w in out.get(ready.pop(), ()):
+            taken += 1
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    return taken == len(arcs)
 
 
 def verify_cell_properties(g: Graph, e: Edge, rec: CellRecord) -> CellPropertiesReport:
@@ -290,14 +273,10 @@ def verify_cell_properties(g: Graph, e: Edge, rec: CellRecord) -> CellProperties
     arcs = rec.arcs
     p, q = _contracted_pair(e)
 
-    rest = arcs - {p, q}
-    only_cycle = (
-        p in arcs
-        and q in arcs
-        and not _digraph_has_cycle(rest)
-        and not _reachable(rest, k2, k1)
-        and not _reachable(rest, k1, k2)
-    )
+    # With k2 renamed k1, the other arcs have a directed cycle exactly
+    # when they had one before or had a path between k1 and k2.
+    merged = [(k1 if i == k2 else i, k1 if j == k2 else j) for i, j in arcs - {p, q}]
+    only_cycle = p in arcs and q in arcs and _is_acyclic(merged)
 
     spans = rec.vertices == set(range(g.node_count))
 
@@ -328,17 +307,10 @@ def verify_cell_properties(g: Graph, e: Edge, rec: CellRecord) -> CellProperties
 # ---------------------------------------------------------------------------
 
 
-def max_corank(
-    g: Graph, e: Edge, cells: list[Cell] | None = None, coranks: list | None = None
-) -> tuple[int, Cell]:
+def max_corank(cells: list[Cell], coranks: list) -> tuple[int, Cell]:
     """Maximum corank over the subdivision's cells, with a witness cell.
-    ``coranks`` may give each cell's corank as its analysis found it, or
-    None for a cell whose analysis failed, which is left out; without
-    it, every cell is analysed here."""
-    if cells is None:
-        cells = edge_contraction_subdivision(g, e)
-    if coranks is None:
-        coranks = [_corank(cell_record(c.points, c.dim), e) for c in cells]
+    ``coranks`` gives each cell's corank as its analysis found it, or None
+    for a cell whose analysis failed, which is left out."""
     best_cell = None
     best = -1
     for cell, corank in zip(cells, coranks):
@@ -608,15 +580,12 @@ class SpecialGraphReport(NamedTuple):
         return out
 
 
-def classify_special_graphs(
-    g: Graph, e: Edge, cells: list[Cell], circuits: list | None = None
-) -> SpecialGraphReport:
+def classify_special_graphs(g: Graph, cells: list[Cell], circuits: list) -> SpecialGraphReport:
     """Check the tree / even cycle / odd cycle statements when they apply:
     trees and even cycles give only simplicial cells (a triangulation),
-    odd cycles give only circuits.  ``circuits`` may give each cell's
-    circuit verdict as its analysis found it, or None for a cell whose
-    analysis failed, which counts as no circuit; without it, every cell
-    is analysed here."""
+    odd cycles give only circuits.  ``circuits`` gives each cell's circuit
+    verdict as its analysis found it, or None for a cell whose analysis
+    failed, which counts as no circuit."""
     edges = g.edges
     if cyclomatic_number(edges) == 0:
         kind = "tree"
@@ -626,6 +595,4 @@ def classify_special_graphs(
         return SpecialGraphReport("general")
     if kind in ("tree", "even_cycle"):
         return SpecialGraphReport(kind, all_simplicial=all(c.is_simplicial() for c in cells))
-    if circuits is None:
-        circuits = [_is_circuit(cell_record(c.points, c.dim), e) for c in cells]
     return SpecialGraphReport(kind, all_circuits=all(circuits))

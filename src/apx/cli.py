@@ -3,8 +3,9 @@
 Commands: ``apx facets FILE``, ``apx subdivide FILE --edge K1,K2``,
 ``apx volume FILE [--method ...]``, ``apx verify FILE --edge K1,K2``.
 Graphs are read from "u v"-per-line text or {"edges": [[u, v], ...]}
-JSON.  All output is canonical JSON (sorted keys, exact "p/q" rationals),
-byte-identical across runs, written by ``emit``.  Exit codes:
+JSON.  All output is canonical JSON (sorted keys; normals, levels and
+volumes as exact integers written as decimal strings), byte-identical
+across runs, written by ``emit``.  Exit codes:
 0 success, 1 verification failure, 2 input error or output that cannot be
 written (an unwritable path, or a reader of stdout that has gone).
 

@@ -13,10 +13,6 @@ class EdgeNotInGraph(ApxError):
     """Requested edge is not an edge of the graph."""
 
 
-class NotACycle(ApxError):
-    """Edge set does not form a single cycle."""
-
-
 class DisconnectedGraph(ApxError):
     """Operation requires a connected graph."""
 

@@ -1,4 +1,4 @@
-"""Simple undirected graphs: contraction, cycle space, balanced cycles.
+"""Simple undirected graphs: contraction, cycle space, balanced circuit rank.
 
 Nodes are labelled 0..n.  Edges are unordered pairs stored as sorted
 tuples.  An edge subset ("subgraph") is any frozenset of such pairs; its
@@ -7,18 +7,16 @@ vertex set is the set of endpoints.
 What this module says about the cycle space of a subgraph reads one
 ``forest`` pass over it: a Kruskal spanning forest in the caller's edge
 order, the components, and the fundamental cycle of each non-tree edge.
-Components, cyclomatic number (the number of those cycles), the
-plain-cycle and balancedness tests and the cycle enumeration are reads
-of that pass.
+Components, cyclomatic number (the number of those cycles) and the
+plain-cycle test are reads of that pass.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import combinations
 from typing import NamedTuple
 
-from .errors import EdgeNotInGraph, NotACycle, ParseError
+from .errors import EdgeNotInGraph, ParseError
 
 Edge = tuple[int, int]
 EdgeSet = frozenset[Edge]
@@ -239,21 +237,6 @@ def contract_edge(g: Graph, e: Edge) -> tuple[Graph, dict[int, int]]:
     return Graph(g.node_count - 1, frozenset(new_edges)), mapping
 
 
-def contract_subgraph_edges(edges, e: Edge, mapping: dict[int, int]) -> EdgeSet:
-    """Image of an edge subset under the contraction relabelling.
-
-    If e is not among the edges the subset is untouched except for the
-    relabelling (H // e = H convention, endpoint labels kept via the same
-    compaction map).
-    """
-    out = set()
-    for u, v in edges:
-        a, b = mapping[u], mapping[v]
-        if a != b:
-            out.add(edge(a, b))
-    return frozenset(out)
-
-
 def cyclomatic_number(edges) -> int:
     """|E| - |V| + number of components: the number of fundamental cycles."""
     return len(forest(frozenset(edges)).cycles)
@@ -262,50 +245,6 @@ def cyclomatic_number(edges) -> int:
 def is_cycle(edges) -> bool:
     """True iff the edge set is a single plain cycle."""
     return forest(frozenset(edges)).is_cycle
-
-
-def is_balanced_cycle(cycle_edges, e: Edge) -> bool:
-    """A cycle is balanced when it has an even number of edges besides e."""
-    cycle_edges = frozenset(cycle_edges)
-    if not is_cycle(cycle_edges):
-        raise NotACycle("edge set is not a single cycle")
-    return len(cycle_edges - {edge(*e)}) % 2 == 0
-
-
-def is_balanced_subgraph(edges, e: Edge) -> bool:
-    """True iff every cycle of the edge set is balanced w.r.t. e.
-
-    Balancedness is Z2-linear on the cycle space (each edge weighs 1,
-    the contracted edge 0; symmetric differences cancel pairs), so it
-    suffices to test the fundamental cycles of any spanning forest.
-    """
-    e = edge(*e)
-    return all(len(c - {e}) % 2 == 0 for c in forest(frozenset(edges)).cycles)
-
-
-def all_cycles(edges) -> list[EdgeSet]:
-    """Every simple cycle of the edge set, via cycle-space combinations.
-
-    An element of the Z2 cycle space is a single cycle exactly when it is
-    connected and 2-regular.  Exponential in the cyclomatic number, which
-    stays tiny at the scales this package targets.
-    """
-    basis = forest(frozenset(edges)).cycles
-    cycles = []
-    for r in range(1, len(basis) + 1):
-        for combo in combinations(basis, r):
-            member = frozenset()
-            for cyc in combo:
-                member = member ^ cyc
-            if member and is_cycle(member):
-                cycles.append(member)
-    return sorted(set(cycles), key=lambda c: (len(c), sorted(c)))
-
-
-def circumference(edges) -> int:
-    """Length of the longest cycle; 0 for forests."""
-    cycles = all_cycles(edges)
-    return max((len(c) for c in cycles), default=0)
 
 
 def balanced_circuit_rank(g: Graph, e: Edge) -> int:

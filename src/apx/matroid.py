@@ -289,10 +289,11 @@ class MorphismReport(NamedTuple):
         return {"ground_size": self.ground_size, "subsets_checked": self.subsets_checked}
 
 
-def verify_morphism(cell: Cell, e, check_axioms: bool = False) -> MorphismReport:
+def verify_morphism(cell: Cell, e) -> MorphismReport:
     """Exhaustively check that mapping grouped subsets to edge subsets
     matches dependent sets with cyclic ones, and hence bases with spanning
-    trees, circuits with plain cycles and rank with rank."""
+    trees, circuits with plain cycles and rank with rank, and that the
+    common table satisfies the matroid axioms."""
     ground, independent = _point_table(cell, e)
     # Edge images of the grouped elements, in the same index order, so
     # the morphism f is the identity on bitmasks.
@@ -307,6 +308,5 @@ def verify_morphism(cell: Cell, e, check_axioms: bool = False) -> MorphismReport
         mask = next(m for m in range(1 << n) if independent[m] != graphic[m])
         witness = sorted(ground[b] for b in range(n) if mask >> b & 1)
         raise MorphismViolation(f"dependence mismatch at {witness}")
-    if check_axioms:
-        check_matroid_axioms(independent, n)
+    check_matroid_axioms(independent, n)
     return MorphismReport(n, 1 << n)

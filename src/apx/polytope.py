@@ -3,10 +3,10 @@ exact normalized-volume oracle.
 
 Geometry is done in integers and bitsets throughout.  The facets of an
 adjacency configuration are its integer potentials whose tight edges
-connect the graph, found by a pruned depth-first search.  Facets of any
-other point configuration, and regular subdivisions, are read off the
-extreme rays of polyhedral cones computed with the double description
-method (exact, incremental).  A cone starts
+connect the graph, found by a pruned depth-first search; a point
+configuration of any other kind is refused.  Regular subdivisions are
+read off the extreme rays of polyhedral cones computed with the double
+description method (exact, incremental).  A cone starts
 from one fraction-free Gauss-Jordan pass over its rows as columns: the
 pass finds the greedy row basis, its determinant and the seed rays
 together.  Its rays have stable ids, and for
@@ -56,9 +56,6 @@ class PointConfiguration(NamedTuple):
     labels: tuple[DirectedEdge, ...]
     vectors: tuple[IntVector, ...]
 
-    def vector_of(self, label: DirectedEdge) -> IntVector:
-        return phi(label, self.dim)
-
 
 def build_configuration(g: Graph) -> PointConfiguration:
     """All points +-(e_i - e_j) over the edges of a connected graph.
@@ -77,11 +74,9 @@ class FacetCertificate(NamedTuple):
     """A facet as (inner normal, support), normalized so that every
     supported point x satisfies <x, normal> = -1 and all points satisfy
     <x, normal> >= -1 (valid because 0 is interior).  The normal is an
-    integer vector: for an adjacency configuration it is an integer
-    potential by construction (total unimodularity, see
-    ``enumerate_facets``), and on any other configuration the cone path
-    checks reflexivity on every facet.  The support lists its labels, the
-    tuples themselves, in label order."""
+    integer potential by construction (total unimodularity, see
+    ``enumerate_facets``).  The support lists its labels, the tuples
+    themselves, in label order."""
 
     normal: IntVector
     support: tuple[DirectedEdge, ...]
@@ -296,30 +291,8 @@ def _at_least(sets: list[int], needed: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Facets of the convex hull of a full-dimensional point set.
+# Facets of an adjacency polytope.
 # ---------------------------------------------------------------------------
-
-
-def hull_facet_rays(vectors) -> list[tuple[IntVector, int, int]]:
-    """Facets of conv(vectors) for a full-dimensional lattice point set
-    in R^d.
-
-    Returns (alpha, beta, tight_mask) triples: <x, alpha> + beta >= 0
-    holds on all points with equality exactly on the tight set, and each
-    facet appears once.  Derived from the extreme rays of the cone of
-    valid inequalities, which is pointed iff the set affinely spans: the
-    cone raises NotFullDimensional otherwise.
-    """
-    d = len(vectors[0])
-    rows = [v + (1,) for v in _lattice_points(vectors)]
-    cone = DDCone(d + 1, rows)
-    out = []
-    for v, mask in cone.rays:
-        alpha, beta = v[:-1], v[-1]
-        if all(a == 0 for a in alpha):
-            raise TheoremViolation("trivial inequality reported as extreme")
-        out.append((alpha, beta, mask))
-    return out
 
 
 def _is_adjacency_configuration(config: PointConfiguration) -> bool:
@@ -442,45 +415,32 @@ def enumerate_facets(config: PointConfiguration) -> list[FacetCertificate]:
 
     Normals are scaled so supported points sit at level -1, which is
     possible because the origin is interior.  For the zero-dimensional
-    configuration the single facet is the empty set.  Points that do not
-    span their space raise NotFullDimensional.
+    configuration the single facet is the empty set.  A configuration
+    that is not the adjacency configuration of its own labels (what
+    ``build_configuration`` makes, in any label order) raises ValueError;
+    one whose label graph does not connect its nodes raises
+    NotFullDimensional.
 
-    A configuration that is the adjacency configuration of its own labels
-    (what ``build_configuration`` makes) takes the potential search of
-    ``_potential_leaves``.  Its facets are exactly the integer potentials
-    f with f(0) = 0, |f(u) - f(v)| <= 1 on every edge, whose tight edges
-    connect every node (Higashitani, Jochemko and Michalek 2019): a
-    facet's support holds n - 1 independent points e_i - e_j, the arcs of
-    a spanning tree, and the incidence matrix of a tree is totally
-    unimodular, so the level -1 normal solving <x, f> = -1 on them is
-    integral; validity is |f(u) - f(v)| <= 1, and the tight points span
-    iff the tight edges connect.  Every other configuration takes the
-    double description cone of ``hull_facet_rays``, which checks that the
-    origin is interior and that the polytope is reflexive (Matsui,
-    Higashitani, Nagazawa, Ohsugi and Hibi 2011): each primitive facet
-    inequality <x, alpha> + beta >= 0 must have beta = 1, so the normal
-    is alpha itself; any other beta raises.
+    The facets are the integer potentials f with f(0) = 0,
+    |f(u) - f(v)| <= 1 on every edge, whose tight edges connect every
+    node (Higashitani, Jochemko and Michalek 2019), found by the search
+    of ``_potential_leaves``: a facet's support holds n - 1 independent
+    points e_i - e_j, the arcs of a spanning tree, and the incidence
+    matrix of a tree is totally unimodular, so the level -1 normal
+    solving <x, f> = -1 on them is integral; validity is
+    |f(u) - f(v)| <= 1, and the tight points span iff the tight edges
+    connect.
     """
+    if not _is_adjacency_configuration(config):
+        raise ValueError("not the adjacency configuration of its labels")
     if config.dim == 0:
         return [FacetCertificate((), ())]
-    if _is_adjacency_configuration(config):
-        facets = sorted(_potential_leaves(config))
-    else:
-        rays = hull_facet_rays(config.vectors)
-        if any(beta <= 0 for _, beta, _ in rays):
-            raise TheoremViolation("origin not interior; cannot normalize facet")
-        for alpha, beta, _ in rays:
-            if beta != 1:
-                raise TheoremViolation(
-                    f"facet {alpha} at level -{beta}: the polytope is not reflexive"
-                )
-        facets = sorted((alpha, mask) for alpha, _, mask in rays)
     # A support lists its labels in label order, which is sorted order for
     # the configurations ``build_configuration`` makes.
     labels = config.labels
     return [
         FacetCertificate(normal, tuple([labels[i] for i in _bits(mask)]))
-        for normal, mask in facets
+        for normal, mask in sorted(_potential_leaves(config))
     ]
 
 

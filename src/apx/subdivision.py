@@ -262,16 +262,10 @@ def check_simpliciality_transfer(cells, correspondence: Correspondence) -> bool:
     )
 
 
-def verify_cell_support(
-    g: Graph, e: Edge, cell: Cell, config: PointConfiguration | None = None
-) -> bool:
-    """Definitional check of one cell against the lift: level h on its
-    points, strictly above elsewhere, with h = 0 on the contracted pair.
-
-    ``config`` is g's configuration, for callers that check many cells.
-    """
-    if config is None:
-        config = build_configuration(g)
+def verify_cell_support(config: PointConfiguration, e: Edge, cell: Cell) -> bool:
+    """Definitional check of one cell against the lift of the graph's
+    configuration ``config``: level h on its points, strictly above
+    elsewhere, with h = 0 on the contracted pair."""
     # With gamma_0 = 0 in front, <e_i - e_j, gamma> = gamma[i] - gamma[j].
     # The lift weight (``lift_weight``) is 0 on the pair, 1 elsewhere.
     gamma, height = (0, *cell.gamma), cell.height

@@ -105,7 +105,7 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
         if cell.height != 0 or full_gamma[e[0]] != full_gamma[e[1]]:
             ok = False
             break
-        if not verify_cell_support(g, e, cell, config):
+        if not verify_cell_support(config, e, cell):
             ok = False
             break
     report.add("lower_facet_normalization", ok, "h = 0 and gamma agrees on the merged nodes")
@@ -172,12 +172,12 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     # whose analysis failed hands on None, failing evidence for both.
     circuits = [r.circuit if isinstance(r, CellInvariantReport) else None for r in results]
     coranks = [r.corank if isinstance(r, CellInvariantReport) else None for r in results]
-    special = classify_special_graphs(g, e, cells, circuits)
+    special = classify_special_graphs(g, cells, circuits)
     report.add("special_graph_classes", special.passed(), special.graph_class)
 
     if level == "full":
         rank = balanced_circuit_rank(g, e)
-        value, _ = max_corank(g, e, cells, coranks)
+        value, _ = max_corank(cells, coranks)
         detail = f"max corank {value}, balanced circuit rank {rank}"
         missing = coranks.count(None)
         if missing:
@@ -193,7 +193,7 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
                 skipped += 1
                 continue
             try:
-                verify_morphism(cell, e, check_axioms=True)
+                verify_morphism(cell, e)
             except ApxError as exc:
                 ok = False
                 detail = str(exc)

@@ -354,6 +354,27 @@ def brute_force_cycles(g: Graph):
     return sorted(cycles, key=lambda c: (len(c), sorted(c)))
 
 
+def brute_force_directed_cycles(arcs):
+    """All directed cycles of a digraph without loops, as arc sets, by DFS
+    over simple paths from their least node."""
+    out: dict[int, list[int]] = {}
+    for i, j in arcs:
+        out.setdefault(i, []).append(j)
+    cycles = set()
+
+    def extend(path: list[int]):
+        start = path[0]
+        for nxt in out.get(path[-1], ()):
+            if nxt == start:
+                cycles.add(frozenset(zip(path, path[1:] + [start])))
+            elif nxt > start and nxt not in path:
+                extend(path + [nxt])
+
+    for s in sorted(out):
+        extend([s])
+    return cycles
+
+
 def brute_force_balanced_circuit_rank(g: Graph, e) -> int:
     """Max cyclomatic number over balanced edge subsets, checked against
     the full cycle list of each subset."""

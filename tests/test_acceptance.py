@@ -132,7 +132,7 @@ def test_criterion_3_running_example():
     assert len(cells) == 6 * len(f2)
 
     # (b) maximum corank equals the balanced circuit rank, both 2.
-    value, witness = max_corank(g, e, cells)
+    value, witness = max_corank(cells, [subset_corank(c.points, e, c.dim) for c in cells])
     assert value == 2
     assert balanced_circuit_rank(g, e) == 2
 
@@ -170,18 +170,23 @@ def test_criterion_5_invariants_on_corpus(corpus):
     for record in corpus["records"]:
         g, e, cells = record["graph"], record["edge"], record["cells"]
         corr = facet_correspondence(g, e, cells)
+        config = build_configuration(g)
         for cell, oracle in zip(cells, record["cell_volumes"]):
             assert cell.contains_contracted_pair(e)
             assert cell.height == 0
             full_gamma = (Fraction(0),) + tuple(cell.gamma)
             assert full_gamma[e[0]] == full_gamma[e[1]]
-            assert verify_cell_support(g, e, cell)
+            assert verify_cell_support(config, e, cell)
             assert verify_cell_properties(g, e, cell_record(cell.points, cell.dim)).all_pass()
             corank = subset_corank(cell.points, e, cell.dim)  # asserts = cyclomatic
             if corank <= 2:
                 assert cell_volume_closed_form(cell, e) == oracle
         assert check_simpliciality_transfer(cells, corr)
     announce("criterion-5 (full invariant suite on the corpus, zero failures)", started)
+
+
+def circuits(cells, e):
+    return [subset_is_circuit(c.points, e, c.dim) for c in cells]
 
 
 def test_criterion_6_special_graphs():
@@ -191,17 +196,17 @@ def test_criterion_6_special_graphs():
         tree = random_tree(rng, max_nodes=8)
         e = rng.choice(tree.sorted_edges())
         cells = edge_contraction_subdivision(tree, e)
-        report = classify_special_graphs(tree, e, cells)
+        report = classify_special_graphs(tree, cells, circuits(cells, e))
         assert report.graph_class == "tree" and report.all_simplicial
 
     c6 = cycle_graph(6)
     cells = edge_contraction_subdivision(c6, (0, 5))
-    report = classify_special_graphs(c6, (0, 5), cells)
+    report = classify_special_graphs(c6, cells, circuits(cells, (0, 5)))
     assert report.graph_class == "even_cycle" and report.all_simplicial
 
     c7 = cycle_graph(7)
     cells = edge_contraction_subdivision(c7, (0, 6))
-    report = classify_special_graphs(c7, (0, 6), cells)
+    report = classify_special_graphs(c7, cells, circuits(cells, (0, 6)))
     assert report.graph_class == "odd_cycle" and report.all_circuits
     assert time.monotonic() - started < 60.0
     announce("criterion-6 (trees simplicial, C6 triangulation, C7 circuits)", started)
@@ -215,10 +220,10 @@ def test_criterion_7_matroid_morphism():
     ]
     for g, e in instances:
         for cell in edge_contraction_subdivision(g, e):
-            verify_morphism(cell, e, check_axioms=True)
+            verify_morphism(cell, e)
     running_cells = edge_contraction_subdivision(running_example(), (0, 3))
     (deep_cell,) = [c for c in running_cells if frozenset(c.points) == frozenset(CORANK2_CELL_ARCS)]
-    report = verify_morphism(deep_cell, (0, 3), check_axioms=True)
+    report = verify_morphism(deep_cell, (0, 3))
     assert report.subsets_checked == 256
     assert time.monotonic() - started < 60.0
     announce("criterion-7 (exhaustive matroid morphism on C4, C5, and the 9-point cell)", started)

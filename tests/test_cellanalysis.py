@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     CORANK2_CELL_ARCS,
     brute_force_cycles,
+    brute_force_directed_cycles,
     connected_graphs,
     cycle_graph,
     interior_lift_subcells,
@@ -106,6 +107,36 @@ def test_cell_properties_corank2_cell_basis():
     report = verify_cell_properties(running_example(), (0, 3), cell_record(cell.points, cell.dim))
     assert report.all_pass()
     assert report.basis_odd_cycles == 1
+
+
+def test_only_directed_cycle_flag_matches_the_cycle_enumeration():
+    # Arc sets that are not cells, some without the contracted pair: the
+    # flag holds iff the pair is the only directed cycle.  The False cases
+    # include ones where the other arcs hold no cycle, only a path between
+    # k1 and k2.
+    rng = random.Random(139)
+    counts = {"true": 0, "cycle": 0, "path only": 0, "pair missing": 0}
+    for _ in range(600):
+        n = rng.randint(2, 6)
+        k1, k2 = sorted(rng.sample(range(n), 2))
+        p, q = (k1, k2), (k2, k1)
+        pool = [(i, j) for i in range(n) for j in range(n) if i != j and {i, j} != {k1, k2}]
+        arcs = {a for a in pool if rng.random() < 0.3}
+        arcs |= {a for a in (p, q) if rng.random() < 0.9}
+        g = Graph.from_edges([edge(*a) for a in arcs] + [p], node_count=n)
+        flag = verify_cell_properties(
+            g, (k1, k2), cell_record(sorted(arcs), n - 1)
+        ).only_directed_cycle_is_pair
+        assert flag == (brute_force_directed_cycles(arcs) == {frozenset({p, q})}), (arcs, p)
+        if flag:
+            counts["true"] += 1
+        elif not {p, q} <= arcs:
+            counts["pair missing"] += 1
+        elif brute_force_directed_cycles(arcs - {p, q}):
+            counts["cycle"] += 1
+        else:
+            counts["path only"] += 1
+    assert min(counts.values()) > 0, counts
 
 
 def test_subset_independent_empty():
@@ -207,13 +238,24 @@ def test_radon_split_on_corank1_circuits():
     assert seen > 0
 
 
+def _max_corank(g, e):
+    """``max_corank`` over the subdivision's cells, each analysed here."""
+    cells = edge_contraction_subdivision(g, e)
+    return max_corank(cells, [subset_corank(c.points, e, c.dim) for c in cells])
+
+
 def test_max_corank_examples():
-    value, witness = max_corank(cycle_graph(4), (0, 3))
+    value, witness = _max_corank(cycle_graph(4), (0, 3))
     assert value == 0 and witness.is_simplicial()
-    value, _ = max_corank(cycle_graph(5), (0, 4))
+    value, _ = _max_corank(cycle_graph(5), (0, 4))
     assert value == 1
-    value, witness = max_corank(running_example(), (0, 3))
+    value, witness = _max_corank(running_example(), (0, 3))
     assert value == 2 and len(witness.points) == 9
+    # A cell whose analysis failed hands on None and is left out.
+    cells = edge_contraction_subdivision(running_example(), (0, 3))
+    coranks = [None if len(c.points) == 9 else subset_corank(c.points, (0, 3), 6) for c in cells]
+    value, witness = max_corank(cells, coranks)
+    assert value == 1 and len(witness.points) != 9
 
 
 def test_max_corank_equals_balanced_circuit_rank():
@@ -221,7 +263,7 @@ def test_max_corank_equals_balanced_circuit_rank():
     for _ in range(10):
         g = random_connected_graph(rng, max_nodes=6, max_edges=9)
         e = rng.choice(g.sorted_edges())
-        value, _ = max_corank(g, e)
+        value, _ = _max_corank(g, e)
         assert value == balanced_circuit_rank(g, e)
 
 
@@ -359,8 +401,7 @@ def test_unsupported_corank_raises():
     # Gluing three triangles along the contracted edge gives balanced
     # circuit rank 3, so some cell has corank 3.
     g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-    cells = edge_contraction_subdivision(g, (0, 1))
-    value, witness = max_corank(g, (0, 1), cells)
+    value, witness = _max_corank(g, (0, 1))
     assert value == 3
     with pytest.raises(UnsupportedCorank):
         cell_volume_closed_form(witness, (0, 1))
@@ -398,23 +439,28 @@ def test_corank1_cells_volume_property():
                 )
 
 
+def _classify(g, e):
+    """``classify_special_graphs`` with every cell's circuit verdict."""
+    cells = edge_contraction_subdivision(g, e)
+    return classify_special_graphs(g, cells, [subset_is_circuit(c.points, e, c.dim) for c in cells])
+
+
 def test_classify_special_graphs():
-    star = star_graph(4)
-    report = classify_special_graphs(
-        star, (0, 1), edge_contraction_subdivision(star, (0, 1))
-    )
+    report = _classify(star_graph(4), (0, 1))
     assert report.graph_class == "tree" and report.all_simplicial
 
-    c4 = cycle_graph(4)
-    report = classify_special_graphs(c4, (0, 3), edge_contraction_subdivision(c4, (0, 3)))
+    report = _classify(cycle_graph(4), (0, 3))
     assert report.graph_class == "even_cycle" and report.all_simplicial
 
     c5 = cycle_graph(5)
-    report = classify_special_graphs(c5, (0, 4), edge_contraction_subdivision(c5, (0, 4)))
+    report = _classify(c5, (0, 4))
     assert report.graph_class == "odd_cycle" and report.all_circuits
+    # A cell whose analysis failed counts as no circuit.
+    cells = edge_contraction_subdivision(c5, (0, 4))
+    report = classify_special_graphs(c5, cells, [True] * (len(cells) - 1) + [None])
+    assert report.all_circuits is False and not report.passed()
 
-    sample = running_example()
-    report = classify_special_graphs(sample, (0, 3), [])
+    report = classify_special_graphs(running_example(), [], [])
     assert report.graph_class == "general" and report.passed()
 
 

@@ -17,20 +17,16 @@ from conftest import (
     reference_is_plain_cycle,
 )
 
-from apx.errors import EdgeNotInGraph, NotACycle, ParseError
+from apx.cellanalysis import cell_record, verify_cell_properties
+from apx.errors import EdgeNotInGraph, ParseError
 from apx.graphcore import (
     Graph,
-    all_cycles,
     balanced_circuit_rank,
-    circumference,
     contract_edge,
-    contract_subgraph_edges,
     cyclomatic_number,
     edge,
     forest,
     graph_to_dot,
-    is_balanced_cycle,
-    is_balanced_subgraph,
     is_cycle,
 )
 
@@ -68,23 +64,6 @@ def test_contract_running_example():
 def test_contract_missing_edge():
     with pytest.raises(EdgeNotInGraph):
         contract_edge(cycle_graph(4), (0, 2))
-
-
-def test_contract_subgraph_edges_convention():
-    # Subgraphs not containing the contracted edge are only relabelled,
-    # keeping the merged endpoint's (compacted) label.
-    g = running_example()
-    _, mapping = contract_edge(g, (0, 3))
-    assert contract_subgraph_edges([(4, 5), (6, 5)], (0, 3), mapping) == frozenset(
-        {(3, 4), (4, 5)}
-    )
-    assert contract_subgraph_edges([(0, 1), (5, 3)], (0, 3), mapping) == frozenset(
-        {(0, 1), (0, 4)}
-    )
-    # Subgraphs through the edge contract like the graph itself.
-    assert contract_subgraph_edges([(0, 3), (2, 3), (0, 2)], (0, 3), mapping) == frozenset(
-        {(0, 2)}
-    )
 
 
 def test_contract_never_creates_loops_or_parallels():
@@ -168,40 +147,84 @@ def test_forest_against_references(edges):
     if edges:
         bridge = len(reference_components(vertices, edges[:-1])) > len(components)
         assert (edges[-1] in basis.tree) == bridge
-    assert all_cycles(edges) == brute_force_cycles(Graph.from_edges(edges))
+
+
+# Balancedness of a subgraph with respect to an edge e is decided in
+# production by the cell-properties check, from the fundamental cycles of
+# the cell record's forest; these tests drive that flag.
+
+
+def balanced(edges, e, rng=None) -> bool:
+    """The ``undirected_balanced`` flag of the cell properties of a
+    directed subgraph on ``edges``: both arcs of e when it is present,
+    as in a cell, and one arc of every other edge, reversed at random
+    when ``rng`` is given."""
+    e = edge(*e)
+    labels = []
+    for u, v in edges:
+        if edge(u, v) == e:
+            labels += [(u, v), (v, u)]
+        else:
+            labels.append((v, u) if rng is not None and rng.random() < 0.5 else (u, v))
+    dim = max((x for f in labels for x in f), default=0)
+    g = Graph.from_edges(edges, node_count=dim + 1)
+    return verify_cell_properties(g, e, cell_record(labels, dim)).undirected_balanced
 
 
 def test_is_balanced_cycle():
     c4 = cycle_graph(4)
-    assert is_balanced_cycle(c4.edges, (0, 3)) is False
+    assert balanced(c4.edges, (0, 3)) is False
     c5 = cycle_graph(5)
-    assert is_balanced_cycle(c5.edges, (0, 4)) is True
+    assert balanced(c5.edges, (0, 4)) is True
     # Even cycle avoiding the contracted edge stays balanced.
-    assert is_balanced_cycle(c4.edges, (4, 5)) is True
-
-
-def test_is_balanced_cycle_rejects_non_cycles():
-    with pytest.raises(NotACycle):
-        is_balanced_cycle(path_graph(3).edges, (0, 1))
+    assert balanced(c4.edges, (4, 5)) is True
 
 
 def test_is_balanced_subgraph():
-    assert is_balanced_subgraph(path_graph(5).edges, (0, 1)) is True
-    assert is_balanced_subgraph(TWO_TRIANGLE_BALANCED_EDGES, (0, 3)) is True
+    assert balanced(path_graph(5).edges, (0, 1)) is True
+    assert balanced(TWO_TRIANGLE_BALANCED_EDGES, (0, 3)) is True
     assert cyclomatic_number(TWO_TRIANGLE_BALANCED_EDGES) == 2
-    assert is_balanced_subgraph(cycle_graph(4).edges, (0, 3)) is False
+    assert balanced(cycle_graph(4).edges, (0, 3)) is False
 
 
 def test_balanced_subgraph_matches_all_cycles_definition():
+    # Label sets on random subgraphs, with e on or off them: the flag,
+    # read off fundamental cycles, against every cycle by brute force.
     rng = random.Random(21)
-    for _ in range(40):
+    outcomes = set()
+    for _ in range(80):
         g = random_connected_graph(rng, max_nodes=6, max_edges=9)
         e = rng.choice(g.sorted_edges())
-        by_basis = is_balanced_subgraph(g.edges, e)
+        sub = [f for f in g.sorted_edges() if f == e or rng.random() < 0.8]
         by_cycles = all(
-            len(cyc - {edge(*e)}) % 2 == 0 for cyc in brute_force_cycles(g)
+            len(cyc - {e}) % 2 == 0 for cyc in brute_force_cycles(Graph.from_edges(sub))
         )
-        assert by_basis == by_cycles
+        assert balanced(sub, e, rng) == by_cycles
+        outcomes.add(by_cycles)
+    assert outcomes == {False, True}
+
+
+def test_balancedness_is_z2_linear():
+    # Parity is additive under symmetric difference: when the symmetric
+    # difference of two balanced cycles is again a single cycle, it is
+    # balanced; and every edge subset of a balanced subgraph is balanced.
+    rng = random.Random(29)
+    single, subsets = 0, 0
+    for _ in range(60):
+        g = random_connected_graph(rng, max_nodes=6, max_edges=10)
+        e = rng.choice(g.sorted_edges())
+        cycles = [c for c in brute_force_cycles(g) if balanced(c, e, rng)]
+        for c1 in cycles:
+            for c2 in cycles:
+                diff = c1 ^ c2
+                if diff and is_cycle(diff):
+                    assert balanced(diff, e, rng)
+                    single += 1
+        if balanced(g.edges, e, rng):
+            sub = frozenset(f for f in g.edges if rng.random() < 0.6)
+            assert balanced(sub, e, rng)
+            subsets += 1
+    assert single > 0 and subsets > 0
 
 
 def test_balanced_circuit_rank_examples():
@@ -224,42 +247,6 @@ def test_balanced_circuit_rank_bounded_by_cyclomatic():
         g = random_connected_graph(rng, max_nodes=7, max_edges=12)
         e = rng.choice(g.sorted_edges())
         assert balanced_circuit_rank(g, e) <= cyclomatic_number(g.edges)
-
-
-def test_balancedness_is_z2_linear():
-    # Parity is additive under symmetric difference: when the symmetric
-    # difference of two balanced cycles is again a single cycle, it is
-    # balanced; and every edge subset of a balanced subgraph is balanced.
-    rng = random.Random(29)
-    single, subsets = 0, 0
-    for _ in range(60):
-        g = random_connected_graph(rng, max_nodes=6, max_edges=10)
-        e = rng.choice(g.sorted_edges())
-        balanced = [c for c in all_cycles(g.edges) if is_balanced_cycle(c, e)]
-        for c1 in balanced:
-            for c2 in balanced:
-                diff = c1 ^ c2
-                if diff and is_cycle(diff):
-                    assert is_balanced_cycle(diff, e)
-                    single += 1
-        if is_balanced_subgraph(g.edges, e):
-            sub = frozenset(f for f in g.edges if rng.random() < 0.6)
-            assert is_balanced_subgraph(sub, e)
-            subsets += 1
-    assert single > 0 and subsets > 0
-
-
-def test_all_cycles_matches_dfs_enumeration():
-    rng = random.Random(31)
-    for _ in range(25):
-        g = random_connected_graph(rng, max_nodes=6, max_edges=10)
-        assert all_cycles(g.edges) == brute_force_cycles(g)
-
-
-def test_circumference():
-    assert circumference(path_graph(4).edges) == 0
-    assert circumference(cycle_graph(5).edges) == 5
-    assert circumference(running_example().edges) == 7
 
 
 def test_parsing_text_and_json():

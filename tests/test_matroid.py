@@ -151,7 +151,7 @@ def test_morphism_names_a_flipped_point_mask(monkeypatch):
         monkeypatch.setattr(matroid, "_point_table", lambda c, e: (ground, flipped))
         subset = sorted(ground[b] for b in range(len(ground)) if mask >> b & 1)
         with pytest.raises(MorphismViolation) as exc:
-            verify_morphism(cell, (0, 4), check_axioms=True)
+            verify_morphism(cell, (0, 4))
         assert str(exc.value) == f"dependence mismatch at {subset}"
 
 

@@ -32,13 +32,13 @@ from apx.polytope import (
     DDCone,
     PointConfiguration,
     _at_least,
+    _is_adjacency_configuration,
     _lattice_points,
     _PlacingState,
     _potential_leaves,
     _seed,
     build_configuration,
     enumerate_facets,
-    hull_facet_rays,
     normalized_volume,
     normalized_volume_of_cell,
     normalized_volume_of_points,
@@ -65,10 +65,9 @@ def test_build_configuration_c3():
     assert config.dim == 2
     assert len(config.labels) == 6
     assert set(config.vectors) == {(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)}
-    for i, j in config.labels:
-        a = config.vector_of((i, j))
-        b = config.vector_of((j, i))
-        assert tuple(-x for x in a) == b
+    for lab, v in zip(config.labels, config.vectors):
+        assert v == phi(lab, 2)
+        assert tuple(-x for x in v) == phi(lab[::-1], 2)
 
 
 def test_build_configuration_one_node():
@@ -90,22 +89,35 @@ def test_facets_edge_graph():
     assert facets[1].support == ((0, 1),)
 
 
-def test_origin_on_the_boundary_is_a_theorem_violation():
-    # Facets are normalized against the origin, so a configuration with
-    # the origin as a vertex breaks an internal invariant: reported as a
-    # TheoremViolation, not a bare AssertionError.
-    config = PointConfiguration(2, ((0, 1), (0, 2), (1, 2)), ((0, 0), (1, 0), (0, 1)))
-    with pytest.raises(TheoremViolation, match="origin not interior"):
-        enumerate_facets(config)
+def _hull_rays(vectors):
+    """(alpha, beta, tight mask) of every facet <x, alpha> + beta >= 0 of
+    conv(vectors), read off the double description cone of the valid
+    inequalities, with no use of the potential search."""
+    rows = [tuple(v) + (1,) for v in vectors]
+    return [(v[:-1], v[-1], mask) for v, mask in DDCone(len(rows[0]), rows).rays]
 
 
-def test_facet_off_level_minus_one_is_not_reflexive():
-    # conv{-1, 2} has the facet -x + 2 >= 0, so its normal scaled to
-    # level -1 would be (-1/2,): the points are not those of an
-    # adjacency polytope, which is reflexive.
-    config = PointConfiguration(1, ((0, 1), (1, 0)), ((2,), (-1,)))
-    assert ((-1,), 2) in [(alpha, beta) for alpha, beta, _ in hull_facet_rays(config.vectors)]
-    with pytest.raises(TheoremViolation, match="not reflexive"):
+HAND_BUILT = {
+    # The origin is a vertex, so no facet can be scaled to level -1.
+    "origin-on-boundary": PointConfiguration(
+        2, ((0, 1), (0, 2), (1, 2)), ((0, 0), (1, 0), (0, 1))
+    ),
+    # conv{-1, 2} has the facet -x + 2 >= 0, at level -2.
+    "level-minus-two": PointConfiguration(1, ((0, 1), (1, 0)), ((2,), (-1,))),
+    # (2, 1) is missing, and the points lie on one line.
+    "not-closed-under-reversal": PointConfiguration(
+        2, ((0, 1), (1, 0), (1, 2)), ((1, 1), (-1, -1), (2, 2))
+    ),
+    # Node 1 lies outside R^0, whose only adjacency configuration is empty.
+    "label-outside-dim-zero": PointConfiguration(0, ((0, 1), (1, 0)), ((), ())),
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_facets_refuse_other_configurations(name):
+    config = HAND_BUILT[name]
+    assert not _is_adjacency_configuration(config)
+    with pytest.raises(ValueError, match="not the adjacency configuration"):
         enumerate_facets(config)
 
 
@@ -177,7 +189,7 @@ def test_every_point_on_a_facet_or_inside():
 
 def test_hull_facet_rays_square():
     points = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    rays = hull_facet_rays(points)
+    rays = _hull_rays(points)
     assert len(rays) == 4
 
 
@@ -243,14 +255,13 @@ def test_volume_lower_dimensional_raises():
         normalized_volume_of_points([(0, 0), (1, 1), (2, 2)])
     with pytest.raises(NotFullDimensional):
         placing_triangulation([(0, 0), (1, 1), (2, 2)])
-    # Facets and lower hulls raise from their cone's rank test, on points
+    # Hulls and lower hulls raise from their cone's rank test, on points
     # that span a line, and on points that span R^2 linearly but lie on
     # one affine line.
     line = ((1, 1), (-1, -1), (2, 2))
     for vectors in (line, ((1, 0), (0, 1), (2, -1))):
-        config = PointConfiguration(2, ((0, 1), (1, 0), (1, 2)), vectors)
         with pytest.raises(NotFullDimensional):
-            enumerate_facets(config)
+            _hull_rays(vectors)
         with pytest.raises(NotFullDimensional):
             regular_subdivision_supports(vectors, [0, 1, 0])
 
@@ -596,9 +607,9 @@ NAMED_GRAPHS = {
 
 def _cone_facets(config):
     """(normal, support) of every facet, read off the double description
-    cone of ``hull_facet_rays`` with no use of the potential search."""
+    cone of ``_hull_rays`` with no use of the potential search."""
     out = []
-    for alpha, beta, mask in hull_facet_rays(config.vectors):
+    for alpha, beta, mask in _hull_rays(config.vectors):
         assert beta == 1
         out.append((alpha, tuple(lab for i, lab in enumerate(config.labels) if mask >> i & 1)))
     return sorted(out)
@@ -625,13 +636,14 @@ def test_every_leaf_of_the_potential_search_is_a_facet(name):
     # The cuts leave no leaf to discard: one leaf per facet, no repeats.
     config = build_configuration(NAMED_GRAPHS[name])
     leaves = list(_potential_leaves(config))
-    assert len(leaves) == len(set(leaves)) == len(hull_facet_rays(config.vectors))
+    assert len(leaves) == len(set(leaves)) == len(_hull_rays(config.vectors))
 
 
 def test_potential_search_keeps_the_label_order_of_a_shuffled_configuration():
     # Not what build_configuration makes, but still the adjacency
     # configuration of its labels: supports follow the given label order.
     config = build_configuration(running_example())
+    assert _is_adjacency_configuration(config)
     order = list(range(len(config.labels)))
     random.Random(97).shuffle(order)
     shuffled = PointConfiguration(
@@ -639,6 +651,7 @@ def test_potential_search_keeps_the_label_order_of_a_shuffled_configuration():
         tuple(config.labels[i] for i in order),
         tuple(config.vectors[i] for i in order),
     )
+    assert _is_adjacency_configuration(shuffled)
     assert [tuple(f) for f in enumerate_facets(shuffled)] == _cone_facets(shuffled)
 
 

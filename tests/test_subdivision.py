@@ -93,12 +93,13 @@ def test_cells_contain_contracted_pair_and_h_zero():
     for _ in range(12):
         g = random_connected_graph(rng, max_nodes=6, max_edges=9)
         e = rng.choice(g.sorted_edges())
+        config = build_configuration(g)
         for cell in edge_contraction_subdivision(g, e):
             assert cell.contains_contracted_pair(e)
             assert cell.height == 0
             full_gamma = (Fraction(0),) + tuple(cell.gamma)
             assert full_gamma[e[0]] == full_gamma[e[1]]
-            assert verify_cell_support(g, e, cell)
+            assert verify_cell_support(config, e, cell)
 
 
 def test_lift_ray_with_fractional_entries_raises(monkeypatch):
@@ -120,19 +121,17 @@ def test_verify_cell_support_levels_in_integers():
     e = (0, 3)
     config = build_configuration(g)
     for cell in edge_contraction_subdivision(g, e):
-        assert verify_cell_support(g, e, cell, config)
+        assert verify_cell_support(config, e, cell)
         # Every node meets a point of a full-dimensional cell, so one off
         # any coordinate of gamma, or one off the level, takes some point
         # off the level and must break the support.
         shifted = (cell.gamma[0] + 1,) + tuple(cell.gamma[1:])
-        assert not verify_cell_support(g, e, Cell(cell.points, shifted, cell.height, cell.dim))
+        assert not verify_cell_support(config, e, Cell(cell.points, shifted, cell.height, cell.dim))
         for step in (1, -1):
             for k in range(cell.dim):
                 gamma = tuple(x + step * (i == k) for i, x in enumerate(cell.gamma))
-                assert not verify_cell_support(g, e, cell._replace(gamma=gamma), config)
-            assert not verify_cell_support(
-                g, e, cell._replace(height=cell.height + step), config
-            )
+                assert not verify_cell_support(config, e, cell._replace(gamma=gamma))
+            assert not verify_cell_support(config, e, cell._replace(height=cell.height + step))
 
 
 def test_cell_volumes_sum_to_polytope_volume():
