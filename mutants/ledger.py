@@ -33,6 +33,7 @@ WALKED = "tests/test_matroid.py::test_walked_tables_match_per_subset_definitions
 POTENTIAL = "tests/test_polytope.py::test_potential_search_matches_the_cone"
 MEMOISED = "tests/test_cli.py::test_memoised_leaf_tuples_write_the_bytes_of_json_dump"
 GATE = "tests/test_polytope.py::test_facets_refuse_other_configurations"
+FROM_FACETS = "tests/test_subdivision.py::test_cells_from_facets_are_the_lower_faces_of_the_lift"
 
 MUTANTS = (
     Mutant(
@@ -204,11 +205,38 @@ MUTANTS = (
         ("tests/test_polytope.py::test_ddcone_seed_is_primitive_inverse_columns",),
     ),
     Mutant(
-        "subdivision: drop the lift integrality check",
+        "subdivision: cells without the merged-pair clause",
         SUBDIVISION,
-        "        if any(x % t for x in ray):\n",
+        "if a == b or (a, b) in support",
+        "if (a, b) in support",
+        (
+            f"{FROM_FACETS}[running]",
+            "tests/test_subdivision.py::test_cells_contain_contracted_pair_and_h_zero",
+        ),
+    ),
+    Mutant(
+        "subdivision: cell support mapped with the arc reversed",
+        SUBDIVISION,
+        "a == b or (a, b) in support",
+        "a == b or (b, a) in support",
+        (
+            f"{FROM_FACETS}[W7]",
+            "tests/test_subdivision.py::test_cells_from_facets_match_the_lift_on_drawn_graphs",
+        ),
+    ),
+    Mutant(
+        "cli: subdivide without its volume-cover test",
+        CLI,
+        "    if total != volume:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_subdivide_proof_refuses_a_missing_cell",),
+    ),
+    Mutant(
+        "cli: subdivide without its lower-face test",
+        CLI,
+        "        if not verify_cell_support(config, e, cell):\n",
         "        if False:\n",
-        ("tests/test_subdivision.py::test_lift_ray_with_fractional_entries_raises",),
+        ("tests/test_cli.py::test_subdivide_proof_refuses_a_shifted_normal",),
     ),
     Mutant(
         "cellanalysis: drop the corank-2 parity check",
@@ -218,8 +246,8 @@ MUTANTS = (
         ("tests/test_cellanalysis.py::test_corank2_closed_form_needs_an_even_numerator",),
     ),
     Mutant(
-        "cellanalysis: order the contracted edge first in the record's forest",
-        CELLANALYSIS,
+        "subdivision: order the contracted edge first in the record's forest",
+        SUBDIVISION,
         "key=lambda f: (f in arcs and f[::-1] in arcs, f)",
         "key=lambda f: (not (f in arcs and f[::-1] in arcs), f)",
         ("tests/test_cellanalysis.py::test_cell_properties_corank2_cell_basis",),
@@ -251,8 +279,8 @@ MUTANTS = (
         ("tests/test_cellanalysis.py::test_graph_side_faults_raise_theorem_violations",),
     ),
     Mutant(
-        "cellanalysis: drop the corank-versus-cyclomatic-number check",
-        CELLANALYSIS,
+        "subdivision: drop the corank-versus-cyclomatic-number check",
+        SUBDIVISION,
         "    if corank != rec.cyclomatic:\n",
         "    if False:\n",
         (

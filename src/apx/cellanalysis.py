@@ -2,16 +2,15 @@
 structural properties, affine independence/circuits/corank, signatures,
 maximum corank realization, and closed-form cell volumes.
 
-Every statement about a point set reads one ``CellRecord``: one
-fraction-free elimination of its homogenized points (the affine rank and
-the primitive integer kernel) and one ``graphcore.forest`` pass over its
-subgraph (components and fundamental cycles).  Corank, dependence, the
-corank-1 signature and the Radon split all come from the kernel;
-cyclomatic number, balancedness, the plain-cycle test, the odd basis
-cycles, the corank-1 circumference and the corank-2 cycle pair all come
-from the cycles.  Each check compares that point side with the graph
-side and never derives one from the other.  The record is built where a
-statement needs it and passed down, not kept for the run.
+Every statement about a point set reads one ``subdivision.CellRecord``:
+the affine rank and integer kernel of its points, and the components and
+fundamental cycles of its subgraph.  Corank, dependence, the corank-1
+signature and the Radon split come from the kernel; cyclomatic number,
+balancedness, the plain-cycle test, the odd basis cycles and the
+corank-1 and corank-2 cycles come from the cycles.  Each check compares
+that point side with the graph side and never derives one from the
+other.  A record is built where a statement needs it and passed down,
+not kept for the run.
 
 Every closed form is cross-checked against the exact triangulation
 oracle, so these functions double as theorem checkers; a disagreement
@@ -23,80 +22,28 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import exactlin
 from .errors import (
     EdgeNotInGraph,
     NotCorankOne,
     NoValidCyclePair,
-    PreconditionViolated,
     TheoremViolation,
     TreeMissingContractedEdge,
     UnsupportedCorank,
 )
-from .graphcore import Forest, Graph, cyclomatic_number, edge, forest, is_cycle, vertices_of
-from .polytope import DirectedEdge, IntVector, _idot, _seed, phi
-from .subdivision import Cell
+from .exactlin import eliminate
+from .graphcore import Graph, cyclomatic_number, edge, is_cycle, vertices_of
+from .polytope import DirectedEdge, _idot, phi
+from .subdivision import (
+    Cell,
+    CellRecord,
+    _check_pairing,
+    _contracted_pair,
+    _corank,
+    _dimension,
+    cell_record,
+)
 
 Edge = tuple[int, int]
-
-
-def cell_subgraphs(labels) -> tuple[frozenset[DirectedEdge], frozenset[Edge]]:
-    """Directed and undirected subgraphs whose edges label a point set."""
-    arcs = frozenset((i, j) for i, j in labels)
-    return arcs, frozenset(edge(i, j) for i, j in labels)
-
-
-def _contracted_pair(e: Edge) -> tuple[DirectedEdge, DirectedEdge]:
-    k1, k2 = e
-    return (k1, k2), (k2, k1)
-
-
-def _check_pairing(labels, e: Edge) -> bool:
-    """Both or neither of the contracted pair; True iff both present."""
-    p, q = _contracted_pair(e)
-    has_p, has_q = p in labels, q in labels
-    if has_p != has_q:
-        raise PreconditionViolated(
-            f"subset contains exactly one of the contracted points {p}, {q}"
-        )
-    return has_p
-
-
-class CellRecord(NamedTuple):
-    """What one elimination and one forest pass say about a point set, a
-    cell or a subset of one.  The point side (vectors, rank, kernel) and
-    the graph side (arcs, undirected subgraph, its vertices and its
-    spanning forest) are computed apart, so every check that reads the
-    record compares two independent derivations."""
-
-    labels: tuple[DirectedEdge, ...]
-    vectors: tuple[IntVector, ...]
-    arcs: frozenset[DirectedEdge]
-    undirected: frozenset[Edge]
-    vertices: set[int]
-    forest: Forest
-    rank: int
-    kernel: tuple[IntVector, ...]
-
-    @property
-    def cyclomatic(self) -> int:
-        return len(self.forest.cycles)
-
-
-def cell_record(labels, dim: int) -> CellRecord:
-    """The record of a point set: one ``exactlin.affine_kernel`` pass
-    over its points and one ``forest`` pass over its subgraph, in sorted
-    order with the doubled edge (the one both of whose arcs are points)
-    last.  Under the pairing precondition that edge is the contracted
-    one, so the forest avoids it unless it is a bridge."""
-    labels = tuple(labels)
-    vectors = tuple(phi(lab, dim) for lab in labels)
-    rank, kernel = exactlin.affine_kernel(vectors)
-    arcs, undirected = cell_subgraphs(labels)
-    order = sorted(undirected, key=lambda f: (f in arcs and f[::-1] in arcs, f))
-    return CellRecord(
-        labels, vectors, arcs, undirected, vertices_of(undirected), forest(order), rank, kernel
-    )
 
 
 def _is_independent(rec: CellRecord, e: Edge) -> bool:
@@ -119,24 +66,6 @@ def _is_circuit(rec: CellRecord, e: Edge) -> bool:
     if minimal != graph_side:
         raise TheoremViolation(f"circuit test {minimal} != cycle test {graph_side}")
     return minimal
-
-
-def _dimension(rec: CellRecord, e: Edge) -> int:
-    # Under the pairing precondition the contracted edge is in G_X exactly
-    # when both of its points are in X.
-    indicator = 1 if _check_pairing(rec.labels, e) else 0
-    affine_dim = rec.rank - 1
-    formula = len(rec.vertices) + indicator - len(rec.forest.components) - 1
-    if affine_dim != formula:
-        raise TheoremViolation(f"dimension {affine_dim} != formula {formula}")
-    return affine_dim
-
-
-def _corank(rec: CellRecord, e: Edge) -> int:
-    corank = len(rec.labels) - _dimension(rec, e) - 1
-    if corank != rec.cyclomatic:
-        raise TheoremViolation(f"corank {corank} != cyclomatic number {rec.cyclomatic}")
-    return corank
 
 
 def subset_is_affinely_independent(labels, e: Edge, dim: int) -> bool:
@@ -362,16 +291,16 @@ def build_alternating_basis(g: Graph, e: Edge, tree_edges) -> tuple[DirectedEdge
         raise TheoremViolation("alternating basis is affinely dependent")
 
     # The unique alpha with <x, alpha> = -lift(x) on the basis must support
-    # the whole lifted configuration from below.  The seed rays of the
-    # rows B without (k2, k1) are the columns of d*B^-1, so they give
-    # d*alpha.  B is nonsingular: its affine hull holds (k1, k2) but not
-    # (k2, k1), so not the origin between them.
+    # the whole lifted configuration from below.  For the rows B without
+    # (k2, k1), the rows of the elimination's d*B^-T are the columns of
+    # d*B^-1, so they give d*alpha.  B is nonsingular: its affine hull
+    # holds (k1, k2) but not (k2, k1), so not the origin between them.
     rows, rhs = [], []
     for lab, v in zip(x, rec.vectors):
         if lab != (k2, k1):
             rows.append(v)
             rhs.append(0 if lab == (k1, k2) else -1)
-    _, cols, d = _seed(rows, n)
+    _, _, cols, d = eliminate(rows, n)
     d_alpha = [sum(b * col[i] for b, col in zip(rhs, cols)) for i in range(n)]
     for u, v in g.edges:
         for lab in ((u, v), (v, u)):
@@ -490,7 +419,7 @@ def _closed_form(cell: Cell, e: Edge, rec: CellRecord) -> int:
 def cell_volume_closed_form(cell: Cell, e: Edge) -> int:
     """Closed-form normalized volume for cells of corank 0, 1, 2; always
     cross-checked against the triangulation oracle (``cell.nvol``)."""
-    return _closed_form(cell, e, cell_record(cell.points, cell.dim))
+    return _closed_form(cell, e, cell.record())
 
 
 class CellInvariantReport(NamedTuple):
@@ -525,8 +454,9 @@ def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
     """Evaluate every per-cell statement: the five subgraph properties,
     corank = cyclomatic number, simplicial iff spanning tree, circuit iff
     plain cycle, signatures of corank-1 cells, and volume closed forms
-    against the oracle.  Every statement reads one record of the cell."""
-    rec = cell_record(cell.points, cell.dim)
+    against the oracle.  Every statement reads one record of the cell,
+    whose elimination also gives the oracle volume."""
+    rec = cell.record()
     properties = verify_cell_properties(g, e, rec)
     corank = _corank(rec, e)
     cyclomatic = rec.cyclomatic

@@ -9,8 +9,9 @@ across runs, written by ``emit``.  Exit codes:
 0 success, 1 verification failure, 2 input error or output that cannot be
 written (an unwritable path, or a reader of stdout that has gone).
 
-Each command imports the layers only it runs (subdivision, cell analysis,
-verification), so ``facets`` and ``volume`` start without them.
+Each command imports only the layers it runs: ``facets`` and ``volume``
+neither subdivision nor verification, ``subdivide`` neither cell analysis
+nor matroids, and ``verify --level fast`` no matroids.
 """
 
 from __future__ import annotations
@@ -171,22 +172,37 @@ def cmd_facets(args) -> int:
 
 
 def cmd_subdivide(args) -> int:
-    from .cellanalysis import subset_corank
-    from .subdivision import edge_contraction_subdivision, facet_correspondence
+    """The cells built from the facets of G // e, proved to subdivide P:
+    each is a full-dimensional lower face of the lift, no two share a
+    normal, so their interiors are disjoint, and their volumes add up to
+    P's only if they cover it.  A failed proof raises TheoremViolation."""
+    from .subdivision import _corank, cells_with_facets, verify_cell_support
 
     g = load_graph(args.file)
     e = parse_edge(args.edge, g)
-    cells = edge_contraction_subdivision(g, e)
-    correspondence = facet_correspondence(g, e, cells)
+    config = build_configuration(g)
+    pairs = cells_with_facets(g, e)
+    cells = [cell for cell, _ in pairs]
+    # P's placing state is freed before the cells' reports are built.
+    volume = normalized_volume(config)
     total = 0
     cell_dicts = []
-    for cell, image in zip(cells, correspondence.images):
+    for i, (cell, facet) in enumerate(pairs):
+        if not verify_cell_support(config, e, cell):
+            raise TheoremViolation(f"cell {i} is not a lower face of the lift")
+        rec = cell.record()
+        if rec.rank != cell.dim + 1:
+            raise TheoremViolation(f"cell {i} has affine rank {rec.rank}, not {cell.dim + 1}")
         total += cell.nvol
         entry = cell.to_json_dict()
-        entry["corank"] = subset_corank(cell.points, e, cell.dim)
+        entry["corank"] = _corank(rec, e)
         entry["nvol"] = str(cell.nvol)
-        entry["facet_image"] = image.to_json_dict()
+        entry["facet_image"] = facet.to_json_dict()
         cell_dicts.append(entry)
+    if len({cell.gamma for cell in cells}) != len(cells):
+        raise TheoremViolation("two cells share a normal")
+    if total != volume:
+        raise TheoremViolation(f"cells cover volume {total} of the polytope's {volume}")
     payload = {
         "graph": g.to_json_dict(),
         "edge": list(e),

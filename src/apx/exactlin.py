@@ -1,18 +1,19 @@
 """Exact integer linear algebra, fraction-free.
 
-One elimination, ``gauss_jordan``, gives every rank, basis, kernel and
-cone seed of the geometry (the matroid table walk keeps its own
-incremental kernel).  It works on integer rows and divides only where
-the division is exact (Bareiss 1968), so all geometric predicates
-downstream are bit-exact.  Nothing in the package is rational: facet
-normals and cell normals are integer vectors, because adjacency
-polytopes are reflexive.  Vectors are tuples, matrices lists of rows.
-No floating point.
+One elimination, ``eliminate``, gives every rank, basis, kernel, cone
+seed and seed determinant (the matroid table walk keeps its own
+incremental kernel); a cell's record and its volume oracle read one
+pass.  Its ``gauss_jordan`` divides only where the division is exact
+(Bareiss 1968), so all geometric predicates downstream are bit-exact.
+Nothing in the package is rational: facet and cell normals are integer
+vectors, because adjacency polytopes are reflexive.  Vectors are tuples,
+matrices lists of rows.  No floating point.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from typing import NamedTuple
 
 IntVector = tuple[int, ...]
 
@@ -58,35 +59,45 @@ def gauss_jordan(m: list[list[int]]) -> list[int]:
     return pivots
 
 
-def affine_kernel(points) -> tuple[int, tuple[IntVector, ...]]:
-    """Affine rank of integer points and a basis of their affine
-    dependences, from one ``gauss_jordan`` pass over the matrix whose
-    columns are the homogenized points (x_i, 1).
+class Elimination(NamedTuple):
+    """One ``gauss_jordan`` pass over [R^T | I] for integer rows R: the
+    greedy row ``basis``, the ``kernel`` of R^T, and, when the basis B has
+    full rank, ``inverse`` = d * B^-T with ``det`` = d = +-det B."""
 
-    The rank is the number of pivot columns (0 for no points).  Each
-    free column f gives one dependence: d at f and minus the column's
-    entries at the pivot columns, that is d times the reduced row echelon
-    kernel vector of f.  Each is scaled to coprime integers with its
-    first nonzero entry positive, in the order of the free columns, and
-    satisfies sum(lam) == 0 and sum(lam_i * x_i) == 0.  There are none
-    iff the points are affinely independent.
+    basis: list[int]
+    kernel: tuple[IntVector, ...]
+    inverse: list[list[int]]
+    det: int
+
+
+def eliminate(rows, dim: int) -> Elimination:
+    """The ``Elimination`` of integer rows R in R^dim, dim >= 1; on points
+    (x_i, 1) its rank is the affine rank, its kernel the affine dependences.
+
+    Column i of R^T becomes a pivot iff row i is independent of the rows
+    before it, so the pivots below len(rows) are the greedy basis; on
+    rank-deficient rows the pass goes on to pivot in the identity block,
+    and those pivots, whose rows are zero on R^T, are dropped.  With a
+    basis of ``dim`` rows the pass ends at d * I on them, d its last
+    pivot, and the right block is d * B^-T: its row j is d times column j
+    of B^-1, tight on every basis row but the j-th.  Each free column f
+    of R^T gives one dependence, d at f and minus the column's entries at
+    the pivot columns, scaled to coprime integers with its first nonzero
+    entry positive; there are none iff the rows are independent.
     """
-    points = list(points)
-    if not points:
-        return 0, ()
-    m = [list(coord) for coord in zip(*points)]
-    m.append([1] * len(points))
+    n = len(rows)
+    m = [[row[c] for row in rows] + [int(c == j) for j in range(dim)] for c in range(dim)]
     pivots = gauss_jordan(m)
     d = m[0][pivots[0]]
-    free = sorted(set(range(len(points))) - set(pivots))
+    basis = [c for c in pivots if c < n]
     kernel = []
-    for f in free:
-        lam = [0] * len(points)
+    for f in sorted(set(range(n)) - set(basis)):
+        lam = [0] * n
         lam[f] = d
-        for row, c in zip(m, pivots):
+        for row, c in zip(m, basis):
             lam[c] = -row[f]
         g = gcd(*lam)
         if next(x for x in lam if x) < 0:
             g = -g
         kernel.append(tuple(x // g for x in lam))
-    return len(pivots), tuple(kernel)
+    return Elimination(basis, tuple(kernel), [row[n:] for row in m], d)

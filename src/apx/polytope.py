@@ -4,22 +4,12 @@ exact normalized-volume oracle.
 Geometry is done in integers and bitsets throughout.  The facets of an
 adjacency configuration are its integer potentials whose tight edges
 connect the graph, found by a pruned depth-first search; a point
-configuration of any other kind is refused.  Regular subdivisions are
-read off the extreme rays of polyhedral cones computed with the double
-description method (exact, incremental).  A cone starts
-from one fraction-free Gauss-Jordan pass over its rows as columns: the
-pass finds the greedy row basis, its determinant and the seed rays
-together.  Its rays have stable ids, and for
-every row it keeps the bitset of the ids of the rays tight on it across
-inserts.  Inserting a row counts, for each cut ray, the rows it shares
-with every positive ray in one bit-sliced sum of those bitsets, and
-decides the adjacency of each candidate pair by ANDing the bitsets of
-their common rows.  Volumes come from a placing triangulation
-that places an affine basis first and the remaining points in label
-order: the seed simplex's determinant is the last pivot of the seed
-cone's elimination, and each new simplex's volume is an exact integer
-ratio off the simplex it is glued to.  The potential search and the
-volume pipeline share no logic with each other, and tests re-derive
+configuration of any other kind is refused.  Volumes come from a placing
+triangulation whose hull is the ray list of a double description cone
+(exact, incremental, seeded by one ``exactlin.eliminate`` pass; for a
+cell, the one its record reads), and each simplex's volume is an exact
+integer ratio off the simplex it is glued to.  The potential search and
+the volume pipeline share no logic with each other, and tests re-derive
 facets from the cone, from brute-force hyperplanes and from a separate
 potential enumeration, and volumes from per-simplex determinants.
 """
@@ -32,7 +22,7 @@ from operator import and_
 from typing import NamedTuple
 
 from .errors import DisconnectedGraph, NotFullDimensional, TheoremViolation
-from .exactlin import IntVector, gauss_jordan
+from .exactlin import Elimination, IntVector, eliminate
 from .graphcore import Graph
 
 DirectedEdge = tuple[int, int]
@@ -115,35 +105,15 @@ def _idot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _seed(rows, dim: int) -> tuple[list[int], list[list[int]], int]:
-    """The greedy basis B of integer rows in R^dim and a cone's seed over
-    it, from one ``gauss_jordan`` pass over [rows^T | I].
-
-    Column i of rows^T becomes a pivot iff row i is independent of the
-    rows before it, so the pivots below len(rows) are the first rows that
-    each raise the rank, in order; on rank-deficient rows the pass goes
-    on to pivot in the identity block, and those pivots are dropped.
-    When the basis has ``dim`` rows the pass ends at d * I on them, with
-    d = +-det B its last pivot, so the right block is d * B^-T: its row j
-    is d times column j of B^-1, tight on every basis row but the j-th.
-    Returns the basis, the right block and d.
-    """
-    n = len(rows)
-    m = [[row[c] for row in rows] + [int(c == j) for j in range(dim)] for c in range(dim)]
-    pivots = gauss_jordan(m)
-    return [p for p in pivots if p < n], [row[n:] for row in m], m[0][pivots[0]]
-
-
 class DDCone:
     """Incremental double description for a pointed cone, in integers.
 
     ``rows`` are integer constraint vectors; the initial batch must have
     full rank (pointedness), else NotFullDimensional.  The start is
     simplicial: the rows of d * B^-T for the greedy row basis B, from
-    ``_seed`` (or from ``seed``, that call's result when the caller has
-    it already), each reduced to a primitive vector and oriented into the
-    cone by the sign of d, so ray j is tight on every basis row but the
-    j-th.
+    ``eliminate`` (or ``seed``, that call's result when the caller has
+    it), each reduced to a primitive vector and oriented into the cone by
+    the sign of d, so ray j is tight on every basis row but the j-th.
 
     Every ray has a stable id, its index in ``slots`` (None marks a free
     id).  Each ray carries a bitmask of the rows it is tight on, and
@@ -170,7 +140,7 @@ class DDCone:
 
     def __init__(self, dim: int, rows: list[IntVector], seed=None):
         self.dim = dim
-        basis, seed_rays, det = seed or _seed(rows, dim)
+        basis, _, seed_rays, det = seed or eliminate(rows, dim)
         if len(basis) < dim:
             raise NotFullDimensional(f"constraint rank {len(basis)} < {dim}")
         self.seed_det = abs(det)
@@ -445,29 +415,6 @@ def enumerate_facets(config: PointConfiguration) -> list[FacetCertificate]:
 
 
 # ---------------------------------------------------------------------------
-# Regular subdivisions via lower-hull supports.
-# ---------------------------------------------------------------------------
-
-
-def regular_subdivision_supports(vectors, weights) -> list[tuple[IntVector, int]]:
-    """Full-dimensional cells of the regular subdivision of a point set.
-
-    Each cell is the tight set of a lower facet of the lifted hull, i.e.
-    a vertex (gamma, h) of {(a, h) : <x_i, a> + w_i >= h}; those vertices
-    are the extreme rays (t * gamma, t * h, t) with t > 0 of the
-    homogenized cone.  Returns each such primitive integer ray with its
-    tight mask over point indices, in the cone's ray order; dividing by
-    t is the caller's.  Raises NotFullDimensional unless the points
-    affinely span their space.
-    """
-    d = len(vectors[0])
-    rows = [tuple(v) + (-1, int(w)) for v, w in zip(vectors, weights)]
-    rows.append((0,) * (d + 1) + (1,))
-    drop = ~(1 << len(vectors))
-    return [(v, mask & drop) for v, mask in DDCone(d + 2, rows).rays if v[-1] > 0]
-
-
-# ---------------------------------------------------------------------------
 # Placing triangulation and normalized volume.
 # ---------------------------------------------------------------------------
 
@@ -476,26 +423,25 @@ class _PlacingState:
     """Placing triangulation of a full-dimensional point set, with the
     normalized volume of every simplex.
 
-    Places an affine basis first (the first points, in label order, that
-    raise the rank of the homogenized rows r = (x, 1), found by the
-    ``_seed`` pass that also seeds the cone), then every other
-    point in label order, coning each new point over the hull facets it
-    is beyond.  Any placing order yields a triangulation.  Starting from
-    a basis keeps the hull full-dimensional throughout, so its facet list
-    is the ray list of one DDCone over the homogenized integer points,
-    and placing one more point is one incremental cone update whose
-    removed rays are the visible facets.
+    Places an affine basis first (the greedy basis of the homogenized
+    rows r = (x, 1) in ``elimination``, their ``eliminate`` pass), then
+    every other point in label order, coning each new point over the hull
+    facets it is beyond.  Any placing order yields a triangulation.
+    Starting from a basis keeps the hull full-dimensional throughout, so
+    its facet list is the ray list of one DDCone over the rows, seeded by
+    the same elimination, and placing one more point is one incremental
+    cone update whose removed rays are the visible facets.
 
     The boundary of the triangulation is kept per hull facet, as facet
     ray -> {face mask: (volume of the simplex on the face, position of its
     opposite vertex)}, so a visible facet hands over its faces directly.
     Only the seed simplex takes a determinant, the last pivot of the
-    cone's seed elimination of its rows.  Every other volume
-    follows from the simplex it is glued to: det(b, w) over the rows of
-    a face b is linear in w and vanishes on the facet hyperplane <v, .> = 0
-    of the face, so coning b to the new point r_k instead of its opposite
-    vertex r_j scales the volume by -<v, r_k> / <v, r_j>, both dot
-    products taken over the nonzero entries of the rows only.  The new
+    elimination.  Every other volume follows from the simplex it is glued
+    to: det(b, w) over the rows of a face b is linear in w and vanishes on
+    the facet hyperplane <v, .> = 0 of the face, so coning b to the new
+    point r_k instead of its opposite vertex r_j scales the volume by
+    -<v, r_k> / <v, r_j>, both dot products taken over the nonzero
+    entries of the rows only.  The new
     boundary faces are the ridges that occur in exactly one new simplex:
     a ridge is dropped when a second new simplex has it.  Each is filed
     under the one facet through r_k that contains it, the one ray left
@@ -504,22 +450,20 @@ class _PlacingState:
     positions; ``order`` maps them back to point indices.
     """
 
-    def __init__(self, vectors: list[IntVector]):
-        if not vectors:
-            raise NotFullDimensional("empty point set")
+    def __init__(self, vectors: list[IntVector], elimination: Elimination):
         d = len(vectors[0])
-        rows = [v + (1,) for v in vectors]
-        basis, seed_rays, det = _seed(rows, d + 1)
+        basis = elimination.basis
         if len(basis) < d + 1:
             raise NotFullDimensional(f"affine dimension {len(basis) - 1} < {d}")
         chosen = set(basis)
         self.order = basis + [i for i in range(len(vectors)) if i not in chosen]
-        self.rows = [rows[i] for i in self.order]
+        self.rows = [vectors[i] + (1,) for i in self.order]
         # (column, entry) pairs of each row's nonzero entries, for the
         # facet dot products of the volume ratios.
         self.sparse = [[(c, a) for c, a in enumerate(r) if a] for r in self.rows]
         # The cone's seed basis is its d + 1 rows, in this order.
-        self.cone = DDCone(d + 1, self.rows[: d + 1], (list(range(d + 1)), seed_rays, det))
+        cone_seed = elimination._replace(basis=list(range(d + 1)))
+        self.cone = DDCone(d + 1, self.rows[: d + 1], cone_seed)
         full = (1 << (d + 1)) - 1
         seed = self.cone.seed_det
         self.simplices: list[int] = [full]
@@ -585,6 +529,14 @@ def _lattice_points(vectors) -> list[IntVector]:
     return out
 
 
+def _placing(vectors) -> _PlacingState:
+    """The placing state of lattice points, from their own elimination."""
+    vectors = _lattice_points(vectors)
+    if not vectors:
+        raise NotFullDimensional("empty point set")
+    return _PlacingState(vectors, eliminate([v + (1,) for v in vectors], len(vectors[0]) + 1))
+
+
 def placing_triangulation(vectors) -> list[tuple[int, ...]]:
     """Simplices (index tuples) of the placing triangulation that places
     the greedy affine basis first and the other points in the given
@@ -594,7 +546,7 @@ def placing_triangulation(vectors) -> list[tuple[int, ...]]:
     vectors = _lattice_points(vectors)
     if len(set(vectors)) != len(vectors):
         raise ValueError("points must be distinct")
-    state = _PlacingState(vectors).run()
+    state = _placing(vectors).run()
     return sorted(
         tuple(sorted(i for p, i in enumerate(state.order) if s >> p & 1))
         for s in state.simplices
@@ -609,7 +561,7 @@ def normalized_volume_of_points(vectors) -> int:
     exact integer ratios for the rest; a positive integer for
     full-dimensional lattice input.
     """
-    return _PlacingState(_lattice_points(vectors)).run().volume
+    return _placing(vectors).run().volume
 
 
 def normalized_volume(config: PointConfiguration) -> int:
@@ -620,6 +572,7 @@ def normalized_volume(config: PointConfiguration) -> int:
     return normalized_volume_of_points(config.vectors)
 
 
-def normalized_volume_of_cell(vectors) -> int:
-    """Triangulation oracle applied to a cell's point set."""
-    return normalized_volume_of_points(vectors)
+def normalized_volume_of_cell(vectors, elimination: Elimination) -> int:
+    """Triangulation oracle on a cell's points, seeded by the ``eliminate``
+    pass of their rows (x, 1) that the cell's record reads."""
+    return _PlacingState(vectors, elimination).run().volume

@@ -1,11 +1,15 @@
-"""Edge contraction subdivisions and their facet correspondences.
+"""Edge contraction subdivisions, their cells' records, and their facet
+correspondences.
 
 Contracting an edge {k1, k2} induces a 0/1 lift of the adjacency
 polytope's points (0 on the two points of the contracted edge, 1 on the
 rest).  The lower hull of the lifted configuration projects to a regular
 subdivision whose cells biject with the facets of the contracted graph's
 polytope, and, when the graph splits into two subgraphs sharing exactly
-that edge, with pairs of facets of the two contracted halves.
+that edge, with pairs of facets of the two contracted halves.  The cells
+are built from the facets, and proved to be the lower faces of the lift
+on each instance by ``subdivide`` and ``verify``.  A cell's record sits
+beside ``Cell``: its elimination also seeds the cell's volume.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from .errors import (
     CorrespondenceViolation,
     EdgeNotInGraph,
     NotAValidSharedEdgeDecomposition,
+    PreconditionViolated,
     TheoremViolation,
 )
-from .exactlin import IntVector
-from .graphcore import Graph, contract_edge, edge, vertices_of
+from .exactlin import Elimination, IntVector, eliminate
+from .graphcore import Forest, Graph, contract_edge, edge, forest, vertices_of
 from .polytope import (
     DirectedEdge,
     FacetCertificate,
@@ -28,16 +33,94 @@ from .polytope import (
     build_configuration,
     enumerate_facets,
     normalized_volume_of_cell,
+    normalized_volume_of_points,
     phi,
-    regular_subdivision_supports,
 )
 
 Edge = tuple[int, int]
 
 
-def lift_weight(label: DirectedEdge, e: Edge) -> int:
-    """The contraction lift: 0 on the two contracted points, 1 elsewhere."""
-    return 0 if edge(*label) == edge(*e) else 1
+def cell_subgraphs(labels) -> tuple[frozenset[DirectedEdge], frozenset[Edge]]:
+    """Directed and undirected subgraphs whose edges label a point set."""
+    arcs = frozenset((i, j) for i, j in labels)
+    return arcs, frozenset(edge(i, j) for i, j in labels)
+
+
+def _contracted_pair(e: Edge) -> tuple[DirectedEdge, DirectedEdge]:
+    k1, k2 = e
+    return (k1, k2), (k2, k1)
+
+
+def _check_pairing(labels, e: Edge) -> bool:
+    """Both or neither of the contracted pair; True iff both present."""
+    p, q = _contracted_pair(e)
+    has_p, has_q = p in labels, q in labels
+    if has_p != has_q:
+        raise PreconditionViolated(
+            f"subset contains exactly one of the contracted points {p}, {q}"
+        )
+    return has_p
+
+
+class CellRecord(NamedTuple):
+    """What one elimination and one forest pass say about a point set, a
+    cell or a subset of one.  The point side (vectors, their elimination)
+    and the graph side (arcs, subgraph, vertices, spanning forest) are
+    computed apart, so every check reads two independent derivations."""
+
+    labels: tuple[DirectedEdge, ...]
+    vectors: tuple[IntVector, ...]
+    arcs: frozenset[DirectedEdge]
+    undirected: frozenset[Edge]
+    vertices: set[int]
+    forest: Forest
+    elimination: Elimination
+
+    @property
+    def rank(self) -> int:
+        return len(self.elimination.basis)
+
+    @property
+    def kernel(self) -> tuple[IntVector, ...]:
+        return self.elimination.kernel
+
+    @property
+    def cyclomatic(self) -> int:
+        return len(self.forest.cycles)
+
+
+def cell_record(labels, dim: int) -> CellRecord:
+    """The record of a point set: one ``eliminate`` pass over its points
+    as homogenized rows (x, 1) and one ``forest`` pass over its subgraph,
+    in sorted order with the doubled edge (the one both of whose arcs are
+    points) last.  Under the pairing precondition that edge is the
+    contracted one, so the forest avoids it unless it is a bridge."""
+    labels = tuple(labels)
+    vectors = tuple(phi(lab, dim) for lab in labels)
+    elimination = eliminate([v + (1,) for v in vectors], dim + 1)
+    arcs, undirected = cell_subgraphs(labels)
+    order = sorted(undirected, key=lambda f: (f in arcs and f[::-1] in arcs, f))
+    return CellRecord(
+        labels, vectors, arcs, undirected, vertices_of(undirected), forest(order), elimination
+    )
+
+
+def _dimension(rec: CellRecord, e: Edge) -> int:
+    # Under the pairing precondition the contracted edge is in G_X exactly
+    # when both of its points are in X.
+    indicator = 1 if _check_pairing(rec.labels, e) else 0
+    affine_dim = rec.rank - 1
+    formula = len(rec.vertices) + indicator - len(rec.forest.components) - 1
+    if affine_dim != formula:
+        raise TheoremViolation(f"dimension {affine_dim} != formula {formula}")
+    return affine_dim
+
+
+def _corank(rec: CellRecord, e: Edge) -> int:
+    corank = len(rec.labels) - _dimension(rec, e) - 1
+    if corank != rec.cyclomatic:
+        raise TheoremViolation(f"corank {corank} != cyclomatic number {rec.cyclomatic}")
+    return corank
 
 
 class _CellFields(NamedTuple):
@@ -49,19 +132,26 @@ class _CellFields(NamedTuple):
 
 class Cell(_CellFields):
     """A cell of the subdivision: the configuration points on one lower
-    facet, with the normal gamma and support level h of that facet
-    normalized so the lifted normal is (gamma, 1).  Both are integers
-    (``edge_contraction_subdivision`` checks it).  It subclasses its
-    fields' NamedTuple to get the ``__dict__`` that ``nvol`` is cached in."""
+    facet, with the integer normal gamma and support level h of that
+    facet normalized so the lifted normal is (gamma, 1).  It subclasses
+    its fields' NamedTuple for the ``__dict__`` that ``nvol`` is kept in."""
 
     def vectors(self) -> list[tuple[int, ...]]:
         return [phi(lab, self.dim) for lab in self.points]
+
+    def record(self) -> CellRecord:
+        """A new record of the cell, not kept.  The first record of a
+        full-dimensional cell also fills in ``nvol`` from its elimination."""
+        rec = cell_record(self.points, self.dim)
+        if "nvol" not in self.__dict__ and rec.rank == self.dim + 1:
+            self.nvol = normalized_volume_of_cell(rec.vectors, rec.elimination)
+        return rec
 
     @cached_property
     def nvol(self) -> int:
         """Normalized volume from the triangulation oracle, computed once
         per cell and shared by every check and report that needs it."""
-        return normalized_volume_of_cell(self.vectors())
+        return normalized_volume_of_points(self.vectors())
 
     def contains_contracted_pair(self, e: Edge) -> bool:
         k1, k2 = e
@@ -78,35 +168,37 @@ class Cell(_CellFields):
         }
 
 
-def edge_contraction_subdivision(g: Graph, e: Edge) -> list[Cell]:
-    """All cells of the subdivision induced by contracting e, in canonical
-    (lexicographic on gamma) order.
+def cells_with_facets(g: Graph, e: Edge) -> list[tuple[Cell, FacetCertificate]]:
+    """Every cell of the subdivision induced by contracting e, with the
+    facet of G // e it is built from, in order of gamma.
 
-    Each lift ray (t * gamma, t * h, t) is divided by t, which must divide
-    every entry: gamma projects onto a facet normal of the contracted
-    graph's reflexive polytope, so it is integral, and h = 0.  A ray with
-    a fractional gamma or h raises TheoremViolation.
+    A facet is an integer potential f on G // e with f(0) = 0, its support
+    the arcs (a, b) with f(b) - f(a) = 1.  Its cell has gamma_v =
+    f(mapping[v]), h = 0, and as points the contracted pair and every
+    label whose image is in the support: where gamma_i - gamma_j plus the
+    lift weight is 0.  A single edge gives the one empty facet, whose cell
+    is the whole polytope.
     """
     e = edge(*e)
     if e not in g.edges:
         raise EdgeNotInGraph(f"{e} not in graph")
-    config = build_configuration(g)
-    n = config.dim
-    if len(g.edges) == 1:
-        # The lift is affine here, so the subdivision is the whole polytope.
-        return [Cell(config.labels, (0,) * n, 0, n)]
-    weights = [lift_weight(lab, e) for lab in config.labels]
-    cells = []
-    for ray, mask in regular_subdivision_supports(config.vectors, weights):
-        t = ray[-1]
-        if any(x % t for x in ray):
-            raise TheoremViolation(f"lift ray {ray} is not integral after division by {t}")
-        labels = tuple(
-            sorted(config.labels[i] for i in range(len(config.labels)) if mask >> i & 1)
-        )
-        cells.append(Cell(labels, tuple(x // t for x in ray[:-2]), ray[-2] // t, n))
-    cells.sort(key=lambda c: (c.gamma, c.height))
-    return cells
+    labels = build_configuration(g).labels
+    contracted, mapping = contract_edge(g, e)
+    n = g.node_count - 1
+    images = [(mapping[i], mapping[j]) for i, j in labels]
+    out = []
+    for facet in enumerate_facets(build_configuration(contracted)):
+        f, support = (0, *facet.normal), set(facet.support)
+        points = tuple(lab for lab, (a, b) in zip(labels, images) if a == b or (a, b) in support)
+        gamma = tuple(f[mapping[v]] for v in range(1, n + 1))
+        out.append((Cell(points, gamma, 0, n), facet))
+    out.sort(key=lambda pair: pair[0].gamma)
+    return out
+
+
+def edge_contraction_subdivision(g: Graph, e: Edge) -> list[Cell]:
+    """The cells of ``cells_with_facets``, in their order of gamma."""
+    return [cell for cell, _ in cells_with_facets(g, e)]
 
 
 class Correspondence(NamedTuple):
@@ -118,7 +210,7 @@ class Correspondence(NamedTuple):
     facets: tuple  # facet list, or (facet list 1, facet list 2)
 
 
-def _project_labels(points, e: Edge, mapping: dict[int, int]) -> tuple[DirectedEdge, ...]:
+def _project_labels(points, mapping: dict[int, int]) -> tuple[DirectedEdge, ...]:
     """Images of a cell's points under the contraction quotient; the two
     contracted points project to the origin and are dropped."""
     out = set()
@@ -159,7 +251,7 @@ def facet_correspondence(g: Graph, e: Edge, cells: list[Cell]) -> Correspondence
     images = []
     used = set()
     for cell in cells:
-        support = _project_labels(cell.points, e, mapping)
+        support = _project_labels(cell.points, mapping)
         idx = by_support.get(support)
         if idx is None:
             raise CorrespondenceViolation(f"projected support {support} is not a facet")
@@ -267,7 +359,7 @@ def verify_cell_support(config: PointConfiguration, e: Edge, cell: Cell) -> bool
     configuration ``config``: level h on its points, strictly above
     elsewhere, with h = 0 on the contracted pair."""
     # With gamma_0 = 0 in front, <e_i - e_j, gamma> = gamma[i] - gamma[j].
-    # The lift weight (``lift_weight``) is 0 on the pair, 1 elsewhere.
+    # The lift weight is 0 on the pair, 1 elsewhere.
     gamma, height = (0, *cell.gamma), cell.height
     k1, k2 = e
     pair = {(k1, k2), (k2, k1)}

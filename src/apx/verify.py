@@ -13,7 +13,6 @@ from .cellanalysis import (
 )
 from .errors import ApxError
 from .graphcore import Graph, balanced_circuit_rank, components_of_edges, edge, vertices_of
-from .matroid import verify_morphism
 from .polytope import build_configuration, normalized_volume
 from .subdivision import (
     Cell,
@@ -99,15 +98,12 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     )
 
     config = build_configuration(g)
-    ok = True
-    for cell in cells:
-        full_gamma = (0,) + cell.gamma
-        if cell.height != 0 or full_gamma[e[0]] != full_gamma[e[1]]:
-            ok = False
-            break
-        if not verify_cell_support(config, e, cell):
-            ok = False
-            break
+    ok = all(
+        cell.height == 0
+        and (0, *cell.gamma)[e[0]] == (0, *cell.gamma)[e[1]]
+        and verify_cell_support(config, e, cell)
+        for cell in cells
+    )
     report.add("lower_facet_normalization", ok, "h = 0 and gamma agrees on the merged nodes")
 
     try:
@@ -176,6 +172,8 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     report.add("special_graph_classes", special.passed(), special.graph_class)
 
     if level == "full":
+        from .matroid import verify_morphism
+
         rank = balanced_circuit_rank(g, e)
         value, _ = max_corank(cells, coranks)
         detail = f"max corank {value}, balanced circuit rank {rank}"

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from apx.errors import MorphismViolation
 from apx.graphcore import Graph, edge
-from apx.polytope import regular_subdivision_supports
+from apx.polytope import DDCone, build_configuration
+from apx.subdivision import Cell
 
 # Five-cycle with one chord; contracting {0, 4} gives a square plus chord.
 CHORDED_PENTAGON_EDGES = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4), (1, 3)]
@@ -57,6 +58,49 @@ def chorded_pentagon() -> Graph:
 
 def running_example() -> Graph:
     return Graph.from_edges(RUNNING_EXAMPLE_EDGES)
+
+
+def complete_graph(k: int) -> Graph:
+    return Graph.from_edges(combinations(range(k), 2))
+
+
+def wheel_graph(k: int) -> Graph:
+    """W_k: a hub joined to every node of a (k - 1)-cycle."""
+    rim = [(i, i % (k - 1) + 1) for i in range(1, k)]
+    return Graph.from_edges([(0, i) for i in range(1, k)] + rim)
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    right = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    down = [(v, v + cols) for v in range(rows * cols - cols)]
+    return Graph.from_edges(right + down)
+
+
+def petersen_graph() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def prism_graph(k: int) -> Graph:
+    top = [(i, (i + 1) % k) for i in range(k)]
+    bottom = [(u + k, v + k) for u, v in top]
+    return Graph.from_edges(top + bottom + [(i, i + k) for i in range(k)])
+
+
+# Named (graph, contraction edge) instances from one edge up to a few
+# thousand cells.
+NAMED_LADDER = {
+    "K2": (Graph.from_edges([(0, 1)]), (0, 1)),
+    "running": (running_example(), (0, 3)),
+    "W7": (wheel_graph(7), (0, 1)),
+    "K6": (complete_graph(6), (0, 1)),
+    "K7": (complete_graph(7), (0, 1)),
+    "petersen": (petersen_graph(), (0, 1)),
+    "prism5": (prism_graph(5), (0, 1)),
+    "C12": (cycle_graph(12), (0, 1)),
+    "grid3x4": (grid_graph(3, 4), (0, 1)),
+}
 
 
 def random_connected_graph(rng: random.Random, max_nodes: int = 7, max_edges: int = 12) -> Graph:
@@ -222,6 +266,52 @@ def validate_facet(config, cert) -> bool:
         elif value < -scale:
             return False
     return reference_rank(tight) == config.dim
+
+
+def regular_subdivision_supports(vectors, weights):
+    """Full-dimensional cells of the regular subdivision of a point set.
+
+    Each cell is the tight set of a lower facet of the lifted hull, i.e.
+    a vertex (gamma, h) of {(a, h) : <x_i, a> + w_i >= h}; those vertices
+    are the extreme rays (t * gamma, t * h, t) with t > 0 of the
+    homogenized cone.  Returns each such primitive integer ray with its
+    tight mask over point indices, in the cone's ray order; dividing by
+    t is the caller's.  Raises NotFullDimensional unless the points
+    affinely span their space.
+    """
+    d = len(vectors[0])
+    rows = [tuple(v) + (-1, int(w)) for v, w in zip(vectors, weights)]
+    rows.append((0,) * (d + 1) + (1,))
+    drop = ~(1 << len(vectors))
+    return [(v, mask & drop) for v, mask in DDCone(d + 2, rows).rays if v[-1] > 0]
+
+
+def lift_weight(label, e) -> int:
+    """The contraction lift: 0 on the two contracted points, 1 elsewhere."""
+    return 0 if edge(*label) == edge(*e) else 1
+
+
+def lift_subdivision(g: Graph, e) -> list:
+    """The cells of the edge contraction subdivision as the lower faces of
+    the lift, by double description: the reference for the cells built
+    from the contracted graph's facets.  Each lift ray (t * gamma, t * h,
+    t) must be integral after division by t; cells are sorted by
+    (gamma, h)."""
+    e = edge(*e)
+    config = build_configuration(g)
+    n = config.dim
+    if len(g.edges) == 1:
+        # The lift is affine here, so the subdivision is the whole polytope.
+        return [Cell(config.labels, (0,) * n, 0, n)]
+    weights = [lift_weight(lab, e) for lab in config.labels]
+    cells = []
+    for ray, mask in regular_subdivision_supports(config.vectors, weights):
+        t = ray[-1]
+        assert not any(x % t for x in ray), ray
+        labels = tuple(lab for i, lab in enumerate(config.labels) if mask >> i & 1)
+        cells.append(Cell(labels, tuple(x // t for x in ray[:-2]), ray[-2] // t, n))
+    cells.sort(key=lambda c: (c.gamma, c.height))
+    return cells
 
 
 def interior_lift_subcells(cell, point):

@@ -15,7 +15,6 @@ from conftest import (
 )
 
 from apx.cellanalysis import (
-    cell_record,
     cell_volume_closed_form,
     classify_special_graphs,
     max_corank,
@@ -30,9 +29,10 @@ from apx.polytope import (
     build_configuration,
     enumerate_facets,
     normalized_volume,
-    normalized_volume_of_cell,
+    normalized_volume_of_points,
 )
 from apx.subdivision import (
+    cell_record,
     check_simpliciality_transfer,
     edge_contraction_subdivision,
     facet_correspondence,
@@ -141,7 +141,7 @@ def test_criterion_3_running_example():
     assert len(deep_cell.points) == 9
     assert subset_corank(deep_cell.points, e, deep_cell.dim) == 2
     closed = cell_volume_closed_form(deep_cell, e)
-    assert closed == normalized_volume_of_cell(deep_cell.vectors()) == 4
+    assert closed == normalized_volume_of_points(deep_cell.vectors()) == 4
     assert time.monotonic() - started < 30.0
     announce(
         "criterion-3 (running example: product bijection, max corank 2, corank-2 volume)",

@@ -24,12 +24,9 @@ from conftest import (
 import apx.cellanalysis as cellanalysis
 from apx.cellanalysis import (
     Signature,
-    _corank,
     _is_circuit,
     _signature,
     build_alternating_basis,
-    cell_record,
-    cell_subgraphs,
     cell_volume_closed_form,
     classify_special_graphs,
     corank2_cycle_pair,
@@ -53,8 +50,8 @@ from apx.errors import (
 )
 from apx.graphcore import Graph, balanced_circuit_rank, edge, forest
 from apx.matroid import grouped_ground_set
-from apx.polytope import normalized_volume_of_cell, phi
-from apx.subdivision import edge_contraction_subdivision
+from apx.polytope import normalized_volume_of_points, phi
+from apx.subdivision import _corank, cell_record, cell_subgraphs, edge_contraction_subdivision
 
 
 def corank2_cell():
@@ -331,7 +328,7 @@ def test_cell_volume_corank2_cell():
     gamma, delta = corank2_gamma_delta(rec.arcs, o1, o2, (0, 3))
     assert gamma * delta == 1
     assert cell_volume_closed_form(cell, (0, 3)) == 4
-    assert normalized_volume_of_cell(cell.vectors()) == 4
+    assert normalized_volume_of_points(cell.vectors()) == 4
 
 
 def test_corank2_cycle_pair_matches_the_cycle_enumeration():
@@ -418,7 +415,7 @@ def test_interior_lift_census_corank2_cell():
         subcells = interior_lift_subcells(cell, a)
         corank1 = [s for s in subcells if len(cell_record(s, cell.dim).kernel) == 1]
         assert len(corank1) == len(o2) // 2 - gamma
-        total = sum(normalized_volume_of_cell([c for c in _vecs(s)]) for s in subcells)
+        total = sum(normalized_volume_of_points([c for c in _vecs(s)]) for s in subcells)
         assert total == 4
 
 
@@ -434,7 +431,7 @@ def test_corank1_cells_volume_property():
         for cell in edge_contraction_subdivision(g, e):
             corank = subset_corank(cell.points, e, cell.dim)
             if corank <= 2:
-                assert cell_volume_closed_form(cell, e) == normalized_volume_of_cell(
+                assert cell_volume_closed_form(cell, e) == normalized_volume_of_points(
                     cell.vectors()
                 )
 

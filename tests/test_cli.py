@@ -86,6 +86,45 @@ def test_subdivide_dot_export(tmp_path, capsys):
     assert "digraph" in text and "->" in text
 
 
+def _subdivide_with(tmp_path, monkeypatch, change) -> int:
+    """``subdivide`` on C5 with its cell construction changed by
+    ``change(pairs)``; ``cmd_subdivide`` imports the construction when it
+    runs, so the patch goes on its home module."""
+    import apx.subdivision as subdivision
+
+    real = subdivision.cells_with_facets
+    monkeypatch.setattr(subdivision, "cells_with_facets", lambda g, e: change(real(g, e)))
+    return main(["subdivide", write_graph(tmp_path, "c5.txt", C5), "--edge", "0,4"])
+
+
+def test_subdivide_proof_refuses_a_missing_cell(tmp_path, capsys, monkeypatch):
+    # Every cell left is a full-dimensional lower face; only the volume
+    # cover sees that one is gone.
+    assert _subdivide_with(tmp_path, monkeypatch, lambda pairs: pairs[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "verification failure: cells cover volume 25 of the polytope's 30" in err
+
+
+def test_subdivide_proof_refuses_a_shifted_normal(tmp_path, capsys, monkeypatch):
+    # The same points with one normal shifted by 1: still full-dimensional
+    # and of the same volume, but no longer a lower face of the lift.
+    def shift(pairs):
+        (cell, facet), *rest = pairs
+        gamma = (cell.gamma[0] + 1, *cell.gamma[1:])
+        return [(cell._replace(gamma=gamma), facet), *rest]
+
+    assert _subdivide_with(tmp_path, monkeypatch, shift) == 1
+    assert "cell 0 is not a lower face of the lift" in capsys.readouterr().err
+
+
+def test_subdivide_proof_refuses_a_repeated_cell(tmp_path, capsys, monkeypatch):
+    # On C5 every cell has volume 5, so a cell taken twice in place of
+    # another keeps the sum; the repeated normal gives it away.
+    assert _subdivide_with(tmp_path, monkeypatch, lambda pairs: [pairs[0], *pairs[:-1]]) == 1
+    assert "two cells share a normal" in capsys.readouterr().err
+
+
 def test_volume_methods_agree(tmp_path, capsys):
     path = write_graph(tmp_path, "c5.txt", C5)
     assert main(["volume", path]) == 0
@@ -339,6 +378,43 @@ def test_cli_import_defers_the_analysis_layers():
         assert getattr(apx, name).__name__ == name
     with pytest.raises(AttributeError):
         apx.no_such_name
+
+
+@pytest.mark.parametrize(
+    "args, absent, present",
+    [
+        (["facets"], {"apx.subdivision", "apx.verify"}, set()),
+        (["volume"], {"apx.subdivision", "apx.verify"}, set()),
+        (["subdivide", "--edge", "0,4"], {"apx.cellanalysis", "apx.matroid"}, {"apx.subdivision"}),
+        (["verify", "--edge", "0,4", "--level", "fast"], {"apx.matroid"}, {"apx.cellanalysis"}),
+        (["verify", "--edge", "0,4", "--level", "full"], set(), {"apx.matroid"}),
+    ],
+    ids=["facets", "volume", "subdivide", "verify-fast", "verify-full"],
+)
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, args, absent, present):
+    # Each command runs in a child process, which reports the apx modules
+    # loaded when it is done.
+    script = textwrap.dedent(
+        """
+        import json, sys
+        from apx.cli import main
+        code = main(sys.argv[1:])
+        loaded = sorted(m for m in sys.modules if m.startswith("apx."))
+        print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
+        """
+    )
+    graph = write_graph(tmp_path, "c5.txt", C5)
+    argv = [args[0], graph, *args[1:], "--json", str(tmp_path / "report.json")]
+    src = str(Path(apx.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    result = json.loads(out.stderr)
+    assert result["code"] == 0
+    assert absent.isdisjoint(result["loaded"]), result["loaded"]
+    assert present <= set(result["loaded"])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -6,7 +6,16 @@ from hypothesis import strategies as st
 
 from conftest import integer_determinant, reference_affine_kernel, reference_rank, reference_solve
 
-from apx.exactlin import affine_kernel, gauss_jordan
+from apx.exactlin import eliminate, gauss_jordan
+
+
+def affine_kernel(points):
+    """Affine rank and dependences of points, from one ``eliminate`` pass
+    over their homogenized rows (x, 1)."""
+    points = list(points)
+    dim = len(points[0]) if points else 0
+    elimination = eliminate([tuple(p) + (1,) for p in points], dim + 1)
+    return len(elimination.basis), elimination.kernel
 
 
 def _rank(rows):

@@ -17,7 +17,7 @@ from conftest import (
     reference_is_plain_cycle,
 )
 
-from apx.cellanalysis import cell_record, verify_cell_properties
+from apx.cellanalysis import verify_cell_properties
 from apx.errors import EdgeNotInGraph, ParseError
 from apx.graphcore import (
     Graph,
@@ -29,6 +29,7 @@ from apx.graphcore import (
     graph_to_dot,
     is_cycle,
 )
+from apx.subdivision import cell_record
 
 
 def test_contract_chorded_pentagon():

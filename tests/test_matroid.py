@@ -19,7 +19,6 @@ from conftest import (
 )
 
 import apx.matroid as matroid
-from apx.cellanalysis import cell_subgraphs
 from apx.errors import MorphismViolation
 from apx.graphcore import Graph, cyclomatic_number, edge, forest
 from apx.matroid import (
@@ -31,7 +30,7 @@ from apx.matroid import (
     verify_morphism,
 )
 from apx.polytope import phi
-from apx.subdivision import edge_contraction_subdivision
+from apx.subdivision import cell_subgraphs, edge_contraction_subdivision
 
 
 def corank2_cell():

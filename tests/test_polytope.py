@@ -10,20 +10,26 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_facets,
     brute_force_subdivision,
+    complete_graph,
     connected_graphs,
     cycle_graph,
+    grid_graph,
     integer_determinant,
     path_graph,
+    petersen_graph,
     potential_facets,
+    prism_graph,
     random_connected_graph,
     random_tree,
     reference_dd,
     reference_is_affinely_independent,
     reference_rank,
     reference_solve,
+    regular_subdivision_supports,
     running_example,
     star_graph,
     validate_facet,
+    wheel_graph,
 )
 
 from apx.errors import DisconnectedGraph, NotFullDimensional, TheoremViolation
@@ -34,9 +40,8 @@ from apx.polytope import (
     _at_least,
     _is_adjacency_configuration,
     _lattice_points,
-    _PlacingState,
+    _placing,
     _potential_leaves,
-    _seed,
     build_configuration,
     enumerate_facets,
     normalized_volume,
@@ -44,8 +49,8 @@ from apx.polytope import (
     normalized_volume_of_points,
     phi,
     placing_triangulation,
-    regular_subdivision_supports,
 )
+from apx.exactlin import eliminate
 
 
 def test_phi_map():
@@ -278,7 +283,8 @@ def _reference_greedy_basis(rows, size):
 def test_seed_basis_skips_dependent_rows():
     # Row 1 = 2 * row 0 and row 3 = row 0 + row 2 raise no rank.
     rows = [(1, 2, 0), (2, 4, 0), (0, 1, 1), (1, 3, 1), (0, 0, 5), (3, 1, 4)]
-    basis, _, d = _seed(rows, 3)
+    seed = eliminate(rows, 3)
+    basis, d = seed.basis, seed.det
     assert basis == [0, 2, 4] == _reference_greedy_basis(rows, 3)
     assert abs(d) == abs(integer_determinant([rows[i] for i in basis])) == 5
     # Random rows, each a combination of earlier ones with probability
@@ -297,7 +303,8 @@ def test_seed_basis_skips_dependent_rows():
             else:
                 row = [rng.randint(-3, 3) for _ in range(dim)]
             rows.append(tuple(row))
-        basis, rays, d = _seed(rows, dim)
+        seed = eliminate(rows, dim)
+        basis, rays, d = seed.basis, seed.inverse, seed.det
         assert basis == _reference_greedy_basis(rows, dim)
         if len(basis) < dim:
             with pytest.raises(NotFullDimensional):
@@ -314,7 +321,7 @@ def test_seed_basis_skips_dependent_rows():
         points = sorted(set(rows))
         homogenized = [p + (1,) for p in points]
         if reference_rank(homogenized) == dim + 1:
-            state = _PlacingState(points)
+            state = _placing(points)
             assert state.order[: dim + 1] == _reference_greedy_basis(homogenized, dim + 1)
             assert state.simplices[0] == (1 << (dim + 1)) - 1
 
@@ -336,7 +343,7 @@ def test_cycle_known_volumes(m):
 
 
 def test_volume_cell_simplex():
-    assert normalized_volume_of_cell([(1,), (-1,)]) == 2
+    assert normalized_volume_of_cell([(1,), (-1,)], eliminate([(1, 1), (-1, 1)], 2)) == 2
 
 
 def test_placing_triangulation_simplices_are_independent():
@@ -481,7 +488,7 @@ def test_ddcone_counters_on_w10_hull_cone():
 
 def test_ddcone_ids_stay_narrow_in_the_grid_placing_run():
     grid = [(v, v + 1) for v in range(12) if v % 4 != 3] + [(v, v + 4) for v in range(8)]
-    state = _PlacingState(list(build_configuration(Graph.from_edges(grid)).vectors))
+    state = _placing(list(build_configuration(Graph.from_edges(grid)).vectors))
     peak = width = 0
     for k in range(state.cone.dim, len(state.rows)):
         state.insert(k)
@@ -495,7 +502,7 @@ def test_placing_raises_on_an_inexact_volume_ratio():
     # Seed [0, 2] has volume 2 on its face {2}, whose facet normal is
     # (-1, 2); placing 3 scales that volume by 1/2.  A boundary volume
     # of 1 instead makes the ratio inexact, which no triangulation gives.
-    state = _PlacingState([(0,), (2,), (3,)])
+    state = _placing([(0,), (2,), (3,)])
     for faces in state.faces.values():
         for m, (_, j) in faces.items():
             faces[m] = (1, j)
@@ -506,7 +513,7 @@ def test_placing_raises_on_an_inexact_volume_ratio():
 def test_placing_raises_when_no_facet_holds_a_boundary_face():
     # Blank the cone's bitset of the rays tight on each new row, so that
     # no hull facet holds the new boundary faces.
-    state = _PlacingState([(0, 0), (1, 0), (0, 1), (1, 1)])
+    state = _placing([(0, 0), (1, 0), (0, 1), (1, 1)])
     add_row = state.cone.add_row
 
     def blind(row):
@@ -571,37 +578,14 @@ def test_facets_match_potential_oracle(g):
     assert got == expected
 
 
-def _wheel(k):
-    """W_k: a hub joined to every node of a (k - 1)-cycle."""
-    rim = [(i, i % (k - 1) + 1) for i in range(1, k)]
-    return Graph.from_edges([(0, i) for i in range(1, k)] + rim)
-
-
-def _grid(rows, cols):
-    right = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
-    down = [(v, v + cols) for v in range(rows * cols - cols)]
-    return Graph.from_edges(right + down)
-
-
-def _petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(outer + inner + [(i, i + 5) for i in range(5)])
-
-
-def _prism(k):
-    top = [(i, (i + 1) % k) for i in range(k)]
-    return Graph.from_edges(top + [(u + k, v + k) for u, v in top] + [(i, i + k) for i in range(k)])
-
-
 NAMED_GRAPHS = {
-    "W10": _wheel(10),
-    "petersen": _petersen(),
-    "prism5": _prism(5),
-    "grid3x4": _grid(3, 4),
+    "W10": wheel_graph(10),
+    "petersen": petersen_graph(),
+    "prism5": prism_graph(5),
+    "grid3x4": grid_graph(3, 4),
     "C12": cycle_graph(12),
-    "K7": Graph.from_edges(combinations(range(7), 2)),
-    "W12": _wheel(12),
+    "K7": complete_graph(7),
+    "W12": wheel_graph(12),
 }
 
 

@@ -3,27 +3,30 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    NAMED_LADDER,
     connected_graphs,
     cycle_graph,
+    lift_subdivision,
+    lift_weight,
     potential_facets,
     running_example,
     random_connected_graph,
 )
 
-import apx.subdivision as subdivision
 from apx.cellanalysis import Signature, cell_volume_closed_form, subset_corank
-from apx.errors import EdgeNotInGraph, NotAValidSharedEdgeDecomposition, TheoremViolation
+from apx.errors import EdgeNotInGraph, NotAValidSharedEdgeDecomposition
 from apx.graphcore import Graph, contract_edge
 from apx.polytope import build_configuration, enumerate_facets, normalized_volume
-from apx.polytope import normalized_volume_of_cell
+from apx.polytope import normalized_volume_of_points
 from apx.subdivision import (
     Cell,
+    cells_with_facets,
     check_simpliciality_transfer,
     edge_contraction_subdivision,
     facet_correspondence,
-    lift_weight,
     product_correspondence,
     verify_cell_support,
 )
@@ -102,18 +105,26 @@ def test_cells_contain_contracted_pair_and_h_zero():
             assert verify_cell_support(config, e, cell)
 
 
-def test_lift_ray_with_fractional_entries_raises(monkeypatch):
-    # A lift ray (t * gamma, t * h, t) is divided by t; when t does not
-    # divide every entry the cell's normal would be rational, which the
-    # reflexivity of the contracted polytope rules out.
-    rays = [((1, 0, 0, 0, 2), 0b1111)]
-    monkeypatch.setattr(subdivision, "regular_subdivision_supports", lambda *args: rays)
-    with pytest.raises(TheoremViolation, match="not integral after division by 2"):
-        edge_contraction_subdivision(cycle_graph(4), (0, 3))
-    # A non-primitive ray whose t divides every entry is divided exactly.
-    rays[0] = ((2, 0, -2, 0, 2), 0b1111)
-    (cell,) = edge_contraction_subdivision(cycle_graph(4), (0, 3))
-    assert cell.gamma == (1, 0, -1) and cell.height == 0
+@pytest.mark.parametrize("name", NAMED_LADDER)
+def test_cells_from_facets_are_the_lower_faces_of_the_lift(name):
+    # The cells built from the facets of G // e, order included, against
+    # the lower faces of the lift found by double description.  Each cell
+    # is built from the facet that the lift's cell projects to, and its
+    # record has full affine rank.
+    g, e = NAMED_LADDER[name]
+    pairs = cells_with_facets(g, e)
+    lift = lift_subdivision(g, e)
+    assert [cell for cell, _ in pairs] == lift
+    assert [facet for _, facet in pairs] == list(facet_correspondence(g, e, lift).images)
+    for cell, _ in pairs:
+        assert cell.record().rank == cell.dim + 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(max_nodes=8), st.data())
+def test_cells_from_facets_match_the_lift_on_drawn_graphs(g, data):
+    e = data.draw(st.sampled_from(g.sorted_edges()))
+    assert edge_contraction_subdivision(g, e) == lift_subdivision(g, e)
 
 
 def test_verify_cell_support_levels_in_integers():
@@ -140,7 +151,7 @@ def test_cell_volumes_sum_to_polytope_volume():
         g = random_connected_graph(rng, max_nodes=6, max_edges=9)
         e = rng.choice(g.sorted_edges())
         cells = edge_contraction_subdivision(g, e)
-        total = sum(normalized_volume_of_cell(c.vectors()) for c in cells)
+        total = sum(normalized_volume_of_points(c.vectors()) for c in cells)
         assert total == normalized_volume(build_configuration(g))
 
 

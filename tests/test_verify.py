@@ -12,6 +12,7 @@ from conftest import cycle_graph, running_example, random_connected_graph, star_
 
 from apx.errors import TheoremViolation
 from apx.graphcore import Graph, edge
+from apx.polytope import build_configuration
 from apx.subdivision import edge_contraction_subdivision
 from apx.verify import run_verification, split_at_contraction
 
@@ -81,13 +82,13 @@ def test_cell_oracle_runs_once_per_cell(monkeypatch):
     import apx.polytope as polytope
 
     calls = []
-    oracle = polytope.normalized_volume_of_points
+    run = polytope._PlacingState.run
 
-    def counting(vectors):
-        calls.append(len(vectors))
-        return oracle(vectors)
+    def counting(state):
+        calls.append(len(state.rows))
+        return run(state)
 
-    monkeypatch.setattr(polytope, "normalized_volume_of_points", counting)
+    monkeypatch.setattr(polytope._PlacingState, "run", counting)
     report = run_verification(running_example(), (0, 3), level="fast")
     assert report.passed()
     # One run per cell, shared by the cell analysis and volume additivity,
@@ -96,17 +97,17 @@ def test_cell_oracle_runs_once_per_cell(monkeypatch):
 
 
 def test_affine_elimination_runs_once_per_cell(monkeypatch):
-    import apx.cellanalysis as cellanalysis
     import apx.exactlin as exactlin
     import apx.graphcore as graphcore
+    import apx.subdivision as subdivision
     import apx.verify as verify
 
-    calls, forests, analysing = [], [], []
-    kernel, forest, analyze = exactlin.affine_kernel, graphcore.forest, verify.analyze_cell
+    passes, forests, analysing = [], [], []
+    gauss_jordan, forest, analyze = exactlin.gauss_jordan, graphcore.forest, verify.analyze_cell
 
-    def counting(points):
-        calls.append(len(points))
-        return kernel(points)
+    def counting(m):
+        passes.append(len(m[0]))
+        return gauss_jordan(m)
 
     def counting_forest(edges):
         forests.append(len(edges))
@@ -124,8 +125,8 @@ def test_affine_elimination_runs_once_per_cell(monkeypatch):
         finally:
             analysing.pop()
 
-    monkeypatch.setattr(exactlin, "affine_kernel", counting)
-    monkeypatch.setattr(cellanalysis, "forest", counting_forest)
+    monkeypatch.setattr(exactlin, "gauss_jordan", counting)
+    monkeypatch.setattr(subdivision, "forest", counting_forest)
     monkeypatch.setattr(graphcore, "forest", graph_forest)
     monkeypatch.setattr(verify, "analyze_cell", analysing_cell)
     k6 = Graph.from_edges(combinations(range(6), 2))
@@ -136,14 +137,17 @@ def test_affine_elimination_runs_once_per_cell(monkeypatch):
         (k6, (0, 1), "full"),
         (cycle_graph(7), (0, 6), "fast"),
     ]:
-        calls.clear()
+        passes.clear()
         forests.clear()
         report = run_verification(g, e, level=level)
         assert report.passed()
-        # One elimination and one forest pass per cell, in its analysis;
-        # every per-cell statement reads that one record.
+        # One elimination of [M | I] and one forest pass per cell, in its
+        # analysis: every per-cell statement, and the cell's volume, read
+        # that one record.  The one other pass is the whole polytope's.
         cells = edge_contraction_subdivision(g, e)
-        assert calls == [len(c.points) for c in cells], (g, level)
+        n = g.node_count - 1
+        whole = len(build_configuration(g).labels) + n + 1
+        assert passes == [len(c.points) + n + 1 for c in cells] + [whole], (g, level)
         assert forests == [len({edge(*lab) for lab in c.points}) for c in cells], (g, level)
 
 
@@ -190,18 +194,18 @@ def test_theorem_checks_survive_python_O():
     script = textwrap.dedent(
         """
         import json
-        import apx.cellanalysis as cellanalysis
+        import apx.subdivision as subdivision
         from apx.graphcore import Graph
         from apx.verify import run_verification
 
-        real = cellanalysis.forest
+        real = subdivision.forest
 
         def forest(edges):
             # One cycle too many on the graph side.
             result = real(edges)
             return result._replace(cycles=result.cycles + (result.tree,))
 
-        cellanalysis.forest = forest
+        subdivision.forest = forest
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
         report = run_verification(g, (0, 1), level="fast")
         check = next(c for c in report.checks if c.name == "cell_invariants")
