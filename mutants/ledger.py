@@ -34,6 +34,8 @@ POTENTIAL = "tests/test_polytope.py::test_potential_search_matches_the_cone"
 MEMOISED = "tests/test_cli.py::test_memoised_leaf_tuples_write_the_bytes_of_json_dump"
 GATE = "tests/test_polytope.py::test_facets_refuse_other_configurations"
 FROM_FACETS = "tests/test_subdivision.py::test_cells_from_facets_are_the_lower_faces_of_the_lift"
+LADDER = "tests/test_polytope.py::test_placing_oracle_matches_the_reference_on_the_ladder"
+DRAWN = "tests/test_polytope.py::test_placing_oracle_matches_the_reference_on_drawn_points"
 
 MUTANTS = (
     Mutant(
@@ -173,16 +175,38 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "polytope: file a boundary ridge without the exactly-one-facet test",
+        "polytope: file a horizon face without the one-visible-one-other test",
         POLYTOPE,
-        "            if not common or common & (common - 1):\n",
+        "            if common.bit_count() != 2 or seen.bit_count() != 1:\n",
         "            if False:\n",
         ("tests/test_polytope.py::test_placing_raises_when_no_facet_holds_a_boundary_face",),
     ),
     Mutant(
+        "polytope: treat a coplanar facet as hidden",
+        POLYTOPE,
+        "            if p & zero:\n",
+        "            if False:\n",
+        (
+            "tests/test_polytope.py::test_volume_with_interior_and_boundary_points",
+            f"{LADDER}[running]",
+            DRAWN,
+        ),
+    ),
+    Mutant(
+        "polytope: leave the new point out of a new facet's tight rows",
+        POLYTOPE,
+        "(mq & mp) | bit",
+        "mq & mp",
+        (
+            "tests/test_polytope.py::test_volume_c4_c5",
+            f"{LADDER}[W7]",
+            DRAWN,
+        ),
+    ),
+    Mutant(
         "polytope: keep interior ridges as boundary faces",
         POLYTOPE,
-        "                    if ridges.pop(ridge, None) is None:\n",
+        "                    if pop(ridge, None) is None:\n",
         "                    if True:\n",
         (
             "tests/test_polytope.py::test_volume_c4_c5",
@@ -198,11 +222,11 @@ MUTANTS = (
         ("tests/test_polytope.py::test_placing_raises_on_an_inexact_volume_ratio",),
     ),
     Mutant(
-        "polytope: drop the seed-ray orientation",
+        "polytope: drop the seed-facet orientation",
         POLYTOPE,
         "        sign = 1 if det > 0 else -1\n",
         "        sign = 1\n",
-        ("tests/test_polytope.py::test_ddcone_seed_is_primitive_inverse_columns",),
+        ("tests/test_polytope.py::test_seed_basis_skips_dependent_rows",),
     ),
     Mutant(
         "subdivision: cells without the merged-pair clause",
@@ -287,6 +311,13 @@ MUTANTS = (
             "tests/test_cellanalysis.py::test_graph_side_faults_raise_theorem_violations",
             "tests/test_verify.py::test_theorem_checks_survive_python_O",
         ),
+    ),
+    Mutant(
+        "cellanalysis: drop the closed-form-versus-oracle check",
+        CELLANALYSIS,
+        "    if result != cell.nvol:\n",
+        "    if False:\n",
+        ("tests/test_cellanalysis.py::test_closed_form_refuses_an_oracle_off_by_one",),
     ),
     Mutant(
         "cellanalysis: drop the corank-1 signature check",

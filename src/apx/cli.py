@@ -39,9 +39,11 @@ EXIT_INPUT_ERROR = 2
 
 def load_graph(path: str) -> Graph:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from exc
     stripped = text.lstrip()
     if path.endswith(".json") or stripped.startswith("{"):
         return Graph.from_json(text)
@@ -53,7 +55,9 @@ def parse_edge(text: str, g: Graph) -> tuple[int, int]:
         k1, k2 = (int(part) for part in text.split(","))
     except ValueError as exc:
         raise ParseError(f"--edge expects 'K1,K2', got {text!r}") from exc
-    if not (0 <= k1 < g.node_count and 0 <= k2 < g.node_count) or k1 == k2:
+    if k1 == k2:
+        raise ParseError(f"edge {text!r} is a loop at node {k1}")
+    if not (0 <= k1 < g.node_count and 0 <= k2 < g.node_count):
         raise ParseError(f"edge labels {text!r} out of range for {g.node_count} nodes")
     if edge(k1, k2) not in g.edges:
         raise ParseError(f"{{{k1},{k2}}} is not an edge of the graph")

@@ -5,20 +5,21 @@ Geometry is done in integers and bitsets throughout.  The facets of an
 adjacency configuration are its integer potentials whose tight edges
 connect the graph, found by a pruned depth-first search; a point
 configuration of any other kind is refused.  Volumes come from a placing
-triangulation whose hull is the ray list of a double description cone
-(exact, incremental, seeded by one ``exactlin.eliminate`` pass; for a
-cell, the one its record reads), and each simplex's volume is an exact
-integer ratio off the simplex it is glued to.  The potential search and
-the volume pipeline share no logic with each other, and tests re-derive
-facets from the cone, from brute-force hyperplanes and from a separate
-potential enumeration, and volumes from per-simplex determinants.
+triangulation that keeps its own hull, seeded by one
+``exactlin.eliminate`` pass (for a cell, the one its record reads): each
+placed point is a beneath-beyond step whose new facets are read off the
+horizon faces of the triangulation's boundary, in dimension 1 too, where
+a horizon face is empty, and each simplex's volume is an exact integer
+ratio off the simplex it is glued to.  The potential search and the
+volume pipeline share no logic with each other, and tests re-derive
+facets from a double description cone, from brute-force hyperplanes and
+from a separate potential enumeration, and volumes from a placing oracle
+driven by that cone and from per-simplex determinants.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from math import gcd
-from operator import and_
 from typing import NamedTuple
 
 from .errors import DisconnectedGraph, NotFullDimensional, TheoremViolation
@@ -79,7 +80,7 @@ class FacetCertificate(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Double description: extreme rays of {z : <row_i, z> >= 0} over the integers.
+# Bitsets and integer vectors.
 # ---------------------------------------------------------------------------
 
 
@@ -103,161 +104,6 @@ def _reduce_ray(v: list[int]) -> IntVector:
 
 def _idot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
-
-
-class DDCone:
-    """Incremental double description for a pointed cone, in integers.
-
-    ``rows`` are integer constraint vectors; the initial batch must have
-    full rank (pointedness), else NotFullDimensional.  The start is
-    simplicial: the rows of d * B^-T for the greedy row basis B, from
-    ``eliminate`` (or ``seed``, that call's result when the caller has
-    it), each reduced to a primitive vector and oriented into the cone by
-    the sign of d, so ray j is tight on every basis row but the j-th.
-
-    Every ray has a stable id, its index in ``slots`` (None marks a free
-    id).  Each ray carries a bitmask of the rows it is tight on, and
-    ``tight[i]`` is the bitset of the ids of the rays tight on row i.
-    Both are kept exactly across inserts: a ray's bits are set when it is
-    made, and when a new row is tight on it, and cleared when it is cut.
-    A new ray takes the lowest free id, so no id reaches the largest ray
-    count so far, and no bitset is wider than that.
-
-    Inserting a row cuts the rays on its negative side and pairs each of
-    them with the adjacent rays on its positive side.  The candidates for
-    a negative ray come from one count: the ``tight`` bitsets of the rows
-    in its mask are summed bit-sliced, and the positive rays counted at
-    least dim - 2 times are kept.  Adjacency is the combinatorial test
-    (Fukuda and Prodon 1996): two rays are adjacent iff no third ray is
-    tight on every row both are tight on, decided by ANDing the ``tight``
-    bitsets of those rows.  Dot products use only the nonzero entries of
-    the row.  The ``rays`` property lists the live (vector, mask) pairs in
-    id order, read off ``slots`` when asked for, not kept across inserts;
-    ``add_row`` returns the rays cut off by the new halfspace, whose masks
-    identify the facets visible from it.  ``seed_det`` is |det| of the
-    seed basis rows, from the same elimination as the seed rays.
-    """
-
-    def __init__(self, dim: int, rows: list[IntVector], seed=None):
-        self.dim = dim
-        basis, _, seed_rays, det = seed or eliminate(rows, dim)
-        if len(basis) < dim:
-            raise NotFullDimensional(f"constraint rank {len(basis)} < {dim}")
-        self.seed_det = abs(det)
-        sign = 1 if det > 0 else -1
-        full = sum(1 << i for i in basis)
-        seed_ids = (1 << dim) - 1
-        self.rows = list(rows)
-        self.tight = [0] * len(rows)
-        self.slots: list[tuple[IntVector, int] | None] = []
-        for j, (i, ray) in enumerate(zip(basis, seed_rays)):
-            self.slots.append((_reduce_ray([sign * x for x in ray]), full ^ (1 << i)))
-            self.tight[i] = seed_ids ^ (1 << j)
-        basis_set = set(basis)
-        for i, row in enumerate(rows):
-            if i not in basis_set:
-                self._insert(i, row)
-
-    @property
-    def rays(self) -> list[tuple[IntVector, int]]:
-        return [s for s in self.slots if s is not None]
-
-    def add_row(self, row: IntVector) -> list[tuple[IntVector, int]]:
-        idx = len(self.rows)
-        self.rows.append(tuple(row))
-        self.tight.append(0)
-        return self._insert(idx, tuple(row))
-
-    def _insert(self, idx: int, row: IntVector) -> list[tuple[IntVector, int]]:
-        bit = 1 << idx
-        slots, tight = self.slots, self.tight
-        live_rays = [(j, s) for j, s in enumerate(slots) if s is not None]
-        # Sparse dot products, one pass over the rays per nonzero entry.
-        dots = [0] * len(live_rays)
-        for c, a in enumerate(row):
-            if a:
-                dots = [d + a * v[c] for d, (_, (v, _)) in zip(dots, live_rays)]
-        pos = neg_set = zero_set = 0
-        pos_dot = {}
-        neg = []
-        zero = []
-        for (j, ray), d in zip(live_rays, dots):
-            if d > 0:
-                pos |= 1 << j
-                pos_dot[j] = d
-            elif d:
-                neg.append((j, ray, d))
-                neg_set |= 1 << j
-            else:
-                zero.append((j, ray))
-                zero_set |= 1 << j
-        new_rays = []
-        if pos and neg:
-            live = pos | neg_set | zero_set
-            needed = max(self.dim - 2, 0)
-            for q, (vq, mq), dq in neg:
-                on_q = [(1 << i, tight[i]) for i in _bits(mq)]
-                cand = _at_least([t for _, t in on_q], needed) & pos
-                for p in _bits(cand):
-                    vp, mp = slots[p]
-                    # The rays tight on every row of z include p and q;
-                    # the pair is adjacent iff there are no others.
-                    z = mp & mq
-                    common = reduce(and_, [t for b, t in on_q if z & b], live)
-                    if common != (1 << p) | (1 << q):
-                        continue
-                    dp = pos_dot[p]
-                    combo = [dp * a - dq * b for a, b in zip(vq, vp)]
-                    new_rays.append((_reduce_ray(combo), z | bit))
-        for j, (v, m) in zero:
-            slots[j] = (v, m | bit)
-        if neg:
-            keep = ~neg_set
-            for i, t in enumerate(tight):
-                tight[i] = t & keep
-            for q, _, _ in neg:
-                slots[q] = None
-        tight[idx] = zero_set
-        # New rays take the lowest free ids, then ids past the end.
-        free = iter([j for j, s in enumerate(slots) if s is None])
-        for ray in new_rays:
-            j = next(free, len(slots))
-            if j == len(slots):
-                slots.append(ray)
-            else:
-                slots[j] = ray
-            for i in _bits(ray[1]):
-                tight[i] |= 1 << j
-        while slots and slots[-1] is None:
-            slots.pop()
-        return [ray for _, ray, _ in neg]
-
-
-def _at_least(sets: list[int], needed: int) -> int:
-    """Bitset of the elements that lie in at least ``needed`` >= 0 of
-    ``sets`` (all of them, as -1, when ``needed`` is 0), by a bit-sliced
-    count: slice k holds bit k of every element's count."""
-    slices: list[int] = []
-    for x in sets:
-        for k, s in enumerate(slices):
-            if not x:
-                break
-            slices[k] = s ^ x
-            x &= s
-        if x:
-            slices.append(x)
-    if needed >> len(slices):
-        return 0
-    # Compare each count with ``needed``, most significant slice first.
-    above, equal = 0, -1
-    for k in range(len(slices) - 1, -1, -1):
-        s = slices[k]
-        if needed >> k & 1:
-            equal &= s
-        else:
-            above |= equal & s
-            equal &= ~s
-    return above | equal
 
 
 # ---------------------------------------------------------------------------
@@ -427,27 +273,43 @@ class _PlacingState:
     rows r = (x, 1) in ``elimination``, their ``eliminate`` pass), then
     every other point in label order, coning each new point over the hull
     facets it is beyond.  Any placing order yields a triangulation.
-    Starting from a basis keeps the hull full-dimensional throughout, so
-    its facet list is the ray list of one DDCone over the rows, seeded by
-    the same elimination, and placing one more point is one incremental
-    cone update whose removed rays are the visible facets.
+    Starting from a basis keeps the hull full-dimensional throughout.
 
-    The boundary of the triangulation is kept per hull facet, as facet
-    ray -> {face mask: (volume of the simplex on the face, position of its
-    opposite vertex)}, so a visible facet hands over its faces directly.
-    Only the seed simplex takes a determinant, the last pivot of the
-    elimination.  Every other volume follows from the simplex it is glued
-    to: det(b, w) over the rows of a face b is linear in w and vanishes on
-    the facet hyperplane <v, .> = 0 of the face, so coning b to the new
-    point r_k instead of its opposite vertex r_j scales the volume by
-    -<v, r_k> / <v, r_j>, both dot products taken over the nonzero
-    entries of the rows only.  The new
-    boundary faces are the ridges that occur in exactly one new simplex:
-    a ridge is dropped when a second new simplex has it.  Each is filed
-    under the one facet through r_k that contains it, the one ray left
-    by ANDing the cone's ``tight`` bitsets of its rows; the cone's row i
-    is the point at placing position i.  Masks are over placing
-    positions; ``order`` maps them back to point indices.
+    The hull is a list of facets, each under a stable id (its index in
+    ``facets``, None marking a free id): a primitive inner normal v, the
+    mask of the rows tight on it, and its boundary faces as {face mask:
+    (volume of the simplex on the face, position of its opposite
+    vertex)}.  ``tight[i]`` is the bitset of the ids of the facets tight
+    on row i.  Masks are over placing positions; ``order`` maps them back
+    to point indices.  The seed facets are the rows of d * B^-T for the
+    seed basis B, from the same elimination, oriented by the sign of d;
+    the seed simplex's volume is |d|.
+
+    Placing point k is one beneath-beyond step (Grunbaum, Convex
+    Polytopes; Edelsbrunner 1987), read off the triangulation's boundary
+    with no search over pairs of facets.  One sparse dot pass sorts the
+    facets into visible (<v, r_k> < 0), coplanar and hidden.  Each face of
+    a visible facet is coned to r_k.  det(b, w) over the rows of a face b
+    is linear in w and vanishes on the facet hyperplane <v, .> = 0, so
+    coning b to r_k instead of its opposite vertex r_j scales the volume
+    by -<v, r_k> / <v, r_j>, an exact integer ratio.  The ridges through
+    r_k that occur in one new simplex only are the new boundary faces: a
+    ridge met twice is interior and dropped.  Each such ridge minus r_k
+    is a horizon face g, on the boundary between a visible facet q and a
+    facet p that is not, and no other facet holds g: the AND of the
+    ``tight`` bitsets over g's rows, taken before the insert, is exactly
+    {q, p}, or the insert raises TheoremViolation.  The AND starts from
+    the live facets, as g is empty in dimension 1, where the hull is two
+    points and each is the other's p.  If p is coplanar with r_k it
+    gains row k and the face g + r_k.  Otherwise the face goes to the one
+    new facet made for the pair (q, p), with normal primitive(<v_p, r_k>
+    v_q - <v_q, r_k> v_p) and tight rows (mask_q & mask_p) | k.  These
+    are the pairs of adjacent facets with r_k strictly on opposite sides,
+    the pairs a double description insert would combine (Fukuda and
+    Prodon 1996): every new facet spans r_k and a hull ridge between a
+    visible and a hidden facet, and the boundary triangulation puts a
+    face on every such ridge.  A new facet takes the lowest free id, so
+    ids stay below the largest facet count so far.
     """
 
     def __init__(self, vectors: list[IntVector], elimination: Elimination):
@@ -459,62 +321,133 @@ class _PlacingState:
         self.order = basis + [i for i in range(len(vectors)) if i not in chosen]
         self.rows = [vectors[i] + (1,) for i in self.order]
         # (column, entry) pairs of each row's nonzero entries, for the
-        # facet dot products of the volume ratios.
+        # facet dot products.
         self.sparse = [[(c, a) for c, a in enumerate(r) if a] for r in self.rows]
-        # The cone's seed basis is its d + 1 rows, in this order.
-        cone_seed = elimination._replace(basis=list(range(d + 1)))
-        self.cone = DDCone(d + 1, self.rows[: d + 1], cone_seed)
+        det = elimination.det
+        sign = 1 if det > 0 else -1
+        self.volume = abs(det)
         full = (1 << (d + 1)) - 1
-        seed = self.cone.seed_det
-        self.simplices: list[int] = [full]
-        self.volume = seed
-        # facet ray -> {boundary face mask: (volume, opposite position)}
-        self.faces: dict[IntVector, dict[int, tuple[int, int]]] = {
-            v: {m: (seed, (full ^ m).bit_length() - 1)} for v, m in self.cone.rays
-        }
+        # Seed facet j is tight on every seed row but the j-th and holds
+        # the seed simplex's face opposite position j.
+        self.facets: list[tuple[IntVector, int, dict[int, tuple[int, int]]] | None] = [
+            (_reduce_ray([sign * x for x in ray]), full ^ (1 << j), {full ^ (1 << j): (self.volume, j)})
+            for j, ray in enumerate(elimination.inverse)
+        ]
+        self.tight = [full ^ (1 << i) for i in range(d + 1)] + [0] * (len(self.rows) - d - 1)
+        self.live = full
 
     def insert(self, k: int) -> None:
-        removed = self.cone.add_row(self.rows[k])
-        if not removed:
-            return
-        sparse = self.sparse
-        on_k = sparse[k]
+        facets = self.facets
+        bit = 1 << k
+        ids = [j for j, f in enumerate(facets) if f is not None]
+        normals = [facets[j][0] for j in ids]
+        dots = [0] * len(ids)
+        for c, a in self.sparse[k]:
+            dots = [x + a * v[c] for x, v in zip(dots, normals)]
+        visible = zero = 0
+        for j, x in zip(ids, dots):
+            if x < 0:
+                visible |= 1 << j
+            elif not x:
+                zero |= 1 << j
+        if visible:
+            self._cone(k, visible, zero, dict(zip(ids, dots)))
+        for j in _bits(zero):
+            v, m, faces = facets[j]
+            facets[j] = (v, m | bit, faces)
+        self.tight[k] |= zero
+
+    def _cone(self, k: int, visible: int, zero: int, dot: dict[int, int]) -> None:
+        """Cone r_k over the visible facets and replace them by the new
+        facets through r_k, filing every new boundary face."""
+        facets, tight, sparse = self.facets, self.tight, self.sparse
         bit = 1 << k
         # ridge mask -> (volume, opposite position) of the one new simplex
         # it lies in so far; a ridge met twice is interior and dropped.
         ridges: dict[int, tuple[int, int]] = {}
-        for v, _ in removed:
-            beyond = -sum(v[c] * a for c, a in on_k)
-            for face, (vol, j) in self.faces.pop(v).items():
+        pop = ridges.pop
+        added = 0
+        for q in _bits(visible):
+            v, _, faces = facets[q]
+            beyond = -dot[q]
+            for face, (vol, j) in faces.items():
                 vol, rem = divmod(vol * beyond, sum(v[c] * a for c, a in sparse[j]))
                 if rem:
                     raise TheoremViolation("placing volume is not an integer")
+                added += vol
                 simplex = face | bit
-                self.simplices.append(simplex)
-                self.volume += vol
                 rest = face
                 while rest:
                     low = rest & -rest
                     ridge = simplex ^ low
-                    if ridges.pop(ridge, None) is None:
+                    if pop(ridge, None) is None:
                         ridges[ridge] = (vol, low.bit_length() - 1)
                     rest ^= low
-        # The facet of a boundary ridge is the one ray tight on all of its
-        # rows, read off the cone's per-row bitsets of tight ray ids.
-        tight, slots = self.cone.tight, self.cone.slots
+        self.volume += added
+        # The facets that hold a horizon face: the AND of the tight
+        # bitsets of its rows, taken 8 rows at a time through a memo from
+        # the face's rows in one block of 8 positions to their AND.
+        live = self.live
+        blocks: dict[int, int] = {}
+        block_masks = [255 << s for s in range(0, k, 8)]
+        # {q, p} bitset -> boundary faces of the new facet of that pair
+        pairs: dict[int, dict[int, tuple[int, int]]] = {}
         for ridge, entry in ridges.items():
-            common = tight[k]
-            rest = ridge ^ bit
-            while rest:
-                low = rest & -rest
-                common &= tight[low.bit_length() - 1]
-                rest ^= low
-            if not common or common & (common - 1):
-                raise TheoremViolation("boundary face is not in exactly one hull facet")
-            self.faces.setdefault(slots[common.bit_length() - 1][0], {})[ridge] = entry
+            horizon = ridge ^ bit
+            common = live
+            for m in block_masks:
+                part = horizon & m
+                if part:
+                    try:
+                        common &= blocks[part]
+                    except KeyError:
+                        t = live
+                        for i in _bits(part):
+                            t &= tight[i]
+                        blocks[part] = t
+                        common &= t
+            seen = common & visible
+            if common.bit_count() != 2 or seen.bit_count() != 1:
+                raise TheoremViolation("horizon face is not on one visible and one other facet")
+            p = common ^ seen
+            if p & zero:
+                facets[p.bit_length() - 1][2][ridge] = entry
+            else:
+                faces = pairs.get(common)
+                if faces is None:
+                    faces = pairs[common] = {}
+                faces[ridge] = entry
+        made = []
+        for common, faces in pairs.items():
+            seen = common & visible
+            q, p = seen.bit_length() - 1, (common ^ seen).bit_length() - 1
+            (vq, mq, _), (vp, mp, _) = facets[q], facets[p]
+            dq, dp = dot[q], dot[p]
+            normal = _reduce_ray([dp * a - dq * b for a, b in zip(vq, vp)])
+            made.append((normal, (mq & mp) | bit, faces))
+        keep = ~visible
+        for i in range(k):
+            tight[i] &= keep
+        for q in _bits(visible):
+            facets[q] = None
+        live &= keep
+        # New facets take the lowest free ids, then ids past the end.
+        free = iter(_bits(~live & ((1 << len(facets)) - 1)))
+        for facet in made:
+            j = next(free, len(facets))
+            if j == len(facets):
+                facets.append(facet)
+            else:
+                facets[j] = facet
+            live |= 1 << j
+            for i in _bits(facet[1]):
+                tight[i] |= 1 << j
+        while facets[-1] is None:
+            facets.pop()
+        self.live = live
 
     def run(self) -> _PlacingState:
-        for k in range(self.cone.dim, len(self.rows)):
+        for k in range(len(self.rows[0]), len(self.rows)):
             self.insert(k)
         return self
 
@@ -535,22 +468,6 @@ def _placing(vectors) -> _PlacingState:
     if not vectors:
         raise NotFullDimensional("empty point set")
     return _PlacingState(vectors, eliminate([v + (1,) for v in vectors], len(vectors[0]) + 1))
-
-
-def placing_triangulation(vectors) -> list[tuple[int, ...]]:
-    """Simplices (index tuples) of the placing triangulation that places
-    the greedy affine basis first and the other points in the given
-    order.  Interior points are skipped, so every simplex is
-    full-dimensional.  Raises NotFullDimensional unless the points span
-    their ambient space affinely."""
-    vectors = _lattice_points(vectors)
-    if len(set(vectors)) != len(vectors):
-        raise ValueError("points must be distinct")
-    state = _placing(vectors).run()
-    return sorted(
-        tuple(sorted(i for p, i in enumerate(state.order) if s >> p & 1))
-        for s in state.simplices
-    )
 
 
 def normalized_volume_of_points(vectors) -> int:

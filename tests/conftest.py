@@ -10,9 +10,10 @@ from math import gcd, lcm
 
 from hypothesis import strategies as st
 
-from apx.errors import MorphismViolation
+from apx.errors import MorphismViolation, NotFullDimensional, TheoremViolation
+from apx.exactlin import eliminate
 from apx.graphcore import Graph, edge
-from apx.polytope import DDCone, build_configuration
+from apx.polytope import _bits, _lattice_points, _reduce_ray, build_configuration
 from apx.subdivision import Cell
 
 # Five-cycle with one chord; contracting {0, 4} gives a square plus chord.
@@ -608,3 +609,254 @@ def reference_dd(rays, dim, idx, row):
             g = gcd(*combo)
             new_rays.append((tuple(x // g for x in combo), z | bit))
     return [rays[p] for p in pos] + zero + new_rays, [rays[q] for q in neg]
+
+
+# ---------------------------------------------------------------------------
+# Double description, and the placing oracle it drove: the references for
+# hull facets, lower hulls and the placing volumes.
+# ---------------------------------------------------------------------------
+
+
+class DDCone:
+    """Incremental double description for a pointed cone, in integers.
+
+    ``rows`` are integer constraint vectors; the initial batch must have
+    full rank (pointedness), else NotFullDimensional.  The start is
+    simplicial: the rows of d * B^-T for the greedy row basis B, from
+    ``eliminate`` (or ``seed``, that call's result when the caller has
+    it), each reduced to a primitive vector and oriented into the cone by
+    the sign of d, so ray j is tight on every basis row but the j-th.
+
+    Every ray has a stable id, its index in ``slots`` (None marks a free
+    id).  Each ray carries a bitmask of the rows it is tight on, and
+    ``tight[i]`` is the bitset of the ids of the rays tight on row i.
+    Both are kept exactly across inserts: a ray's bits are set when it is
+    made, and when a new row is tight on it, and cleared when it is cut.
+    A new ray takes the lowest free id, so no id reaches the largest ray
+    count so far, and no bitset is wider than that.
+
+    Inserting a row cuts the rays on its negative side and pairs each of
+    them with the adjacent rays on its positive side.  The candidates for
+    a negative ray come from one count: the ``tight`` bitsets of the rows
+    in its mask are summed bit-sliced, and the positive rays counted at
+    least dim - 2 times are kept.  Adjacency is the combinatorial test
+    (Fukuda and Prodon 1996): two rays are adjacent iff no third ray is
+    tight on every row both are tight on, decided by ANDing the ``tight``
+    bitsets of those rows.  Dot products use only the nonzero entries of
+    the row.  The ``rays`` property lists the live (vector, mask) pairs in
+    id order; ``add_row`` returns the rays cut off by the new halfspace,
+    whose masks identify the facets visible from it.  ``seed_det`` is
+    |det| of the seed basis rows, from the same elimination as the seed
+    rays.
+    """
+
+    def __init__(self, dim: int, rows, seed=None):
+        self.dim = dim
+        basis, _, seed_rays, det = seed or eliminate(rows, dim)
+        if len(basis) < dim:
+            raise NotFullDimensional(f"constraint rank {len(basis)} < {dim}")
+        self.seed_det = abs(det)
+        sign = 1 if det > 0 else -1
+        full = sum(1 << i for i in basis)
+        seed_ids = (1 << dim) - 1
+        self.rows = list(rows)
+        self.tight = [0] * len(rows)
+        self.slots = []
+        for j, (i, ray) in enumerate(zip(basis, seed_rays)):
+            self.slots.append((_reduce_ray([sign * x for x in ray]), full ^ (1 << i)))
+            self.tight[i] = seed_ids ^ (1 << j)
+        basis_set = set(basis)
+        for i, row in enumerate(rows):
+            if i not in basis_set:
+                self._insert(i, row)
+
+    @property
+    def rays(self):
+        return [s for s in self.slots if s is not None]
+
+    def add_row(self, row):
+        idx = len(self.rows)
+        self.rows.append(tuple(row))
+        self.tight.append(0)
+        return self._insert(idx, tuple(row))
+
+    def _insert(self, idx, row):
+        bit = 1 << idx
+        slots, tight = self.slots, self.tight
+        live_rays = [(j, s) for j, s in enumerate(slots) if s is not None]
+        # Sparse dot products, one pass over the rays per nonzero entry.
+        dots = [0] * len(live_rays)
+        for c, a in enumerate(row):
+            if a:
+                dots = [d + a * v[c] for d, (_, (v, _)) in zip(dots, live_rays)]
+        pos = neg_set = zero_set = 0
+        pos_dot = {}
+        neg = []
+        zero = []
+        for (j, ray), d in zip(live_rays, dots):
+            if d > 0:
+                pos |= 1 << j
+                pos_dot[j] = d
+            elif d:
+                neg.append((j, ray, d))
+                neg_set |= 1 << j
+            else:
+                zero.append((j, ray))
+                zero_set |= 1 << j
+        new_rays = []
+        if pos and neg:
+            live = pos | neg_set | zero_set
+            needed = max(self.dim - 2, 0)
+            for q, (vq, mq), dq in neg:
+                on_q = [(1 << i, tight[i]) for i in _bits(mq)]
+                cand = at_least([t for _, t in on_q], needed) & pos
+                for p in _bits(cand):
+                    vp, mp = slots[p]
+                    # The rays tight on every row of z include p and q;
+                    # the pair is adjacent iff there are no others.
+                    z = mp & mq
+                    common = live
+                    for b, t in on_q:
+                        if z & b:
+                            common &= t
+                    if common != (1 << p) | (1 << q):
+                        continue
+                    dp = pos_dot[p]
+                    combo = [dp * a - dq * b for a, b in zip(vq, vp)]
+                    new_rays.append((_reduce_ray(combo), z | bit))
+        for j, (v, m) in zero:
+            slots[j] = (v, m | bit)
+        if neg:
+            keep = ~neg_set
+            for i, t in enumerate(tight):
+                tight[i] = t & keep
+            for q, _, _ in neg:
+                slots[q] = None
+        tight[idx] = zero_set
+        # New rays take the lowest free ids, then ids past the end.
+        free = iter([j for j, s in enumerate(slots) if s is None])
+        for ray in new_rays:
+            j = next(free, len(slots))
+            if j == len(slots):
+                slots.append(ray)
+            else:
+                slots[j] = ray
+            for i in _bits(ray[1]):
+                tight[i] |= 1 << j
+        while slots and slots[-1] is None:
+            slots.pop()
+        return [ray for _, ray, _ in neg]
+
+
+def at_least(sets, needed: int) -> int:
+    """Bitset of the elements that lie in at least ``needed`` >= 0 of
+    ``sets`` (all of them, as -1, when ``needed`` is 0), by a bit-sliced
+    count: slice k holds bit k of every element's count."""
+    slices = []
+    for x in sets:
+        for k, s in enumerate(slices):
+            if not x:
+                break
+            slices[k] = s ^ x
+            x &= s
+        if x:
+            slices.append(x)
+    if needed >> len(slices):
+        return 0
+    # Compare each count with ``needed``, most significant slice first.
+    above, equal = 0, -1
+    for k in range(len(slices) - 1, -1, -1):
+        s = slices[k]
+        if needed >> k & 1:
+            equal &= s
+        else:
+            above |= equal & s
+            equal &= ~s
+    return above | equal
+
+
+class ReferencePlacing:
+    """The placing triangulation of ``apx.polytope._PlacingState`` (same
+    placing order, same simplices and volumes), with its hull kept as the
+    ray list of a DDCone over the rows: each placed point is one cone
+    insert, whose cut rays are the visible facets, and each new boundary
+    face is filed under the one ray left by ANDing the cone's ``tight``
+    bitsets of its rows.  Keeps every simplex, as a mask over placing
+    positions, in ``simplices``; ``faces`` maps each facet ray to {face
+    mask: (volume, opposite position)}."""
+
+    def __init__(self, vectors, elimination):
+        d = len(vectors[0])
+        basis = elimination.basis
+        if len(basis) < d + 1:
+            raise NotFullDimensional(f"affine dimension {len(basis) - 1} < {d}")
+        chosen = set(basis)
+        self.order = basis + [i for i in range(len(vectors)) if i not in chosen]
+        self.rows = [vectors[i] + (1,) for i in self.order]
+        self.sparse = [[(c, a) for c, a in enumerate(r) if a] for r in self.rows]
+        cone_seed = elimination._replace(basis=list(range(d + 1)))
+        self.cone = DDCone(d + 1, self.rows[: d + 1], cone_seed)
+        full = (1 << (d + 1)) - 1
+        seed = self.cone.seed_det
+        self.simplices = [full]
+        self.volume = seed
+        self.faces = {v: {m: (seed, (full ^ m).bit_length() - 1)} for v, m in self.cone.rays}
+
+    def insert(self, k: int) -> None:
+        removed = self.cone.add_row(self.rows[k])
+        if not removed:
+            return
+        sparse = self.sparse
+        bit = 1 << k
+        ridges = {}
+        for v, _ in removed:
+            beyond = -sum(v[c] * a for c, a in sparse[k])
+            for face, (vol, j) in self.faces.pop(v).items():
+                vol, rem = divmod(vol * beyond, sum(v[c] * a for c, a in sparse[j]))
+                if rem:
+                    raise TheoremViolation("placing volume is not an integer")
+                simplex = face | bit
+                self.simplices.append(simplex)
+                self.volume += vol
+                for low in _bits(face):
+                    ridge = simplex ^ (1 << low)
+                    if ridges.pop(ridge, None) is None:
+                        ridges[ridge] = (vol, low)
+        tight, slots = self.cone.tight, self.cone.slots
+        for ridge, entry in ridges.items():
+            common = tight[k]
+            for i in _bits(ridge ^ bit):
+                common &= tight[i]
+            if not common or common & (common - 1):
+                raise TheoremViolation("boundary face is not in exactly one hull facet")
+            self.faces.setdefault(slots[common.bit_length() - 1][0], {})[ridge] = entry
+
+    def run(self):
+        for k in range(self.cone.dim, len(self.rows)):
+            self.insert(k)
+        return self
+
+
+def reference_placing(vectors) -> ReferencePlacing:
+    """The reference placing state of lattice points, from their own
+    elimination, not yet run."""
+    vectors = _lattice_points(vectors)
+    if not vectors:
+        raise NotFullDimensional("empty point set")
+    return ReferencePlacing(vectors, eliminate([v + (1,) for v in vectors], len(vectors[0]) + 1))
+
+
+def placing_triangulation(vectors) -> list[tuple[int, ...]]:
+    """Simplices (index tuples) of the placing triangulation that places
+    the greedy affine basis first and the other points in the given
+    order.  Interior points are skipped, so every simplex is
+    full-dimensional.  Raises NotFullDimensional unless the points span
+    their ambient space affinely."""
+    vectors = _lattice_points(vectors)
+    if len(set(vectors)) != len(vectors):
+        raise ValueError("points must be distinct")
+    state = reference_placing(vectors).run()
+    return sorted(
+        tuple(sorted(i for p, i in enumerate(state.order) if s >> p & 1))
+        for s in state.simplices
+    )

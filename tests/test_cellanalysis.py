@@ -394,6 +394,21 @@ def test_corank2_closed_form_needs_an_even_numerator(monkeypatch):
         cell_volume_closed_form(cell, (0, 3))
 
 
+def test_closed_form_refuses_an_oracle_off_by_one():
+    # The closed form and the placing oracle derive a cell's volume apart:
+    # an oracle volume one off must raise, for corank 0, 1 and 2.
+    cells = [
+        (edge_contraction_subdivision(cycle_graph(4), (0, 3))[0], (0, 3), 2),
+        (edge_contraction_subdivision(cycle_graph(5), (0, 4))[0], (0, 4), 5),
+        (corank2_cell(), (0, 3), 4),
+    ]
+    for cell, e, volume in cells:
+        for wrong in (volume - 1, volume + 1):
+            cell.nvol = wrong
+            with pytest.raises(TheoremViolation, match=f"closed form {volume} != oracle {wrong}"):
+                cell_volume_closed_form(cell, e)
+
+
 def test_unsupported_corank_raises():
     # Gluing three triangles along the contracted edge gives balanced
     # circuit rank 3, so some cell has corank 3.

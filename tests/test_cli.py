@@ -316,6 +316,16 @@ def test_bad_edge_is_input_error(tmp_path, capsys):
     assert main(["subdivide", path, "--edge", "0,2"]) == 2
     assert main(["subdivide", path, "--edge", "0"]) == 2
     assert main(["subdivide", path, "--edge", "0,9"]) == 2
+    assert "out of range for 4 nodes" in capsys.readouterr().err
+    assert main(["subdivide", path, "--edge", "0,0"]) == 2
+    assert capsys.readouterr().err == "error: edge '0,0' is a loop at node 0\n"
+
+
+def test_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe0 1\n")
+    assert main(["facets", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: not UTF-8 text (byte 0)\n"
 
 
 def test_disconnected_graph_is_input_error(tmp_path, capsys):

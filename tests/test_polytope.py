@@ -8,6 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    NAMED_LADDER,
+    DDCone,
+    at_least,
     brute_force_facets,
     brute_force_subdivision,
     complete_graph,
@@ -17,12 +20,14 @@ from conftest import (
     integer_determinant,
     path_graph,
     petersen_graph,
+    placing_triangulation,
     potential_facets,
     prism_graph,
     random_connected_graph,
     random_tree,
     reference_dd,
     reference_is_affinely_independent,
+    reference_placing,
     reference_rank,
     reference_solve,
     regular_subdivision_supports,
@@ -35,9 +40,7 @@ from conftest import (
 from apx.errors import DisconnectedGraph, NotFullDimensional, TheoremViolation
 from apx.graphcore import Graph
 from apx.polytope import (
-    DDCone,
     PointConfiguration,
-    _at_least,
     _is_adjacency_configuration,
     _lattice_points,
     _placing,
@@ -48,7 +51,6 @@ from apx.polytope import (
     normalized_volume_of_cell,
     normalized_volume_of_points,
     phi,
-    placing_triangulation,
 )
 from apx.exactlin import eliminate
 
@@ -253,6 +255,9 @@ def test_volume_with_interior_and_boundary_points():
     assert normalized_volume_of_points(square + [(1, 1)]) == 8
     assert normalized_volume_of_points([(1, 1)] + square) == 8
     assert normalized_volume_of_points(square + [(1, 0)]) == 8
+    # In dimension 1 a horizon face is empty: each end of the segment is
+    # the other's neighbour.
+    assert normalized_volume_of_points([(0,), (2,), (1,), (-3,), (5,)]) == 8
 
 
 def test_volume_lower_dimensional_raises():
@@ -323,7 +328,17 @@ def test_seed_basis_skips_dependent_rows():
         if reference_rank(homogenized) == dim + 1:
             state = _placing(points)
             assert state.order[: dim + 1] == _reference_greedy_basis(homogenized, dim + 1)
-            assert state.simplices[0] == (1 << (dim + 1)) - 1
+            # Seed facet j is primitive, tight on every seed row but the
+            # j-th, positive on that one, and holds the face opposite it.
+            seed = state.rows[: dim + 1]
+            full = (1 << (dim + 1)) - 1
+            assert state.volume == abs(integer_determinant(seed))
+            for j, (normal, mask, faces) in enumerate(state.facets):
+                values = [sum(a * b for a, b in zip(normal, row)) for row in seed]
+                assert gcd(*normal) == 1 and values[j] > 0
+                assert values[:j] + values[j + 1 :] == [0] * dim
+                assert mask == full ^ (1 << j)
+                assert faces == {full ^ (1 << j): (state.volume, j)}
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -437,7 +452,7 @@ class _CheckedCone(DDCone):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.integers(0, 2**40 - 1), max_size=20), st.integers(0, 22))
 def test_bit_sliced_count_matches_a_plain_count(sets, needed):
-    got = _at_least(sets, needed)
+    got = at_least(sets, needed)
     for x in range(41):
         count = sum(s >> x & 1 for s in sets)
         assert (got >> x & 1) == (count >= needed)
@@ -486,14 +501,18 @@ def test_ddcone_counters_on_w10_hull_cone():
     assert (cone.peak, len(cone.rays)) == (1643, 1598)
 
 
-def test_ddcone_ids_stay_narrow_in_the_grid_placing_run():
+def test_facet_ids_stay_narrow_in_the_grid_placing_run():
+    # A new facet takes the lowest free id, so no id reaches the largest
+    # live facet count so far, and ``live`` names the live ids.
     grid = [(v, v + 1) for v in range(12) if v % 4 != 3] + [(v, v + 4) for v in range(8)]
     state = _placing(list(build_configuration(Graph.from_edges(grid)).vectors))
     peak = width = 0
-    for k in range(state.cone.dim, len(state.rows)):
+    for k in range(len(state.rows[0]), len(state.rows)):
         state.insert(k)
-        peak = max(peak, len(state.cone.rays))
-        width = max(width, len(state.cone.slots))
+        live = [j for j, facet in enumerate(state.facets) if facet is not None]
+        assert state.live == sum(1 << j for j in live)
+        peak = max(peak, len(live))
+        width = max(width, len(state.facets))
     assert width <= peak
     assert state.volume == 22720
 
@@ -503,7 +522,7 @@ def test_placing_raises_on_an_inexact_volume_ratio():
     # (-1, 2); placing 3 scales that volume by 1/2.  A boundary volume
     # of 1 instead makes the ratio inexact, which no triangulation gives.
     state = _placing([(0,), (2,), (3,)])
-    for faces in state.faces.values():
+    for _, _, faces in state.facets:
         for m, (_, j) in faces.items():
             faces[m] = (1, j)
     with pytest.raises(TheoremViolation, match="not an integer"):
@@ -511,18 +530,22 @@ def test_placing_raises_on_an_inexact_volume_ratio():
 
 
 def test_placing_raises_when_no_facet_holds_a_boundary_face():
-    # Blank the cone's bitset of the rays tight on each new row, so that
-    # no hull facet holds the new boundary faces.
-    state = _placing([(0, 0), (1, 0), (0, 1), (1, 1)])
-    add_row = state.cone.add_row
-
-    def blind(row):
-        removed = add_row(row)
-        state.cone.tight[-1] = 0
-        return removed
-
-    state.cone.add_row = blind
-    with pytest.raises(TheoremViolation, match="exactly one hull facet"):
+    # Seed facet j is opposite position j: 0 is x + y <= 1, 1 is x >= 0
+    # and 2 is y >= 0.  Placing (1, 1) sees facet 0 only, and leaves the
+    # horizon faces (1, 0), on facets 0 and 2, and (0, 1), on 0 and 1.
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    # No facet holds (1, 0) once its row's tight bitset is blanked.
+    state = _placing(square)
+    state.tight[1] = 0
+    with pytest.raises(TheoremViolation, match="one visible and one other facet"):
+        state.run()
+    # A copy of y >= 0 under a fourth id makes (1, 0) lie on three.
+    state = _placing(square)
+    state.facets.append(state.facets[2])
+    state.tight[0] |= 1 << 3
+    state.tight[1] |= 1 << 3
+    state.live |= 1 << 3
+    with pytest.raises(TheoremViolation, match="one visible and one other facet"):
         state.run()
 
 
@@ -661,3 +684,49 @@ def test_adjacency_configuration_of_a_disconnected_label_graph_is_not_full_dimen
         config = PointConfiguration(dim, labels, tuple(phi(lab, dim) for lab in labels))
         with pytest.raises(NotFullDimensional):
             enumerate_facets(config)
+
+
+def _placed_in_step_with_the_reference(points) -> int:
+    """Place ``points`` with the oracle and with ``reference_placing`` in
+    step: after every point, the facets (normal, tight mask, boundary
+    faces) and the volume agree.  Returns the volume."""
+    state, ref = _placing(points), reference_placing(points)
+    assert state.order == ref.order
+    for k in range(len(state.rows[0]), len(state.rows)):
+        state.insert(k)
+        ref.insert(k)
+        got = {v: (m, faces) for v, m, faces in filter(None, state.facets)}
+        assert got == {v: (m, ref.faces[v]) for v, m in ref.cone.rays}
+        assert state.volume == ref.volume
+    return state.volume
+
+
+@st.composite
+def placing_point_sets(draw):
+    """Distinct lattice points spanning R^d, 1 <= d <= 5, from [-2, 2]^d.
+    Half of them hold box corners, so that points lie on one facet
+    hyperplane with others (coplanar) or inside the hull."""
+    d = draw(st.integers(1, 5))
+    point = st.tuples(*[st.integers(-2, 2)] * d)
+    pts = draw(st.lists(point, min_size=1, max_size=d + 8, unique=True))
+    if draw(st.booleans()):
+        corner = st.tuples(*[st.sampled_from((-2, 2))] * d)
+        pts += [c for c in draw(st.lists(corner, max_size=8, unique=True)) if c not in pts]
+    pts = draw(st.permutations(pts))
+    assume(reference_rank([p + (1,) for p in pts]) == d + 1)
+    return pts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(placing_point_sets())
+def test_placing_oracle_matches_the_reference_on_drawn_points(points):
+    assert _placed_in_step_with_the_reference(points) == _determinant_volume(points)
+
+
+@pytest.mark.parametrize("name", NAMED_LADDER)
+def test_placing_oracle_matches_the_reference_on_the_ladder(name):
+    vectors = list(build_configuration(NAMED_LADDER[name][0]).vectors)
+    volume = _placed_in_step_with_the_reference(vectors)
+    assert volume == normalized_volume_of_points(vectors)
+    if len(vectors) <= 30:
+        assert volume == _determinant_volume(vectors)
