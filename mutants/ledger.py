@@ -1,5 +1,7 @@
-"""The mutation ledger: small breaks of the checks in ``src/apx``, each
-with the tests that must fail once it is applied.
+"""The mutation ledger: small breaks of the checks in ``src/apx`` and of
+the second derivations the tests keep beside it (the matroid tables in
+``tests/matroid_tables.py``), each with the tests that must fail once it
+is applied.
 
 A mutant replaces one exact snippet of one file, which must occur there
 exactly once (``tests/test_mutation_ledger.py`` checks this on every
@@ -23,6 +25,7 @@ class Mutant(NamedTuple):
 
 
 MATROID = "src/apx/matroid.py"
+TABLES = "tests/matroid_tables.py"
 POLYTOPE = "src/apx/polytope.py"
 CLI = "src/apx/cli.py"
 SUBDIVISION = "src/apx/subdivision.py"
@@ -30,6 +33,7 @@ CELLANALYSIS = "src/apx/cellanalysis.py"
 GRAPHCORE = "src/apx/graphcore.py"
 EXACTLIN = "src/apx/exactlin.py"
 WALKED = "tests/test_matroid.py::test_walked_tables_match_per_subset_definitions"
+CERTIFICATE = "tests/test_matroid.py::test_certificate_refuses"
 POTENTIAL = "tests/test_polytope.py::test_potential_search_matches_the_cone"
 MEMOISED = "tests/test_cli.py::test_memoised_leaf_tuples_write_the_bytes_of_json_dump"
 GATE = "tests/test_polytope.py::test_facets_refuse_other_configurations"
@@ -39,8 +43,8 @@ DRAWN = "tests/test_polytope.py::test_placing_oracle_matches_the_reference_on_dr
 
 MUTANTS = (
     Mutant(
-        "matroid: drop the downward-closure test",
-        MATROID,
+        "matroid tables: drop the downward-closure test",
+        TABLES,
         "    if unclosed:\n",
         "    if False:\n",
         (
@@ -50,8 +54,8 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "matroid: drop the submodularity pair test",
-        MATROID,
+        "matroid tables: drop the submodularity pair test",
+        TABLES,
         "    if first is not None:\n",
         "    if False:\n",
         (
@@ -61,8 +65,8 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "matroid: shift the pair test by 2^b instead of 2^a",
-        MATROID,
+        "matroid tables: shift the pair test by 2^b instead of 2^a",
+        TABLES,
         "~((spans[b] & elements[a]) >> (1 << a))",
         "~((spans[b] & elements[a]) >> (1 << b))",
         (
@@ -71,15 +75,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "matroid: skip the gcd reduction in the kernel walk",
-        MATROID,
+        "matroid tables: skip the gcd reduction in the kernel walk",
+        TABLES,
         "            a = [x // g for x in v] if g > 1 else v\n",
         "            a = v\n",
         ("tests/test_matroid.py::test_cut_divides_out_a_common_factor",),
     ),
     Mutant(
-        "matroid: keep the pivot vector in the kernel walk's basis",
-        MATROID,
+        "matroid tables: keep the pivot vector in the kernel walk's basis",
+        TABLES,
         "    out = basis[:p]\n",
         "    out = basis[: p + 1]\n",
         (
@@ -90,32 +94,56 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "matroid: rank a leaf as if its point always raised the rank",
-        MATROID,
+        "matroid tables: rank a leaf as if its point always raised the rank",
+        TABLES,
         "d + 1 - len(basis) + grows == points + 1",
         "d + 1 - len(basis) + 1 == points + 1",
         (f"{WALKED}[K5]", f"{WALKED}[running]"),
     ),
     Mutant(
-        "matroid: graphic leaf acyclic without joining two components",
-        MATROID,
+        "matroid tables: graphic leaf acyclic without joining two components",
+        TABLES,
         "independent[mask | last] = cycles == 0 and cu != cv",
         "independent[mask | last] = cycles == 0",
         (f"{WALKED}[K5]", f"{WALKED}[W6]"),
     ),
     Mutant(
-        "matroid: point walk without the contracted pair",
-        MATROID,
+        "matroid tables: point walk without the contracted pair",
+        TABLES,
         "    walk = [n - 1, *range(n - 1)]\n",
         "    walk = list(range(n - 1))\n",
         (f"{WALKED}[K5]", f"{WALKED}[running]"),
     ),
     Mutant(
-        "matroid: drop the table comparison",
-        MATROID,
+        "matroid tables: drop the table comparison",
+        TABLES,
         "    if independent != graphic:\n",
         "    if False:\n",
         ("tests/test_matroid.py::test_morphism_names_a_flipped_point_mask",),
+    ),
+    Mutant(
+        "matroid: certificate without the level condition",
+        MATROID,
+        "        if gamma[i] - gamma[j] != -1:\n",
+        "        if False:\n",
+        (
+            f"{CERTIFICATE}_a_point_off_level_minus_one",
+            "tests/test_verify.py::test_matroid_morphism_names_the_cell_point_and_premise",
+        ),
+    ),
+    Mutant(
+        "matroid: certificate without the distinct-edge test",
+        MATROID,
+        "        if f in owner:\n",
+        "        if False:\n",
+        (f"{CERTIFICATE}_a_repeated_point",),
+    ),
+    Mutant(
+        "matroid: certificate accepts a cell without the contracted pair",
+        MATROID,
+        "    if not cell.contains_contracted_pair(e):\n",
+        "    if False:\n",
+        (f"{CERTIFICATE}_a_cell_without_the_pair",),
     ),
     Mutant(
         "exactlin: leave a zero-entry row unscaled when pv != +-prev",
@@ -311,6 +339,23 @@ MUTANTS = (
             "tests/test_cellanalysis.py::test_graph_side_faults_raise_theorem_violations",
             "tests/test_verify.py::test_theorem_checks_survive_python_O",
         ),
+    ),
+    Mutant(
+        "subdivision: drop the dimension-formula check",
+        SUBDIVISION,
+        "    if affine_dim != formula:\n",
+        "    if False:\n",
+        (
+            "tests/test_cellanalysis.py::"
+            "test_dimension_formula_refuses_a_record_with_an_extra_vertex",
+        ),
+    ),
+    Mutant(
+        "cellanalysis: drop the missing-cycle-edge check",
+        CELLANALYSIS,
+        "            if (v, u) not in arcs:\n",
+        "            if False:\n",
+        ("tests/test_cellanalysis.py::test_arc_signs_refuse_a_cycle_edge_missing_from_the_cell",),
     ),
     Mutant(
         "cellanalysis: drop the closed-form-versus-oracle check",

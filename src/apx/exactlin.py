@@ -1,9 +1,8 @@
 """Exact integer linear algebra, fraction-free.
 
 One elimination, ``eliminate``, gives every rank, basis, kernel, cone
-seed and seed determinant (the matroid table walk keeps its own
-incremental kernel); a cell's record and its volume oracle read one
-pass.  Its ``gauss_jordan`` divides only where the division is exact
+seed and seed determinant; a cell's record and its volume oracle read
+one pass.  Its ``gauss_jordan`` divides only where the division is exact
 (Bareiss 1968), so all geometric predicates downstream are bit-exact.
 Nothing in the package is rational: facet and cell normals are integer
 vectors, because adjacency polytopes are reflexive.  Vectors are tuples,

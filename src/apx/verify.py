@@ -11,7 +11,7 @@ from .cellanalysis import (
     classify_special_graphs,
     max_corank,
 )
-from .errors import ApxError
+from .errors import ApxError, MorphismViolation
 from .graphcore import Graph, balanced_circuit_rank, components_of_edges, edge, vertices_of
 from .polytope import build_configuration, normalized_volume
 from .subdivision import (
@@ -22,8 +22,6 @@ from .subdivision import (
     product_correspondence,
     verify_cell_support,
 )
-
-MATROID_GROUND_LIMIT = 16
 
 
 class CheckResult(NamedTuple):
@@ -172,7 +170,7 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     report.add("special_graph_classes", special.passed(), special.graph_class)
 
     if level == "full":
-        from .matroid import verify_morphism
+        from .matroid import certify_morphism
 
         rank = balanced_circuit_rank(g, e)
         value, _ = max_corank(cells, coranks)
@@ -183,24 +181,13 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
         report.add(
             "max_corank_equals_balanced_circuit_rank", value == rank and not missing, detail
         )
-        ok = True
         detail = ""
-        skipped = 0
-        for cell in cells:
-            if len(cell.points) - 1 > MATROID_GROUND_LIMIT:
-                skipped += 1
-                continue
+        for i, cell in enumerate(cells):
             try:
-                verify_morphism(cell, e)
-            except ApxError as exc:
-                ok = False
-                detail = str(exc)
+                certify_morphism(cell, e)
+            except MorphismViolation as exc:
+                detail = f"cell {i}: {exc}"
                 break
-        if ok and skipped:
-            detail = (
-                f"{skipped} of {len(cells)} cells skipped: "
-                f"ground set above {MATROID_GROUND_LIMIT}"
-            )
-        report.add("matroid_morphism", ok, detail)
+        report.add("matroid_morphism", not detail, detail)
 
     return report

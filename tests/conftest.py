@@ -525,7 +525,7 @@ def reference_rank_table(independent, n) -> list[int]:
 
 def reference_check_matroid_axioms(independent, n) -> None:
     """The matroid axiom check mask by mask: the same tests, verdicts and
-    messages as ``apx.matroid.check_matroid_axioms``, by a scan of every
+    messages as ``matroid_tables.check_matroid_axioms``, by a scan of every
     mask and every pair of elements against a rank table."""
     if not independent[0]:
         raise MorphismViolation("empty set not independent")

@@ -24,6 +24,7 @@ from conftest import (
 import apx.cellanalysis as cellanalysis
 from apx.cellanalysis import (
     Signature,
+    _arc_signs_along,
     _is_circuit,
     _signature,
     build_alternating_basis,
@@ -51,7 +52,13 @@ from apx.errors import (
 from apx.graphcore import Graph, balanced_circuit_rank, edge, forest
 from apx.matroid import grouped_ground_set
 from apx.polytope import normalized_volume_of_points, phi
-from apx.subdivision import _corank, cell_record, cell_subgraphs, edge_contraction_subdivision
+from apx.subdivision import (
+    _corank,
+    _dimension,
+    cell_record,
+    cell_subgraphs,
+    edge_contraction_subdivision,
+)
 
 
 def corank2_cell():
@@ -380,6 +387,25 @@ def test_graph_side_faults_raise_theorem_violations():
     square = rec._replace(forest=forest(cycle_graph(4).sorted_edges()))
     with pytest.raises(TheoremViolation, match=r"signature \(3, 3, 0\) != \(2, 2, 2\)"):
         _signature(square, e)
+
+
+def test_dimension_formula_refuses_a_record_with_an_extra_vertex():
+    # dim = |V(G_X)| + [e in G_X] - components - 1 on the graph side; one
+    # vertex too many there must raise.
+    e = (0, 4)
+    cell = edge_contraction_subdivision(cycle_graph(5), e)[0]
+    rec = cell_record(cell.points, cell.dim)
+    assert _dimension(rec, e) == 4
+    with pytest.raises(TheoremViolation, match="dimension 4 != formula 5"):
+        _dimension(rec._replace(vertices=rec.vertices | {5}), e)
+
+
+def test_arc_signs_refuse_a_cycle_edge_missing_from_the_cell():
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    signs = _arc_signs_along(triangle, {(0, 1), (2, 1), (2, 0)})
+    assert signs == {(0, 1): 1, (1, 2): -1, (0, 2): 1}
+    with pytest.raises(TheoremViolation, match=r"cycle edge \(1, 2\) missing from the cell"):
+        _arc_signs_along(triangle, {(0, 1), (2, 0)})
 
 
 def test_corank2_closed_form_needs_an_even_numerator(monkeypatch):

@@ -457,3 +457,32 @@ def test_cli_exit_codes_on_random_graphs(tmp_path_factory, g, data):
     v = data.draw(st.integers(0, n - 1))
     assert main(["facets", write_graph(tmp, "loop.txt", edges + [(v, v)])]) == 2
     assert main(["facets", write_graph(tmp, "loop.json", edges + [(v, v)], as_json=True)]) == 2
+
+
+def test_tracer_leaves_the_verify_full_report_unchanged(tmp_path):
+    # perfbench/tracer.py rebinds every public function of the apx modules,
+    # matroid's among them, to a timing wrapper.  On verify --level full
+    # it must exit 0 and write the bytes the untraced child writes.
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    graph = write_graph(tmp_path, "c5.txt", C5)
+    args = ["verify", graph, "--edge", "0,1", "--level", "full", "--json"]
+    src = str(Path(apx.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    entry = "import sys; from apx.cli import main; sys.exit(main())"
+    plain = subprocess.run(
+        [sys.executable, "-c", entry, *args, str(tmp_path / "plain.json")],
+        capture_output=True, text=True, env=env,
+    )
+    spans = tmp_path / "spans.jsonl"
+    traced = subprocess.run(
+        [sys.executable, str(tracer), str(spans), "0", "0", "--",
+         *args, str(tmp_path / "traced.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert plain.returncode == 0, plain.stderr
+    assert traced.returncode == 0, traced.stderr
+    assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    names = {json.loads(line)[3] for line in spans.read_text().splitlines()[:-1]}
+    assert "verify.run_verification" in names
+    assert any(name.startswith("matroid.") for name in names)

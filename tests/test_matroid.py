@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     CORANK2_CELL_ARCS,
+    NAMED_LADDER,
     connected_graphs,
     cycle_graph,
     exchange_axioms_hold,
@@ -16,21 +17,22 @@ from conftest import (
     reference_check_matroid_axioms,
     reference_rank,
     running_example,
+    wheel_graph,
+)
+import matroid_tables
+from matroid_tables import (
+    check_matroid_axioms,
+    cut,
+    exhaustive_morphism,
+    graphic_table,
+    point_table,
 )
 
-import apx.matroid as matroid
 from apx.errors import MorphismViolation
 from apx.graphcore import Graph, cyclomatic_number, edge, forest
-from apx.matroid import (
-    _cut,
-    _graphic_table,
-    _point_table,
-    check_matroid_axioms,
-    grouped_ground_set,
-    verify_morphism,
-)
+from apx.matroid import certify_morphism, grouped_ground_set
 from apx.polytope import phi
-from apx.subdivision import cell_subgraphs, edge_contraction_subdivision
+from apx.subdivision import Cell, cell_subgraphs, edge_contraction_subdivision
 
 
 def corank2_cell():
@@ -81,7 +83,7 @@ def test_grouped_ground_set_structure():
 
 def test_point_matroid_basics():
     cell = edge_contraction_subdivision(cycle_graph(5), (0, 4))[0]
-    ground, independent = _point_table(cell, (0, 4))
+    ground, independent = point_table(cell, (0, 4))
     full = (1 << len(ground)) - 1
     assert independent[0]
     pair = next(i for i, elem in enumerate(ground) if len(elem) == 2)
@@ -94,7 +96,7 @@ def test_point_matroid_basics():
 def test_graphic_matroid_basics():
     cell = edge_contraction_subdivision(cycle_graph(5), (0, 4))[0]
     ground = graphic_edges(cell)
-    independent = _graphic_table(ground)
+    independent = graphic_table(ground)
     full = (1 << len(ground)) - 1
     assert independent[0]
     tree = mask_of(ground, forest(ground).tree)
@@ -107,27 +109,27 @@ def test_graphic_matroid_basics():
 def test_matroid_axioms_on_small_cells():
     for g, e in [(cycle_graph(4), (0, 3)), (cycle_graph(5), (0, 4))]:
         for cell in edge_contraction_subdivision(g, e):
-            ground, independent = _point_table(cell, e)
+            ground, independent = point_table(cell, e)
             check_matroid_axioms(independent, len(ground))
             edges = graphic_edges(cell)
-            check_matroid_axioms(_graphic_table(edges), len(edges))
+            check_matroid_axioms(graphic_table(edges), len(edges))
 
 
 def test_morphism_c4_cells():
     for cell in edge_contraction_subdivision(cycle_graph(4), (0, 3)):
-        report = verify_morphism(cell, (0, 3))
+        report = exhaustive_morphism(cell, (0, 3))
         assert report.subsets_checked == 2 ** report.ground_size
 
 
 def test_morphism_c5_cells():
     for cell in edge_contraction_subdivision(cycle_graph(5), (0, 4)):
-        report = verify_morphism(cell, (0, 4))
+        report = exhaustive_morphism(cell, (0, 4))
         assert report.ground_size == 5
         assert report.subsets_checked == 32
 
 
 def test_morphism_corank2_cell():
-    report = verify_morphism(corank2_cell(), (0, 3))
+    report = exhaustive_morphism(corank2_cell(), (0, 3))
     assert report.ground_size == 8
     assert report.subsets_checked == 256
 
@@ -138,19 +140,19 @@ def test_morphism_random_cells():
         g = random_connected_graph(rng, max_nodes=5, max_edges=7)
         e = rng.choice(g.sorted_edges())
         for cell in edge_contraction_subdivision(g, e):
-            verify_morphism(cell, e)
+            exhaustive_morphism(cell, e)
 
 
 def test_morphism_names_a_flipped_point_mask(monkeypatch):
     cell = edge_contraction_subdivision(cycle_graph(5), (0, 4))[0]
-    ground, independent = _point_table(cell, (0, 4))
+    ground, independent = point_table(cell, (0, 4))
     for mask in range(1 << len(ground)):
         flipped = list(independent)
         flipped[mask] = not flipped[mask]
-        monkeypatch.setattr(matroid, "_point_table", lambda c, e: (ground, flipped))
+        monkeypatch.setattr(matroid_tables, "point_table", lambda c, e: (ground, flipped))
         subset = sorted(ground[b] for b in range(len(ground)) if mask >> b & 1)
         with pytest.raises(MorphismViolation) as exc:
-            verify_morphism(cell, (0, 4))
+            exhaustive_morphism(cell, (0, 4))
         assert str(exc.value) == f"dependence mismatch at {subset}"
 
 
@@ -202,7 +204,7 @@ def mixed_families(draw, n):
     not downward closed or lack the empty set."""
     if draw(st.booleans()):
         ends = st.tuples(st.integers(0, 4), st.integers(0, 4))
-        independent = _graphic_table(tuple(draw(st.lists(ends, min_size=n, max_size=n))))
+        independent = graphic_table(tuple(draw(st.lists(ends, min_size=n, max_size=n))))
     else:
         independent = draw(downward_closed_families(n))
     for m in draw(st.lists(st.integers(0, (1 << n) - 1), max_size=2)):
@@ -221,7 +223,7 @@ def test_axiom_check_matches_the_scalar_reference(n, data):
 
 def test_axiom_check_on_a_17_element_graphic_family():
     edges = sorted(combinations(range(7), 2))[:17]
-    independent = _graphic_table(tuple(edges))
+    independent = graphic_table(tuple(edges))
     check_matroid_axioms(independent, 17)
     # A dependent singleton: closure fails first at the lowest independent
     # mask that holds it, here the pair with element 0.
@@ -246,7 +248,7 @@ def test_cut_keeps_a_primitive_annihilator_basis():
             basis = [[int(k == c) for k in range(d + 2)] for c in range(1, d + 2)]
             rows = []
             for i, j in labels:
-                basis = _cut(basis, i, j)
+                basis = cut(basis, i, j)
                 rows.append(phi((i, j), d) + (1,))
                 assert len(basis) == d + 1 - reference_rank(rows)
                 for a in basis:
@@ -257,26 +259,20 @@ def test_cut_keeps_a_primitive_annihilator_basis():
 def test_cut_divides_out_a_common_factor():
     # Point (e_1, 1) in dimension 2: both vectors take the value 2, and
     # 2 * (0, 1, 0, 1) - 2 * (0, 1, 1, 1) = (0, 0, -2, 0).
-    assert _cut([[0, 1, 1, 1], [0, 1, 0, 1]], 1, 0) == [[0, 0, -1, 0]]
+    assert cut([[0, 1, 1, 1], [0, 1, 0, 1]], 1, 0) == [[0, 0, -1, 0]]
     # A point in the span leaves the basis as it is.
     basis = [[0, 1, 1, 0]]
-    assert _cut(basis, 1, 2) is basis
-
-
-def wheel_graph(k):
-    """Hub 0 joined to every node of the rim cycle 1..k-1."""
-    rim = range(1, k)
-    return Graph.from_edges([(0, i) for i in rim] + [(i, i % (k - 1) + 1) for i in rim])
+    assert cut(basis, 1, 2) is basis
 
 
 def assert_cell_tables_match_definitions(cell, e):
     """Each mask of both walked tables of one cell against a test of its
     own subset: an affine-rank test of its points, and its cyclomatic
     number."""
-    ground, independent = _point_table(cell, e)
+    ground, independent = point_table(cell, e)
     n = len(ground)
     edges = tuple(edge(*elem[0]) for elem in ground)
-    graphic = _graphic_table(edges)
+    graphic = graphic_table(edges)
     for mask in range(1 << n):
         subset = [b for b in range(n) if mask >> b & 1]
         rows = [phi(lab, cell.dim) + (1,) for b in subset for lab in ground[b]]
@@ -324,3 +320,71 @@ def test_walked_tables_match_definitions_on_a_large_k7_cell():
     cells = edge_contraction_subdivision(Graph.from_edges(combinations(range(7), 2)), e)
     cell = next(c for c in cells if len(grouped_ground_set(c, e)) >= 12)
     assert_cell_tables_match_definitions(cell, e)
+
+
+def assert_certificate_matches_tables(cell, e):
+    """The certificate's edges, one per grouped element in ground order,
+    are the cell subgraph's, and their graphic table is the point table."""
+    edges = certify_morphism(cell, e)
+    ground, independent = point_table(cell, e)
+    assert edges == tuple(edge(*elem[0]) for elem in ground)
+    assert set(edges) == cell_subgraphs(cell.points)[1]
+    assert independent == graphic_table(edges), cell.points
+
+
+@pytest.mark.parametrize(
+    "name, cells", [("K6", 30), ("W7", 64), ("running", 72), ("petersen", 526)]
+)
+def test_certificate_matches_the_tables_on_named_graphs(name, cells):
+    # Every cell of these four has at most 13 grouped elements.
+    g, e = NAMED_LADDER[name]
+    compared = 0
+    for cell in edge_contraction_subdivision(g, e):
+        if len(grouped_ground_set(cell, e)) <= 13:
+            assert_certificate_matches_tables(cell, e)
+            compared += 1
+    assert compared == cells
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_certificate_matches_the_tables_on_drawn_graphs(data):
+    g = data.draw(connected_graphs(max_nodes=6))
+    e = data.draw(st.sampled_from(g.sorted_edges()))
+    for cell in edge_contraction_subdivision(g, e):
+        assert_certificate_matches_tables(cell, e)
+
+
+def test_certificate_refuses_a_point_off_level_minus_one():
+    # The directed triangle 2 -> 3 -> 4 -> 2 beside the pair: no gamma
+    # puts all three arcs on level -1, and their points e_2 - e_3,
+    # e_3 - e_4 and e_4 - e_2 are affinely independent although their
+    # edges close a cycle, so the two tables differ.
+    cell = Cell(((0, 1), (1, 0), (2, 3), (3, 4), (4, 2)), (0, 0, 1, 2), 0, 4)
+    with pytest.raises(MorphismViolation) as exc:
+        certify_morphism(cell, (0, 1))
+    assert str(exc.value) == "point (4, 2) off level -1: gamma_4 - gamma_2 = 2"
+    ground, independent = point_table(cell, (0, 1))
+    triangle = mask_of(ground, {((2, 3),), ((3, 4),), ((4, 2),)})
+    assert independent[triangle]
+    assert not graphic_table(tuple(edge(*elem[0]) for elem in ground))[triangle]
+    with pytest.raises(MorphismViolation, match="dependence mismatch"):
+        exhaustive_morphism(cell, (0, 1))
+
+
+def test_certificate_refuses_a_cell_without_the_pair():
+    cell = Cell(((0, 1), (1, 2)), (0, 1), 0, 2)
+    with pytest.raises(MorphismViolation) as exc:
+        certify_morphism(cell, (0, 1))
+    assert str(exc.value) == "contracted pair (0, 1), (1, 0) not both in the cell"
+
+
+def test_certificate_refuses_a_repeated_point():
+    # On level -1 no edge has both arcs as points, so only a repeated
+    # point maps two grouped elements to one edge.
+    cell = Cell(((0, 1), (1, 0), (1, 2), (1, 2)), (0, 1), 0, 2)
+    with pytest.raises(MorphismViolation) as exc:
+        certify_morphism(cell, (0, 1))
+    assert str(exc.value) == "points (1, 2) and (1, 2) map to edge (1, 2)"
+    with pytest.raises(MorphismViolation, match="do not map to distinct edges"):
+        exhaustive_morphism(cell, (0, 1))

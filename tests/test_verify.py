@@ -239,13 +239,43 @@ def test_cell_invariants_names_failing_checks(monkeypatch):
     assert check.detail == "; ".join(f"cell {i}: properties" for i in range(6))
 
 
-def test_skipped_matroid_cells_are_counted(monkeypatch):
-    # K5 with edge {0, 1} has 14 cells: 8 with 7 grouped elements and 6
-    # with 5.  Below the limit of 6 the 8 larger cells are skipped.
+def test_k8_full_proves_the_morphism_on_every_cell():
+    # 30 of K8's 126 cells have 17 grouped elements, 2^17 subsets each;
+    # the certificate proves every cell in one pass over its points.  The
+    # other checks are pinned to their values.
+    report = run_verification(Graph.from_edges(combinations(range(8), 2)), (0, 1), level="full")
+    assert {c.name: (c.passed, c.detail) for c in report.checks} == {
+        "special_edge": (True, "126 cells"),
+        "lower_facet_normalization": (True, "h = 0 and gamma agrees on the merged nodes"),
+        "facet_correspondence": (True, "126 cells <-> 126 facets"),
+        "simpliciality_transfer": (True, ""),
+        "product_correspondence": (True, "126 cells = 126 x 1 facet pairs"),
+        "cell_invariants": (True, "all cells pass"),
+        "volume_additivity": (True, "sum of cells 3432, polytope 3432"),
+        "special_graph_classes": (True, "general"),
+        "max_corank_equals_balanced_circuit_rank": (
+            True,
+            "max corank 10, balanced circuit rank 10",
+        ),
+        "matroid_morphism": (True, ""),
+    }
+
+
+def test_matroid_morphism_names_the_cell_point_and_premise(monkeypatch):
+    # Cell 2 of C5 with gamma_1 raised by 5: its point (1, 0) leaves the
+    # level -1 hyperplane, and the check names the cell and the point.
     import apx.verify
 
-    monkeypatch.setattr(apx.verify, "MATROID_GROUND_LIMIT", 6)
-    report = run_verification(Graph.from_edges(combinations(range(5), 2)), (0, 1), level="full")
+    real = apx.verify.edge_contraction_subdivision
+
+    def shifted(g, e):
+        cells = real(g, e)
+        cell = cells[2]
+        cells[2] = cell._replace(gamma=(cell.gamma[0] + 5, *cell.gamma[1:]))
+        return cells
+
+    monkeypatch.setattr(apx.verify, "edge_contraction_subdivision", shifted)
+    report = run_verification(cycle_graph(5), (0, 4), level="full")
     check = next(c for c in report.checks if c.name == "matroid_morphism")
-    assert check.passed
-    assert check.detail == "8 of 14 cells skipped: ground set above 6"
+    assert not check.passed
+    assert check.detail == "cell 2: point (1, 0) off level -1: gamma_1 - gamma_0 = 4"
