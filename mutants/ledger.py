@@ -36,7 +36,6 @@ WALKED = "tests/test_matroid.py::test_walked_tables_match_per_subset_definitions
 CERTIFICATE = "tests/test_matroid.py::test_certificate_refuses"
 POTENTIAL = "tests/test_polytope.py::test_potential_search_matches_the_cone"
 MEMOISED = "tests/test_cli.py::test_memoised_leaf_tuples_write_the_bytes_of_json_dump"
-GATE = "tests/test_polytope.py::test_facets_refuse_other_configurations"
 FROM_FACETS = "tests/test_subdivision.py::test_cells_from_facets_are_the_lower_faces_of_the_lift"
 LADDER = "tests/test_polytope.py::test_placing_oracle_matches_the_reference_on_the_ladder"
 DRAWN = "tests/test_polytope.py::test_placing_oracle_matches_the_reference_on_drawn_points"
@@ -158,17 +157,6 @@ MUTANTS = (
         "                    m[i] = [-a for a in m[i]]\n",
         "                    pass\n",
         ("tests/test_exactlin.py::test_rank_nullity",),
-    ),
-    Mutant(
-        "polytope: facets without the adjacency-configuration gate",
-        POLYTOPE,
-        "    if not _is_adjacency_configuration(config):\n",
-        "    if False:\n",
-        (
-            f"{GATE}[origin-on-boundary]",
-            f"{GATE}[level-minus-two]",
-            f"{GATE}[not-closed-under-reversal]",
-        ),
     ),
     Mutant(
         "polytope: potential search without the closed-component cut",
@@ -333,7 +321,7 @@ MUTANTS = (
     Mutant(
         "subdivision: drop the corank-versus-cyclomatic-number check",
         SUBDIVISION,
-        "    if corank != rec.cyclomatic:\n",
+        "    if value != rec.cyclomatic:\n",
         "    if False:\n",
         (
             "tests/test_cellanalysis.py::test_graph_side_faults_raise_theorem_violations",

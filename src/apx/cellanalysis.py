@@ -2,9 +2,11 @@
 structural properties, affine independence/circuits/corank, signatures,
 maximum corank realization, and closed-form cell volumes.
 
-Every statement about a point set reads one ``subdivision.CellRecord``:
-the affine rank and integer kernel of its points, and the components and
-fundamental cycles of its subgraph.  Corank, dependence, the corank-1
+Every statement about a point set takes its ``subdivision.CellRecord``
+and the contracted edge: ``Cell.record()`` for a cell, and
+``cell_record(labels, dim)`` for any subset of one.  The record holds
+the affine rank and integer kernel of the points, and the components and
+fundamental cycles of their subgraph.  Corank, dependence, the corank-1
 signature and the Radon split come from the kernel; cyclomatic number,
 balancedness, the plain-cycle test, the odd basis cycles and the
 corank-1 and corank-2 cycles come from the cycles.  Each check compares
@@ -32,22 +34,16 @@ from .errors import (
 )
 from .exactlin import eliminate
 from .graphcore import Graph, cyclomatic_number, edge, is_cycle, vertices_of
-from .polytope import DirectedEdge, _idot, phi
-from .subdivision import (
-    Cell,
-    CellRecord,
-    _check_pairing,
-    _contracted_pair,
-    _corank,
-    _dimension,
-    cell_record,
-)
+from .polytope import DirectedEdge, phi
+from .subdivision import Cell, CellRecord, cell_record, check_pairing, contracted_pair, corank
 
 Edge = tuple[int, int]
 
 
-def _is_independent(rec: CellRecord, e: Edge) -> bool:
-    _check_pairing(rec.labels, e)
+def is_affinely_independent(rec: CellRecord, e: Edge) -> bool:
+    """Affine independence of a cell subset; agrees with G_X being a
+    forest (checked here, a failure means the theorem broke)."""
+    check_pairing(rec.labels, e)
     affine = not rec.kernel
     forest = rec.cyclomatic == 0
     if affine != forest:
@@ -55,12 +51,14 @@ def _is_independent(rec: CellRecord, e: Edge) -> bool:
     return affine
 
 
-def _is_circuit(rec: CellRecord, e: Edge) -> bool:
+def is_circuit(rec: CellRecord, e: Edge) -> bool:
+    """Minimal affine dependence; agrees with G_X being a plain cycle
+    (the contracted pair counting as one undirected edge)."""
     # Dropping point i leaves an independent set iff every dependence is
     # nonzero at i.  With corank >= 2 some combination of two dependences
     # vanishes at i, so a circuit has corank 1 and one dependence with no
     # zero coefficient.
-    _check_pairing(rec.labels, e)
+    check_pairing(rec.labels, e)
     minimal = len(rec.kernel) == 1 and all(rec.kernel[0])
     graph_side = rec.forest.is_cycle
     if minimal != graph_side:
@@ -68,41 +66,19 @@ def _is_circuit(rec: CellRecord, e: Edge) -> bool:
     return minimal
 
 
-def subset_is_affinely_independent(labels, e: Edge, dim: int) -> bool:
-    """Affine independence of a cell subset; agrees with G_X being a
-    forest (checked here, a failure means the theorem broke)."""
-    return _is_independent(cell_record(labels, dim), e)
-
-
-def subset_is_circuit(labels, e: Edge, dim: int) -> bool:
-    """Minimal affine dependence; agrees with G_X being a plain cycle
-    (the contracted pair counting as one undirected edge)."""
-    return _is_circuit(cell_record(labels, dim), e)
-
-
-def subset_dimension(labels, e: Edge, dim: int) -> int:
-    """Affine dimension; must equal |V(G_X)| + [e in G_X] - m - 1."""
-    return _dimension(cell_record(labels, dim), e)
-
-
-def subset_corank(labels, e: Edge, dim: int) -> int:
-    """|X| - dim(X) - 1; must equal the cyclomatic number of G_X."""
-    return _corank(cell_record(labels, dim), e)
-
-
 class Signature(NamedTuple):
     positive: int
     negative: int
     zero: int
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.positive, self.negative, self.zero)
 
-
-def _signature(rec: CellRecord, e: Edge) -> Signature:
-    corank = _corank(rec, e)
-    if corank != 1:
-        raise NotCorankOne(f"corank {corank} != 1")
+def corank1_signature(rec: CellRecord, e: Edge) -> Signature:
+    """Sign census of the affine dependence of a corank-1 subset,
+    canonicalized so positive >= negative; must match the closed form
+    (ceil(m/2), ceil(m/2), |X| - 2 ceil(m/2)) with m the circumference."""
+    value = corank(rec, e)
+    if value != 1:
+        raise NotCorankOne(f"corank {value} != 1")
     # The corank check has matched one dependence with one cycle.
     (lam,) = rec.kernel
     (cycle,) = rec.forest.cycles
@@ -118,26 +94,15 @@ def _signature(rec: CellRecord, e: Edge) -> Signature:
     return Signature(pos, neg, zero)
 
 
-def signature_of_corank1(labels, e: Edge, dim: int) -> Signature:
-    """Sign census of the affine dependence of a corank-1 subset,
-    canonicalized so positive >= negative; must match the closed form
-    (ceil(m/2), ceil(m/2), |X| - 2 ceil(m/2)) with m the circumference."""
-    return _signature(cell_record(labels, dim), e)
-
-
-def _separates_pair(rec: CellRecord, e: Edge) -> bool:
-    if not _check_pairing(rec.labels, e) or not rec.kernel:
-        return False
-    lam = rec.kernel[0]
-    p, q = _contracted_pair(e)
-    return lam[rec.labels.index(p)] * lam[rec.labels.index(q)] < 0
-
-
-def dependence_separates_contracted_pair(labels, e: Edge, dim: int) -> bool:
+def separates_contracted_pair(rec: CellRecord, e: Edge) -> bool:
     """For a corank-1 circuit through the contracted pair, the two points
     carry dependence coefficients of opposite signs (Radon split).  False
     for a subset without the pair or without a dependence."""
-    return _separates_pair(cell_record(labels, dim), e)
+    if not check_pairing(rec.labels, e) or not rec.kernel:
+        return False
+    lam = rec.kernel[0]
+    p, q = contracted_pair(e)
+    return lam[rec.labels.index(p)] * lam[rec.labels.index(q)] < 0
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +165,7 @@ def verify_cell_properties(g: Graph, e: Edge, rec: CellRecord) -> CellProperties
     off the cell's record."""
     k1, k2 = e
     arcs = rec.arcs
-    p, q = _contracted_pair(e)
+    p, q = contracted_pair(e)
 
     # With k2 renamed k1, the other arcs have a directed cycle exactly
     # when they had one before or had a path between k1 and k2.
@@ -242,9 +207,9 @@ def max_corank(cells: list[Cell], coranks: list) -> tuple[int, Cell]:
     for a cell whose analysis failed, which is left out."""
     best_cell = None
     best = -1
-    for cell, corank in zip(cells, coranks):
-        if corank is not None and corank > best:
-            best, best_cell = corank, cell
+    for cell, value in zip(cells, coranks):
+        if value is not None and value > best:
+            best, best_cell = value, cell
     return best, best_cell
 
 
@@ -271,7 +236,7 @@ def build_alternating_basis(g: Graph, e: Edge, tree_edges) -> tuple[DirectedEdge
     for u, v in tree:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    labels = list(_contracted_pair(e))
+    labels = list(contracted_pair(e))
     depth = {k1: 0, k2: 0}
     stack = [k1, k2]
     while stack:
@@ -305,7 +270,7 @@ def build_alternating_basis(g: Graph, e: Edge, tree_edges) -> tuple[DirectedEdge
     for u, v in g.edges:
         for lab in ((u, v), (v, u)):
             w = 0 if edge(u, v) == edge(k1, k2) else 1
-            if (_idot(phi(lab, n), d_alpha) + w * d) * d < 0:
+            if (sum(a * b for a, b in zip(phi(lab, n), d_alpha)) + w * d) * d < 0:
                 raise TheoremViolation(f"basis functional fails below point {lab}")
     return x
 
@@ -368,9 +333,7 @@ def _arc_signs_along(cycle_edges, arcs) -> dict[Edge, int]:
     return signs
 
 
-def corank2_gamma_delta(
-    arcs, o1, o2, e: Edge, reference: Edge | None = None
-) -> tuple[int, int]:
+def corank2_gamma_delta(arcs, o1, o2, reference: Edge | None = None) -> tuple[int, int]:
     """Orientation census of the shared edges of the two basis cycles.
 
     gamma counts shared edges in the same orientation class as the
@@ -395,31 +358,28 @@ def corank2_gamma_delta(
     return gamma, len(shared) - gamma
 
 
-def _closed_form(cell: Cell, e: Edge, rec: CellRecord) -> int:
-    corank = _corank(rec, e)
-    if corank == 0:
+def closed_form_volume(cell: Cell, e: Edge, rec: CellRecord) -> int:
+    """Closed-form normalized volume of a cell of corank 0, 1 or 2, from
+    its record ``rec``; always cross-checked against the triangulation
+    oracle (``cell.nvol``)."""
+    value = corank(rec, e)
+    if value == 0:
         result = 2
-    elif corank == 1:
+    elif value == 1:
         result = len(rec.forest.cycles[0])
-    elif corank == 2:
+    elif value == 2:
         o1, o2 = corank2_cycle_pair(rec.forest.cycles, e)
-        gamma, delta = corank2_gamma_delta(rec.arcs, o1, o2, e)
+        gamma, delta = corank2_gamma_delta(rec.arcs, o1, o2)
         m1, m2 = len(o1), len(o2)
         twice = m1 * m2 - 4 * gamma * delta
         if twice % 2 or twice <= 0:
             raise TheoremViolation(f"corank-2 closed form {twice}/2 is not a positive integer")
         result = twice // 2
     else:
-        raise UnsupportedCorank(f"corank {corank}: triangulation oracle only")
+        raise UnsupportedCorank(f"corank {value}: triangulation oracle only")
     if result != cell.nvol:
         raise TheoremViolation(f"closed form {result} != oracle {cell.nvol}")
     return result
-
-
-def cell_volume_closed_form(cell: Cell, e: Edge) -> int:
-    """Closed-form normalized volume for cells of corank 0, 1, 2; always
-    cross-checked against the triangulation oracle (``cell.nvol``)."""
-    return _closed_form(cell, e, cell.record())
 
 
 class CellInvariantReport(NamedTuple):
@@ -458,7 +418,7 @@ def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
     whose elimination also gives the oracle volume."""
     rec = cell.record()
     properties = verify_cell_properties(g, e, rec)
-    corank = _corank(rec, e)
+    k = corank(rec, e)
     cyclomatic = rec.cyclomatic
     simplicial = cell.is_simplicial()
     spanning_tree = (
@@ -466,25 +426,25 @@ def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
         and rec.vertices == set(range(g.node_count))
         and len(rec.forest.components) == 1
     )
-    circuit = _is_circuit(rec, e)
+    circuit = is_circuit(rec, e)
     dependent = bool(rec.kernel)
     oracle = cell.nvol
-    closed = _closed_form(cell, e, rec) if corank <= 2 else None
+    closed = closed_form_volume(cell, e, rec) if k <= 2 else None
     checks = {
         "properties": properties.all_pass(),
-        "corank_equals_cyclomatic": corank == cyclomatic,
+        "corank_equals_cyclomatic": k == cyclomatic,
         "simplicial_iff_spanning_tree": simplicial == spanning_tree,
         "circuit_iff_plain_cycle": circuit == rec.forest.is_cycle,
         "dependent_iff_cyclic": dependent == (cyclomatic > 0),
         "volume_closed_form": closed is None or closed == oracle,
     }
-    if corank == 1:
-        signature = _signature(rec, e)
+    if k == 1:
+        signature = corank1_signature(rec, e)
         checks["signature_closed_form"] = signature.positive == signature.negative
         if circuit:
-            checks["radon_split"] = _separates_pair(rec, e)
+            checks["radon_split"] = separates_contracted_pair(rec, e)
     return CellInvariantReport(
-        corank, cyclomatic, simplicial, circuit, properties, closed, oracle, checks
+        k, cyclomatic, simplicial, circuit, properties, closed, oracle, checks
     )
 
 

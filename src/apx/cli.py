@@ -3,9 +3,10 @@
 Commands: ``apx facets FILE``, ``apx subdivide FILE --edge K1,K2``,
 ``apx volume FILE [--method ...]``, ``apx verify FILE --edge K1,K2``.
 Graphs are read from "u v"-per-line text or {"edges": [[u, v], ...]}
-JSON.  All output is canonical JSON (sorted keys; normals, levels and
-volumes as exact integers written as decimal strings), byte-identical
-across runs, written by ``emit``.  Exit codes:
+JSON, as UTF-8 with or without a byte-order mark.  All output is
+canonical JSON (sorted keys; normals, levels and volumes as exact
+integers written as decimal strings), byte-identical across runs,
+written by ``emit``.  Exit codes:
 0 success, 1 verification failure, 2 input error or output that cannot be
 written (an unwritable path, or a reader of stdout that has gone).
 
@@ -39,7 +40,7 @@ EXIT_INPUT_ERROR = 2
 
 def load_graph(path: str) -> Graph:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -165,7 +166,7 @@ def emit(payload: dict, json_path: str | None) -> None:
 
 def cmd_facets(args) -> int:
     g = load_graph(args.file)
-    facets = enumerate_facets(build_configuration(g))
+    facets = enumerate_facets(g)
     payload = {
         "graph": g.to_json_dict(),
         "facet_count": len(facets),
@@ -180,7 +181,7 @@ def cmd_subdivide(args) -> int:
     each is a full-dimensional lower face of the lift, no two share a
     normal, so their interiors are disjoint, and their volumes add up to
     P's only if they cover it.  A failed proof raises TheoremViolation."""
-    from .subdivision import _corank, cells_with_facets, verify_cell_support
+    from .subdivision import cells_with_facets, corank, verify_cell_support
 
     g = load_graph(args.file)
     e = parse_edge(args.edge, g)
@@ -199,7 +200,7 @@ def cmd_subdivide(args) -> int:
             raise TheoremViolation(f"cell {i} has affine rank {rec.rank}, not {cell.dim + 1}")
         total += cell.nvol
         entry = cell.to_json_dict()
-        entry["corank"] = _corank(rec, e)
+        entry["corank"] = corank(rec, e)
         entry["nvol"] = str(cell.nvol)
         entry["facet_image"] = facet.to_json_dict()
         cell_dicts.append(entry)
@@ -233,13 +234,13 @@ def cmd_subdivide(args) -> int:
 
 def cmd_volume(args) -> int:
     g = load_graph(args.file)
+    e = parse_edge(args.edge, g) if args.edge else None
     if args.method == "triangulation":
         value = normalized_volume(build_configuration(g))
     else:
         from .subdivision import edge_contraction_subdivision
 
-        e = parse_edge(args.edge, g) if args.edge else g.sorted_edges()[0]
-        cells = edge_contraction_subdivision(g, e)
+        cells = edge_contraction_subdivision(g, e or g.sorted_edges()[0])
         value = sum(c.nvol for c in cells)
     payload = {
         "graph": g.to_json_dict(),

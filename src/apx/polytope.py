@@ -1,10 +1,10 @@
 """Point configurations of adjacency polytopes, facet enumeration, and an
 exact normalized-volume oracle.
 
-Geometry is done in integers and bitsets throughout.  The facets of an
-adjacency configuration are its integer potentials whose tight edges
-connect the graph, found by a pruned depth-first search; a point
-configuration of any other kind is refused.  Volumes come from a placing
+Geometry is done in integers and bitsets throughout.  Facets are read
+off a connected graph: they are its integer potentials whose tight edges
+connect the graph, found by a pruned depth-first search over the graph's
+own adjacency configuration.  Volumes come from a placing
 triangulation that keeps its own hull, seeded by one
 ``exactlin.eliminate`` pass (for a cell, the one its record reads): each
 placed point is a beneath-beyond step whose new facets are read off the
@@ -67,7 +67,7 @@ class FacetCertificate(NamedTuple):
     <x, normal> >= -1 (valid because 0 is interior).  The normal is an
     integer potential by construction (total unimodularity, see
     ``enumerate_facets``).  The support lists its labels, the tuples
-    themselves, in label order."""
+    themselves, in sorted order."""
 
     normal: IntVector
     support: tuple[DirectedEdge, ...]
@@ -102,26 +102,9 @@ def _reduce_ray(v: list[int]) -> IntVector:
     return tuple(v)
 
 
-def _idot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # Facets of an adjacency polytope.
 # ---------------------------------------------------------------------------
-
-
-def _is_adjacency_configuration(config: PointConfiguration) -> bool:
-    """Whether ``config`` is the adjacency configuration of its own
-    labels: distinct labels (i, j), i != j, on nodes 0..dim, closed under
-    reversal, each with the point phi(i, j)."""
-    labels, dim = config.labels, config.dim
-    present = set(labels)
-    return len(present) == len(labels) == len(config.vectors) and all(
-        0 <= i <= dim and 0 <= j <= dim and i != j and (j, i) in present
-        and tuple(v) == phi((i, j), dim)
-        for (i, j), v in zip(labels, config.vectors)
-    )
 
 
 def _potential_leaves(config: PointConfiguration):
@@ -142,8 +125,7 @@ def _potential_leaves(config: PointConfiguration):
     tight edge leaves.  The search keeps its own stack, one frame of
     state per depth, not Python recursion: the components are node masks,
     one list per depth, and the support, the arcs (i, j) with
-    f(j) - f(i) = 1, is a label mask that grows with the search.  A label graph that does not connect
-    its nodes raises NotFullDimensional: its points span less.
+    f(j) - f(i) = 1, is a label mask that grows with the search.
     """
     labels = config.labels
     n = config.dim + 1
@@ -158,8 +140,6 @@ def _potential_leaves(config: PointConfiguration):
                 pos[w] = len(order)
                 depth[w] = depth[v] + 1
                 order.append(w)
-    if len(order) < n:
-        raise NotFullDimensional("the label graph does not connect its nodes")
     # From here on node order[k] is called k.  For each k: (a, bit of
     # node a, bit of arc a -> k, bit of arc k -> a) for every neighbour
     # a < k, and the mask of the nodes up to k with a neighbour after k.
@@ -226,16 +206,14 @@ def _potential_leaves(config: PointConfiguration):
             todo[k] = window(k)
 
 
-def enumerate_facets(config: PointConfiguration) -> list[FacetCertificate]:
-    """All facets of the adjacency polytope, ordered by normal.
+def enumerate_facets(g: Graph) -> list[FacetCertificate]:
+    """All facets of the adjacency polytope of the connected graph g,
+    ordered by normal.
 
     Normals are scaled so supported points sit at level -1, which is
-    possible because the origin is interior.  For the zero-dimensional
-    configuration the single facet is the empty set.  A configuration
-    that is not the adjacency configuration of its own labels (what
-    ``build_configuration`` makes, in any label order) raises ValueError;
-    one whose label graph does not connect its nodes raises
-    NotFullDimensional.
+    possible because the origin is interior.  For the one-node graph the
+    single facet is the empty set.  A disconnected graph raises
+    DisconnectedGraph, from ``build_configuration``.
 
     The facets are the integer potentials f with f(0) = 0,
     |f(u) - f(v)| <= 1 on every edge, whose tight edges connect every
@@ -247,12 +225,9 @@ def enumerate_facets(config: PointConfiguration) -> list[FacetCertificate]:
     |f(u) - f(v)| <= 1, and the tight points span iff the tight edges
     connect.
     """
-    if not _is_adjacency_configuration(config):
-        raise ValueError("not the adjacency configuration of its labels")
+    config = build_configuration(g)
     if config.dim == 0:
         return [FacetCertificate((), ())]
-    # A support lists its labels in label order, which is sorted order for
-    # the configurations ``build_configuration`` makes.
     labels = config.labels
     return [
         FacetCertificate(normal, tuple([labels[i] for i in _bits(mask)]))

@@ -46,14 +46,14 @@ def cell_subgraphs(labels) -> tuple[frozenset[DirectedEdge], frozenset[Edge]]:
     return arcs, frozenset(edge(i, j) for i, j in labels)
 
 
-def _contracted_pair(e: Edge) -> tuple[DirectedEdge, DirectedEdge]:
+def contracted_pair(e: Edge) -> tuple[DirectedEdge, DirectedEdge]:
     k1, k2 = e
     return (k1, k2), (k2, k1)
 
 
-def _check_pairing(labels, e: Edge) -> bool:
+def check_pairing(labels, e: Edge) -> bool:
     """Both or neither of the contracted pair; True iff both present."""
-    p, q = _contracted_pair(e)
+    p, q = contracted_pair(e)
     has_p, has_q = p in labels, q in labels
     if has_p != has_q:
         raise PreconditionViolated(
@@ -105,10 +105,11 @@ def cell_record(labels, dim: int) -> CellRecord:
     )
 
 
-def _dimension(rec: CellRecord, e: Edge) -> int:
+def dimension(rec: CellRecord, e: Edge) -> int:
+    """Affine dimension; must equal |V(G_X)| + [e in G_X] - m - 1."""
     # Under the pairing precondition the contracted edge is in G_X exactly
     # when both of its points are in X.
-    indicator = 1 if _check_pairing(rec.labels, e) else 0
+    indicator = 1 if check_pairing(rec.labels, e) else 0
     affine_dim = rec.rank - 1
     formula = len(rec.vertices) + indicator - len(rec.forest.components) - 1
     if affine_dim != formula:
@@ -116,11 +117,12 @@ def _dimension(rec: CellRecord, e: Edge) -> int:
     return affine_dim
 
 
-def _corank(rec: CellRecord, e: Edge) -> int:
-    corank = len(rec.labels) - _dimension(rec, e) - 1
-    if corank != rec.cyclomatic:
-        raise TheoremViolation(f"corank {corank} != cyclomatic number {rec.cyclomatic}")
-    return corank
+def corank(rec: CellRecord, e: Edge) -> int:
+    """|X| - dim(X) - 1; must equal the cyclomatic number of G_X."""
+    value = len(rec.labels) - dimension(rec, e) - 1
+    if value != rec.cyclomatic:
+        raise TheoremViolation(f"corank {value} != cyclomatic number {rec.cyclomatic}")
+    return value
 
 
 class _CellFields(NamedTuple):
@@ -187,7 +189,7 @@ def cells_with_facets(g: Graph, e: Edge) -> list[tuple[Cell, FacetCertificate]]:
     n = g.node_count - 1
     images = [(mapping[i], mapping[j]) for i, j in labels]
     out = []
-    for facet in enumerate_facets(build_configuration(contracted)):
+    for facet in enumerate_facets(contracted):
         f, support = (0, *facet.normal), set(facet.support)
         points = tuple(lab for lab, (a, b) in zip(labels, images) if a == b or (a, b) in support)
         gamma = tuple(f[mapping[v]] for v in range(1, n + 1))
@@ -202,10 +204,9 @@ def edge_contraction_subdivision(g: Graph, e: Edge) -> list[Cell]:
 
 
 class Correspondence(NamedTuple):
-    """Bijection from cells to facets (single mode) or facet pairs
-    (two-subgraph mode) of the contracted polytopes."""
+    """Bijection from cells to facets of the contracted polytope, or to
+    pairs of facets of the two contracted sides (two-subgraph mode)."""
 
-    mode: str
     images: tuple  # in cell order: FacetCertificate, or a pair of them
     facets: tuple  # facet list, or (facet list 1, facet list 2)
 
@@ -246,7 +247,7 @@ def facet_correspondence(g: Graph, e: Edge, cells: list[Cell]) -> Correspondence
     supported by its projected points; must be a bijection."""
     e = edge(*e)
     contracted, mapping = contract_edge(g, e)
-    facets = enumerate_facets(build_configuration(contracted))
+    facets = enumerate_facets(contracted)
     by_support = {f.support: i for i, f in enumerate(facets)}
     images = []
     used = set()
@@ -270,7 +271,7 @@ def facet_correspondence(g: Graph, e: Edge, cells: list[Cell]) -> Correspondence
         raise CorrespondenceViolation(
             f"{len(cells)} cells but {len(facets)} facets of the contraction"
         )
-    return Correspondence("single", tuple(images), tuple(facets))
+    return Correspondence(tuple(images), tuple(facets))
 
 
 def _relabel_contiguous(nodes) -> dict[int, int]:
@@ -303,7 +304,7 @@ def product_correspondence(
     for side_edges in (e1, e2):
         side, relabel = _side_graph(side_edges)
         side_contracted, cmap = contract_edge(side, (relabel[e[0]], relabel[e[1]]))
-        facets = enumerate_facets(build_configuration(side_contracted))
+        facets = enumerate_facets(side_contracted)
         # original node -> node of the contracted side
         total = {v: cmap[relabel[v]] for v in relabel}
         side_data.append((side_edges, total, facets, {f.support: f for f in facets}))
@@ -333,7 +334,7 @@ def product_correspondence(
         raise CorrespondenceViolation(
             f"{len(cells)} cells but {expected} facet pairs"
         )
-    return Correspondence("product", tuple(images), (side_data[0][2], side_data[1][2]))
+    return Correspondence(tuple(images), (side_data[0][2], side_data[1][2]))
 
 
 def _facet_is_simplicial(facet: FacetCertificate) -> bool:
@@ -345,10 +346,10 @@ def _facet_is_simplicial(facet: FacetCertificate) -> bool:
 
 
 def check_simpliciality_transfer(cells, correspondence: Correspondence) -> bool:
-    """Simplicial cells must map to simplicial facets (or facet pairs);
-    ``correspondence`` is the one built from ``cells``, in their order."""
+    """Simplicial cells must map to simplicial facets; ``correspondence``
+    is the ``facet_correspondence`` built from ``cells``, in their order."""
     return all(
-        all(map(_facet_is_simplicial, (image,) if correspondence.mode == "single" else image))
+        _facet_is_simplicial(image)
         for cell, image in zip(cells, correspondence.images)
         if cell.is_simplicial()
     )

@@ -154,12 +154,20 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
         "all cells pass" if not failures else "; ".join(failures),
     )
 
-    total = sum(c.nvol for c in cells)
+    # A cell the oracle refuses, one that is not full-dimensional, fails
+    # the check by name.
+    total, detail = 0, ""
+    for i, cell in enumerate(cells):
+        try:
+            total += cell.nvol
+        except ApxError as exc:
+            detail = f"cell {i}: {type(exc).__name__}: {exc}"
+            break
     polytope_volume = normalized_volume(config)
     report.add(
         "volume_additivity",
-        total == polytope_volume,
-        f"sum of cells {total}, polytope {polytope_volume}",
+        not detail and total == polytope_volume,
+        detail or f"sum of cells {total}, polytope {polytope_volume}",
     )
 
     # Each analyzed cell hands on its circuit verdict and corank; a cell

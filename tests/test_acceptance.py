@@ -16,12 +16,11 @@ from conftest import (
 from matroid_tables import exhaustive_morphism
 
 from apx.cellanalysis import (
-    cell_volume_closed_form,
     classify_special_graphs,
+    closed_form_volume,
+    corank1_signature,
+    is_circuit,
     max_corank,
-    subset_corank,
-    subset_is_circuit,
-    signature_of_corank1,
     verify_cell_properties,
 )
 from apx.graphcore import balanced_circuit_rank, contract_edge
@@ -35,6 +34,7 @@ from apx.polytope import (
 from apx.subdivision import (
     cell_record,
     check_simpliciality_transfer,
+    corank,
     edge_contraction_subdivision,
     facet_correspondence,
     product_correspondence,
@@ -66,7 +66,7 @@ def corpus():
         e = rng.choice(g.sorted_edges())
         cells = edge_contraction_subdivision(g, e)
         contracted, _ = contract_edge(g, e)
-        facet_count = len(enumerate_facets(build_configuration(contracted)))
+        facet_count = len(enumerate_facets(contracted))
         cell_volumes = [c.nvol for c in cells]
         polytope_volume = normalized_volume(build_configuration(g))
         records.append(
@@ -90,7 +90,7 @@ def test_criterion_1_c4():
     total = 0
     for cell in cells:
         assert cell.is_simplicial()
-        nvol = cell_volume_closed_form(cell, (0, 3))
+        nvol = closed_form_volume(cell, (0, 3), cell.record())
         assert nvol == 2
         total += nvol
     assert total == 12
@@ -107,11 +107,11 @@ def test_criterion_2_c5():
     total = 0
     for cell in cells:
         assert len(cell.points) == 6
-        assert subset_corank(cell.points, (0, 4), cell.dim) == 1
-        assert subset_is_circuit(cell.points, (0, 4), cell.dim)
-        signature = signature_of_corank1(cell.points, (0, 4), cell.dim)
-        assert signature.as_tuple() == (3, 3, 0)
-        nvol = cell_volume_closed_form(cell, (0, 4))
+        rec = cell_record(cell.points, cell.dim)
+        assert corank(rec, (0, 4)) == 1
+        assert is_circuit(rec, (0, 4))
+        assert corank1_signature(rec, (0, 4)) == (3, 3, 0)
+        nvol = closed_form_volume(cell, (0, 4), cell.record())
         assert nvol == 5
         total += nvol
     assert total == 30
@@ -133,15 +133,15 @@ def test_criterion_3_running_example():
     assert len(cells) == 6 * len(f2)
 
     # (b) maximum corank equals the balanced circuit rank, both 2.
-    value, witness = max_corank(cells, [subset_corank(c.points, e, c.dim) for c in cells])
+    value, witness = max_corank(cells, [corank(cell_record(c.points, c.dim), e) for c in cells])
     assert value == 2
     assert balanced_circuit_rank(g, e) == 2
 
     # (c) the nine-point corank-2 cell: closed form == oracle.
     (deep_cell,) = [c for c in cells if frozenset(c.points) == frozenset(CORANK2_CELL_ARCS)]
     assert len(deep_cell.points) == 9
-    assert subset_corank(deep_cell.points, e, deep_cell.dim) == 2
-    closed = cell_volume_closed_form(deep_cell, e)
+    assert corank(cell_record(deep_cell.points, deep_cell.dim), e) == 2
+    closed = closed_form_volume(deep_cell, e, deep_cell.record())
     assert closed == normalized_volume_of_points(deep_cell.vectors()) == 4
     assert time.monotonic() - started < 30.0
     announce(
@@ -179,15 +179,15 @@ def test_criterion_5_invariants_on_corpus(corpus):
             assert full_gamma[e[0]] == full_gamma[e[1]]
             assert verify_cell_support(config, e, cell)
             assert verify_cell_properties(g, e, cell_record(cell.points, cell.dim)).all_pass()
-            corank = subset_corank(cell.points, e, cell.dim)  # asserts = cyclomatic
-            if corank <= 2:
-                assert cell_volume_closed_form(cell, e) == oracle
+            value = corank(cell_record(cell.points, cell.dim), e)  # asserts = cyclomatic
+            if value <= 2:
+                assert closed_form_volume(cell, e, cell.record()) == oracle
         assert check_simpliciality_transfer(cells, corr)
     announce("criterion-5 (full invariant suite on the corpus, zero failures)", started)
 
 
 def circuits(cells, e):
-    return [subset_is_circuit(c.points, e, c.dim) for c in cells]
+    return [is_circuit(cell_record(c.points, c.dim), e) for c in cells]
 
 
 def test_criterion_6_special_graphs():

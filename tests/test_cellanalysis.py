@@ -25,20 +25,16 @@ import apx.cellanalysis as cellanalysis
 from apx.cellanalysis import (
     Signature,
     _arc_signs_along,
-    _is_circuit,
-    _signature,
     build_alternating_basis,
-    cell_volume_closed_form,
     classify_special_graphs,
+    closed_form_volume,
+    corank1_signature,
     corank2_cycle_pair,
     corank2_gamma_delta,
-    dependence_separates_contracted_pair,
+    is_affinely_independent,
+    is_circuit,
     max_corank,
-    signature_of_corank1,
-    subset_corank,
-    subset_dimension,
-    subset_is_affinely_independent,
-    subset_is_circuit,
+    separates_contracted_pair,
     verify_cell_properties,
 )
 from apx.errors import (
@@ -53,10 +49,10 @@ from apx.graphcore import Graph, balanced_circuit_rank, edge, forest
 from apx.matroid import grouped_ground_set
 from apx.polytope import normalized_volume_of_points, phi
 from apx.subdivision import (
-    _corank,
-    _dimension,
     cell_record,
     cell_subgraphs,
+    corank,
+    dimension,
     edge_contraction_subdivision,
 )
 
@@ -144,40 +140,40 @@ def test_only_directed_cycle_flag_matches_the_cycle_enumeration():
 
 
 def test_subset_independent_empty():
-    assert subset_is_affinely_independent((), (0, 3), 3) is True
+    assert is_affinely_independent(cell_record((), 3), (0, 3)) is True
 
 
 def test_subset_even_cycle_circuit_dependent():
     cell = corank2_cell()
     even_cycle = ((0, 2), (3, 2), (3, 5), (0, 5))
-    assert subset_is_affinely_independent(even_cycle, (0, 3), cell.dim) is False
-    assert subset_is_circuit(even_cycle, (0, 3), cell.dim) is True
+    assert is_affinely_independent(cell_record(even_cycle, cell.dim), (0, 3)) is False
+    assert is_circuit(cell_record(even_cycle, cell.dim), (0, 3)) is True
 
 
 def test_subset_odd_cycle_with_pair_dependent():
     cell = corank2_cell()
     triangle = ((0, 2), (3, 2), (0, 3), (3, 0))
-    assert subset_is_affinely_independent(triangle, (0, 3), cell.dim) is False
-    assert subset_is_circuit(triangle, (0, 3), cell.dim) is True
-    assert dependence_separates_contracted_pair(triangle, (0, 3), cell.dim)
+    assert is_affinely_independent(cell_record(triangle, cell.dim), (0, 3)) is False
+    assert is_circuit(cell_record(triangle, cell.dim), (0, 3)) is True
+    assert separates_contracted_pair(cell_record(triangle, cell.dim), (0, 3))
 
 
 def test_subset_forest_not_circuit():
     cell = corank2_cell()
-    assert subset_is_circuit(((0, 2), (3, 5)), (0, 3), cell.dim) is False
+    assert is_circuit(cell_record(((0, 2), (3, 5)), cell.dim), (0, 3)) is False
 
 
 def test_subset_dependent_but_not_minimal():
     cell = corank2_cell()
     bigger = ((0, 2), (3, 2), (3, 5), (0, 5), (0, 6))
-    assert subset_is_affinely_independent(bigger, (0, 3), cell.dim) is False
-    assert subset_is_circuit(bigger, (0, 3), cell.dim) is False
+    assert is_affinely_independent(cell_record(bigger, cell.dim), (0, 3)) is False
+    assert is_circuit(cell_record(bigger, cell.dim), (0, 3)) is False
 
 
 def test_pairing_precondition():
     cell = corank2_cell()
     with pytest.raises(PreconditionViolated):
-        subset_is_affinely_independent(((0, 3), (0, 2)), (0, 3), cell.dim)
+        is_affinely_independent(cell_record(((0, 3), (0, 2)), cell.dim), (0, 3))
 
 
 def test_one_sided_pair_is_independent_despite_cycle():
@@ -189,41 +185,42 @@ def test_one_sided_pair_is_independent_despite_cycle():
 
 
 def test_subset_dimension_examples():
-    assert subset_dimension(((1, 2),), (0, 3), 3) == 0
-    assert subset_dimension(((0, 3), (3, 0)), (0, 3), 3) == 1
+    assert dimension(cell_record(((1, 2),), 3), (0, 3)) == 0
+    assert dimension(cell_record(((0, 3), (3, 0)), 3), (0, 3)) == 1
     cells = edge_contraction_subdivision(cycle_graph(5), (0, 4))
-    assert subset_dimension(cells[0].points, (0, 4), 4) == 4
+    assert dimension(cell_record(cells[0].points, 4), (0, 4)) == 4
 
 
 def test_subset_corank_examples():
     for cell in edge_contraction_subdivision(cycle_graph(4), (0, 3)):
-        assert subset_corank(cell.points, (0, 3), cell.dim) == 0
+        assert corank(cell_record(cell.points, cell.dim), (0, 3)) == 0
     for cell in edge_contraction_subdivision(cycle_graph(5), (0, 4)):
-        assert subset_corank(cell.points, (0, 4), cell.dim) == 1
-    assert subset_corank(corank2_cell().points, (0, 3), 6) == 2
+        assert corank(cell_record(cell.points, cell.dim), (0, 4)) == 1
+    assert corank(cell_record(corank2_cell().points, 6), (0, 3)) == 2
 
 
 def test_signature_c5_cell():
     cells = edge_contraction_subdivision(cycle_graph(5), (0, 4))
     for cell in cells:
-        assert signature_of_corank1(cell.points, (0, 4), cell.dim) == Signature(3, 3, 0)
+        rec = cell_record(cell.points, cell.dim)
+        assert corank1_signature(rec, (0, 4)) == Signature(3, 3, 0)
 
 
 def test_signature_even_cycle_circuit():
     cell = corank2_cell()
     even_cycle = ((0, 2), (3, 2), (3, 5), (0, 5))
-    assert signature_of_corank1(even_cycle, (0, 3), cell.dim) == Signature(2, 2, 0)
+    assert corank1_signature(cell_record(even_cycle, cell.dim), (0, 3)) == Signature(2, 2, 0)
 
 
 def test_signature_with_pendant_edge():
     cell = corank2_cell()
     with_pendant = ((0, 2), (3, 2), (3, 5), (0, 5), (0, 6))
-    assert signature_of_corank1(with_pendant, (0, 3), cell.dim) == Signature(2, 2, 1)
+    assert corank1_signature(cell_record(with_pendant, cell.dim), (0, 3)) == Signature(2, 2, 1)
 
 
 def test_signature_requires_corank_one():
     with pytest.raises(NotCorankOne):
-        signature_of_corank1(corank2_cell().points, (0, 3), 6)
+        corank1_signature(cell_record(corank2_cell().points, 6), (0, 3))
 
 
 def test_radon_split_on_corank1_circuits():
@@ -233,11 +230,12 @@ def test_radon_split_on_corank1_circuits():
         g = random_connected_graph(rng, max_nodes=6, max_edges=9)
         e = rng.choice(g.sorted_edges())
         for cell in edge_contraction_subdivision(g, e):
-            if subset_corank(cell.points, e, cell.dim) != 1:
+            rec = cell_record(cell.points, cell.dim)
+            if corank(rec, e) != 1:
                 continue
-            if not subset_is_circuit(cell.points, e, cell.dim):
+            if not is_circuit(rec, e):
                 continue
-            assert dependence_separates_contracted_pair(cell.points, e, cell.dim)
+            assert separates_contracted_pair(rec, e)
             seen += 1
     assert seen > 0
 
@@ -245,7 +243,7 @@ def test_radon_split_on_corank1_circuits():
 def _max_corank(g, e):
     """``max_corank`` over the subdivision's cells, each analysed here."""
     cells = edge_contraction_subdivision(g, e)
-    return max_corank(cells, [subset_corank(c.points, e, c.dim) for c in cells])
+    return max_corank(cells, [corank(cell_record(c.points, c.dim), e) for c in cells])
 
 
 def test_max_corank_examples():
@@ -257,7 +255,9 @@ def test_max_corank_examples():
     assert value == 2 and len(witness.points) == 9
     # A cell whose analysis failed hands on None and is left out.
     cells = edge_contraction_subdivision(running_example(), (0, 3))
-    coranks = [None if len(c.points) == 9 else subset_corank(c.points, (0, 3), 6) for c in cells]
+    coranks = [
+        None if len(c.points) == 9 else corank(cell_record(c.points, 6), (0, 3)) for c in cells
+    ]
     value, witness = max_corank(cells, coranks)
     assert value == 1 and len(witness.points) != 9
 
@@ -303,7 +303,7 @@ def test_alternating_basis_running_example_corank2_completion():
     cells = edge_contraction_subdivision(g, (0, 3))
     containing = [c for c in cells if set(x) <= set(c.points)]
     assert len(containing) == 1
-    assert subset_corank(containing[0].points, (0, 3), 6) == 2
+    assert corank(cell_record(containing[0].points, 6), (0, 3)) == 2
 
 
 def test_alternating_basis_random_properties():
@@ -321,9 +321,9 @@ def test_alternating_basis_random_properties():
 
 def test_cell_volume_c4_and_c5():
     for cell in edge_contraction_subdivision(cycle_graph(4), (0, 3)):
-        assert cell_volume_closed_form(cell, (0, 3)) == 2
+        assert closed_form_volume(cell, (0, 3), cell.record()) == 2
     for cell in edge_contraction_subdivision(cycle_graph(5), (0, 4)):
-        assert cell_volume_closed_form(cell, (0, 4)) == 5
+        assert closed_form_volume(cell, (0, 4), cell.record()) == 5
 
 
 def test_cell_volume_corank2_cell():
@@ -332,9 +332,9 @@ def test_cell_volume_corank2_cell():
     o1, o2 = corank2_cycle_pair(rec.forest.cycles, (0, 3))
     assert sorted(o1) == [(0, 2), (0, 3), (2, 3)]
     assert sorted(o2) == [(0, 2), (0, 5), (2, 3), (3, 5)]
-    gamma, delta = corank2_gamma_delta(rec.arcs, o1, o2, (0, 3))
+    gamma, delta = corank2_gamma_delta(rec.arcs, o1, o2)
     assert gamma * delta == 1
-    assert cell_volume_closed_form(cell, (0, 3)) == 4
+    assert closed_form_volume(cell, (0, 3), cell.record()) == 4
     assert normalized_volume_of_points(cell.vectors()) == 4
 
 
@@ -381,12 +381,12 @@ def test_graph_side_faults_raise_theorem_violations():
     rec = cell_record(cell.points, cell.dim)
     path = rec._replace(forest=forest(sorted(rec.undirected - {(1, 2)})))
     with pytest.raises(TheoremViolation, match="circuit test True != cycle test False"):
-        _is_circuit(path, e)
+        is_circuit(path, e)
     with pytest.raises(TheoremViolation, match="corank 1 != cyclomatic number 0"):
-        _corank(path, e)
+        corank(path, e)
     square = rec._replace(forest=forest(cycle_graph(4).sorted_edges()))
     with pytest.raises(TheoremViolation, match=r"signature \(3, 3, 0\) != \(2, 2, 2\)"):
-        _signature(square, e)
+        corank1_signature(square, e)
 
 
 def test_dimension_formula_refuses_a_record_with_an_extra_vertex():
@@ -395,9 +395,9 @@ def test_dimension_formula_refuses_a_record_with_an_extra_vertex():
     e = (0, 4)
     cell = edge_contraction_subdivision(cycle_graph(5), e)[0]
     rec = cell_record(cell.points, cell.dim)
-    assert _dimension(rec, e) == 4
+    assert dimension(rec, e) == 4
     with pytest.raises(TheoremViolation, match="dimension 4 != formula 5"):
-        _dimension(rec._replace(vertices=rec.vertices | {5}), e)
+        dimension(rec._replace(vertices=rec.vertices | {5}), e)
 
 
 def test_arc_signs_refuse_a_cycle_edge_missing_from_the_cell():
@@ -417,7 +417,7 @@ def test_corank2_closed_form_needs_an_even_numerator(monkeypatch):
     monkeypatch.setattr(cellanalysis, "corank2_cycle_pair", lambda *args: (o1, o1))
     monkeypatch.setattr(cellanalysis, "corank2_gamma_delta", lambda *args: (0, 0))
     with pytest.raises(TheoremViolation, match="closed form 9/2 is not a positive integer"):
-        cell_volume_closed_form(cell, (0, 3))
+        closed_form_volume(cell, (0, 3), cell.record())
 
 
 def test_closed_form_refuses_an_oracle_off_by_one():
@@ -432,7 +432,7 @@ def test_closed_form_refuses_an_oracle_off_by_one():
         for wrong in (volume - 1, volume + 1):
             cell.nvol = wrong
             with pytest.raises(TheoremViolation, match=f"closed form {volume} != oracle {wrong}"):
-                cell_volume_closed_form(cell, e)
+                closed_form_volume(cell, e, cell.record())
 
 
 def test_unsupported_corank_raises():
@@ -442,7 +442,7 @@ def test_unsupported_corank_raises():
     value, witness = _max_corank(g, (0, 1))
     assert value == 3
     with pytest.raises(UnsupportedCorank):
-        cell_volume_closed_form(witness, (0, 1))
+        closed_form_volume(witness, (0, 1), witness.record())
 
 
 def test_interior_lift_census_corank2_cell():
@@ -452,7 +452,7 @@ def test_interior_lift_census_corank2_cell():
     rec = cell_record(cell.points, cell.dim)
     o1, o2 = corank2_cycle_pair(rec.forest.cycles, (0, 3))
     for a in ((3, 5), (0, 5)):
-        gamma, _ = corank2_gamma_delta(rec.arcs, o1, o2, (0, 3), reference=edge(*a))
+        gamma, _ = corank2_gamma_delta(rec.arcs, o1, o2, reference=edge(*a))
         subcells = interior_lift_subcells(cell, a)
         corank1 = [s for s in subcells if len(cell_record(s, cell.dim).kernel) == 1]
         assert len(corank1) == len(o2) // 2 - gamma
@@ -470,9 +470,8 @@ def test_corank1_cells_volume_property():
         g = random_connected_graph(rng, max_nodes=6, max_edges=9)
         e = rng.choice(g.sorted_edges())
         for cell in edge_contraction_subdivision(g, e):
-            corank = subset_corank(cell.points, e, cell.dim)
-            if corank <= 2:
-                assert cell_volume_closed_form(cell, e) == normalized_volume_of_points(
+            if corank(cell_record(cell.points, cell.dim), e) <= 2:
+                assert closed_form_volume(cell, e, cell.record()) == normalized_volume_of_points(
                     cell.vectors()
                 )
 
@@ -480,7 +479,8 @@ def test_corank1_cells_volume_property():
 def _classify(g, e):
     """``classify_special_graphs`` with every cell's circuit verdict."""
     cells = edge_contraction_subdivision(g, e)
-    return classify_special_graphs(g, cells, [subset_is_circuit(c.points, e, c.dim) for c in cells])
+    circuits = [is_circuit(cell_record(c.points, c.dim), e) for c in cells]
+    return classify_special_graphs(g, cells, circuits)
 
 
 def test_classify_special_graphs():
@@ -507,9 +507,9 @@ def test_radon_split_applies_the_pairing_precondition():
     # An even cycle without the contracted pair: dependent, but there is
     # no pair to separate.
     neither = ((1, 2), (4, 2), (4, 5), (1, 5))
-    assert dependence_separates_contracted_pair(neither, (0, 3), cell.dim) is False
+    assert separates_contracted_pair(cell_record(neither, cell.dim), (0, 3)) is False
     with pytest.raises(PreconditionViolated):
-        dependence_separates_contracted_pair(((0, 2), (3, 2), (0, 3)), (0, 3), cell.dim)
+        separates_contracted_pair(cell_record(((0, 2), (3, 2), (0, 3)), cell.dim), (0, 3))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -528,4 +528,4 @@ def test_record_matches_fraction_references_on_every_subset(g, data):
             kernel = reference_affine_kernel(vectors)
             assert rec.kernel == kernel
             assert rec.rank == len(labels) - len(kernel)
-            assert _is_circuit(rec, e) == reference_is_circuit(vectors)
+            assert is_circuit(rec, e) == reference_is_circuit(vectors)

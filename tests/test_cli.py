@@ -125,6 +125,55 @@ def test_subdivide_proof_refuses_a_repeated_cell(tmp_path, capsys, monkeypatch):
     assert "two cells share a normal" in capsys.readouterr().err
 
 
+def test_verify_fails_a_cell_that_is_not_full_dimensional(tmp_path, capsys, monkeypatch):
+    # Cell 0 without two of its points other than the pair spans only
+    # dimension 3 in R^4, so the oracle has no volume for it.  verify
+    # fails the volume sum by naming the cell and writes its report, as
+    # subdivide fails its proof by naming the cell.
+    import apx.subdivision as subdivision
+
+    def thin(pairs):
+        (cell, facet), *rest = pairs
+        dropped = [p for p in cell.points if p not in ((0, 1), (1, 0))][:2]
+        points = tuple(p for p in cell.points if p not in dropped)
+        return [(cell._replace(points=points), facet), *rest]
+
+    real = subdivision.cells_with_facets
+    monkeypatch.setattr(subdivision, "cells_with_facets", lambda g, e: thin(real(g, e)))
+    path = write_graph(tmp_path, "c5.txt", C5)
+    report = tmp_path / "report.json"
+    assert main(["verify", path, "--edge", "0,1", "--level", "fast", "--json", str(report)]) == 1
+    check = json.loads(report.read_text())["checks"]["volume_additivity"]
+    detail = "cell 0: NotFullDimensional: affine dimension 3 < 4"
+    assert check == {"passed": False, "detail": detail}
+    assert main(["subdivide", path, "--edge", "0,1"]) == 1
+    assert capsys.readouterr().err == (
+        "verification failure: cell 0 is not a lower face of the lift\n"
+    )
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_byte_order_mark_gives_the_same_report(tmp_path, capsys, as_json):
+    plain = Path(write_graph(tmp_path, "c5.json" if as_json else "c5.txt", C5, as_json))
+    marked = tmp_path / f"marked{plain.suffix}"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main(["subdivide", str(plain), "--edge", "0,4"]) == 0
+    expected = capsys.readouterr()
+    assert main(["subdivide", str(marked), "--edge", "0,4"]) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_volume_checks_its_edge_under_either_method(tmp_path, capsys):
+    path = write_graph(tmp_path, "p3.txt", [(0, 1), (1, 2)])
+    for method in ("triangulation", "subdivision"):
+        assert main(["volume", path, "--method", method, "--edge", "7,9"]) == 2
+        assert "out of range for 3 nodes" in capsys.readouterr().err
+    assert main(["volume", path]) == 0
+    expected = capsys.readouterr()
+    assert main(["volume", path, "--edge", "1,2"]) == 0
+    assert capsys.readouterr() == expected
+
+
 def test_volume_methods_agree(tmp_path, capsys):
     path = write_graph(tmp_path, "c5.txt", C5)
     assert main(["volume", path]) == 0

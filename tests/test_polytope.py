@@ -40,8 +40,6 @@ from conftest import (
 from apx.errors import DisconnectedGraph, NotFullDimensional, TheoremViolation
 from apx.graphcore import Graph
 from apx.polytope import (
-    PointConfiguration,
-    _is_adjacency_configuration,
     _lattice_points,
     _placing,
     _potential_leaves,
@@ -84,12 +82,15 @@ def test_build_configuration_one_node():
 
 
 def test_build_configuration_disconnected():
+    g = Graph.from_edges([(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraph):
-        build_configuration(Graph.from_edges([(0, 1), (2, 3)]))
+        build_configuration(g)
+    with pytest.raises(DisconnectedGraph):
+        enumerate_facets(g)
 
 
 def test_facets_edge_graph():
-    facets = enumerate_facets(build_configuration(Graph.from_edges([(0, 1)])))
+    facets = enumerate_facets(Graph.from_edges([(0, 1)]))
     assert [f.normal for f in facets] == [(-1,), (1,)]
     assert all(type(a) is int for f in facets for a in f.normal)
     assert facets[0].support == ((1, 0),)
@@ -104,42 +105,18 @@ def _hull_rays(vectors):
     return [(v[:-1], v[-1], mask) for v, mask in DDCone(len(rows[0]), rows).rays]
 
 
-HAND_BUILT = {
-    # The origin is a vertex, so no facet can be scaled to level -1.
-    "origin-on-boundary": PointConfiguration(
-        2, ((0, 1), (0, 2), (1, 2)), ((0, 0), (1, 0), (0, 1))
-    ),
-    # conv{-1, 2} has the facet -x + 2 >= 0, at level -2.
-    "level-minus-two": PointConfiguration(1, ((0, 1), (1, 0)), ((2,), (-1,))),
-    # (2, 1) is missing, and the points lie on one line.
-    "not-closed-under-reversal": PointConfiguration(
-        2, ((0, 1), (1, 0), (1, 2)), ((1, 1), (-1, -1), (2, 2))
-    ),
-    # Node 1 lies outside R^0, whose only adjacency configuration is empty.
-    "label-outside-dim-zero": PointConfiguration(0, ((0, 1), (1, 0)), ((), ())),
-}
-
-
-@pytest.mark.parametrize("name", HAND_BUILT)
-def test_facets_refuse_other_configurations(name):
-    config = HAND_BUILT[name]
-    assert not _is_adjacency_configuration(config)
-    with pytest.raises(ValueError, match="not the adjacency configuration"):
-        enumerate_facets(config)
-
-
 def test_facets_c3_count():
-    facets = enumerate_facets(build_configuration(cycle_graph(3)))
+    facets = enumerate_facets(cycle_graph(3))
     assert len(facets) == 6
 
 
 def test_facets_path3_count():
-    facets = enumerate_facets(build_configuration(path_graph(3)))
+    facets = enumerate_facets(path_graph(3))
     assert len(facets) == 4
 
 
 def test_facets_one_node_convention():
-    facets = enumerate_facets(build_configuration(Graph(1, frozenset())))
+    facets = enumerate_facets(Graph(1, frozenset()))
     assert facets == [type(facets[0])((), ())]
 
 
@@ -156,7 +133,7 @@ def test_facets_match_brute_force():
         graphs.append(random_connected_graph(rng, max_nodes=5, max_edges=7))
     for g in graphs:
         config = build_configuration(g)
-        facets = enumerate_facets(config)
+        facets = enumerate_facets(g)
         expected = brute_force_facets(config.vectors, config.dim)
         assert len(facets) == len(expected)
         for facet, (alpha, support_idx) in zip(facets, expected):
@@ -169,7 +146,7 @@ def test_facet_certificates_revalidate():
     for _ in range(10):
         g = random_connected_graph(rng, max_nodes=6, max_edges=9)
         config = build_configuration(g)
-        for facet in enumerate_facets(config):
+        for facet in enumerate_facets(g):
             assert validate_facet(config, facet)
 
 
@@ -177,7 +154,7 @@ def test_facet_list_closed_under_central_symmetry():
     rng = random.Random(47)
     for _ in range(10):
         g = random_connected_graph(rng, max_nodes=6, max_edges=9)
-        facets = enumerate_facets(build_configuration(g))
+        facets = enumerate_facets(g)
         normals = {f.normal for f in facets}
         assert {tuple(-a for a in n) for n in normals} == normals
 
@@ -189,7 +166,7 @@ def test_every_point_on_a_facet_or_inside():
     for _ in range(6):
         g = random_connected_graph(rng, max_nodes=5, max_edges=8)
         config = build_configuration(g)
-        facets = enumerate_facets(config)
+        facets = enumerate_facets(g)
         for lab in config.labels:
             assert any(lab in f.support for f in facets)
 
@@ -344,9 +321,9 @@ def test_seed_basis_skips_dependent_rows():
 @pytest.mark.parametrize("n", range(2, 8))
 def test_complete_graph_known_answers(n):
     # Ardila-Beck-Hosten-Pfeifle-Seashore 2011, "Root polytopes".
-    config = build_configuration(Graph.from_edges(combinations(range(n), 2)))
-    assert normalized_volume(config) == comb(2 * n - 2, n - 1)
-    assert len(enumerate_facets(config)) == 2**n - 2
+    g = Graph.from_edges(combinations(range(n), 2))
+    assert normalized_volume(build_configuration(g)) == comb(2 * n - 2, n - 1)
+    assert len(enumerate_facets(g)) == 2**n - 2
 
 
 @pytest.mark.parametrize("m", range(3, 11))
@@ -597,7 +574,7 @@ def test_placing_volumes_match_determinants_on_graphs(g):
 @given(connected_graphs())
 def test_facets_match_potential_oracle(g):
     expected = potential_facets(g)
-    got = {f.normal: f.support for f in enumerate_facets(build_configuration(g))}
+    got = {f.normal: f.support for f in enumerate_facets(g)}
     assert got == expected
 
 
@@ -625,15 +602,14 @@ def _cone_facets(config):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(connected_graphs(max_nodes=8))
 def test_potential_search_matches_the_cone_on_drawn_graphs(g):
-    config = build_configuration(g)
-    assert [tuple(f) for f in enumerate_facets(config)] == _cone_facets(config)
+    assert [tuple(f) for f in enumerate_facets(g)] == _cone_facets(build_configuration(g))
 
 
 @pytest.mark.parametrize("name", NAMED_GRAPHS)
 def test_potential_search_matches_the_cone_on_named_graphs(name):
-    config = build_configuration(NAMED_GRAPHS[name])
-    facets = enumerate_facets(config)
-    assert [tuple(f) for f in facets] == _cone_facets(config)
+    g = NAMED_GRAPHS[name]
+    facets = enumerate_facets(g)
+    assert [tuple(f) for f in facets] == _cone_facets(build_configuration(g))
     if name == "W12":
         assert len(facets) == 8230
 
@@ -646,27 +622,11 @@ def test_every_leaf_of_the_potential_search_is_a_facet(name):
     assert len(leaves) == len(set(leaves)) == len(_hull_rays(config.vectors))
 
 
-def test_potential_search_keeps_the_label_order_of_a_shuffled_configuration():
-    # Not what build_configuration makes, but still the adjacency
-    # configuration of its labels: supports follow the given label order.
-    config = build_configuration(running_example())
-    assert _is_adjacency_configuration(config)
-    order = list(range(len(config.labels)))
-    random.Random(97).shuffle(order)
-    shuffled = PointConfiguration(
-        config.dim,
-        tuple(config.labels[i] for i in order),
-        tuple(config.vectors[i] for i in order),
-    )
-    assert _is_adjacency_configuration(shuffled)
-    assert [tuple(f) for f in enumerate_facets(shuffled)] == _cone_facets(shuffled)
-
-
 @pytest.mark.parametrize("m", range(3, 15))
 def test_cycle_facet_counts(m):
     # C_m has C(m, m/2) facets for even m and m C(m-1, (m-1)/2) for odd m.
     expected = comb(m, m // 2) if m % 2 == 0 else m * comb(m - 1, (m - 1) // 2)
-    assert len(enumerate_facets(build_configuration(cycle_graph(m)))) == expected
+    assert len(enumerate_facets(cycle_graph(m))) == expected
 
 
 def test_tree_facet_counts():
@@ -675,15 +635,7 @@ def test_tree_facet_counts():
     trees = [path_graph(n) for n in range(2, 11)] + [star_graph(n) for n in range(2, 11)]
     trees += [random_tree(rng, max_nodes=11) for _ in range(10)]
     for g in trees:
-        assert len(enumerate_facets(build_configuration(g))) == 2 ** (g.node_count - 1)
-
-
-def test_adjacency_configuration_of_a_disconnected_label_graph_is_not_full_dimensional():
-    for dim, labels in ((3, [(0, 1), (2, 3)]), (2, [(0, 1)]), (4, [(0, 1), (1, 2), (3, 4)])):
-        labels = tuple(sorted(labels + [(j, i) for i, j in labels]))
-        config = PointConfiguration(dim, labels, tuple(phi(lab, dim) for lab in labels))
-        with pytest.raises(NotFullDimensional):
-            enumerate_facets(config)
+        assert len(enumerate_facets(g)) == 2 ** (g.node_count - 1)
 
 
 def _placed_in_step_with_the_reference(points) -> int:

@@ -16,15 +16,17 @@ from conftest import (
     random_connected_graph,
 )
 
-from apx.cellanalysis import Signature, cell_volume_closed_form, subset_corank
+from apx.cellanalysis import Signature, closed_form_volume
 from apx.errors import EdgeNotInGraph, NotAValidSharedEdgeDecomposition
 from apx.graphcore import Graph, contract_edge
 from apx.polytope import build_configuration, enumerate_facets, normalized_volume
 from apx.polytope import normalized_volume_of_points
 from apx.subdivision import (
     Cell,
+    cell_record,
     cells_with_facets,
     check_simpliciality_transfer,
+    corank,
     edge_contraction_subdivision,
     facet_correspondence,
     product_correspondence,
@@ -45,7 +47,7 @@ def test_lift_weight():
     "build",
     [
         lambda: cycle_graph(5),
-        lambda: enumerate_facets(build_configuration(cycle_graph(4)))[0],
+        lambda: enumerate_facets(cycle_graph(4))[0],
         lambda: edge_contraction_subdivision(running_example(), (0, 3))[-1],
         lambda: Signature(2, 2, 1),
     ],
@@ -168,7 +170,7 @@ def test_facet_correspondence_c5_counts():
     cells = edge_contraction_subdivision(g, (0, 4))
     corr = facet_correspondence(g, (0, 4), cells)
     # Cells of the contraction subdivision match facets of the C4 polytope.
-    assert len(corr.facets) == len(enumerate_facets(build_configuration(cycle_graph(4))))
+    assert len(corr.facets) == len(enumerate_facets(cycle_graph(4)))
     assert len(corr.facets) == 6
 
 
@@ -245,7 +247,7 @@ def test_cell_count_equals_contracted_facet_count():
         e = rng.choice(g.sorted_edges())
         cells = edge_contraction_subdivision(g, e)
         contracted, _ = contract_edge(g, e)
-        facets = enumerate_facets(build_configuration(contracted))
+        facets = enumerate_facets(contracted)
         assert len(cells) == len(facets)
 
 
@@ -262,5 +264,5 @@ def test_bijection_and_volume_additivity_for_every_edge(g):
         contracted, _ = contract_edge(g, e)
         assert len(cells) == len(potential_facets(contracted))
         assert sum(cell.nvol for cell in cells) == volume
-        if all(subset_corank(c.points, e, c.dim) <= 2 for c in cells):
-            assert sum(cell_volume_closed_form(c, e) for c in cells) == volume
+        if all(corank(cell_record(c.points, c.dim), e) <= 2 for c in cells):
+            assert sum(closed_form_volume(c, e, c.record()) for c in cells) == volume

@@ -157,7 +157,7 @@ def test_failed_cell_analyses_are_failing_evidence(monkeypatch):
     # odd-cycle class counts it as no circuit.
     import apx.cellanalysis as cellanalysis
 
-    corank = cellanalysis._corank
+    corank = cellanalysis.corank
 
     def failing_on_odd_corank(rec, e):
         value = corank(rec, e)
@@ -165,7 +165,7 @@ def test_failed_cell_analyses_are_failing_evidence(monkeypatch):
             raise TheoremViolation(f"injected at corank {value}")
         return value
 
-    monkeypatch.setattr(cellanalysis, "_corank", failing_on_odd_corank)
+    monkeypatch.setattr(cellanalysis, "corank", failing_on_odd_corank)
     k4 = Graph.from_edges(combinations(range(4), 2))
     checks = {c.name: c for c in run_verification(k4, (0, 1), level="full").checks}
     assert not checks["cell_invariants"].passed
