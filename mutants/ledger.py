@@ -265,18 +265,35 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "cli: subdivide without its volume-cover test",
-        CLI,
+        "subdivision: cover without its volume test",
+        SUBDIVISION,
         "    if total != volume:\n",
         "    if False:\n",
         ("tests/test_cli.py::test_subdivide_proof_refuses_a_missing_cell",),
     ),
     Mutant(
-        "cli: subdivide without its lower-face test",
-        CLI,
-        "        if not verify_cell_support(config, e, cell):\n",
+        "subdivision: lower faces without the support test",
+        SUBDIVISION,
+        "if cell.height != 0 or not verify_cell_support(config, e, cell):",
+        "if cell.height != 0:",
+        (
+            "tests/test_cli.py::test_subdivide_proof_refuses_a_shifted_normal",
+            "tests/test_cli.py::test_verify_fails_a_cell_that_is_not_full_dimensional",
+        ),
+    ),
+    Mutant(
+        "subdivision: lower faces without the repeated-normal test",
+        SUBDIVISION,
+        "        if j != i:\n",
         "        if False:\n",
-        ("tests/test_cli.py::test_subdivide_proof_refuses_a_shifted_normal",),
+        ("tests/test_cli.py::test_subdivide_proof_refuses_a_repeated_cell",),
+    ),
+    Mutant(
+        "subdivision: cover without the full-dimension statement",
+        SUBDIVISION,
+        "        except NotFullDimensional as exc:\n",
+        "        except ZeroDivisionError as exc:\n",
+        ("tests/test_cli.py::test_subdivide_and_verify_refuse_a_pair_only_segment",),
     ),
     Mutant(
         "cellanalysis: drop the corank-2 parity check",

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Commands: ``apx facets FILE``, ``apx subdivide FILE --edge K1,K2``,
-``apx volume FILE [--method ...]``, ``apx verify FILE --edge K1,K2``.
+``apx volume FILE [--method triangulation]``, ``apx verify FILE --edge K1,K2``.
 Graphs are read from "u v"-per-line text or {"edges": [[u, v], ...]}
 JSON, as UTF-8 with or without a byte-order mark.  All output is
 canonical JSON (sorted keys; normals, levels and volumes as exact
@@ -177,37 +177,25 @@ def cmd_facets(args) -> int:
 
 
 def cmd_subdivide(args) -> int:
-    """The cells built from the facets of G // e, proved to subdivide P:
-    each is a full-dimensional lower face of the lift, no two share a
-    normal, so their interiors are disjoint, and their volumes add up to
-    P's only if they cover it.  A failed proof raises TheoremViolation."""
-    from .subdivision import cells_with_facets, corank, verify_cell_support
+    """The cells built from the facets of G // e, proved to subdivide P by
+    ``prove_lower_faces`` and ``prove_cover``; a failed proof raises
+    TheoremViolation."""
+    from .subdivision import cells_with_facets, corank, prove_cover, prove_lower_faces
 
     g = load_graph(args.file)
     e = parse_edge(args.edge, g)
     config = build_configuration(g)
-    pairs = cells_with_facets(g, e)
-    cells = [cell for cell, _ in pairs]
-    # P's placing state is freed before the cells' reports are built.
+    cells, facets = zip(*cells_with_facets(g, e))
+    # P's placing state is freed before the cells' records are built.
     volume = normalized_volume(config)
-    total = 0
-    cell_dicts = []
-    for i, (cell, facet) in enumerate(pairs):
-        if not verify_cell_support(config, e, cell):
-            raise TheoremViolation(f"cell {i} is not a lower face of the lift")
-        rec = cell.record()
-        if rec.rank != cell.dim + 1:
-            raise TheoremViolation(f"cell {i} has affine rank {rec.rank}, not {cell.dim + 1}")
-        total += cell.nvol
-        entry = cell.to_json_dict()
-        entry["corank"] = corank(rec, e)
-        entry["nvol"] = str(cell.nvol)
-        entry["facet_image"] = facet.to_json_dict()
-        cell_dicts.append(entry)
-    if len({cell.gamma for cell in cells}) != len(cells):
-        raise TheoremViolation("two cells share a normal")
-    if total != volume:
-        raise TheoremViolation(f"cells cover volume {total} of the polytope's {volume}")
+    prove_lower_faces(config, e, cells)
+    # Each cell's one record gives its corank and seeds its nvol.
+    coranks = [corank(cell.record(), e) for cell in cells]
+    total = prove_cover(cells, volume)
+    cell_dicts = [
+        dict(cell.to_json_dict(), corank=k, nvol=str(cell.nvol), facet_image=facet.to_json_dict())
+        for cell, facet, k in zip(cells, facets, coranks)
+    ]
     payload = {
         "graph": g.to_json_dict(),
         "edge": list(e),
@@ -234,18 +222,10 @@ def cmd_subdivide(args) -> int:
 
 def cmd_volume(args) -> int:
     g = load_graph(args.file)
-    e = parse_edge(args.edge, g) if args.edge else None
-    if args.method == "triangulation":
-        value = normalized_volume(build_configuration(g))
-    else:
-        from .subdivision import edge_contraction_subdivision
-
-        cells = edge_contraction_subdivision(g, e or g.sorted_edges()[0])
-        value = sum(c.nvol for c in cells)
     payload = {
         "graph": g.to_json_dict(),
         "method": args.method,
-        "normalized_volume": str(value),
+        "normalized_volume": str(normalized_volume(build_configuration(g))),
     }
     emit(payload, args.json)
     return EXIT_OK
@@ -283,12 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="normalized volume of the adjacency polytope")
     p.add_argument("file")
-    p.add_argument(
-        "--method",
-        choices=("subdivision", "triangulation"),
-        default="triangulation",
-    )
-    p.add_argument("--edge", metavar="K1,K2", help="contraction edge for --method subdivision")
+    p.add_argument("--method", choices=("triangulation",), default="triangulation")
     p.add_argument("--json", help="write the report to this path instead of stdout")
     p.set_defaults(func=cmd_volume)
 

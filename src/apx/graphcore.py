@@ -71,9 +71,11 @@ class Graph(NamedTuple):
     @classmethod
     def from_json(cls, text: str) -> "Graph":
         """JSON object {"edges": [[u, v], ...]}."""
+        # Too deep a nesting raises RecursionError, and an integer of too
+        # many digits ValueError, of which JSONDecodeError is a subclass.
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (RecursionError, ValueError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or "edges" not in data:
             raise ParseError('expected an object with an "edges" key')

@@ -7,9 +7,9 @@ rest).  The lower hull of the lifted configuration projects to a regular
 subdivision whose cells biject with the facets of the contracted graph's
 polytope, and, when the graph splits into two subgraphs sharing exactly
 that edge, with pairs of facets of the two contracted halves.  The cells
-are built from the facets, and proved to be the lower faces of the lift
-on each instance by ``subdivide`` and ``verify``.  A cell's record sits
-beside ``Cell``: its elimination also seeds the cell's volume.
+are built from the facets, and proved to subdivide the polytope on each
+instance by ``prove_lower_faces`` and ``prove_cover``.  A cell's record
+sits beside ``Cell``: its elimination also seeds the cell's volume.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     CorrespondenceViolation,
     EdgeNotInGraph,
     NotAValidSharedEdgeDecomposition,
+    NotFullDimensional,
     PreconditionViolated,
     TheoremViolation,
 )
@@ -374,3 +375,33 @@ def verify_cell_support(config: PointConfiguration, e: Edge, cell: Cell) -> bool
         elif value <= height:
             return False
     return True
+
+
+def prove_lower_faces(config: PointConfiguration, e: Edge, cells) -> None:
+    """Every cell is a lower face of the lift of ``config`` at h = 0, and
+    no two share a normal, so no two share an interior.  The contracted
+    pair lifts to 0 at values that sum to 0, so at h = 0 both its points
+    are on the face and gamma agrees on the merged nodes.  Raises
+    TheoremViolation naming the cell."""
+    first: dict[IntVector, int] = {}
+    for i, cell in enumerate(cells):
+        if cell.height != 0 or not verify_cell_support(config, e, cell):
+            raise TheoremViolation(f"cell {i} is not a lower face of the lift at h = 0")
+        j = first.setdefault(cell.gamma, i)
+        if j != i:
+            raise TheoremViolation(f"cells {j} and {i} share a normal")
+
+
+def prove_cover(cells, volume: int) -> int:
+    """Every cell is full-dimensional, as the volume oracle checks, and
+    the cells' volumes add up to ``volume``, the polytope's; returns the
+    sum.  Raises TheoremViolation naming the cell."""
+    total = 0
+    for i, cell in enumerate(cells):
+        try:
+            total += cell.nvol
+        except NotFullDimensional as exc:
+            raise TheoremViolation(f"cell {i} is not full-dimensional: {exc}") from exc
+    if total != volume:
+        raise TheoremViolation(f"cells cover volume {total} of the polytope's {volume}")
+    return total

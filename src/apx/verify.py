@@ -11,7 +11,7 @@ from .cellanalysis import (
     classify_special_graphs,
     max_corank,
 )
-from .errors import ApxError, MorphismViolation
+from .errors import ApxError, MorphismViolation, TheoremViolation
 from .graphcore import Graph, balanced_circuit_rank, components_of_edges, edge, vertices_of
 from .polytope import build_configuration, normalized_volume
 from .subdivision import (
@@ -20,7 +20,8 @@ from .subdivision import (
     edge_contraction_subdivision,
     facet_correspondence,
     product_correspondence,
-    verify_cell_support,
+    prove_cover,
+    prove_lower_faces,
 )
 
 
@@ -96,13 +97,11 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     )
 
     config = build_configuration(g)
-    ok = all(
-        cell.height == 0
-        and (0, *cell.gamma)[e[0]] == (0, *cell.gamma)[e[1]]
-        and verify_cell_support(config, e, cell)
-        for cell in cells
-    )
-    report.add("lower_facet_normalization", ok, "h = 0 and gamma agrees on the merged nodes")
+    try:
+        prove_lower_faces(config, e, cells)
+        report.add("lower_facet_normalization", True, "h = 0 and gamma agrees on the merged nodes")
+    except TheoremViolation as exc:
+        report.add("lower_facet_normalization", False, str(exc))
 
     try:
         corr = facet_correspondence(g, e, cells)
@@ -154,21 +153,12 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
         "all cells pass" if not failures else "; ".join(failures),
     )
 
-    # A cell the oracle refuses, one that is not full-dimensional, fails
-    # the check by name.
-    total, detail = 0, ""
-    for i, cell in enumerate(cells):
-        try:
-            total += cell.nvol
-        except ApxError as exc:
-            detail = f"cell {i}: {type(exc).__name__}: {exc}"
-            break
     polytope_volume = normalized_volume(config)
-    report.add(
-        "volume_additivity",
-        not detail and total == polytope_volume,
-        detail or f"sum of cells {total}, polytope {polytope_volume}",
-    )
+    try:
+        total = prove_cover(cells, polytope_volume)
+        report.add("volume_additivity", True, f"sum of cells {total}, polytope {polytope_volume}")
+    except TheoremViolation as exc:
+        report.add("volume_additivity", False, str(exc))
 
     # Each analyzed cell hands on its circuit verdict and corank; a cell
     # whose analysis failed hands on None, failing evidence for both.

@@ -86,24 +86,38 @@ def test_subdivide_dot_export(tmp_path, capsys):
     assert "digraph" in text and "->" in text
 
 
-def _subdivide_with(tmp_path, monkeypatch, change) -> int:
-    """``subdivide`` on C5 with its cell construction changed by
-    ``change(pairs)``; ``cmd_subdivide`` imports the construction when it
-    runs, so the patch goes on its home module."""
+def _refused_by_both(tmp_path, capsys, monkeypatch, change, check) -> tuple[str, dict]:
+    """Run ``subdivide`` and ``verify --level fast`` on C5 (edge 0,4) with
+    the cell construction changed by ``change(pairs)``.  ``subdivide``
+    must exit 1 with one line, and ``verify`` must exit 1 with that line's
+    words as the detail of its failed ``check``; returns them and
+    ``verify``'s checks.  Both commands import the construction when they
+    run, so the patch goes on its home module."""
     import apx.subdivision as subdivision
 
     real = subdivision.cells_with_facets
     monkeypatch.setattr(subdivision, "cells_with_facets", lambda g, e: change(real(g, e)))
-    return main(["subdivide", write_graph(tmp_path, "c5.txt", C5), "--edge", "0,4"])
+    path = write_graph(tmp_path, "c5.txt", C5)
+    assert main(["subdivide", path, "--edge", "0,4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    prefix = "verification failure: "
+    assert err.startswith(prefix) and err.count("\n") == 1
+    message = err[len(prefix) : -1]
+    report = tmp_path / "report.json"
+    assert main(["verify", path, "--edge", "0,4", "--level", "fast", "--json", str(report)]) == 1
+    checks = json.loads(report.read_text())["checks"]
+    assert checks[check] == {"passed": False, "detail": message}
+    return message, checks
 
 
 def test_subdivide_proof_refuses_a_missing_cell(tmp_path, capsys, monkeypatch):
     # Every cell left is a full-dimensional lower face; only the volume
     # cover sees that one is gone.
-    assert _subdivide_with(tmp_path, monkeypatch, lambda pairs: pairs[1:]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "verification failure: cells cover volume 25 of the polytope's 30" in err
+    message, _ = _refused_by_both(
+        tmp_path, capsys, monkeypatch, lambda pairs: pairs[1:], "volume_additivity"
+    )
+    assert message == "cells cover volume 25 of the polytope's 30"
 
 
 def test_subdivide_proof_refuses_a_shifted_normal(tmp_path, capsys, monkeypatch):
@@ -114,42 +128,62 @@ def test_subdivide_proof_refuses_a_shifted_normal(tmp_path, capsys, monkeypatch)
         gamma = (cell.gamma[0] + 1, *cell.gamma[1:])
         return [(cell._replace(gamma=gamma), facet), *rest]
 
-    assert _subdivide_with(tmp_path, monkeypatch, shift) == 1
-    assert "cell 0 is not a lower face of the lift" in capsys.readouterr().err
+    message, checks = _refused_by_both(
+        tmp_path, capsys, monkeypatch, shift, "lower_facet_normalization"
+    )
+    assert message == "cell 0 is not a lower face of the lift at h = 0"
+    assert checks["volume_additivity"]["passed"]
 
 
 def test_subdivide_proof_refuses_a_repeated_cell(tmp_path, capsys, monkeypatch):
     # On C5 every cell has volume 5, so a cell taken twice in place of
     # another keeps the sum; the repeated normal gives it away.
-    assert _subdivide_with(tmp_path, monkeypatch, lambda pairs: [pairs[0], *pairs[:-1]]) == 1
-    assert "two cells share a normal" in capsys.readouterr().err
+    message, checks = _refused_by_both(
+        tmp_path,
+        capsys,
+        monkeypatch,
+        lambda pairs: [pairs[0], *pairs[:-1]],
+        "lower_facet_normalization",
+    )
+    assert message == "cells 0 and 1 share a normal"
+    assert checks["volume_additivity"]["passed"]
 
 
 def test_verify_fails_a_cell_that_is_not_full_dimensional(tmp_path, capsys, monkeypatch):
     # Cell 0 without two of its points other than the pair spans only
-    # dimension 3 in R^4, so the oracle has no volume for it.  verify
-    # fails the volume sum by naming the cell and writes its report, as
-    # subdivide fails its proof by naming the cell.
-    import apx.subdivision as subdivision
-
+    # dimension 3 in R^4, and the points dropped still lie on its lifted
+    # hyperplane, so it is not a face.  Both commands name the first
+    # statement it fails; verify also fails the cover, naming the cell,
+    # and still writes its report.
     def thin(pairs):
         (cell, facet), *rest = pairs
-        dropped = [p for p in cell.points if p not in ((0, 1), (1, 0))][:2]
+        dropped = [p for p in cell.points if p not in ((0, 4), (4, 0))][:2]
         points = tuple(p for p in cell.points if p not in dropped)
         return [(cell._replace(points=points), facet), *rest]
 
-    real = subdivision.cells_with_facets
-    monkeypatch.setattr(subdivision, "cells_with_facets", lambda g, e: thin(real(g, e)))
-    path = write_graph(tmp_path, "c5.txt", C5)
-    report = tmp_path / "report.json"
-    assert main(["verify", path, "--edge", "0,1", "--level", "fast", "--json", str(report)]) == 1
-    check = json.loads(report.read_text())["checks"]["volume_additivity"]
-    detail = "cell 0: NotFullDimensional: affine dimension 3 < 4"
-    assert check == {"passed": False, "detail": detail}
-    assert main(["subdivide", path, "--edge", "0,1"]) == 1
-    assert capsys.readouterr().err == (
-        "verification failure: cell 0 is not a lower face of the lift\n"
+    message, checks = _refused_by_both(
+        tmp_path, capsys, monkeypatch, thin, "lower_facet_normalization"
     )
+    assert message == "cell 0 is not a lower face of the lift at h = 0"
+    assert checks["volume_additivity"] == {
+        "passed": False,
+        "detail": "cell 0 is not full-dimensional: affine dimension 3 < 4",
+    }
+
+
+def test_subdivide_and_verify_refuse_a_pair_only_segment(tmp_path, capsys, monkeypatch):
+    # The contracted pair alone at gamma = 0 is a lower face of the lift
+    # with a normal of its own, but of dimension 1: only the cover's
+    # full-dimension statement refuses it.
+    def segment(pairs):
+        (cell, facet), *rest = pairs
+        return [(cell._replace(points=((0, 4), (4, 0)), gamma=(0, 0, 0, 0)), facet), *rest]
+
+    message, checks = _refused_by_both(
+        tmp_path, capsys, monkeypatch, segment, "volume_additivity"
+    )
+    assert message == "cell 0 is not full-dimensional: affine dimension 1 < 4"
+    assert checks["lower_facet_normalization"]["passed"]
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
@@ -163,24 +197,20 @@ def test_byte_order_mark_gives_the_same_report(tmp_path, capsys, as_json):
     assert capsys.readouterr() == expected
 
 
-def test_volume_checks_its_edge_under_either_method(tmp_path, capsys):
-    path = write_graph(tmp_path, "p3.txt", [(0, 1), (1, 2)])
-    for method in ("triangulation", "subdivision"):
-        assert main(["volume", path, "--method", method, "--edge", "7,9"]) == 2
-        assert "out of range for 3 nodes" in capsys.readouterr().err
-    assert main(["volume", path]) == 0
-    expected = capsys.readouterr()
-    assert main(["volume", path, "--edge", "1,2"]) == 0
-    assert capsys.readouterr() == expected
-
-
-def test_volume_methods_agree(tmp_path, capsys):
+def test_subdivision_volume_is_the_proven_total_nvol(tmp_path, capsys):
+    # volume has one method and no edge; the volume of the cells is
+    # subdivide's total_nvol, which its proof checks against volume's.
     path = write_graph(tmp_path, "c5.txt", C5)
-    assert main(["volume", path]) == 0
-    direct = json.loads(capsys.readouterr().out)
-    assert main(["volume", path, "--method", "subdivision", "--edge", "0,4"]) == 0
-    via_cells = json.loads(capsys.readouterr().out)
-    assert direct["normalized_volume"] == via_cells["normalized_volume"] == "30"
+    for args in (["--method", "subdivision"], ["--edge", "0,1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["volume", path, *args])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["volume", path, "--method", "triangulation"]) == 0
+    volume = json.loads(capsys.readouterr().out)
+    assert main(["subdivide", path, "--edge", "0,4"]) == 0
+    cells = json.loads(capsys.readouterr().out)
+    assert cells["total_nvol"] == volume["normalized_volume"] == "30"
 
 
 def test_verify_c4(tmp_path, capsys):
@@ -221,11 +251,10 @@ def test_json_file_output(tmp_path, capsys):
         ["facets"],
         ["subdivide", "--edge", "0,4"],
         ["volume"],
-        ["volume", "--method", "subdivision", "--edge", "0,4"],
         ["verify", "--edge", "0,4", "--level", "fast"],
         ["verify", "--edge", "0,4", "--level", "full"],
     ],
-    ids=["facets", "subdivide", "volume", "volume-subdivision", "verify-fast", "verify-full"],
+    ids=["facets", "subdivide", "volume", "verify-fast", "verify-full"],
 )
 def test_reports_are_the_bytes_of_json_dump(tmp_path, capsys, monkeypatch, args):
     payloads = []
@@ -393,6 +422,25 @@ def test_json_label_that_is_not_an_integer_is_input_error(tmp_path, capsys, labe
     path = tmp_path / "bad.json"
     path.write_text('{"edges": [[0, %s], [1, 2]]}' % label)
     assert main(["facets", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Too deep for the decoder's recursion.
+        '{"edges": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        # More digits than Python converts to an int.
+        '{"edges": [[0, %s]]}' % ("7" * 5000),
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_hostile_json_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    assert main(["facets", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_huge_label_is_input_error(tmp_path, capsys):
