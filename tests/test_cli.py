@@ -197,20 +197,34 @@ def test_byte_order_mark_gives_the_same_report(tmp_path, capsys, as_json):
     assert capsys.readouterr() == expected
 
 
-def test_subdivision_volume_is_the_proven_total_nvol(tmp_path, capsys):
-    # volume has one method and no edge; the volume of the cells is
-    # subdivide's total_nvol, which its proof checks against volume's.
-    path = write_graph(tmp_path, "c5.txt", C5)
-    for args in (["--method", "subdivision"], ["--edge", "0,1"]):
+def test_volume_checks_its_edge_under_either_method(tmp_path, capsys):
+    # volume takes no edge and has one method: an edge, under either the
+    # kept or the removed method, is refused as a usage error.
+    path = write_graph(tmp_path, "p3.txt", [(0, 1), (1, 2)])
+    for args in (
+        ["--method", "triangulation", "--edge", "1,2"],
+        ["--method", "subdivision"],
+        ["--method", "subdivision", "--edge", "1,2"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(["volume", path, *args])
         assert exc.value.code == 2
     capsys.readouterr()
+    assert main(["volume", path]) == 0
+    expected = capsys.readouterr()
     assert main(["volume", path, "--method", "triangulation"]) == 0
-    volume = json.loads(capsys.readouterr().out)
+    assert capsys.readouterr() == expected
+
+
+def test_volume_methods_agree(tmp_path, capsys):
+    # The volume of the cells is subdivide's total_nvol, which its proof
+    # checks against volume's triangulation.
+    path = write_graph(tmp_path, "c5.txt", C5)
+    assert main(["volume", path]) == 0
+    direct = json.loads(capsys.readouterr().out)
     assert main(["subdivide", path, "--edge", "0,4"]) == 0
-    cells = json.loads(capsys.readouterr().out)
-    assert cells["total_nvol"] == volume["normalized_volume"] == "30"
+    via_cells = json.loads(capsys.readouterr().out)
+    assert direct["normalized_volume"] == via_cells["total_nvol"] == "30"
 
 
 def test_verify_c4(tmp_path, capsys):
