@@ -37,6 +37,7 @@ CERTIFICATE = "tests/test_matroid.py::test_certificate_refuses"
 POTENTIAL = "tests/test_polytope.py::test_potential_search_matches_the_cone"
 MEMOISED = "tests/test_cli.py::test_memoised_leaf_tuples_write_the_bytes_of_json_dump"
 FROM_FACETS = "tests/test_subdivision.py::test_cells_from_facets_are_the_lower_faces_of_the_lift"
+REFUSES = "tests/test_subdivision.py::test_facet_correspondence_refuses"
 LADDER = "tests/test_polytope.py::test_placing_oracle_matches_the_reference_on_the_ladder"
 DRAWN = "tests/test_polytope.py::test_placing_oracle_matches_the_reference_on_drawn_points"
 
@@ -294,6 +295,34 @@ MUTANTS = (
         "        except NotFullDimensional as exc:\n",
         "        except ZeroDivisionError as exc:\n",
         ("tests/test_cli.py::test_subdivide_and_verify_refuse_a_pair_only_segment",),
+    ),
+    Mutant(
+        "subdivision: facet correspondence without the support comparison",
+        SUBDIVISION,
+        "        if support != facet.support:\n",
+        "        if False:\n",
+        (f"{REFUSES}[support]",),
+    ),
+    Mutant(
+        "subdivision: facet correspondence without the projected-normal comparison",
+        SUBDIVISION,
+        "            if normal != facet.normal:\n",
+        "            if False:\n",
+        (f"{REFUSES}[normal]",),
+    ),
+    Mutant(
+        "subdivision: facet correspondence without the repeated-support test",
+        SUBDIVISION,
+        "        if support in seen:\n",
+        "        if False:\n",
+        (f"{REFUSES}[repeated]",),
+    ),
+    Mutant(
+        "subdivision: product correspondence without the repeated-pair test",
+        SUBDIVISION,
+        "        if key in used:\n",
+        "        if False:\n",
+        ("tests/test_subdivision.py::test_product_correspondence_refuses_a_repeated_pair",),
     ),
     Mutant(
         "cellanalysis: drop the corank-2 parity check",

@@ -24,17 +24,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import (
-    EdgeNotInGraph,
-    NotCorankOne,
-    NoValidCyclePair,
-    TheoremViolation,
-    TreeMissingContractedEdge,
-    UnsupportedCorank,
-)
-from .exactlin import eliminate
+from .errors import NotCorankOne, NoValidCyclePair, TheoremViolation, UnsupportedCorank
 from .graphcore import Graph, cyclomatic_number, edge, is_cycle, vertices_of
-from .polytope import DirectedEdge, phi
+from .polytope import DirectedEdge
 from .subdivision import Cell, CellRecord, cell_record, check_pairing, contracted_pair, corank
 
 Edge = tuple[int, int]
@@ -197,7 +189,7 @@ def verify_cell_properties(g: Graph, e: Edge, rec: CellRecord) -> CellProperties
 
 
 # ---------------------------------------------------------------------------
-# Maximum corank and the alternating spanning-tree basis.
+# Maximum corank.
 # ---------------------------------------------------------------------------
 
 
@@ -211,68 +203,6 @@ def max_corank(cells: list[Cell], coranks: list) -> tuple[int, Cell]:
         if value is not None and value > best:
             best, best_cell = value, cell
     return best, best_cell
-
-
-def build_alternating_basis(g: Graph, e: Edge, tree_edges) -> tuple[DirectedEdge, ...]:
-    """Simplex basis of a cell from a spanning tree through the contracted
-    edge: walk from k1 to each node, orienting path edges alternately, and
-    add both contracted points.  The result is affinely independent, its
-    graph is the tree, and it spans a lower face of the lifted polytope
-    (checked), hence lies in a unique cell of the subdivision."""
-    k1, k2 = e
-    tree = frozenset(edge(u, v) for u, v in tree_edges)
-    if not tree <= g.edges:
-        raise EdgeNotInGraph("tree edges must be graph edges")
-    if edge(k1, k2) not in tree:
-        raise TreeMissingContractedEdge(f"{e} not in the spanning tree")
-    if len(tree) != g.node_count - 1 or cyclomatic_number(tree) != 0:
-        raise ValueError("edge set is not a spanning tree")
-    if vertices_of(tree) != set(range(g.node_count)) and g.node_count > 1:
-        raise ValueError("tree does not span the graph")
-
-    # Walk the tree from the contracted edge, taken as one root: a node
-    # at an even distance from it points at its parent, an odd one away.
-    adj: dict[int, list[int]] = {}
-    for u, v in tree:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    labels = list(contracted_pair(e))
-    depth = {k1: 0, k2: 0}
-    stack = [k1, k2]
-    while stack:
-        b = stack.pop()
-        for a in adj[b]:
-            if a not in depth:
-                depth[a] = depth[b] + 1
-                labels.append((a, b) if depth[a] % 2 == 0 else (b, a))
-                stack.append(a)
-
-    x = tuple(sorted(labels))
-    n = g.node_count - 1
-    rec = cell_record(x, n)
-    if rec.undirected != tree:
-        raise TheoremViolation("alternating basis graph is not the spanning tree")
-    if rec.kernel:
-        raise TheoremViolation("alternating basis is affinely dependent")
-
-    # The unique alpha with <x, alpha> = -lift(x) on the basis must support
-    # the whole lifted configuration from below.  For the rows B without
-    # (k2, k1), the rows of the elimination's d*B^-T are the columns of
-    # d*B^-1, so they give d*alpha.  B is nonsingular: its affine hull
-    # holds (k1, k2) but not (k2, k1), so not the origin between them.
-    rows, rhs = [], []
-    for lab, v in zip(x, rec.vectors):
-        if lab != (k2, k1):
-            rows.append(v)
-            rhs.append(0 if lab == (k1, k2) else -1)
-    _, _, cols, d = eliminate(rows, n)
-    d_alpha = [sum(b * col[i] for b, col in zip(rhs, cols)) for i in range(n)]
-    for u, v in g.edges:
-        for lab in ((u, v), (v, u)):
-            w = 0 if edge(u, v) == edge(k1, k2) else 1
-            if (sum(a * b for a, b in zip(phi(lab, n), d_alpha)) + w * d) * d < 0:
-                raise TheoremViolation(f"basis functional fails below point {lab}")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +360,10 @@ def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
     dependent = bool(rec.kernel)
     oracle = cell.nvol
     closed = closed_form_volume(cell, e, rec) if k <= 2 else None
+    # corank and is_circuit raise TheoremViolation on a disagreement, and
+    # the kernel is empty exactly when the corank is 0, so the three checks
+    # below cannot read False here.  They stay because their keys are in
+    # the report.
     checks = {
         "properties": properties.all_pass(),
         "corank_equals_cyclomatic": k == cyclomatic,

@@ -47,11 +47,6 @@ class NoValidCyclePair(ApxError):
     the contracted edge."""
 
 
-class TreeMissingContractedEdge(ApxError):
-    """Spanning tree supplied to the alternating-basis construction must
-    contain the contracted edge."""
-
-
 class MorphismViolation(ApxError):
     """Matroid morphism property failed; never expected."""
 

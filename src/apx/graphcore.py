@@ -58,7 +58,10 @@ class Graph(NamedTuple):
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: non-integer label") from exc
+                # int() names its digit limit when a label has more digits
+                # than it converts.
+                reason = exc if str(exc).startswith("Exceeds the limit") else "non-integer label"
+                raise ParseError(f"line {lineno}: {reason}") from exc
             if u < 0 or v < 0:
                 raise ParseError(f"line {lineno}: negative node label")
             if u == v:

@@ -205,11 +205,11 @@ def edge_contraction_subdivision(g: Graph, e: Edge) -> list[Cell]:
 
 
 class Correspondence(NamedTuple):
-    """Bijection from cells to facets of the contracted polytope, or to
-    pairs of facets of the two contracted sides (two-subgraph mode)."""
+    """Bijection from cells to pairs of facets of the two contracted
+    sides of a split at the contracted edge."""
 
-    images: tuple  # in cell order: FacetCertificate, or a pair of them
-    facets: tuple  # facet list, or (facet list 1, facet list 2)
+    images: tuple  # in cell order: a pair of FacetCertificates
+    facets: tuple  # (facet list 1, facet list 2)
 
 
 def _project_labels(points, mapping: dict[int, int]) -> tuple[DirectedEdge, ...]:
@@ -243,36 +243,34 @@ def _projected_normal(
     return tuple(out[1:])
 
 
-def facet_correspondence(g: Graph, e: Edge, cells: list[Cell]) -> Correspondence:
-    """Match every cell to the facet of the contracted graph's polytope
-    supported by its projected points; must be a bijection."""
+def facet_correspondence(g: Graph, e: Edge, pairs) -> None:
+    """Check each (cell, facet) pair of ``cells_with_facets``: the cell's
+    points project onto the facet's support, its gamma onto the facet's
+    normal, and no two cells onto one support.  Raises
+    CorrespondenceViolation.
+
+    The facets are the ones the cells were built from, so this checks the
+    construction against its source.  The independent evidence that the
+    cells subdivide the polytope is ``prove_lower_faces`` and
+    ``prove_cover``."""
     e = edge(*e)
     contracted, mapping = contract_edge(g, e)
-    facets = enumerate_facets(contracted)
-    by_support = {f.support: i for i, f in enumerate(facets)}
-    images = []
-    used = set()
-    for cell in cells:
+    seen = set()
+    for cell, facet in pairs:
         support = _project_labels(cell.points, mapping)
-        idx = by_support.get(support)
-        if idx is None:
-            raise CorrespondenceViolation(f"projected support {support} is not a facet")
-        facet = facets[idx]
+        if support != facet.support:
+            raise CorrespondenceViolation(
+                f"projected support {support} != facet support {facet.support}"
+            )
         if facet.normal:
             normal = _projected_normal(cell.gamma, e, mapping, contracted.node_count - 1)
             if normal != facet.normal:
                 raise CorrespondenceViolation(
                     f"projected normal {normal} != facet normal {facet.normal}"
                 )
-        if idx in used:
+        if support in seen:
             raise CorrespondenceViolation("two cells project to the same facet")
-        used.add(idx)
-        images.append(facet)
-    if len(used) != len(facets):
-        raise CorrespondenceViolation(
-            f"{len(cells)} cells but {len(facets)} facets of the contraction"
-        )
-    return Correspondence(tuple(images), tuple(facets))
+        seen.add(support)
 
 
 def _relabel_contiguous(nodes) -> dict[int, int]:
@@ -346,14 +344,10 @@ def _facet_is_simplicial(facet: FacetCertificate) -> bool:
     return len(facet.support) == len(facet.normal)
 
 
-def check_simpliciality_transfer(cells, correspondence: Correspondence) -> bool:
-    """Simplicial cells must map to simplicial facets; ``correspondence``
-    is the ``facet_correspondence`` built from ``cells``, in their order."""
-    return all(
-        _facet_is_simplicial(image)
-        for cell, image in zip(cells, correspondence.images)
-        if cell.is_simplicial()
-    )
+def check_simpliciality_transfer(pairs) -> bool:
+    """Simplicial cells must map to simplicial facets; ``pairs`` are the
+    (cell, facet) pairs of ``cells_with_facets``."""
+    return all(_facet_is_simplicial(facet) for cell, facet in pairs if cell.is_simplicial())
 
 
 def verify_cell_support(config: PointConfiguration, e: Edge, cell: Cell) -> bool:

@@ -16,8 +16,8 @@ from .graphcore import Graph, balanced_circuit_rank, components_of_edges, edge, 
 from .polytope import build_configuration, normalized_volume
 from .subdivision import (
     Cell,
+    cells_with_facets,
     check_simpliciality_transfer,
-    edge_contraction_subdivision,
     facet_correspondence,
     product_correspondence,
     prove_cover,
@@ -88,7 +88,8 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     """Check every theorem statement on (g, e); collect all evidence."""
     e = edge(*e)
     report = VerificationReport(g, e, level)
-    cells = edge_contraction_subdivision(g, e)
+    pairs = cells_with_facets(g, e)
+    cells = [cell for cell, _ in pairs]
 
     report.add(
         "special_edge",
@@ -104,31 +105,26 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
         report.add("lower_facet_normalization", False, str(exc))
 
     try:
-        corr = facet_correspondence(g, e, cells)
-        report.add(
-            "facet_correspondence",
-            True,
-            f"{len(cells)} cells <-> {len(corr.facets)} facets",
-        )
-        report.add("simpliciality_transfer", check_simpliciality_transfer(cells, corr))
+        facet_correspondence(g, e, pairs)
+        report.add("facet_correspondence", True, f"{len(cells)} cells <-> {len(pairs)} facets")
+        report.add("simpliciality_transfer", check_simpliciality_transfer(pairs))
     except ApxError as exc:
         report.add("facet_correspondence", False, str(exc))
         report.add("simpliciality_transfer", False, "correspondence unavailable")
 
+    # The product bijection is checked only when G splits at e.
     split = split_at_contraction(g, e)
-    if split is None:
-        # Degenerate decomposition: the second side is the edge itself.
-        split = (list(g.edges), [e])
-    try:
-        pcorr = product_correspondence(g, split[0], split[1], e, cells)
-        f1, f2 = pcorr.facets
-        report.add(
-            "product_correspondence",
-            True,
-            f"{len(cells)} cells = {len(f1)} x {len(f2)} facet pairs",
-        )
-    except ApxError as exc:
-        report.add("product_correspondence", False, str(exc))
+    if split is not None:
+        try:
+            pcorr = product_correspondence(g, split[0], split[1], e, cells)
+            f1, f2 = pcorr.facets
+            report.add(
+                "product_correspondence",
+                True,
+                f"{len(cells)} cells = {len(f1)} x {len(f2)} facet pairs",
+            )
+        except ApxError as exc:
+            report.add("product_correspondence", False, str(exc))
 
     def analyze(cell: Cell) -> CellInvariantReport | str:
         # An ApxError inside the analysis, above all a TheoremViolation,

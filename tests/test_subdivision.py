@@ -17,7 +17,11 @@ from conftest import (
 )
 
 from apx.cellanalysis import Signature, closed_form_volume
-from apx.errors import EdgeNotInGraph, NotAValidSharedEdgeDecomposition
+from apx.errors import (
+    CorrespondenceViolation,
+    EdgeNotInGraph,
+    NotAValidSharedEdgeDecomposition,
+)
 from apx.graphcore import Graph, contract_edge
 from apx.polytope import build_configuration, enumerate_facets, normalized_volume
 from apx.polytope import normalized_volume_of_points
@@ -117,7 +121,7 @@ def test_cells_from_facets_are_the_lower_faces_of_the_lift(name):
     pairs = cells_with_facets(g, e)
     lift = lift_subdivision(g, e)
     assert [cell for cell, _ in pairs] == lift
-    assert [facet for _, facet in pairs] == list(facet_correspondence(g, e, lift).images)
+    facet_correspondence(g, e, zip(lift, [facet for _, facet in pairs]))
     for cell, _ in pairs:
         assert cell.record().rank == cell.dim + 1
 
@@ -159,27 +163,27 @@ def test_cell_volumes_sum_to_polytope_volume():
 
 def test_facet_correspondence_c4():
     g = cycle_graph(4)
-    cells = edge_contraction_subdivision(g, (0, 3))
-    corr = facet_correspondence(g, (0, 3), cells)
-    assert len(corr.facets) == 6
-    assert len(set(corr.images)) == 6
+    pairs = cells_with_facets(g, (0, 3))
+    facet_correspondence(g, (0, 3), pairs)
+    assert len(pairs) == 6
+    assert len({facet for _, facet in pairs}) == 6
 
 
 def test_facet_correspondence_c5_counts():
     g = cycle_graph(5)
-    cells = edge_contraction_subdivision(g, (0, 4))
-    corr = facet_correspondence(g, (0, 4), cells)
+    pairs = cells_with_facets(g, (0, 4))
+    facet_correspondence(g, (0, 4), pairs)
     # Cells of the contraction subdivision match facets of the C4 polytope.
-    assert len(corr.facets) == len(enumerate_facets(cycle_graph(4)))
-    assert len(corr.facets) == 6
+    assert len(pairs) == len(enumerate_facets(cycle_graph(4))) == 6
 
 
 def test_facet_correspondence_single_edge():
     g = Graph.from_edges([(0, 1)])
-    cells = edge_contraction_subdivision(g, (0, 1))
-    corr = facet_correspondence(g, (0, 1), cells)
-    assert corr.images[0].normal == ()
-    assert corr.images[0].support == ()
+    pairs = cells_with_facets(g, (0, 1))
+    facet_correspondence(g, (0, 1), pairs)
+    ((_, facet),) = pairs
+    assert facet.normal == ()
+    assert facet.support == ()
 
 
 def test_facet_correspondence_random_bijection():
@@ -187,9 +191,41 @@ def test_facet_correspondence_random_bijection():
     for _ in range(10):
         g = random_connected_graph(rng, max_nodes=6, max_edges=10)
         e = rng.choice(g.sorted_edges())
-        cells = edge_contraction_subdivision(g, e)
-        corr = facet_correspondence(g, e, cells)
-        assert len(corr.images) == len(corr.facets) == len(cells)
+        pairs = cells_with_facets(g, e)
+        facet_correspondence(g, e, pairs)
+        assert len({facet.support for _, facet in pairs}) == len(pairs)
+
+
+def _drop_a_point(pairs):
+    # One point other than the contracted pair goes; gamma stays.
+    (cell, facet), *rest = pairs
+    dropped = next(p for p in cell.points if p not in ((0, 4), (4, 0)))
+    points = tuple(p for p in cell.points if p != dropped)
+    return [(cell._replace(points=points), facet), *rest]
+
+
+def _shift_gamma(pairs):
+    # Node 1 is not on the contracted edge (0, 4), so gamma still agrees
+    # on the merged nodes; the points stay, so the support still matches.
+    (cell, facet), *rest = pairs
+    return [(cell._replace(gamma=(cell.gamma[0] + 1, *cell.gamma[1:])), facet), *rest]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_drop_a_point, "projected support"),
+        (_shift_gamma, "projected normal"),
+        (lambda pairs: [pairs[0], *pairs[:-1]], "two cells project to the same facet"),
+    ],
+    ids=["support", "normal", "repeated"],
+)
+def test_facet_correspondence_refuses(change, message):
+    # C5 with edge (0, 4): each change breaks one of the three statements.
+    g = cycle_graph(5)
+    pairs = change(cells_with_facets(g, (0, 4)))
+    with pytest.raises(CorrespondenceViolation, match=message):
+        facet_correspondence(g, (0, 4), pairs)
 
 
 def test_product_correspondence_running_example():
@@ -202,15 +238,25 @@ def test_product_correspondence_running_example():
     assert len(set(corr.images)) == len(cells)
 
 
+def test_product_correspondence_refuses_a_repeated_pair():
+    # A cell taken twice in place of another keeps the count at 6 x 12;
+    # only the repeated facet pair gives it away.
+    g = running_example()
+    cells = edge_contraction_subdivision(g, (0, 3))
+    cells[1] = cells[0]
+    with pytest.raises(CorrespondenceViolation, match="same facet pair"):
+        product_correspondence(g, RUNNING_SPLIT_LEFT, RUNNING_SPLIT_RIGHT, (0, 3), cells)
+
+
 def test_product_correspondence_degenerate_side():
     # G2 = the contracted edge itself: the product mode degenerates to the
     # single-graph correspondence with the empty facet on the right.
     g = cycle_graph(4)
-    cells = edge_contraction_subdivision(g, (0, 3))
+    pairs = cells_with_facets(g, (0, 3))
+    cells = [cell for cell, _ in pairs]
     corr = product_correspondence(g, g.sorted_edges(), [(0, 3)], (0, 3), cells)
     assert all(image[1].support == () for image in corr.images)
-    single = facet_correspondence(g, (0, 3), cells)
-    assert len(corr.images) == len(single.images)
+    assert [image[0] for image in corr.images] == [facet for _, facet in pairs]
 
 
 def test_product_correspondence_invalid_decomposition():
@@ -225,19 +271,15 @@ def test_product_correspondence_invalid_decomposition():
 
 
 def test_simpliciality_transfer_c4():
-    g = cycle_graph(4)
-    cells = edge_contraction_subdivision(g, (0, 3))
-    corr = facet_correspondence(g, (0, 3), cells)
-    assert all(cell.is_simplicial() for cell in cells)
-    assert check_simpliciality_transfer(cells, corr)
+    pairs = cells_with_facets(cycle_graph(4), (0, 3))
+    assert all(cell.is_simplicial() for cell, _ in pairs)
+    assert check_simpliciality_transfer(pairs)
 
 
 def test_simpliciality_transfer_c5_vacuous():
-    g = cycle_graph(5)
-    cells = edge_contraction_subdivision(g, (0, 4))
-    corr = facet_correspondence(g, (0, 4), cells)
-    assert not any(cell.is_simplicial() for cell in cells)
-    assert check_simpliciality_transfer(cells, corr)
+    pairs = cells_with_facets(cycle_graph(5), (0, 4))
+    assert not any(cell.is_simplicial() for cell, _ in pairs)
+    assert check_simpliciality_transfer(pairs)
 
 
 def test_cell_count_equals_contracted_facet_count():

@@ -8,7 +8,14 @@ from itertools import combinations
 from pathlib import Path
 
 import apx
-from conftest import cycle_graph, running_example, random_connected_graph, star_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    random_connected_graph,
+    running_example,
+    star_graph,
+    wheel_graph,
+)
 
 from apx.errors import TheoremViolation
 from apx.graphcore import Graph, edge
@@ -239,6 +246,35 @@ def test_cell_invariants_names_failing_checks(monkeypatch):
     assert check.detail == "; ".join(f"cell {i}: properties" for i in range(6))
 
 
+def test_verify_enumerates_each_contracted_graph_once(monkeypatch):
+    # The correspondences check the facets the cells were built from: one
+    # enumeration of G // e, and one of each contracted half when G splits
+    # at e, as the running example does at (0, 3).  W7 and K6 do not split
+    # at (0, 1), so they report no product correspondence.
+    import apx.subdivision as subdivision
+
+    real = subdivision.enumerate_facets
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(subdivision, "enumerate_facets", counting)
+    for g, e, count in [
+        (wheel_graph(7), (0, 1), 1),
+        (complete_graph(6), (0, 1), 1),
+        (running_example(), (0, 3), 3),
+    ]:
+        calls.clear()
+        checks = {c.name: c for c in run_verification(g, e, level="fast").checks}
+        assert all(c.passed for c in checks.values())
+        assert len(calls) == count, g
+        assert ("product_correspondence" in checks) == (count == 3)
+    assert checks["facet_correspondence"].detail == "72 cells <-> 72 facets"
+    assert checks["product_correspondence"].detail == "72 cells = 6 x 12 facet pairs"
+
+
 def test_k8_full_proves_the_morphism_on_every_cell():
     # 30 of K8's 126 cells have 17 grouped elements, 2^17 subsets each;
     # the certificate proves every cell in one pass over its points.  The
@@ -249,7 +285,6 @@ def test_k8_full_proves_the_morphism_on_every_cell():
         "lower_facet_normalization": (True, "h = 0 and gamma agrees on the merged nodes"),
         "facet_correspondence": (True, "126 cells <-> 126 facets"),
         "simpliciality_transfer": (True, ""),
-        "product_correspondence": (True, "126 cells = 126 x 1 facet pairs"),
         "cell_invariants": (True, "all cells pass"),
         "volume_additivity": (True, "sum of cells 3432, polytope 3432"),
         "special_graph_classes": (True, "general"),
@@ -266,15 +301,15 @@ def test_matroid_morphism_names_the_cell_point_and_premise(monkeypatch):
     # level -1 hyperplane, and the check names the cell and the point.
     import apx.verify
 
-    real = apx.verify.edge_contraction_subdivision
+    real = apx.verify.cells_with_facets
 
     def shifted(g, e):
-        cells = real(g, e)
-        cell = cells[2]
-        cells[2] = cell._replace(gamma=(cell.gamma[0] + 5, *cell.gamma[1:]))
-        return cells
+        pairs = real(g, e)
+        cell, facet = pairs[2]
+        pairs[2] = (cell._replace(gamma=(cell.gamma[0] + 5, *cell.gamma[1:])), facet)
+        return pairs
 
-    monkeypatch.setattr(apx.verify, "edge_contraction_subdivision", shifted)
+    monkeypatch.setattr(apx.verify, "cells_with_facets", shifted)
     report = run_verification(cycle_graph(5), (0, 4), level="full")
     check = next(c for c in report.checks if c.name == "matroid_morphism")
     assert not check.passed
