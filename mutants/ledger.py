@@ -38,6 +38,7 @@ POTENTIAL = "tests/test_polytope.py::test_potential_search_matches_the_cone"
 MEMOISED = "tests/test_cli.py::test_memoised_leaf_tuples_write_the_bytes_of_json_dump"
 FROM_FACETS = "tests/test_subdivision.py::test_cells_from_facets_are_the_lower_faces_of_the_lift"
 REFUSES = "tests/test_subdivision.py::test_facet_correspondence_refuses"
+PRODUCT = "tests/test_subdivision.py::test_product_correspondence_refuses"
 LADDER = "tests/test_polytope.py::test_placing_oracle_matches_the_reference_on_the_ladder"
 DRAWN = "tests/test_polytope.py::test_placing_oracle_matches_the_reference_on_drawn_points"
 
@@ -322,7 +323,31 @@ MUTANTS = (
         SUBDIVISION,
         "        if key in used:\n",
         "        if False:\n",
-        ("tests/test_subdivision.py::test_product_correspondence_refuses_a_repeated_pair",),
+        (f"{PRODUCT}[repeated]",),
+    ),
+    Mutant(
+        "subdivision: product correspondence without the side-projection test",
+        SUBDIVISION,
+        "            if support not in supports:\n",
+        "            if False:\n",
+        (f"{PRODUCT}[side]",),
+    ),
+    Mutant(
+        "subdivision: product correspondence without the count test",
+        SUBDIVISION,
+        "    if len(cells) != len(f1) * len(f2):\n",
+        "    if False:\n",
+        (f"{PRODUCT}[count]",),
+    ),
+    Mutant(
+        "graphcore: split at an edge that counts no node left without an edge",
+        GRAPHCORE,
+        "    if first == outside:\n",
+        "    if len(rest.components) < 2:\n",
+        (
+            "tests/test_subdivision.py::"
+            "test_product_correspondence_runs_exactly_when_the_contracted_nodes_cut",
+        ),
     ),
     Mutant(
         "cellanalysis: drop the corank-2 parity check",

@@ -18,7 +18,6 @@ _SOURCES = {
     "normalized_volume_of_cell": "polytope",
     "Cell": "subdivision",
     "cells_with_facets": "subdivision",
-    "edge_contraction_subdivision": "subdivision",
     "facet_correspondence": "subdivision",
 }
 

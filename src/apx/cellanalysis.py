@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import NotCorankOne, NoValidCyclePair, TheoremViolation, UnsupportedCorank
-from .graphcore import Graph, cyclomatic_number, edge, is_cycle, vertices_of
+from .graphcore import Graph, edge, forest
 from .polytope import DirectedEdge
 from .subdivision import Cell, CellRecord, cell_record, check_pairing, contracted_pair, corank
 
@@ -37,9 +37,9 @@ def is_affinely_independent(rec: CellRecord, e: Edge) -> bool:
     forest (checked here, a failure means the theorem broke)."""
     check_pairing(rec.labels, e)
     affine = not rec.kernel
-    forest = rec.cyclomatic == 0
-    if affine != forest:
-        raise TheoremViolation(f"affine independence {affine} != forest test {forest}")
+    acyclic = rec.cyclomatic == 0
+    if affine != acyclic:
+        raise TheoremViolation(f"affine independence {affine} != forest test {acyclic}")
     return affine
 
 
@@ -410,11 +410,11 @@ def classify_special_graphs(g: Graph, cells: list[Cell], circuits: list) -> Spec
     odd cycles give only circuits.  ``circuits`` gives each cell's circuit
     verdict as its analysis found it, or None for a cell whose analysis
     failed, which counts as no circuit."""
-    edges = g.edges
-    if cyclomatic_number(edges) == 0:
+    whole = forest(g.edges)
+    if not whole.cycles:
         kind = "tree"
-    elif is_cycle(edges) and vertices_of(edges) == set(range(g.node_count)):
-        kind = "even_cycle" if len(edges) % 2 == 0 else "odd_cycle"
+    elif whole.is_cycle and whole.components[0] == set(range(g.node_count)):
+        kind = "even_cycle" if len(g.edges) % 2 == 0 else "odd_cycle"
     else:
         return SpecialGraphReport("general")
     if kind in ("tree", "even_cycle"):

@@ -26,10 +26,6 @@ class CorrespondenceViolation(ApxError):
     or hypothesis failure, never an expected outcome."""
 
 
-class NotAValidSharedEdgeDecomposition(ApxError):
-    """The supplied subgraph pair does not share exactly one edge."""
-
-
 class PreconditionViolated(ApxError):
     """Subset contains exactly one of the two contracted-edge points."""
 

@@ -7,8 +7,8 @@ vertex set is the set of endpoints.
 What this module says about the cycle space of a subgraph reads one
 ``forest`` pass over it: a Kruskal spanning forest in the caller's edge
 order, the components, and the fundamental cycle of each non-tree edge.
-Components, cyclomatic number (the number of those cycles) and the
-plain-cycle test are reads of that pass.
+Connectedness, the split at an edge, cyclomatic number (the number of
+those cycles) and the plain-cycle test are reads of that pass.
 """
 
 from __future__ import annotations
@@ -55,13 +55,17 @@ class Graph(NamedTuple):
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
+            # Plain ASCII decimals only: int() would also read '+1', '1_0'
+            # and digits of other scripts.
+            labels = [p.removeprefix("-") for p in parts]
+            if not all(x.isascii() and x.isdigit() for x in labels):
+                raise ParseError(f"line {lineno}: non-integer label")
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 # int() names its digit limit when a label has more digits
                 # than it converts.
-                reason = exc if str(exc).startswith("Exceeds the limit") else "non-integer label"
-                raise ParseError(f"line {lineno}: {reason}") from exc
+                raise ParseError(f"line {lineno}: {exc}") from exc
             if u < 0 or v < 0:
                 raise ParseError(f"line {lineno}: negative node label")
             if u == v:
@@ -109,26 +113,14 @@ class Graph(NamedTuple):
     def is_connected(self) -> bool:
         if self.node_count <= 1:
             return True
-        # Too few edges to connect every label; answered before adjacency()
-        # allocates an entry for each label up to the largest one.
+        # Too few edges to connect every label.
         if self.node_count > len(self.edges) + 1:
             return False
-        return len(_component_of(0, self.adjacency())) == self.node_count
+        components = forest(self.edges).components
+        return len(components) == 1 and len(components[0]) == self.node_count
 
     def to_json_dict(self) -> dict:
         return {"node_count": self.node_count, "edges": [list(e) for e in self.sorted_edges()]}
-
-
-def _component_of(start: int, adj: dict[int, set[int]]) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def vertices_of(edges) -> set[int]:
@@ -210,9 +202,23 @@ def forest(edges) -> Forest:
     return Forest(frozenset(tree), components, tuple(cycles))
 
 
-def components_of_edges(edges) -> list[set[int]]:
-    """Connected components of the subgraph spanned by an edge set."""
-    return forest(frozenset(edges)).components
+def split_at(g: Graph, e: Edge) -> tuple[EdgeSet, EdgeSet] | None:
+    """The two sides of G at e, each holding e, when G - {k1, k2} has at
+    least two components, a node left with no edge counting as one; None
+    otherwise.  The first side is the component of the least node, with
+    k1 and k2; the second is every other node, with k1 and k2."""
+    e = edge(*e)
+    outside = vertices_of(g.edges) - set(e)
+    if not outside:
+        return None
+    least = min(outside)
+    rest = forest(f for f in g.edges if e[0] not in f and e[1] not in f)
+    first = next((c for c in rest.components if least in c), {least})
+    if first == outside:
+        return None
+    nodes = first | set(e)
+    one = frozenset(f for f in g.edges if set(f) <= nodes)
+    return one, (g.edges - one) | {e}
 
 
 def contract_edge(g: Graph, e: Edge) -> tuple[Graph, dict[int, int]]:
@@ -245,11 +251,6 @@ def contract_edge(g: Graph, e: Edge) -> tuple[Graph, dict[int, int]]:
 def cyclomatic_number(edges) -> int:
     """|E| - |V| + number of components: the number of fundamental cycles."""
     return len(forest(frozenset(edges)).cycles)
-
-
-def is_cycle(edges) -> bool:
-    """True iff the edge set is a single plain cycle."""
-    return forest(frozenset(edges)).is_cycle
 
 
 def balanced_circuit_rank(g: Graph, e: Edge) -> int:

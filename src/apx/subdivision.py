@@ -20,13 +20,12 @@ from typing import NamedTuple
 from .errors import (
     CorrespondenceViolation,
     EdgeNotInGraph,
-    NotAValidSharedEdgeDecomposition,
     NotFullDimensional,
     PreconditionViolated,
     TheoremViolation,
 )
 from .exactlin import Elimination, IntVector, eliminate
-from .graphcore import Forest, Graph, contract_edge, edge, forest, vertices_of
+from .graphcore import Forest, Graph, contract_edge, edge, forest, split_at, vertices_of
 from .polytope import (
     DirectedEdge,
     FacetCertificate,
@@ -199,19 +198,6 @@ def cells_with_facets(g: Graph, e: Edge) -> list[tuple[Cell, FacetCertificate]]:
     return out
 
 
-def edge_contraction_subdivision(g: Graph, e: Edge) -> list[Cell]:
-    """The cells of ``cells_with_facets``, in their order of gamma."""
-    return [cell for cell, _ in cells_with_facets(g, e)]
-
-
-class Correspondence(NamedTuple):
-    """Bijection from cells to pairs of facets of the two contracted
-    sides of a split at the contracted edge."""
-
-    images: tuple  # in cell order: a pair of FacetCertificates
-    facets: tuple  # (facet list 1, facet list 2)
-
-
 def _project_labels(points, mapping: dict[int, int]) -> tuple[DirectedEdge, ...]:
     """Images of a cell's points under the contraction quotient; the two
     contracted points project to the origin and are dropped."""
@@ -273,67 +259,45 @@ def facet_correspondence(g: Graph, e: Edge, pairs) -> None:
         seen.add(support)
 
 
-def _relabel_contiguous(nodes) -> dict[int, int]:
-    return {v: i for i, v in enumerate(sorted(nodes))}
-
-
-def _side_graph(edges) -> tuple[Graph, dict[int, int]]:
-    relabel = _relabel_contiguous(vertices_of(edges))
-    g = Graph.from_edges([(relabel[u], relabel[v]) for u, v in edges])
-    return g, relabel
-
-
-def product_correspondence(
-    g: Graph, g1_edges, g2_edges, e: Edge, cells: list[Cell]
-) -> Correspondence:
-    """Two-subgraph mode: cells biject with pairs of facets of the two
-    contracted sides.  The sides must cover the graph, share exactly the
-    contracted edge, and meet exactly in its endpoints."""
+def product_correspondence(g: Graph, e: Edge, cells: list[Cell]) -> tuple[list, list] | None:
+    """When G splits at e into two sides sharing only e (``split_at``),
+    check that the cells biject with pairs of facets of the two contracted
+    sides and return the two facet lists; None when G does not split at e.
+    Raises CorrespondenceViolation."""
     e = edge(*e)
-    e1 = frozenset(edge(*f) for f in g1_edges)
-    e2 = frozenset(edge(*f) for f in g2_edges)
-    if e1 | e2 != g.edges:
-        raise NotAValidSharedEdgeDecomposition("sides do not cover the edge set")
-    if e1 & e2 != {e}:
-        raise NotAValidSharedEdgeDecomposition("sides must share exactly the contracted edge")
-    if vertices_of(e1) & vertices_of(e2) != set(e):
-        raise NotAValidSharedEdgeDecomposition("sides must meet exactly in the contracted nodes")
-
-    side_data = []
-    for side_edges in (e1, e2):
-        side, relabel = _side_graph(side_edges)
-        side_contracted, cmap = contract_edge(side, (relabel[e[0]], relabel[e[1]]))
-        facets = enumerate_facets(side_contracted)
+    split = split_at(g, e)
+    if split is None:
+        return None
+    sides = []
+    for side_edges in split:
+        relabel = {v: i for i, v in enumerate(sorted(vertices_of(side_edges)))}
+        side = Graph.from_edges([(relabel[u], relabel[v]) for u, v in side_edges])
+        contracted, cmap = contract_edge(side, (relabel[e[0]], relabel[e[1]]))
+        facets = enumerate_facets(contracted)
         # original node -> node of the contracted side
-        total = {v: cmap[relabel[v]] for v in relabel}
-        side_data.append((side_edges, total, facets, {f.support: f for f in facets}))
+        total = {v: cmap[i] for v, i in relabel.items()}
+        sides.append((side_edges - {e}, total, facets, {f.support for f in facets}))
 
-    images = []
     used = set()
     for cell in cells:
         pair = []
-        for side_edges, total, facets, by_support in side_data:
-            labels = [
-                (i, j) for i, j in cell.points if edge(i, j) in side_edges and edge(i, j) != e
-            ]
-            support = tuple(sorted({(total[i], total[j]) for i, j in labels}))
-            facet = by_support.get(support)
-            if facet is None:
+        for side_edges, total, _, supports in sides:
+            support = tuple(
+                sorted({(total[i], total[j]) for i, j in cell.points if edge(i, j) in side_edges})
+            )
+            if support not in supports:
                 raise CorrespondenceViolation(
                     f"side projection {support} is not a facet of that side"
                 )
-            pair.append(facet)
-        key = (pair[0].support, pair[1].support)
+            pair.append(support)
+        key = tuple(pair)
         if key in used:
             raise CorrespondenceViolation("two cells project to the same facet pair")
         used.add(key)
-        images.append(tuple(pair))
-    expected = len(side_data[0][2]) * len(side_data[1][2])
-    if len(cells) != expected:
-        raise CorrespondenceViolation(
-            f"{len(cells)} cells but {expected} facet pairs"
-        )
-    return Correspondence(tuple(images), (side_data[0][2], side_data[1][2]))
+    f1, f2 = sides[0][2], sides[1][2]
+    if len(cells) != len(f1) * len(f2):
+        raise CorrespondenceViolation(f"{len(cells)} cells but {len(f1) * len(f2)} facet pairs")
+    return f1, f2
 
 
 def _facet_is_simplicial(facet: FacetCertificate) -> bool:

@@ -12,7 +12,7 @@ from .cellanalysis import (
     max_corank,
 )
 from .errors import ApxError, MorphismViolation, TheoremViolation
-from .graphcore import Graph, balanced_circuit_rank, components_of_edges, edge, vertices_of
+from .graphcore import Graph, balanced_circuit_rank, edge
 from .polytope import build_configuration, normalized_volume
 from .subdivision import (
     Cell,
@@ -61,29 +61,6 @@ class VerificationReport:
         }
 
 
-def split_at_contraction(g: Graph, e) -> tuple[list, list] | None:
-    """Decompose the edge set into two sides sharing exactly e, when the
-    contracted endpoints form a cut set; None otherwise."""
-    e = edge(*e)
-    rest = frozenset(f for f in g.edges if not set(f) <= set(e) and not set(f) & set(e))
-    outside = vertices_of(g.edges) - set(e)
-    comps = components_of_edges(rest)
-    covered = set().union(*comps) if comps else set()
-    comps = comps + [{v} for v in outside - covered]
-    if len(comps) < 2:
-        return None
-    side1_nodes = set(min(comps, key=min)) | set(e)
-    side1, side2 = [e], [e]
-    for f in g.edges:
-        if f == e:
-            continue
-        if set(f) <= side1_nodes:
-            side1.append(f)
-        else:
-            side2.append(f)
-    return side1, side2
-
-
 def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     """Check every theorem statement on (g, e); collect all evidence."""
     e = edge(*e)
@@ -113,18 +90,17 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
         report.add("simpliciality_transfer", False, "correspondence unavailable")
 
     # The product bijection is checked only when G splits at e.
-    split = split_at_contraction(g, e)
-    if split is not None:
-        try:
-            pcorr = product_correspondence(g, split[0], split[1], e, cells)
-            f1, f2 = pcorr.facets
+    try:
+        sides = product_correspondence(g, e, cells)
+        if sides is not None:
+            f1, f2 = sides
             report.add(
                 "product_correspondence",
                 True,
                 f"{len(cells)} cells = {len(f1)} x {len(f2)} facet pairs",
             )
-        except ApxError as exc:
-            report.add("product_correspondence", False, str(exc))
+    except ApxError as exc:
+        report.add("product_correspondence", False, str(exc))
 
     def analyze(cell: Cell) -> CellInvariantReport | str:
         # An ApxError inside the analysis, above all a TheoremViolation,

@@ -14,7 +14,7 @@ from apx.errors import MorphismViolation, NotFullDimensional, TheoremViolation
 from apx.exactlin import eliminate
 from apx.graphcore import Graph, edge
 from apx.polytope import _bits, _lattice_points, _reduce_ray, build_configuration
-from apx.subdivision import Cell
+from apx.subdivision import Cell, cells_with_facets
 
 # Five-cycle with one chord; contracting {0, 4} gives a square plus chord.
 CHORDED_PENTAGON_EDGES = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4), (1, 3)]
@@ -285,6 +285,12 @@ def regular_subdivision_supports(vectors, weights):
     rows.append((0,) * (d + 1) + (1,))
     drop = ~(1 << len(vectors))
     return [(v, mask & drop) for v, mask in DDCone(d + 2, rows).rays if v[-1] > 0]
+
+
+def cells_of(g: Graph, e) -> list[Cell]:
+    """The cells of the subdivision induced by contracting e, in the order
+    of gamma: the cells of ``cells_with_facets`` without their facets."""
+    return [cell for cell, _ in cells_with_facets(g, e)]
 
 
 def lift_weight(label, e) -> int:

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     CORANK2_CELL_ARCS,
+    cells_of,
     cycle_graph,
     running_example,
     random_connected_graph,
@@ -36,14 +37,10 @@ from apx.subdivision import (
     cells_with_facets,
     check_simpliciality_transfer,
     corank,
-    edge_contraction_subdivision,
     facet_correspondence,
     product_correspondence,
     verify_cell_support,
 )
-
-RUNNING_SPLIT_LEFT = [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)]
-RUNNING_SPLIT_RIGHT = [(0, 3), (0, 6), (3, 4), (4, 5), (6, 5), (5, 3), (5, 0)]
 
 CORPUS_SEED = 20260808
 CORPUS_SIZE = 50
@@ -88,7 +85,7 @@ def corpus():
 def test_criterion_1_c4():
     started = time.monotonic()
     g = cycle_graph(4)
-    cells = edge_contraction_subdivision(g, (0, 3))
+    cells = cells_of(g, (0, 3))
     assert len(cells) == 6
     total = 0
     for cell in cells:
@@ -105,7 +102,7 @@ def test_criterion_1_c4():
 def test_criterion_2_c5():
     started = time.monotonic()
     g = cycle_graph(5)
-    cells = edge_contraction_subdivision(g, (0, 4))
+    cells = cells_of(g, (0, 4))
     assert len(cells) == 6
     total = 0
     for cell in cells:
@@ -127,11 +124,10 @@ def test_criterion_3_running_example():
     started = time.monotonic()
     g = running_example()
     e = (0, 3)
-    cells = edge_contraction_subdivision(g, e)
+    cells = cells_of(g, e)
 
     # (a) product correspondence with G1' = C3 (6 facets).
-    corr = product_correspondence(g, RUNNING_SPLIT_LEFT, RUNNING_SPLIT_RIGHT, e, cells)
-    f1, f2 = corr.facets
+    f1, f2 = product_correspondence(g, e, cells)
     assert len(f1) == 6
     assert len(cells) == 6 * len(f2)
 
@@ -199,17 +195,17 @@ def test_criterion_6_special_graphs():
     for _ in range(10):
         tree = random_tree(rng, max_nodes=8)
         e = rng.choice(tree.sorted_edges())
-        cells = edge_contraction_subdivision(tree, e)
+        cells = cells_of(tree, e)
         report = classify_special_graphs(tree, cells, circuits(cells, e))
         assert report.graph_class == "tree" and report.all_simplicial
 
     c6 = cycle_graph(6)
-    cells = edge_contraction_subdivision(c6, (0, 5))
+    cells = cells_of(c6, (0, 5))
     report = classify_special_graphs(c6, cells, circuits(cells, (0, 5)))
     assert report.graph_class == "even_cycle" and report.all_simplicial
 
     c7 = cycle_graph(7)
-    cells = edge_contraction_subdivision(c7, (0, 6))
+    cells = cells_of(c7, (0, 6))
     report = classify_special_graphs(c7, cells, circuits(cells, (0, 6)))
     assert report.graph_class == "odd_cycle" and report.all_circuits
     assert time.monotonic() - started < 60.0
@@ -223,10 +219,10 @@ def test_criterion_7_matroid_morphism():
         (cycle_graph(5), (0, 4)),
     ]
     for g, e in instances:
-        for cell in edge_contraction_subdivision(g, e):
+        for cell in cells_of(g, e):
             certify_morphism(cell, e)
             exhaustive_morphism(cell, e)
-    running_cells = edge_contraction_subdivision(running_example(), (0, 3))
+    running_cells = cells_of(running_example(), (0, 3))
     (deep_cell,) = [c for c in running_cells if frozenset(c.points) == frozenset(CORANK2_CELL_ARCS)]
     assert len(certify_morphism(deep_cell, (0, 3))) == 8
     report = exhaustive_morphism(deep_cell, (0, 3))

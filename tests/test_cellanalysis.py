@@ -9,6 +9,7 @@ from conftest import (
     CORANK2_CELL_ARCS,
     brute_force_cycles,
     brute_force_directed_cycles,
+    cells_of,
     connected_graphs,
     cycle_graph,
     interior_lift_subcells,
@@ -53,12 +54,11 @@ from apx.subdivision import (
     contracted_pair,
     corank,
     dimension,
-    edge_contraction_subdivision,
 )
 
 
 def corank2_cell():
-    cells = edge_contraction_subdivision(running_example(), (0, 3))
+    cells = cells_of(running_example(), (0, 3))
     target = frozenset(CORANK2_CELL_ARCS)
     (cell,) = [c for c in cells if frozenset(c.points) == target]
     return cell
@@ -79,7 +79,7 @@ def test_corank2_cell_subgraph():
 
 
 def test_c5_cells_are_six_arrow_graphs():
-    cells = edge_contraction_subdivision(cycle_graph(5), (0, 4))
+    cells = cells_of(cycle_graph(5), (0, 4))
     for cell in cells:
         arcs, undirected = cell_subgraphs(cell.points)
         assert len(arcs) == 6
@@ -88,7 +88,7 @@ def test_c5_cells_are_six_arrow_graphs():
 
 def test_cell_properties_c4():
     g = cycle_graph(4)
-    for cell in edge_contraction_subdivision(g, (0, 3)):
+    for cell in cells_of(g, (0, 3)):
         report = verify_cell_properties(g, (0, 3), cell_record(cell.points, cell.dim))
         assert report.all_pass()
         _, undirected = cell_subgraphs(cell.points)
@@ -98,7 +98,7 @@ def test_cell_properties_c4():
 
 def test_cell_properties_running_example_all_cells():
     g = running_example()
-    for cell in edge_contraction_subdivision(g, (0, 3)):
+    for cell in cells_of(g, (0, 3)):
         assert verify_cell_properties(g, (0, 3), cell_record(cell.points, cell.dim)).all_pass()
 
 
@@ -187,20 +187,20 @@ def test_one_sided_pair_is_independent_despite_cycle():
 def test_subset_dimension_examples():
     assert dimension(cell_record(((1, 2),), 3), (0, 3)) == 0
     assert dimension(cell_record(((0, 3), (3, 0)), 3), (0, 3)) == 1
-    cells = edge_contraction_subdivision(cycle_graph(5), (0, 4))
+    cells = cells_of(cycle_graph(5), (0, 4))
     assert dimension(cell_record(cells[0].points, 4), (0, 4)) == 4
 
 
 def test_subset_corank_examples():
-    for cell in edge_contraction_subdivision(cycle_graph(4), (0, 3)):
+    for cell in cells_of(cycle_graph(4), (0, 3)):
         assert corank(cell_record(cell.points, cell.dim), (0, 3)) == 0
-    for cell in edge_contraction_subdivision(cycle_graph(5), (0, 4)):
+    for cell in cells_of(cycle_graph(5), (0, 4)):
         assert corank(cell_record(cell.points, cell.dim), (0, 4)) == 1
     assert corank(cell_record(corank2_cell().points, 6), (0, 3)) == 2
 
 
 def test_signature_c5_cell():
-    cells = edge_contraction_subdivision(cycle_graph(5), (0, 4))
+    cells = cells_of(cycle_graph(5), (0, 4))
     for cell in cells:
         rec = cell_record(cell.points, cell.dim)
         assert corank1_signature(rec, (0, 4)) == Signature(3, 3, 0)
@@ -229,7 +229,7 @@ def test_radon_split_on_corank1_circuits():
     for _ in range(15):
         g = random_connected_graph(rng, max_nodes=6, max_edges=9)
         e = rng.choice(g.sorted_edges())
-        for cell in edge_contraction_subdivision(g, e):
+        for cell in cells_of(g, e):
             rec = cell_record(cell.points, cell.dim)
             if corank(rec, e) != 1:
                 continue
@@ -242,7 +242,7 @@ def test_radon_split_on_corank1_circuits():
 
 def _max_corank(g, e):
     """``max_corank`` over the subdivision's cells, each analysed here."""
-    cells = edge_contraction_subdivision(g, e)
+    cells = cells_of(g, e)
     return max_corank(cells, [corank(cell_record(c.points, c.dim), e) for c in cells])
 
 
@@ -254,7 +254,7 @@ def test_max_corank_examples():
     value, witness = _max_corank(running_example(), (0, 3))
     assert value == 2 and len(witness.points) == 9
     # A cell whose analysis failed hands on None and is left out.
-    cells = edge_contraction_subdivision(running_example(), (0, 3))
+    cells = cells_of(running_example(), (0, 3))
     coranks = [
         None if len(c.points) == 9 else corank(cell_record(c.points, 6), (0, 3)) for c in cells
     ]
@@ -330,7 +330,7 @@ def test_alternating_basis_c4():
     tree = [(0, 1), (1, 2), (0, 3)]
     x = build_alternating_basis(g, (0, 3), tree)
     assert x == ((0, 1), (0, 3), (2, 1), (3, 0))
-    cells = edge_contraction_subdivision(g, (0, 3))
+    cells = cells_of(g, (0, 3))
     containing = [c for c in cells if set(x) <= set(c.points)]
     assert len(containing) == 1 and containing[0].is_simplicial()
 
@@ -349,7 +349,7 @@ def test_alternating_basis_running_example_corank2_completion():
     tree = [(0, 3), (0, 2), (3, 5), (0, 1), (3, 4), (0, 6)]
     x = build_alternating_basis(g, (0, 3), tree)
     assert len(x) == g.node_count
-    cells = edge_contraction_subdivision(g, (0, 3))
+    cells = cells_of(g, (0, 3))
     containing = [c for c in cells if set(x) <= set(c.points)]
     assert len(containing) == 1
     assert corank(cell_record(containing[0].points, 6), (0, 3)) == 2
@@ -369,9 +369,9 @@ def test_alternating_basis_random_properties():
 
 
 def test_cell_volume_c4_and_c5():
-    for cell in edge_contraction_subdivision(cycle_graph(4), (0, 3)):
+    for cell in cells_of(cycle_graph(4), (0, 3)):
         assert closed_form_volume(cell, (0, 3), cell.record()) == 2
-    for cell in edge_contraction_subdivision(cycle_graph(5), (0, 4)):
+    for cell in cells_of(cycle_graph(5), (0, 4)):
         assert closed_form_volume(cell, (0, 4), cell.record()) == 5
 
 
@@ -426,7 +426,7 @@ def test_graph_side_faults_raise_theorem_violations():
     # A record whose graph side disagrees with its points: each statement
     # that compares the two sides must raise.
     e = (0, 4)
-    cell = edge_contraction_subdivision(cycle_graph(5), e)[0]
+    cell = cells_of(cycle_graph(5), e)[0]
     rec = cell_record(cell.points, cell.dim)
     path = rec._replace(forest=forest(sorted(rec.undirected - {(1, 2)})))
     with pytest.raises(TheoremViolation, match="circuit test True != cycle test False"):
@@ -442,7 +442,7 @@ def test_dimension_formula_refuses_a_record_with_an_extra_vertex():
     # dim = |V(G_X)| + [e in G_X] - components - 1 on the graph side; one
     # vertex too many there must raise.
     e = (0, 4)
-    cell = edge_contraction_subdivision(cycle_graph(5), e)[0]
+    cell = cells_of(cycle_graph(5), e)[0]
     rec = cell_record(cell.points, cell.dim)
     assert dimension(rec, e) == 4
     with pytest.raises(TheoremViolation, match="dimension 4 != formula 5"):
@@ -473,8 +473,8 @@ def test_closed_form_refuses_an_oracle_off_by_one():
     # The closed form and the placing oracle derive a cell's volume apart:
     # an oracle volume one off must raise, for corank 0, 1 and 2.
     cells = [
-        (edge_contraction_subdivision(cycle_graph(4), (0, 3))[0], (0, 3), 2),
-        (edge_contraction_subdivision(cycle_graph(5), (0, 4))[0], (0, 4), 5),
+        (cells_of(cycle_graph(4), (0, 3))[0], (0, 3), 2),
+        (cells_of(cycle_graph(5), (0, 4))[0], (0, 4), 5),
         (corank2_cell(), (0, 3), 4),
     ]
     for cell, e, volume in cells:
@@ -518,7 +518,7 @@ def test_corank1_cells_volume_property():
     for _ in range(10):
         g = random_connected_graph(rng, max_nodes=6, max_edges=9)
         e = rng.choice(g.sorted_edges())
-        for cell in edge_contraction_subdivision(g, e):
+        for cell in cells_of(g, e):
             if corank(cell_record(cell.points, cell.dim), e) <= 2:
                 assert closed_form_volume(cell, e, cell.record()) == normalized_volume_of_points(
                     cell.vectors()
@@ -527,7 +527,7 @@ def test_corank1_cells_volume_property():
 
 def _classify(g, e):
     """``classify_special_graphs`` with every cell's circuit verdict."""
-    cells = edge_contraction_subdivision(g, e)
+    cells = cells_of(g, e)
     circuits = [is_circuit(cell_record(c.points, c.dim), e) for c in cells]
     return classify_special_graphs(g, cells, circuits)
 
@@ -543,7 +543,7 @@ def test_classify_special_graphs():
     report = _classify(c5, (0, 4))
     assert report.graph_class == "odd_cycle" and report.all_circuits
     # A cell whose analysis failed counts as no circuit.
-    cells = edge_contraction_subdivision(c5, (0, 4))
+    cells = cells_of(c5, (0, 4))
     report = classify_special_graphs(c5, cells, [True] * (len(cells) - 1) + [None])
     assert report.all_circuits is False and not report.passed()
 
@@ -568,7 +568,7 @@ def test_record_matches_fraction_references_on_every_subset(g, data):
     # kernel against the Fraction reduced row echelon form, and its circuit
     # verdict against |C| + 1 rank tests.
     e = data.draw(st.sampled_from(g.sorted_edges()))
-    for cell in edge_contraction_subdivision(g, e):
+    for cell in cells_of(g, e):
         ground = grouped_ground_set(cell, e)
         for mask in range(1 << len(ground)):
             labels = tuple(lab for b, elem in enumerate(ground) if mask >> b & 1 for lab in elem)

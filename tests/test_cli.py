@@ -471,6 +471,24 @@ def test_long_text_label_names_the_digit_limit(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        # int() reads each of the first three, as 10, 1 and 1.
+        ("0 1_0", "non-integer label"),
+        ("0 +1", "non-integer label"),
+        ("0 ١", "non-integer label"),
+        ("0 -1", "negative node label"),
+    ],
+    ids=["underscore", "plus-sign", "arabic-indic-digit", "negative"],
+)
+def test_text_label_that_is_not_a_plain_decimal_is_input_error(tmp_path, capsys, line, reason):
+    path = tmp_path / "bad.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert main(["facets", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line 1: {reason}\n"
+
+
 def test_huge_label_is_input_error(tmp_path, capsys):
     # Rejected as disconnected before one entry per label is allocated.
     path = write_graph(tmp_path, "huge.txt", [(0, 1), (1, 10**12)])

@@ -27,7 +27,7 @@ from apx.graphcore import (
     edge,
     forest,
     graph_to_dot,
-    is_cycle,
+    split_at,
 )
 from apx.subdivision import cell_record
 
@@ -77,6 +77,15 @@ def test_contract_never_creates_loops_or_parallels():
         assert sorted(set(mapping.values())) == list(range(contracted.node_count))
         for u, v in contracted.edges:
             assert u != v
+
+
+def test_split_at_running_example():
+    # The paper's two sides, the left one contracting to a triangle, share
+    # exactly the contracted edge; a cycle has no split.
+    left = [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)]
+    right = [(0, 3), (0, 6), (3, 4), (4, 5), (5, 6), (3, 5), (0, 5)]
+    assert split_at(running_example(), (3, 0)) == (frozenset(left), frozenset(right))
+    assert split_at(cycle_graph(5), (0, 4)) is None
 
 
 def test_cyclomatic_number():
@@ -218,7 +227,7 @@ def test_balancedness_is_z2_linear():
         for c1 in cycles:
             for c2 in cycles:
                 diff = c1 ^ c2
-                if diff and is_cycle(diff):
+                if diff and forest(diff).is_cycle:
                     assert balanced(diff, e, rng)
                     single += 1
         if balanced(g.edges, e, rng):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     CORANK2_CELL_ARCS,
     NAMED_LADDER,
+    cells_of,
     connected_graphs,
     cycle_graph,
     exchange_axioms_hold,
@@ -32,11 +33,11 @@ from apx.errors import MorphismViolation
 from apx.graphcore import Graph, cyclomatic_number, edge, forest
 from apx.matroid import certify_morphism, grouped_ground_set
 from apx.polytope import phi
-from apx.subdivision import Cell, cell_subgraphs, edge_contraction_subdivision
+from apx.subdivision import Cell, cell_subgraphs
 
 
 def corank2_cell():
-    cells = edge_contraction_subdivision(running_example(), (0, 3))
+    cells = cells_of(running_example(), (0, 3))
     target = frozenset(CORANK2_CELL_ARCS)
     (cell,) = [c for c in cells if frozenset(c.points) == target]
     return cell
@@ -74,7 +75,7 @@ def outcome(check, independent, n):
 
 
 def test_grouped_ground_set_structure():
-    cell = edge_contraction_subdivision(cycle_graph(4), (0, 3))[0]
+    cell = cells_of(cycle_graph(4), (0, 3))[0]
     ground = grouped_ground_set(cell, (0, 3))
     sizes = sorted(len(elem) for elem in ground)
     assert sizes == [1, 1, 2]
@@ -82,7 +83,7 @@ def test_grouped_ground_set_structure():
 
 
 def test_point_matroid_basics():
-    cell = edge_contraction_subdivision(cycle_graph(5), (0, 4))[0]
+    cell = cells_of(cycle_graph(5), (0, 4))[0]
     ground, independent = point_table(cell, (0, 4))
     full = (1 << len(ground)) - 1
     assert independent[0]
@@ -94,7 +95,7 @@ def test_point_matroid_basics():
 
 
 def test_graphic_matroid_basics():
-    cell = edge_contraction_subdivision(cycle_graph(5), (0, 4))[0]
+    cell = cells_of(cycle_graph(5), (0, 4))[0]
     ground = graphic_edges(cell)
     independent = graphic_table(ground)
     full = (1 << len(ground)) - 1
@@ -108,7 +109,7 @@ def test_graphic_matroid_basics():
 
 def test_matroid_axioms_on_small_cells():
     for g, e in [(cycle_graph(4), (0, 3)), (cycle_graph(5), (0, 4))]:
-        for cell in edge_contraction_subdivision(g, e):
+        for cell in cells_of(g, e):
             ground, independent = point_table(cell, e)
             check_matroid_axioms(independent, len(ground))
             edges = graphic_edges(cell)
@@ -116,13 +117,13 @@ def test_matroid_axioms_on_small_cells():
 
 
 def test_morphism_c4_cells():
-    for cell in edge_contraction_subdivision(cycle_graph(4), (0, 3)):
+    for cell in cells_of(cycle_graph(4), (0, 3)):
         report = exhaustive_morphism(cell, (0, 3))
         assert report.subsets_checked == 2 ** report.ground_size
 
 
 def test_morphism_c5_cells():
-    for cell in edge_contraction_subdivision(cycle_graph(5), (0, 4)):
+    for cell in cells_of(cycle_graph(5), (0, 4)):
         report = exhaustive_morphism(cell, (0, 4))
         assert report.ground_size == 5
         assert report.subsets_checked == 32
@@ -139,12 +140,12 @@ def test_morphism_random_cells():
     for _ in range(6):
         g = random_connected_graph(rng, max_nodes=5, max_edges=7)
         e = rng.choice(g.sorted_edges())
-        for cell in edge_contraction_subdivision(g, e):
+        for cell in cells_of(g, e):
             exhaustive_morphism(cell, e)
 
 
 def test_morphism_names_a_flipped_point_mask(monkeypatch):
-    cell = edge_contraction_subdivision(cycle_graph(5), (0, 4))[0]
+    cell = cells_of(cycle_graph(5), (0, 4))[0]
     ground, independent = point_table(cell, (0, 4))
     for mask in range(1 << len(ground)):
         flipped = list(independent)
@@ -241,7 +242,7 @@ def test_cut_keeps_a_primitive_annihilator_basis():
     # primitive, annihilates every homogenized point so far and has
     # d + 1 - rank vectors, with the e_0 slot 0 throughout.
     rng = random.Random(11)
-    for cell in edge_contraction_subdivision(Graph.from_edges(combinations(range(5), 2)), (0, 1)):
+    for cell in cells_of(Graph.from_edges(combinations(range(5), 2)), (0, 1)):
         d = cell.dim
         for _ in range(3):
             labels = rng.sample(cell.points, len(cell.points))
@@ -287,7 +288,7 @@ def assert_cell_tables_match_definitions(cell, e):
 
 
 def assert_tables_match_definitions(g, e):
-    for cell in edge_contraction_subdivision(g, e):
+    for cell in cells_of(g, e):
         assert_cell_tables_match_definitions(cell, e)
 
 
@@ -317,7 +318,7 @@ def test_walked_tables_match_per_subset_definitions_on_random_graphs(data):
 
 def test_walked_tables_match_definitions_on_a_large_k7_cell():
     e = (0, 1)
-    cells = edge_contraction_subdivision(Graph.from_edges(combinations(range(7), 2)), e)
+    cells = cells_of(Graph.from_edges(combinations(range(7), 2)), e)
     cell = next(c for c in cells if len(grouped_ground_set(c, e)) >= 12)
     assert_cell_tables_match_definitions(cell, e)
 
@@ -339,7 +340,7 @@ def test_certificate_matches_the_tables_on_named_graphs(name, cells):
     # Every cell of these four has at most 13 grouped elements.
     g, e = NAMED_LADDER[name]
     compared = 0
-    for cell in edge_contraction_subdivision(g, e):
+    for cell in cells_of(g, e):
         if len(grouped_ground_set(cell, e)) <= 13:
             assert_certificate_matches_tables(cell, e)
             compared += 1
@@ -351,7 +352,7 @@ def test_certificate_matches_the_tables_on_named_graphs(name, cells):
 def test_certificate_matches_the_tables_on_drawn_graphs(data):
     g = data.draw(connected_graphs(max_nodes=6))
     e = data.draw(st.sampled_from(g.sorted_edges()))
-    for cell in edge_contraction_subdivision(g, e):
+    for cell in cells_of(g, e):
         assert_certificate_matches_tables(cell, e)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     NAMED_LADDER,
+    cells_of,
     connected_graphs,
     cycle_graph,
     lift_subdivision,
@@ -17,11 +18,7 @@ from conftest import (
 )
 
 from apx.cellanalysis import Signature, closed_form_volume
-from apx.errors import (
-    CorrespondenceViolation,
-    EdgeNotInGraph,
-    NotAValidSharedEdgeDecomposition,
-)
+from apx.errors import CorrespondenceViolation, EdgeNotInGraph
 from apx.graphcore import Graph, contract_edge
 from apx.polytope import build_configuration, enumerate_facets, normalized_volume
 from apx.polytope import normalized_volume_of_points
@@ -31,14 +28,10 @@ from apx.subdivision import (
     cells_with_facets,
     check_simpliciality_transfer,
     corank,
-    edge_contraction_subdivision,
     facet_correspondence,
     product_correspondence,
     verify_cell_support,
 )
-
-RUNNING_SPLIT_LEFT = [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)]
-RUNNING_SPLIT_RIGHT = [(0, 3), (0, 6), (3, 4), (4, 5), (6, 5), (5, 3), (5, 0)]
 
 
 def test_lift_weight():
@@ -52,7 +45,7 @@ def test_lift_weight():
     [
         lambda: cycle_graph(5),
         lambda: enumerate_facets(cycle_graph(4))[0],
-        lambda: edge_contraction_subdivision(running_example(), (0, 3))[-1],
+        lambda: cells_of(running_example(), (0, 3))[-1],
         lambda: Signature(2, 2, 1),
     ],
     ids=["Graph", "FacetCertificate", "Cell", "Signature"],
@@ -71,7 +64,7 @@ def test_records_are_values(build):
 
 
 def test_c4_subdivision_six_simplicial_cells():
-    cells = edge_contraction_subdivision(cycle_graph(4), (0, 3))
+    cells = cells_of(cycle_graph(4), (0, 3))
     assert len(cells) == 6
     for cell in cells:
         assert len(cell.points) == 4
@@ -79,14 +72,14 @@ def test_c4_subdivision_six_simplicial_cells():
 
 
 def test_c5_subdivision_six_cells_of_six_points():
-    cells = edge_contraction_subdivision(cycle_graph(5), (0, 4))
+    cells = cells_of(cycle_graph(5), (0, 4))
     assert len(cells) == 6
     for cell in cells:
         assert len(cell.points) == 6
 
 
 def test_single_edge_graph_single_cell():
-    cells = edge_contraction_subdivision(Graph.from_edges([(0, 1)]), (0, 1))
+    cells = cells_of(Graph.from_edges([(0, 1)]), (0, 1))
     assert len(cells) == 1
     assert cells[0].points == ((0, 1), (1, 0))
     assert cells[0].gamma == (Fraction(0),)
@@ -94,7 +87,7 @@ def test_single_edge_graph_single_cell():
 
 def test_subdivision_requires_graph_edge():
     with pytest.raises(EdgeNotInGraph):
-        edge_contraction_subdivision(cycle_graph(4), (0, 2))
+        cells_of(cycle_graph(4), (0, 2))
 
 
 def test_cells_contain_contracted_pair_and_h_zero():
@@ -103,7 +96,7 @@ def test_cells_contain_contracted_pair_and_h_zero():
         g = random_connected_graph(rng, max_nodes=6, max_edges=9)
         e = rng.choice(g.sorted_edges())
         config = build_configuration(g)
-        for cell in edge_contraction_subdivision(g, e):
+        for cell in cells_of(g, e):
             assert cell.contains_contracted_pair(e)
             assert cell.height == 0
             full_gamma = (Fraction(0),) + tuple(cell.gamma)
@@ -130,14 +123,14 @@ def test_cells_from_facets_are_the_lower_faces_of_the_lift(name):
 @given(connected_graphs(max_nodes=8), st.data())
 def test_cells_from_facets_match_the_lift_on_drawn_graphs(g, data):
     e = data.draw(st.sampled_from(g.sorted_edges()))
-    assert edge_contraction_subdivision(g, e) == lift_subdivision(g, e)
+    assert cells_of(g, e) == lift_subdivision(g, e)
 
 
 def test_verify_cell_support_levels_in_integers():
     g = running_example()
     e = (0, 3)
     config = build_configuration(g)
-    for cell in edge_contraction_subdivision(g, e):
+    for cell in cells_of(g, e):
         assert verify_cell_support(config, e, cell)
         # Every node meets a point of a full-dimensional cell, so one off
         # any coordinate of gamma, or one off the level, takes some point
@@ -156,7 +149,7 @@ def test_cell_volumes_sum_to_polytope_volume():
     for _ in range(8):
         g = random_connected_graph(rng, max_nodes=6, max_edges=9)
         e = rng.choice(g.sorted_edges())
-        cells = edge_contraction_subdivision(g, e)
+        cells = cells_of(g, e)
         total = sum(normalized_volume_of_points(c.vectors()) for c in cells)
         assert total == normalized_volume(build_configuration(g))
 
@@ -230,44 +223,61 @@ def test_facet_correspondence_refuses(change, message):
 
 def test_product_correspondence_running_example():
     g = running_example()
-    cells = edge_contraction_subdivision(g, (0, 3))
-    corr = product_correspondence(g, RUNNING_SPLIT_LEFT, RUNNING_SPLIT_RIGHT, (0, 3), cells)
-    f1, f2 = corr.facets
+    cells = cells_of(g, (0, 3))
+    f1, f2 = product_correspondence(g, (0, 3), cells)
     assert len(f1) == 6  # the left side contracts to a triangle
     assert len(cells) == 6 * len(f2)
-    assert len(set(corr.images)) == len(cells)
 
 
-def test_product_correspondence_refuses_a_repeated_pair():
-    # A cell taken twice in place of another keeps the count at 6 x 12;
-    # only the repeated facet pair gives it away.
+def _drop_a_side_point(cells):
+    # The first cell loses (1, 0), its one point at node 1, so its left
+    # projection loses that arc's image; the count stays at 6 x 12.
+    cell, *rest = cells
+    points = tuple(p for p in cell.points if p != (1, 0))
+    assert len(points) == len(cell.points) - 1
+    return [cell._replace(points=points), *rest]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_drop_a_side_point, "side projection"),
+        (lambda cells: cells[1:], "71 cells but 72 facet pairs"),
+        # A cell taken twice in place of another keeps the count at 6 x 12.
+        (lambda cells: [cells[0], *cells[:-1]], "same facet pair"),
+    ],
+    ids=["side", "count", "repeated"],
+)
+def test_product_correspondence_refuses(change, message):
+    # The running example splits at (0, 3); each change breaks one of the
+    # three statements of the product bijection.
     g = running_example()
-    cells = edge_contraction_subdivision(g, (0, 3))
-    cells[1] = cells[0]
-    with pytest.raises(CorrespondenceViolation, match="same facet pair"):
-        product_correspondence(g, RUNNING_SPLIT_LEFT, RUNNING_SPLIT_RIGHT, (0, 3), cells)
+    cells = change(cells_of(g, (0, 3)))
+    with pytest.raises(CorrespondenceViolation, match=message):
+        product_correspondence(g, (0, 3), cells)
 
 
-def test_product_correspondence_degenerate_side():
-    # G2 = the contracted edge itself: the product mode degenerates to the
-    # single-graph correspondence with the empty facet on the right.
-    g = cycle_graph(4)
-    pairs = cells_with_facets(g, (0, 3))
-    cells = [cell for cell, _ in pairs]
-    corr = product_correspondence(g, g.sorted_edges(), [(0, 3)], (0, 3), cells)
-    assert all(image[1].support == () for image in corr.images)
-    assert [image[0] for image in corr.images] == [facet for _, facet in pairs]
-
-
-def test_product_correspondence_invalid_decomposition():
-    g = cycle_graph(4)
-    cells = edge_contraction_subdivision(g, (0, 3))
-    with pytest.raises(NotAValidSharedEdgeDecomposition):
-        product_correspondence(g, [(0, 1), (1, 2), (2, 3)], [(0, 3)], (0, 3), cells)
-    with pytest.raises(NotAValidSharedEdgeDecomposition):
-        product_correspondence(
-            g, [(0, 1), (1, 2), (0, 3)], [(2, 3), (0, 3), (0, 1)], (0, 3), cells
-        )
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(max_nodes=7))
+def test_product_correspondence_runs_exactly_when_the_contracted_nodes_cut(g):
+    # None exactly when G - {k1, k2} has at most one component, a node
+    # left with no edge counting as one (a BFS here); otherwise one cell
+    # per pair of facets of the two contracted sides.
+    adj = g.adjacency()
+    for e in g.sorted_edges():
+        left, components = set(range(g.node_count)) - set(e), 0
+        while left:
+            components += 1
+            queue = [left.pop()]
+            for v in queue:
+                reached = adj[v] & left
+                left -= reached
+                queue.extend(reached)
+        cells = cells_of(g, e)
+        sides = product_correspondence(g, e, cells)
+        assert (sides is None) == (components <= 1), e
+        if sides is not None:
+            assert len(sides[0]) * len(sides[1]) == len(cells)
 
 
 def test_simpliciality_transfer_c4():
@@ -287,7 +297,7 @@ def test_cell_count_equals_contracted_facet_count():
     for _ in range(10):
         g = random_connected_graph(rng, max_nodes=6, max_edges=10)
         e = rng.choice(g.sorted_edges())
-        cells = edge_contraction_subdivision(g, e)
+        cells = cells_of(g, e)
         contracted, _ = contract_edge(g, e)
         facets = enumerate_facets(contracted)
         assert len(cells) == len(facets)
@@ -302,7 +312,7 @@ def test_bijection_and_volume_additivity_for_every_edge(g):
     # through the closed forms as well.
     volume = normalized_volume(build_configuration(g))
     for e in g.sorted_edges():
-        cells = edge_contraction_subdivision(g, e)
+        cells = cells_of(g, e)
         contracted, _ = contract_edge(g, e)
         assert len(cells) == len(potential_facets(contracted))
         assert sum(cell.nvol for cell in cells) == volume

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import apx
 from conftest import (
+    cells_of,
     complete_graph,
     cycle_graph,
     random_connected_graph,
@@ -20,8 +21,7 @@ from conftest import (
 from apx.errors import TheoremViolation
 from apx.graphcore import Graph, edge
 from apx.polytope import build_configuration
-from apx.subdivision import edge_contraction_subdivision
-from apx.verify import run_verification, split_at_contraction
+from apx.verify import run_verification
 
 
 def check_names(report):
@@ -47,20 +47,6 @@ def test_fast_level_subset():
     names = check_names(report)
     assert "matroid_morphism" not in names
     assert "max_corank_equals_balanced_circuit_rank" not in names
-
-
-def test_split_at_contraction_running_example():
-    g = running_example()
-    split = split_at_contraction(g, (0, 3))
-    assert split is not None
-    side1, side2 = split
-    assert len(side1) + len(side2) == len(g.edges) + 1
-    shared = set(side1) & set(side2)
-    assert shared == {(0, 3)}
-
-
-def test_split_at_contraction_cycle_none():
-    assert split_at_contraction(cycle_graph(5), (0, 4)) is None
 
 
 def test_star_tree_report():
@@ -151,7 +137,7 @@ def test_affine_elimination_runs_once_per_cell(monkeypatch):
         # One elimination of [M | I] and one forest pass per cell, in its
         # analysis: every per-cell statement, and the cell's volume, read
         # that one record.  The one other pass is the whole polytope's.
-        cells = edge_contraction_subdivision(g, e)
+        cells = cells_of(g, e)
         n = g.node_count - 1
         whole = len(build_configuration(g).labels) + n + 1
         assert passes == [len(c.points) + n + 1 for c in cells] + [whole], (g, level)
