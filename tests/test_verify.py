@@ -19,7 +19,7 @@ from conftest import (
 )
 
 from apx.errors import TheoremViolation
-from apx.graphcore import Graph, edge
+from apx.graphcore import Graph, edge, split_at
 from apx.polytope import build_configuration
 from apx.verify import run_verification
 
@@ -47,6 +47,27 @@ def test_fast_level_subset():
     names = check_names(report)
     assert "matroid_morphism" not in names
     assert "max_corank_equals_balanced_circuit_rank" not in names
+
+
+def test_split_at_contraction_running_example():
+    # The running example splits at (0, 3) into two sides sharing only the
+    # contracted edge, so verify checks the product bijection.
+    g = running_example()
+    split = split_at(g, (0, 3))
+    assert split is not None
+    side1, side2 = split
+    assert len(side1) + len(side2) == len(g.edges) + 1
+    assert set(side1) & set(side2) == {(0, 3)}
+    report = run_verification(g, (0, 3), level="fast")
+    product = next(c for c in report.checks if c.name == "product_correspondence")
+    assert product.passed
+
+
+def test_split_at_contraction_cycle_none():
+    # A cycle has no split, so verify leaves the product bijection out.
+    assert split_at(cycle_graph(5), (0, 4)) is None
+    report = run_verification(cycle_graph(5), (0, 4), level="fast")
+    assert "product_correspondence" not in check_names(report)
 
 
 def test_star_tree_report():
