@@ -32,6 +32,7 @@ SUBDIVISION = "src/apx/subdivision.py"
 CELLANALYSIS = "src/apx/cellanalysis.py"
 GRAPHCORE = "src/apx/graphcore.py"
 EXACTLIN = "src/apx/exactlin.py"
+VERIFY = "src/apx/verify.py"
 WALKED = "tests/test_matroid.py::test_walked_tables_match_per_subset_definitions"
 CERTIFICATE = "tests/test_matroid.py::test_certificate_refuses"
 POTENTIAL = "tests/test_polytope.py::test_potential_search_matches_the_cone"
@@ -429,6 +430,41 @@ MUTANTS = (
         "    if (pos, neg, zero) != expected:\n",
         "    if False:\n",
         ("tests/test_cellanalysis.py::test_graph_side_faults_raise_theorem_violations",),
+    ),
+    Mutant(
+        "subdivision: simplicial cells pass the transfer whatever their facets",
+        SUBDIVISION,
+        "    return all(_facet_is_simplicial(facet)"
+        " for cell, facet in pairs if cell.is_simplicial())\n",
+        "    return True\n",
+        (
+            "tests/test_subdivision.py::"
+            "test_simpliciality_transfer_refuses_a_non_simplicial_facet",
+        ),
+    ),
+    Mutant(
+        "cellanalysis: trees and even cycles pass as all simplicial",
+        CELLANALYSIS,
+        "all_simplicial=all(c.is_simplicial() for c in cells)",
+        "all_simplicial=True",
+        (
+            "tests/test_cellanalysis.py::"
+            "test_tree_and_even_cycle_classes_refuse_a_non_simplicial_cell",
+        ),
+    ),
+    Mutant(
+        "verify: cells left unanalysed pass the max-corank check",
+        VERIFY,
+        "value == rank and not missing",
+        "value == rank",
+        ("tests/test_verify.py::test_failed_cell_analyses_are_failing_evidence",),
+    ),
+    Mutant(
+        "verify: cells left unanalysed pass the odd-cycle verdict",
+        VERIFY,
+        "not missing and all(r.circuit for r in reports)",
+        "all(r.circuit for r in reports)",
+        ("tests/test_verify.py::test_failed_cell_analyses_are_failing_evidence",),
     ),
     Mutant(
         "cli: drop sorted on the report's top-level keys",

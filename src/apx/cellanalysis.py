@@ -1,6 +1,6 @@
 """Cell subgraphs and the combinatorics of cells and their subsets:
 structural properties, affine independence/circuits/corank, signatures,
-maximum corank realization, and closed-form cell volumes.
+and closed-form cell volumes.
 
 Every statement about a point set takes its ``subdivision.CellRecord``
 and the contracted edge: ``Cell.record()`` for a cell, and
@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import NotCorankOne, NoValidCyclePair, TheoremViolation, UnsupportedCorank
+from .errors import NotCorankOne, TheoremViolation
 from .graphcore import Graph, edge, forest
 from .polytope import DirectedEdge
-from .subdivision import Cell, CellRecord, cell_record, check_pairing, contracted_pair, corank
+from .subdivision import Cell, CellRecord, check_pairing, contracted_pair, corank
 
 Edge = tuple[int, int]
 
@@ -123,14 +123,7 @@ class CellPropertiesReport(NamedTuple):
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "only_directed_cycle_is_pair": self.only_directed_cycle_is_pair,
-            "spans_all_nodes": self.spans_all_nodes,
-            "closed_under_swap": self.closed_under_swap,
-            "undirected_balanced": self.undirected_balanced,
-            "basis_odd_cycles": self.basis_odd_cycles,
-            "at_most_one_odd": self.at_most_one_odd,
-        }
+        return {**self._asdict(), "at_most_one_odd": self.at_most_one_odd}
 
 
 def _is_acyclic(arcs: list[DirectedEdge]) -> bool:
@@ -189,23 +182,6 @@ def verify_cell_properties(g: Graph, e: Edge, rec: CellRecord) -> CellProperties
 
 
 # ---------------------------------------------------------------------------
-# Maximum corank.
-# ---------------------------------------------------------------------------
-
-
-def max_corank(cells: list[Cell], coranks: list) -> tuple[int, Cell]:
-    """Maximum corank over the subdivision's cells, with a witness cell.
-    ``coranks`` gives each cell's corank as its analysis found it, or None
-    for a cell whose analysis failed, which is left out."""
-    best_cell = None
-    best = -1
-    for cell, value in zip(cells, coranks):
-        if value is not None and value > best:
-            best, best_cell = value, cell
-    return best, best_cell
-
-
-# ---------------------------------------------------------------------------
 # Closed-form cell volumes.
 # ---------------------------------------------------------------------------
 
@@ -228,7 +204,7 @@ def corank2_cycle_pair(cycles, e: Edge) -> tuple[frozenset[Edge], frozenset[Edge
             if o1 != o2:
                 candidates.append((tuple(sorted(o1)), tuple(sorted(o2))))
     if not candidates:
-        raise NoValidCyclePair("no basis pair with an even cycle avoiding the edge")
+        raise TheoremViolation("no basis pair with an even cycle avoiding the edge")
     o1, o2 = min(candidates)
     return frozenset(o1), frozenset(o2)
 
@@ -288,10 +264,10 @@ def corank2_gamma_delta(arcs, o1, o2, reference: Edge | None = None) -> tuple[in
     return gamma, len(shared) - gamma
 
 
-def closed_form_volume(cell: Cell, e: Edge, rec: CellRecord) -> int:
+def closed_form_volume(cell: Cell, e: Edge, rec: CellRecord) -> int | None:
     """Closed-form normalized volume of a cell of corank 0, 1 or 2, from
     its record ``rec``; always cross-checked against the triangulation
-    oracle (``cell.nvol``)."""
+    oracle (``cell.nvol``).  None above corank 2: no closed form."""
     value = corank(rec, e)
     if value == 0:
         result = 2
@@ -306,7 +282,7 @@ def closed_form_volume(cell: Cell, e: Edge, rec: CellRecord) -> int:
             raise TheoremViolation(f"corank-2 closed form {twice}/2 is not a positive integer")
         result = twice // 2
     else:
-        raise UnsupportedCorank(f"corank {value}: triangulation oracle only")
+        return None
     if result != cell.nvol:
         raise TheoremViolation(f"closed form {result} != oracle {cell.nvol}")
     return result
@@ -328,16 +304,7 @@ class CellInvariantReport(NamedTuple):
         return all(self.checks.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "corank": self.corank,
-            "cyclomatic": self.cyclomatic,
-            "simplicial": self.simplicial,
-            "circuit": self.circuit,
-            "properties": self.properties.to_json_dict(),
-            "volume_closed_form": self.volume_closed_form,
-            "volume_oracle": self.volume_oracle,
-            "checks": dict(sorted(self.checks.items())),
-        }
+        return {**self._asdict(), "properties": self.properties.to_json_dict()}
 
 
 def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
@@ -359,7 +326,7 @@ def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
     circuit = is_circuit(rec, e)
     dependent = bool(rec.kernel)
     oracle = cell.nvol
-    closed = closed_form_volume(cell, e, rec) if k <= 2 else None
+    closed = closed_form_volume(cell, e, rec)
     # corank and is_circuit raise TheoremViolation on a disagreement, and
     # the kernel is empty exactly when the corank is 0, so the three checks
     # below cannot read False here.  They stay because their keys are in
@@ -396,20 +363,15 @@ class SpecialGraphReport(NamedTuple):
         return all(v is not False for v in (self.all_simplicial, self.all_circuits))
 
     def to_json_dict(self) -> dict:
-        out: dict = {"graph_class": self.graph_class}
-        if self.all_simplicial is not None:
-            out["all_simplicial"] = self.all_simplicial
-        if self.all_circuits is not None:
-            out["all_circuits"] = self.all_circuits
-        return out
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
-def classify_special_graphs(g: Graph, cells: list[Cell], circuits: list) -> SpecialGraphReport:
+def classify_special_graphs(g: Graph, cells: list[Cell], all_circuits: bool) -> SpecialGraphReport:
     """Check the tree / even cycle / odd cycle statements when they apply:
     trees and even cycles give only simplicial cells (a triangulation),
-    odd cycles give only circuits.  ``circuits`` gives each cell's circuit
-    verdict as its analysis found it, or None for a cell whose analysis
-    failed, which counts as no circuit."""
+    odd cycles give only circuits.  ``all_circuits`` says whether every
+    cell's analysis found it a circuit; a failed analysis counts as no
+    circuit."""
     whole = forest(g.edges)
     if not whole.cycles:
         kind = "tree"
@@ -419,4 +381,4 @@ def classify_special_graphs(g: Graph, cells: list[Cell], circuits: list) -> Spec
         return SpecialGraphReport("general")
     if kind in ("tree", "even_cycle"):
         return SpecialGraphReport(kind, all_simplicial=all(c.is_simplicial() for c in cells))
-    return SpecialGraphReport(kind, all_circuits=all(circuits))
+    return SpecialGraphReport(kind, all_circuits=all_circuits)

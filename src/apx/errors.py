@@ -21,30 +21,12 @@ class NotFullDimensional(ApxError):
     """Point set does not affinely span its ambient space."""
 
 
-class CorrespondenceViolation(ApxError):
-    """Cell-to-facet correspondence failed; signals an implementation
-    or hypothesis failure, never an expected outcome."""
-
-
 class PreconditionViolated(ApxError):
     """Subset contains exactly one of the two contracted-edge points."""
 
 
 class NotCorankOne(ApxError):
     """Signature is only defined for corank-1 subsets."""
-
-
-class UnsupportedCorank(ApxError):
-    """No closed-form volume for this corank; use the triangulation oracle."""
-
-
-class NoValidCyclePair(ApxError):
-    """Corank-2 cell admits no basis pair with an even cycle avoiding
-    the contracted edge."""
-
-
-class MorphismViolation(ApxError):
-    """Matroid morphism property failed; never expected."""
 
 
 class TheoremViolation(ApxError):

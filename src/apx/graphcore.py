@@ -28,6 +28,18 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def parse_labels(texts) -> list[int]:
+    """Node labels as a graph file writes them: ASCII digits after an
+    optional '-' (int() alone would also read '+1', '1_0', ' 1' and the
+    digits of other scripts).  Every label is checked before any is
+    converted; raises ValueError, which names int()'s digit limit when a
+    label has more digits than it converts."""
+    digits = [t.removeprefix("-") for t in texts]
+    if not all(d.isascii() and d.isdigit() for d in digits):
+        raise ValueError("non-integer label")
+    return [int(t) for t in texts]
+
+
 class Graph(NamedTuple):
     """Simple graph on nodes 0..node_count-1."""
 
@@ -55,16 +67,9 @@ class Graph(NamedTuple):
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
-            # Plain ASCII decimals only: int() would also read '+1', '1_0'
-            # and digits of other scripts.
-            labels = [p.removeprefix("-") for p in parts]
-            if not all(x.isascii() and x.isdigit() for x in labels):
-                raise ParseError(f"line {lineno}: non-integer label")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                u, v = parse_labels(parts)
             except ValueError as exc:
-                # int() names its digit limit when a label has more digits
-                # than it converts.
                 raise ParseError(f"line {lineno}: {exc}") from exc
             if u < 0 or v < 0:
                 raise ParseError(f"line {lineno}: negative node label")

@@ -35,7 +35,7 @@ derivation (``tests/matroid_tables.py``).
 
 from __future__ import annotations
 
-from .errors import MorphismViolation
+from .errors import TheoremViolation
 from .graphcore import Edge, edge
 from .subdivision import Cell
 
@@ -51,21 +51,21 @@ def grouped_ground_set(cell: Cell, e) -> tuple[GroundElement, ...]:
 
 def certify_morphism(cell: Cell, e) -> tuple[Edge, ...]:
     """The edge of each grouped element, in ground-set order, once the
-    lemma's premises hold on the cell; raise MorphismViolation naming the
+    lemma's premises hold on the cell; raise TheoremViolation naming the
     point and the premise otherwise.  No single maps to e: the singles
     are the points other than the pair's two arcs."""
     k1, k2 = e
     if not cell.contains_contracted_pair(e):
-        raise MorphismViolation(f"contracted pair {(k1, k2)}, {(k2, k1)} not both in the cell")
+        raise TheoremViolation(f"contracted pair {(k1, k2)}, {(k2, k1)} not both in the cell")
     gamma = (0, *cell.gamma)
     owner: dict[Edge, tuple] = {}
     for (i, j), in grouped_ground_set(cell, e)[:-1]:
         if gamma[i] - gamma[j] != -1:
-            raise MorphismViolation(
+            raise TheoremViolation(
                 f"point {(i, j)} off level -1: gamma_{i} - gamma_{j} = {gamma[i] - gamma[j]}"
             )
         f = edge(i, j)
         if f in owner:
-            raise MorphismViolation(f"points {owner[f]} and {(i, j)} map to edge {f}")
+            raise TheoremViolation(f"points {owner[f]} and {(i, j)} map to edge {f}")
         owner[f] = (i, j)
     return (*owner, edge(k1, k2))

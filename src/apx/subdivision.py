@@ -17,13 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import (
-    CorrespondenceViolation,
-    EdgeNotInGraph,
-    NotFullDimensional,
-    PreconditionViolated,
-    TheoremViolation,
-)
+from .errors import EdgeNotInGraph, NotFullDimensional, PreconditionViolated, TheoremViolation
 from .exactlin import Elimination, IntVector, eliminate
 from .graphcore import Forest, Graph, contract_edge, edge, forest, split_at, vertices_of
 from .polytope import (
@@ -220,12 +214,12 @@ def _projected_normal(
     full = (0,) + tuple(gamma)
     k1, k2 = e
     if full[k1] != full[k2]:
-        raise CorrespondenceViolation(f"gamma differs on contracted nodes {e}")
+        raise TheoremViolation(f"gamma differs on contracted nodes {e}")
     out = [0] * (new_dim + 1)
     for node, image in mapping.items():
         out[image] = full[node]
     if out[0] != 0:
-        raise CorrespondenceViolation("projected normal nonzero on the reference node")
+        raise TheoremViolation("projected normal nonzero on the reference node")
     return tuple(out[1:])
 
 
@@ -233,7 +227,7 @@ def facet_correspondence(g: Graph, e: Edge, pairs) -> None:
     """Check each (cell, facet) pair of ``cells_with_facets``: the cell's
     points project onto the facet's support, its gamma onto the facet's
     normal, and no two cells onto one support.  Raises
-    CorrespondenceViolation.
+    TheoremViolation.
 
     The facets are the ones the cells were built from, so this checks the
     construction against its source.  The independent evidence that the
@@ -245,17 +239,13 @@ def facet_correspondence(g: Graph, e: Edge, pairs) -> None:
     for cell, facet in pairs:
         support = _project_labels(cell.points, mapping)
         if support != facet.support:
-            raise CorrespondenceViolation(
-                f"projected support {support} != facet support {facet.support}"
-            )
+            raise TheoremViolation(f"projected support {support} != facet support {facet.support}")
         if facet.normal:
             normal = _projected_normal(cell.gamma, e, mapping, contracted.node_count - 1)
             if normal != facet.normal:
-                raise CorrespondenceViolation(
-                    f"projected normal {normal} != facet normal {facet.normal}"
-                )
+                raise TheoremViolation(f"projected normal {normal} != facet normal {facet.normal}")
         if support in seen:
-            raise CorrespondenceViolation("two cells project to the same facet")
+            raise TheoremViolation("two cells project to the same facet")
         seen.add(support)
 
 
@@ -263,7 +253,7 @@ def product_correspondence(g: Graph, e: Edge, cells: list[Cell]) -> tuple[list, 
     """When G splits at e into two sides sharing only e (``split_at``),
     check that the cells biject with pairs of facets of the two contracted
     sides and return the two facet lists; None when G does not split at e.
-    Raises CorrespondenceViolation."""
+    Raises TheoremViolation."""
     e = edge(*e)
     split = split_at(g, e)
     if split is None:
@@ -286,17 +276,15 @@ def product_correspondence(g: Graph, e: Edge, cells: list[Cell]) -> tuple[list, 
                 sorted({(total[i], total[j]) for i, j in cell.points if edge(i, j) in side_edges})
             )
             if support not in supports:
-                raise CorrespondenceViolation(
-                    f"side projection {support} is not a facet of that side"
-                )
+                raise TheoremViolation(f"side projection {support} is not a facet of that side")
             pair.append(support)
         key = tuple(pair)
         if key in used:
-            raise CorrespondenceViolation("two cells project to the same facet pair")
+            raise TheoremViolation("two cells project to the same facet pair")
         used.add(key)
     f1, f2 = sides[0][2], sides[1][2]
     if len(cells) != len(f1) * len(f2):
-        raise CorrespondenceViolation(f"{len(cells)} cells but {len(f1) * len(f2)} facet pairs")
+        raise TheoremViolation(f"{len(cells)} cells but {len(f1) * len(f2)} facet pairs")
     return f1, f2
 
 

@@ -5,17 +5,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cellanalysis import (
-    CellInvariantReport,
-    analyze_cell,
-    classify_special_graphs,
-    max_corank,
-)
-from .errors import ApxError, MorphismViolation, TheoremViolation
+from .cellanalysis import CellInvariantReport, analyze_cell, classify_special_graphs
+from .errors import ApxError, TheoremViolation
 from .graphcore import Graph, balanced_circuit_rank, edge
 from .polytope import build_configuration, normalized_volume
 from .subdivision import (
-    Cell,
     cells_with_facets,
     check_simpliciality_transfer,
     facet_correspondence,
@@ -102,23 +96,21 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     except ApxError as exc:
         report.add("product_correspondence", False, str(exc))
 
-    def analyze(cell: Cell) -> CellInvariantReport | str:
-        # An ApxError inside the analysis, above all a TheoremViolation,
-        # is failing evidence for the cell, not a crash.
+    # An ApxError inside a cell's analysis, above all a TheoremViolation,
+    # is failing evidence for the cell, not a crash.
+    reports, failures = report.cell_reports, []
+    for i, cell in enumerate(cells):
         try:
-            return analyze_cell(g, e, cell)
+            r = analyze_cell(g, e, cell)
         except ApxError as exc:
-            return f"{type(exc).__name__}: {exc}"
-
-    results = [analyze(c) for c in cells]
-    report.cell_reports = [r for r in results if isinstance(r, CellInvariantReport)]
-    failures = [
-        f"cell {i}: {r}"
-        if isinstance(r, str)
-        else f"cell {i}: " + ", ".join(name for name, ok in sorted(r.checks.items()) if not ok)
-        for i, r in enumerate(results)
-        if isinstance(r, str) or not r.passed()
-    ]
+            failures.append(f"cell {i}: {type(exc).__name__}: {exc}")
+            continue
+        reports.append(r)
+        if not r.passed():
+            failures.append(
+                f"cell {i}: " + ", ".join(name for name, ok in sorted(r.checks.items()) if not ok)
+            )
+    missing = len(cells) - len(reports)
     report.add(
         "cell_invariants",
         not failures,
@@ -132,20 +124,17 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     except TheoremViolation as exc:
         report.add("volume_additivity", False, str(exc))
 
-    # Each analyzed cell hands on its circuit verdict and corank; a cell
-    # whose analysis failed hands on None, failing evidence for both.
-    circuits = [r.circuit if isinstance(r, CellInvariantReport) else None for r in results]
-    coranks = [r.corank if isinstance(r, CellInvariantReport) else None for r in results]
-    special = classify_special_graphs(g, cells, circuits)
+    # A cell whose analysis failed is failing evidence for the odd-cycle
+    # class and the maximum corank.
+    special = classify_special_graphs(g, cells, not missing and all(r.circuit for r in reports))
     report.add("special_graph_classes", special.passed(), special.graph_class)
 
     if level == "full":
         from .matroid import certify_morphism
 
         rank = balanced_circuit_rank(g, e)
-        value, _ = max_corank(cells, coranks)
+        value = max((r.corank for r in reports), default=-1)
         detail = f"max corank {value}, balanced circuit rank {rank}"
-        missing = coranks.count(None)
         if missing:
             detail += f", {missing} of {len(cells)} cells not analysed"
         report.add(
@@ -155,7 +144,7 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
         for i, cell in enumerate(cells):
             try:
                 certify_morphism(cell, e)
-            except MorphismViolation as exc:
+            except TheoremViolation as exc:
                 detail = f"cell {i}: {exc}"
                 break
         report.add("matroid_morphism", not detail, detail)

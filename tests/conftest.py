@@ -10,7 +10,7 @@ from math import gcd, lcm
 
 from hypothesis import strategies as st
 
-from apx.errors import MorphismViolation, NotFullDimensional, TheoremViolation
+from apx.errors import NotFullDimensional, TheoremViolation
 from apx.exactlin import eliminate
 from apx.graphcore import Graph, edge
 from apx.polytope import _bits, _lattice_points, _reduce_ray, build_configuration
@@ -534,12 +534,12 @@ def reference_check_matroid_axioms(independent, n) -> None:
     messages as ``matroid_tables.check_matroid_axioms``, by a scan of every
     mask and every pair of elements against a rank table."""
     if not independent[0]:
-        raise MorphismViolation("empty set not independent")
+        raise TheoremViolation("empty set not independent")
     for m in range(1 << n):
         if independent[m]:
             for b in range(n):
                 if m >> b & 1 and not independent[m & ~(1 << b)]:
-                    raise MorphismViolation(f"downward closure fails at mask {m:b}")
+                    raise TheoremViolation(f"downward closure fails at mask {m:b}")
     rank = reference_rank_table(independent, n)
     for x in range(1 << n):
         rx = rank[x]
@@ -549,7 +549,7 @@ def reference_check_matroid_axioms(independent, n) -> None:
         for i, a in enumerate(flat):
             for b in flat[i + 1:]:
                 if rank[x | a | b] != rx:
-                    raise MorphismViolation(
+                    raise TheoremViolation(
                         f"exchange fails: rank not submodular at mask {x:b} "
                         f"with elements {a:b}, {b:b}"
                     )

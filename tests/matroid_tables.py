@@ -73,7 +73,7 @@ from math import gcd
 from operator import or_
 from typing import NamedTuple
 
-from apx.errors import MorphismViolation
+from apx.errors import TheoremViolation
 from apx.graphcore import edge
 from apx.matroid import grouped_ground_set
 
@@ -228,14 +228,14 @@ def upward_closure(family: int, elements: list[int]) -> int:
 
 
 def check_matroid_axioms(independent: list[bool], n: int) -> None:
-    """Raise MorphismViolation unless the masks with ``independent[mask]``
+    """Raise TheoremViolation unless the masks with ``independent[mask]``
     are the independent sets of a matroid on n elements: the empty set is
     independent, the family is downward closed, and its rank is locally
     submodular.  Each test runs on the table packed into one integer F,
     bit m set iff mask m is independent, and names its lowest failing
     mask."""
     if not independent[0]:
-        raise MorphismViolation("empty set not independent")
+        raise TheoremViolation("empty set not independent")
     family = int(bytes(reversed(independent)).translate(DIGITS), 2)
     elements = element_families(n)
     # F << 2^b holds m iff F holds m - 2^b, which for m holding b is m
@@ -245,7 +245,7 @@ def check_matroid_axioms(independent: list[bool], n: int) -> None:
         unclosed |= family & holds_b & ~(family << (1 << b))
     if unclosed:
         m = (unclosed & -unclosed).bit_length() - 1
-        raise MorphismViolation(f"downward closure fails at mask {m:b}")
+        raise TheoremViolation(f"downward closure fails at mask {m:b}")
     # rank(X) >= r iff X holds an independent r-set, so the masks of rank
     # at least r are the upward closure of the independent r-sets.
     at_least = []
@@ -272,7 +272,7 @@ def check_matroid_axioms(independent: list[bool], n: int) -> None:
                     first = (x, a, b)
     if first is not None:
         x, a, b = first
-        raise MorphismViolation(
+        raise TheoremViolation(
             f"exchange fails: rank not submodular at mask {x:b} "
             f"with elements {1 << a:b}, {1 << b:b}"
         )
@@ -293,7 +293,7 @@ def exhaustive_morphism(cell, e) -> MorphismReport:
     # the morphism f is the identity on bitmasks.
     edges = tuple(edge(*elem[0]) for elem in ground)
     if len(set(edges)) != len(edges):
-        raise MorphismViolation("grouped elements do not map to distinct edges")
+        raise TheoremViolation("grouped elements do not map to distinct edges")
     n = len(ground)
     graphic = graphic_table(edges)
     # Rank, bases and circuits are functions of the independence table,
@@ -301,6 +301,6 @@ def exhaustive_morphism(cell, e) -> MorphismReport:
     if independent != graphic:
         mask = next(m for m in range(1 << n) if independent[m] != graphic[m])
         witness = sorted(ground[b] for b in range(n) if mask >> b & 1)
-        raise MorphismViolation(f"dependence mismatch at {witness}")
+        raise TheoremViolation(f"dependence mismatch at {witness}")
     check_matroid_axioms(independent, n)
     return MorphismReport(n, 1 << n)

@@ -21,7 +21,6 @@ from apx.cellanalysis import (
     closed_form_volume,
     corank1_signature,
     is_circuit,
-    max_corank,
     verify_cell_properties,
 )
 from apx.graphcore import balanced_circuit_rank, contract_edge
@@ -132,8 +131,7 @@ def test_criterion_3_running_example():
     assert len(cells) == 6 * len(f2)
 
     # (b) maximum corank equals the balanced circuit rank, both 2.
-    value, witness = max_corank(cells, [corank(cell_record(c.points, c.dim), e) for c in cells])
-    assert value == 2
+    assert max(corank(cell_record(c.points, c.dim), e) for c in cells) == 2
     assert balanced_circuit_rank(g, e) == 2
 
     # (c) the nine-point corank-2 cell: closed form == oracle.
@@ -185,8 +183,8 @@ def test_criterion_5_invariants_on_corpus(corpus):
     announce("criterion-5 (full invariant suite on the corpus, zero failures)", started)
 
 
-def circuits(cells, e):
-    return [is_circuit(cell_record(c.points, c.dim), e) for c in cells]
+def all_circuits(cells, e):
+    return all(is_circuit(cell_record(c.points, c.dim), e) for c in cells)
 
 
 def test_criterion_6_special_graphs():
@@ -196,17 +194,17 @@ def test_criterion_6_special_graphs():
         tree = random_tree(rng, max_nodes=8)
         e = rng.choice(tree.sorted_edges())
         cells = cells_of(tree, e)
-        report = classify_special_graphs(tree, cells, circuits(cells, e))
+        report = classify_special_graphs(tree, cells, all_circuits(cells, e))
         assert report.graph_class == "tree" and report.all_simplicial
 
     c6 = cycle_graph(6)
     cells = cells_of(c6, (0, 5))
-    report = classify_special_graphs(c6, cells, circuits(cells, (0, 5)))
+    report = classify_special_graphs(c6, cells, all_circuits(cells, (0, 5)))
     assert report.graph_class == "even_cycle" and report.all_simplicial
 
     c7 = cycle_graph(7)
     cells = cells_of(c7, (0, 6))
-    report = classify_special_graphs(c7, cells, circuits(cells, (0, 6)))
+    report = classify_special_graphs(c7, cells, all_circuits(cells, (0, 6)))
     assert report.graph_class == "odd_cycle" and report.all_circuits
     assert time.monotonic() - started < 60.0
     announce("criterion-6 (trees simplicial, C6 triangulation, C7 circuits)", started)

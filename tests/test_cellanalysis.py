@@ -33,17 +33,10 @@ from apx.cellanalysis import (
     corank2_gamma_delta,
     is_affinely_independent,
     is_circuit,
-    max_corank,
     separates_contracted_pair,
     verify_cell_properties,
 )
-from apx.errors import (
-    NoValidCyclePair,
-    NotCorankOne,
-    PreconditionViolated,
-    TheoremViolation,
-    UnsupportedCorank,
-)
+from apx.errors import NotCorankOne, PreconditionViolated, TheoremViolation
 from apx.exactlin import eliminate
 from apx.graphcore import Graph, balanced_circuit_rank, edge, forest
 from apx.matroid import grouped_ground_set
@@ -241,9 +234,12 @@ def test_radon_split_on_corank1_circuits():
 
 
 def _max_corank(g, e):
-    """``max_corank`` over the subdivision's cells, each analysed here."""
+    """The maximum corank over the subdivision's cells, with the first
+    cell that has it."""
     cells = cells_of(g, e)
-    return max_corank(cells, [corank(cell_record(c.points, c.dim), e) for c in cells])
+    coranks = [corank(cell_record(c.points, c.dim), e) for c in cells]
+    value = max(coranks)
+    return value, cells[coranks.index(value)]
 
 
 def test_max_corank_examples():
@@ -253,13 +249,6 @@ def test_max_corank_examples():
     assert value == 1
     value, witness = _max_corank(running_example(), (0, 3))
     assert value == 2 and len(witness.points) == 9
-    # A cell whose analysis failed hands on None and is left out.
-    cells = cells_of(running_example(), (0, 3))
-    coranks = [
-        None if len(c.points) == 9 else corank(cell_record(c.points, 6), (0, 3)) for c in cells
-    ]
-    value, witness = max_corank(cells, coranks)
-    assert value == 1 and len(witness.points) != 9
 
 
 def test_max_corank_equals_balanced_circuit_rank():
@@ -415,7 +404,7 @@ def test_corank2_cycle_pair_matches_the_cycle_enumeration():
         )
         try:
             pair = corank2_cycle_pair(forest(edges).cycles, e)
-        except NoValidCyclePair:
+        except TheoremViolation:
             pair = None
         assert pair == expected, (edges, e)
         found += pair is not None
@@ -484,14 +473,13 @@ def test_closed_form_refuses_an_oracle_off_by_one():
                 closed_form_volume(cell, e, cell.record())
 
 
-def test_unsupported_corank_raises():
+def test_no_closed_form_above_corank_two():
     # Gluing three triangles along the contracted edge gives balanced
     # circuit rank 3, so some cell has corank 3.
     g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     value, witness = _max_corank(g, (0, 1))
     assert value == 3
-    with pytest.raises(UnsupportedCorank):
-        closed_form_volume(witness, (0, 1), witness.record())
+    assert closed_form_volume(witness, (0, 1), witness.record()) is None
 
 
 def test_interior_lift_census_corank2_cell():
@@ -526,10 +514,10 @@ def test_corank1_cells_volume_property():
 
 
 def _classify(g, e):
-    """``classify_special_graphs`` with every cell's circuit verdict."""
+    """``classify_special_graphs`` with the cells' circuit verdicts."""
     cells = cells_of(g, e)
-    circuits = [is_circuit(cell_record(c.points, c.dim), e) for c in cells]
-    return classify_special_graphs(g, cells, circuits)
+    all_circuits = all(is_circuit(cell_record(c.points, c.dim), e) for c in cells)
+    return classify_special_graphs(g, cells, all_circuits)
 
 
 def test_classify_special_graphs():
@@ -542,13 +530,22 @@ def test_classify_special_graphs():
     c5 = cycle_graph(5)
     report = _classify(c5, (0, 4))
     assert report.graph_class == "odd_cycle" and report.all_circuits
-    # A cell whose analysis failed counts as no circuit.
     cells = cells_of(c5, (0, 4))
-    report = classify_special_graphs(c5, cells, [True] * (len(cells) - 1) + [None])
+    report = classify_special_graphs(c5, cells, False)
     assert report.all_circuits is False and not report.passed()
 
-    report = classify_special_graphs(running_example(), [], [])
+    report = classify_special_graphs(running_example(), [], True)
     assert report.graph_class == "general" and report.passed()
+
+
+def test_tree_and_even_cycle_classes_refuse_a_non_simplicial_cell():
+    # Trees and even cycles give a triangulation: a cell list holding one
+    # cell that is not a simplex, a corank-1 cell of C5, fails either class.
+    circuit = cells_of(cycle_graph(5), (0, 4))[0]
+    assert not circuit.is_simplicial()
+    for g, e in [(star_graph(4), (0, 1)), (cycle_graph(4), (0, 3))]:
+        report = classify_special_graphs(g, cells_of(g, e) + [circuit], True)
+        assert report.all_simplicial is False and not report.passed()
 
 
 def test_radon_split_applies_the_pairing_precondition():

@@ -416,6 +416,24 @@ def test_bad_edge_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: edge '0,0' is a loop at node 0\n"
 
 
+@pytest.mark.parametrize(
+    "text", ["0,1_1", "0,+1", "0,١"], ids=["underscore", "plus-sign", "arabic-indic-digit"]
+)
+def test_edge_label_that_is_not_a_plain_decimal_is_input_error(tmp_path, capsys, text):
+    # int() reads the first as the edge {0, 11} of C12 and the other two
+    # as {0, 1}; --edge reads its labels as a graph file does.
+    path = write_graph(tmp_path, "c12.txt", [(i, (i + 1) % 12) for i in range(12)])
+    assert main(["verify", path, "--edge", text, "--level", "fast"]) == 2
+    assert capsys.readouterr().err == f"error: --edge expects 'K1,K2', got {text!r}\n"
+
+
+def test_subdivide_and_verify_name_a_descending_edge_alike(tmp_path, capsys):
+    path = write_graph(tmp_path, "c4.txt", C4)
+    for args in (["subdivide"], ["verify", "--level", "fast"]):
+        assert main([args[0], path, "--edge", "3,0", *args[1:]]) == 0
+        assert json.loads(capsys.readouterr().out)["edge"] == [0, 3]
+
+
 def test_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"\xff\xfe0 1\n")
@@ -531,6 +549,20 @@ def test_cli_import_defers_the_analysis_layers():
         assert getattr(apx, name).__name__ == name
     with pytest.raises(AttributeError):
         apx.no_such_name
+
+
+def test_readme_library_block_runs():
+    # The README's Library block, run as written in a fresh interpreter.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    script = block + "print(len(pairs), len(cells), len(f1), len(f2))\n"
+    src = str(Path(apx.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout == "6 12 2 6\n"
 
 
 @pytest.mark.parametrize(

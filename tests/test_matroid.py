@@ -29,7 +29,7 @@ from matroid_tables import (
     point_table,
 )
 
-from apx.errors import MorphismViolation
+from apx.errors import TheoremViolation
 from apx.graphcore import Graph, cyclomatic_number, edge, forest
 from apx.matroid import certify_morphism, grouped_ground_set
 from apx.polytope import phi
@@ -60,7 +60,7 @@ def mask_of(ground, subset):
 def verdict(independent, n):
     try:
         check_matroid_axioms(independent, n)
-    except MorphismViolation:
+    except TheoremViolation:
         return False
     return True
 
@@ -69,7 +69,7 @@ def outcome(check, independent, n):
     """None when ``check`` passes the family, else its message."""
     try:
         check(independent, n)
-    except MorphismViolation as exc:
+    except TheoremViolation as exc:
         return str(exc)
     return None
 
@@ -152,7 +152,7 @@ def test_morphism_names_a_flipped_point_mask(monkeypatch):
         flipped[mask] = not flipped[mask]
         monkeypatch.setattr(matroid_tables, "point_table", lambda c, e: (ground, flipped))
         subset = sorted(ground[b] for b in range(len(ground)) if mask >> b & 1)
-        with pytest.raises(MorphismViolation) as exc:
+        with pytest.raises(TheoremViolation) as exc:
             exhaustive_morphism(cell, (0, 4))
         assert str(exc.value) == f"dependence mismatch at {subset}"
 
@@ -161,7 +161,7 @@ def test_axiom_check_rejects_downward_closed_non_matroid():
     # Downward closed, but no element of {1, 2} extends {0}.
     family = {0b000, 0b001, 0b010, 0b100, 0b110}
     independent = [m in family for m in range(8)]
-    with pytest.raises(MorphismViolation, match="exchange"):
+    with pytest.raises(TheoremViolation, match="exchange"):
         check_matroid_axioms(independent, 3)
 
 
@@ -232,7 +232,7 @@ def test_axiom_check_on_a_17_element_graphic_family():
     independent[1 << b] = False
     lowest = next(m for m in range(1 << 17) if m >> b & 1 and independent[m])
     assert lowest == 1 << b | 1
-    with pytest.raises(MorphismViolation) as exc:
+    with pytest.raises(TheoremViolation) as exc:
         check_matroid_axioms(independent, 17)
     assert str(exc.value) == f"downward closure fails at mask {lowest:b}"
 
@@ -362,20 +362,20 @@ def test_certificate_refuses_a_point_off_level_minus_one():
     # e_3 - e_4 and e_4 - e_2 are affinely independent although their
     # edges close a cycle, so the two tables differ.
     cell = Cell(((0, 1), (1, 0), (2, 3), (3, 4), (4, 2)), (0, 0, 1, 2), 0, 4)
-    with pytest.raises(MorphismViolation) as exc:
+    with pytest.raises(TheoremViolation) as exc:
         certify_morphism(cell, (0, 1))
     assert str(exc.value) == "point (4, 2) off level -1: gamma_4 - gamma_2 = 2"
     ground, independent = point_table(cell, (0, 1))
     triangle = mask_of(ground, {((2, 3),), ((3, 4),), ((4, 2),)})
     assert independent[triangle]
     assert not graphic_table(tuple(edge(*elem[0]) for elem in ground))[triangle]
-    with pytest.raises(MorphismViolation, match="dependence mismatch"):
+    with pytest.raises(TheoremViolation, match="dependence mismatch"):
         exhaustive_morphism(cell, (0, 1))
 
 
 def test_certificate_refuses_a_cell_without_the_pair():
     cell = Cell(((0, 1), (1, 2)), (0, 1), 0, 2)
-    with pytest.raises(MorphismViolation) as exc:
+    with pytest.raises(TheoremViolation) as exc:
         certify_morphism(cell, (0, 1))
     assert str(exc.value) == "contracted pair (0, 1), (1, 0) not both in the cell"
 
@@ -384,8 +384,8 @@ def test_certificate_refuses_a_repeated_point():
     # On level -1 no edge has both arcs as points, so only a repeated
     # point maps two grouped elements to one edge.
     cell = Cell(((0, 1), (1, 0), (1, 2), (1, 2)), (0, 1), 0, 2)
-    with pytest.raises(MorphismViolation) as exc:
+    with pytest.raises(TheoremViolation) as exc:
         certify_morphism(cell, (0, 1))
     assert str(exc.value) == "points (1, 2) and (1, 2) map to edge (1, 2)"
-    with pytest.raises(MorphismViolation, match="do not map to distinct edges"):
+    with pytest.raises(TheoremViolation, match="do not map to distinct edges"):
         exhaustive_morphism(cell, (0, 1))

@@ -18,7 +18,7 @@ from conftest import (
 )
 
 from apx.cellanalysis import Signature, closed_form_volume
-from apx.errors import CorrespondenceViolation, EdgeNotInGraph
+from apx.errors import EdgeNotInGraph, TheoremViolation
 from apx.graphcore import Graph, contract_edge
 from apx.polytope import build_configuration, enumerate_facets, normalized_volume
 from apx.polytope import normalized_volume_of_points
@@ -217,7 +217,7 @@ def test_facet_correspondence_refuses(change, message):
     # C5 with edge (0, 4): each change breaks one of the three statements.
     g = cycle_graph(5)
     pairs = change(cells_with_facets(g, (0, 4)))
-    with pytest.raises(CorrespondenceViolation, match=message):
+    with pytest.raises(TheoremViolation, match=message):
         facet_correspondence(g, (0, 4), pairs)
 
 
@@ -253,7 +253,7 @@ def test_product_correspondence_refuses(change, message):
     # three statements of the product bijection.
     g = running_example()
     cells = change(cells_of(g, (0, 3)))
-    with pytest.raises(CorrespondenceViolation, match=message):
+    with pytest.raises(TheoremViolation, match=message):
         product_correspondence(g, (0, 3), cells)
 
 
@@ -290,6 +290,15 @@ def test_simpliciality_transfer_c5_vacuous():
     pairs = cells_with_facets(cycle_graph(5), (0, 4))
     assert not any(cell.is_simplicial() for cell, _ in pairs)
     assert check_simpliciality_transfer(pairs)
+
+
+def test_simpliciality_transfer_refuses_a_non_simplicial_facet():
+    # C4's simplicial cell paired with a facet of C5 // {0, 4}, a square
+    # with four points in dimension 3, breaks the transfer.
+    (cell, _), *rest = cells_with_facets(cycle_graph(4), (0, 3))
+    _, facet = cells_with_facets(cycle_graph(5), (0, 4))[0]
+    assert cell.is_simplicial() and len(facet.support) == 4 == len(facet.normal) + 1
+    assert not check_simpliciality_transfer([(cell, facet), *rest])
 
 
 def test_cell_count_equals_contracted_facet_count():
