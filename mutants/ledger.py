@@ -308,8 +308,8 @@ MUTANTS = (
     Mutant(
         "subdivision: facet correspondence without the projected-normal comparison",
         SUBDIVISION,
-        "            if normal != facet.normal:\n",
-        "            if False:\n",
+        "        if normal != facet.normal:\n",
+        "        if False:\n",
         (f"{REFUSES}[normal]",),
     ),
     Mutant(
@@ -382,6 +382,20 @@ MUTANTS = (
         " for i, j in arcs - {p, q}]\n",
         "    merged = list(arcs - {p, q})\n",
         ("tests/test_cellanalysis.py::test_only_directed_cycle_flag_matches_the_cycle_enumeration",),
+    ),
+    Mutant(
+        "cellanalysis: every subset passes as closed under the swap",
+        CELLANALYSIS,
+        "            closed = False\n",
+        "            closed = True\n",
+        ("tests/test_cellanalysis.py::test_closed_under_swap_refuses_an_arc_whose_swap_is_missing",),
+    ),
+    Mutant(
+        "cellanalysis: every subset passes as spanning all nodes",
+        CELLANALYSIS,
+        "    spans = rec.vertices == set(range(g.node_count))\n",
+        "    spans = True\n",
+        ("tests/test_cellanalysis.py::test_spans_all_nodes_refuses_an_uncovered_node",),
     ),
     Mutant(
         "cellanalysis: drop the circuit-versus-plain-cycle check",
@@ -458,6 +472,16 @@ MUTANTS = (
         "value == rank and not missing",
         "value == rank",
         ("tests/test_verify.py::test_failed_cell_analyses_are_failing_evidence",),
+    ),
+    Mutant(
+        "verify: max corank passes whatever the balanced circuit rank",
+        VERIFY,
+        "value == rank and not missing",
+        "not missing",
+        (
+            "tests/test_verify.py::"
+            "test_max_corank_check_refuses_a_balanced_circuit_rank_off_by_one",
+        ),
     ),
     Mutant(
         "verify: cells left unanalysed pass the odd-cycle verdict",

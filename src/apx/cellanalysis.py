@@ -24,23 +24,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import NotCorankOne, TheoremViolation
+from .errors import ApxError, TheoremViolation
 from .graphcore import Graph, edge, forest
 from .polytope import DirectedEdge
 from .subdivision import Cell, CellRecord, check_pairing, contracted_pair, corank
 
 Edge = tuple[int, int]
-
-
-def is_affinely_independent(rec: CellRecord, e: Edge) -> bool:
-    """Affine independence of a cell subset; agrees with G_X being a
-    forest (checked here, a failure means the theorem broke)."""
-    check_pairing(rec.labels, e)
-    affine = not rec.kernel
-    acyclic = rec.cyclomatic == 0
-    if affine != acyclic:
-        raise TheoremViolation(f"affine independence {affine} != forest test {acyclic}")
-    return affine
 
 
 def is_circuit(rec: CellRecord, e: Edge) -> bool:
@@ -70,7 +59,7 @@ def corank1_signature(rec: CellRecord, e: Edge) -> Signature:
     (ceil(m/2), ceil(m/2), |X| - 2 ceil(m/2)) with m the circumference."""
     value = corank(rec, e)
     if value != 1:
-        raise NotCorankOne(f"corank {value} != 1")
+        raise ApxError(f"corank {value} != 1")
     # The corank check has matched one dependence with one cycle.
     (lam,) = rec.kernel
     (cycle,) = rec.forest.cycles
@@ -239,27 +228,20 @@ def _arc_signs_along(cycle_edges, arcs) -> dict[Edge, int]:
     return signs
 
 
-def corank2_gamma_delta(arcs, o1, o2, reference: Edge | None = None) -> tuple[int, int]:
+def corank2_gamma_delta(arcs, o1, o2) -> tuple[int, int]:
     """Orientation census of the shared edges of the two basis cycles.
 
-    gamma counts shared edges in the same orientation class as the
-    reference edge (a point of the even cycle outside the other one)
-    along the even cycle; delta the rest.  Swapping the reference swaps
-    gamma and delta, so the product used by the volume formula is
-    reference independent.
+    gamma counts the shared edges oriented along the even cycle like its
+    least edge outside the other cycle; delta the rest.  Another edge
+    outside would swap gamma and delta or leave them, so the product used
+    by the volume formula does not depend on the choice.
     """
     o1, o2 = frozenset(o1), frozenset(o2)
     shared = o1 & o2
     if not shared:
         return 0, 0
     signs = _arc_signs_along(o2, arcs)
-    outside = sorted(o2 - o1)
-    if reference is None:
-        reference = outside[0]
-    reference = edge(*reference)
-    if reference not in o2 - o1:
-        raise ValueError("reference must be an edge of the even cycle only")
-    ref_sign = signs[reference]
+    ref_sign = signs[min(o2 - o1)]
     gamma = sum(1 for f in sorted(shared) if signs[f] == ref_sign)
     return gamma, len(shared) - gamma
 
@@ -327,10 +309,12 @@ def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
     dependent = bool(rec.kernel)
     oracle = cell.nvol
     closed = closed_form_volume(cell, e, rec)
-    # corank and is_circuit raise TheoremViolation on a disagreement, and
-    # the kernel is empty exactly when the corank is 0, so the three checks
-    # below cannot read False here.  They stay because their keys are in
-    # the report.
+    # corank, is_circuit, closed_form_volume and corank1_signature raise
+    # TheoremViolation on a disagreement, and the kernel is empty exactly
+    # when the corank is 0, so corank_equals_cyclomatic,
+    # circuit_iff_plain_cycle, dependent_iff_cyclic, volume_closed_form and
+    # signature_closed_form cannot read False here.  They stay because
+    # their keys are in the report.
     checks = {
         "properties": properties.all_pass(),
         "corank_equals_cyclomatic": k == cyclomatic,

@@ -23,7 +23,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .errors import ApxError, ParseError, TheoremViolation
+from .errors import ApxError, TheoremViolation
 from .graphcore import Graph, directed_subgraph_to_dot, edge, graph_to_dot, parse_labels
 from .polytope import build_configuration, enumerate_facets, normalized_volume
 
@@ -36,9 +36,9 @@ def load_graph(path: str) -> Graph:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ApxError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from exc
+        raise ApxError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from exc
     stripped = text.lstrip()
     if path.endswith(".json") or stripped.startswith("{"):
         return Graph.from_json(text)
@@ -49,14 +49,14 @@ def parse_edge(text: str, g: Graph) -> tuple[int, int]:
     try:
         k1, k2 = parse_labels(text.split(","))
     except ValueError as exc:
-        raise ParseError(f"--edge expects 'K1,K2', got {text!r}") from exc
+        raise ApxError(f"--edge expects 'K1,K2', got {text!r}") from exc
     if k1 == k2:
-        raise ParseError(f"edge {text!r} is a loop at node {k1}")
+        raise ApxError(f"edge {text!r} is a loop at node {k1}")
     if not (0 <= k1 < g.node_count and 0 <= k2 < g.node_count):
-        raise ParseError(f"edge labels {text!r} out of range for {g.node_count} nodes")
+        raise ApxError(f"edge labels {text!r} out of range for {g.node_count} nodes")
     e = edge(k1, k2)
     if e not in g.edges:
-        raise ParseError(f"{{{k1},{k2}}} is not an edge of the graph")
+        raise ApxError(f"{{{k1},{k2}}} is not an edge of the graph")
     return e
 
 

@@ -1,32 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per exit code, and
+``NotFullDimensional``, which ``subdivision.prove_cover`` catches by
+name."""
 
 
 class ApxError(Exception):
-    """Base class for all package errors."""
-
-
-class ParseError(ApxError):
-    """Graph input file could not be parsed."""
-
-
-class EdgeNotInGraph(ApxError):
-    """Requested edge is not an edge of the graph."""
-
-
-class DisconnectedGraph(ApxError):
-    """Operation requires a connected graph."""
+    """Base class for all package errors; on its own, bad input or output
+    that cannot be written (exit 2)."""
 
 
 class NotFullDimensional(ApxError):
     """Point set does not affinely span its ambient space."""
-
-
-class PreconditionViolated(ApxError):
-    """Subset contains exactly one of the two contracted-edge points."""
-
-
-class NotCorankOne(ApxError):
-    """Signature is only defined for corank-1 subsets."""
 
 
 class TheoremViolation(ApxError):

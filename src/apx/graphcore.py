@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import EdgeNotInGraph, ParseError
+from .errors import ApxError
 
 Edge = tuple[int, int]
 EdgeSet = frozenset[Edge]
@@ -47,14 +47,9 @@ class Graph(NamedTuple):
     edges: EdgeSet
 
     @classmethod
-    def from_edges(cls, pairs, node_count: int | None = None) -> "Graph":
+    def from_edges(cls, pairs) -> "Graph":
         es = frozenset(edge(u, v) for u, v in pairs)
-        n = max((v for e in es for v in e), default=-1) + 1
-        if node_count is not None:
-            if node_count < n:
-                raise ValueError("node_count below largest edge label")
-            n = node_count
-        return cls(n, es)
+        return cls(max((v for e in es for v in e), default=-1) + 1, es)
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
@@ -66,18 +61,18 @@ class Graph(NamedTuple):
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
+                raise ApxError(f"line {lineno}: expected 'u v', got {line!r}")
             try:
                 u, v = parse_labels(parts)
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+                raise ApxError(f"line {lineno}: {exc}") from exc
             if u < 0 or v < 0:
-                raise ParseError(f"line {lineno}: negative node label")
+                raise ApxError(f"line {lineno}: negative node label")
             if u == v:
-                raise ParseError(f"line {lineno}: loop at node {u}")
+                raise ApxError(f"line {lineno}: loop at node {u}")
             pairs.append((u, v))
         if not pairs:
-            raise ParseError("no edges in input")
+            raise ApxError("no edges in input")
         return cls.from_edges(pairs)
 
     @classmethod
@@ -88,21 +83,21 @@ class Graph(NamedTuple):
         try:
             data = json.loads(text)
         except (RecursionError, ValueError) as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
+            raise ApxError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or "edges" not in data:
-            raise ParseError('expected an object with an "edges" key')
+            raise ApxError('expected an object with an "edges" key')
         try:
             pairs = [(u, v) for u, v in data["edges"]]
         except (TypeError, ValueError) as exc:
-            raise ParseError("edges must be pairs of integers") from exc
+            raise ApxError("edges must be pairs of integers") from exc
         # Exact type test: bool is a subclass of int, and int() would also
         # truncate floats and parse strings.
         if any(type(x) is not int for pair in pairs for x in pair):
-            raise ParseError("edges must be pairs of integers")
+            raise ApxError("edges must be pairs of integers")
         if not pairs:
-            raise ParseError("no edges in input")
+            raise ApxError("no edges in input")
         if any(u == v or u < 0 or v < 0 for u, v in pairs):
-            raise ParseError("edges must join two distinct nonnegative labels")
+            raise ApxError("edges must join two distinct nonnegative labels")
         return cls.from_edges(pairs)
 
     def sorted_edges(self) -> list[Edge]:
@@ -235,7 +230,7 @@ def contract_edge(g: Graph, e: Edge) -> tuple[Graph, dict[int, int]]:
     """
     e = edge(*e)
     if e not in g.edges:
-        raise EdgeNotInGraph(f"{e} not in graph")
+        raise ApxError(f"{e} not in graph")
     lo, hi = e
     mapping = {}
     for v in range(g.node_count):
@@ -270,7 +265,7 @@ def balanced_circuit_rank(g: Graph, e: Edge) -> int:
     """
     e = edge(*e)
     if e not in g.edges:
-        raise EdgeNotInGraph(f"{e} not in graph")
+        raise ApxError(f"{e} not in graph")
     n = g.node_count
     edges = g.sorted_edges()
     best = 0
@@ -283,10 +278,10 @@ def balanced_circuit_rank(g: Graph, e: Edge) -> int:
     return best
 
 
-def graph_to_dot(g: Graph, contraction_edge: Edge | None = None, name: str = "G") -> str:
+def graph_to_dot(g: Graph, contraction_edge: Edge) -> str:
     """DOT rendering; the contraction edge is doubled and highlighted."""
-    ce = edge(*contraction_edge) if contraction_edge is not None else None
-    lines = [f"graph {name} {{"]
+    ce = edge(*contraction_edge)
+    lines = ["graph G {"]
     for v in range(g.node_count):
         lines.append(f"  {v};")
     for u, v in g.sorted_edges():
@@ -298,18 +293,18 @@ def graph_to_dot(g: Graph, contraction_edge: Edge | None = None, name: str = "G"
     return "\n".join(lines) + "\n"
 
 
-def directed_subgraph_to_dot(arcs, contraction_edge: Edge | None = None, name: str = "cell") -> str:
+def directed_subgraph_to_dot(arcs, contraction_edge: Edge, name: str) -> str:
     """DOT rendering of a directed cell subgraph.
 
     The contracted edge appears as its two arcs, highlighted to match the
     doubled-edge styling of the undirected exports.
     """
-    ce = edge(*contraction_edge) if contraction_edge is not None else None
+    ce = edge(*contraction_edge)
     lines = [f"digraph {name} {{"]
     for v in sorted({x for a in arcs for x in a}):
         lines.append(f"  {v};")
     for i, j in sorted(arcs):
-        if ce is not None and edge(i, j) == ce:
+        if edge(i, j) == ce:
             lines.append(f"  {i} -> {j} [color=red, penwidth=2];")
         else:
             lines.append(f"  {i} -> {j};")

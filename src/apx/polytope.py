@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .errors import DisconnectedGraph, NotFullDimensional, TheoremViolation
+from .errors import ApxError, NotFullDimensional, TheoremViolation
 from .exactlin import Elimination, IntVector, eliminate
 from .graphcore import Graph
 
@@ -55,7 +55,7 @@ def build_configuration(g: Graph) -> PointConfiguration:
     facet is the empty set by convention).
     """
     if not g.is_connected():
-        raise DisconnectedGraph("adjacency polytopes need a connected graph")
+        raise ApxError("adjacency polytopes need a connected graph")
     n = g.node_count - 1
     labels = sorted({(i, j) for i, j in g.edges} | {(j, i) for i, j in g.edges})
     return PointConfiguration(n, tuple(labels), tuple(phi(lab, n) for lab in labels))
@@ -213,7 +213,7 @@ def enumerate_facets(g: Graph) -> list[FacetCertificate]:
     Normals are scaled so supported points sit at level -1, which is
     possible because the origin is interior.  For the one-node graph the
     single facet is the empty set.  A disconnected graph raises
-    DisconnectedGraph, from ``build_configuration``.
+    ApxError, from ``build_configuration``.
 
     The facets are the integer potentials f with f(0) = 0,
     |f(u) - f(v)| <= 1 on every edge, whose tight edges connect every

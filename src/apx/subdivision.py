@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import EdgeNotInGraph, NotFullDimensional, PreconditionViolated, TheoremViolation
+from .errors import ApxError, NotFullDimensional, TheoremViolation
 from .exactlin import Elimination, IntVector, eliminate
 from .graphcore import Forest, Graph, contract_edge, edge, forest, split_at, vertices_of
 from .polytope import (
@@ -50,9 +50,7 @@ def check_pairing(labels, e: Edge) -> bool:
     p, q = contracted_pair(e)
     has_p, has_q = p in labels, q in labels
     if has_p != has_q:
-        raise PreconditionViolated(
-            f"subset contains exactly one of the contracted points {p}, {q}"
-        )
+        raise ApxError(f"subset contains exactly one of the contracted points {p}, {q}")
     return has_p
 
 
@@ -177,7 +175,7 @@ def cells_with_facets(g: Graph, e: Edge) -> list[tuple[Cell, FacetCertificate]]:
     """
     e = edge(*e)
     if e not in g.edges:
-        raise EdgeNotInGraph(f"{e} not in graph")
+        raise ApxError(f"{e} not in graph")
     labels = build_configuration(g).labels
     contracted, mapping = contract_edge(g, e)
     n = g.node_count - 1
@@ -240,10 +238,9 @@ def facet_correspondence(g: Graph, e: Edge, pairs) -> None:
         support = _project_labels(cell.points, mapping)
         if support != facet.support:
             raise TheoremViolation(f"projected support {support} != facet support {facet.support}")
-        if facet.normal:
-            normal = _projected_normal(cell.gamma, e, mapping, contracted.node_count - 1)
-            if normal != facet.normal:
-                raise TheoremViolation(f"projected normal {normal} != facet normal {facet.normal}")
+        normal = _projected_normal(cell.gamma, e, mapping, contracted.node_count - 1)
+        if normal != facet.normal:
+            raise TheoremViolation(f"projected normal {normal} != facet normal {facet.normal}")
         if support in seen:
             raise TheoremViolation("two cells project to the same facet")
         seen.add(support)
@@ -291,8 +288,6 @@ def product_correspondence(g: Graph, e: Edge, cells: list[Cell]) -> tuple[list, 
 def _facet_is_simplicial(facet: FacetCertificate) -> bool:
     """A facet of an n'-dimensional adjacency polytope is simplicial when
     it has exactly n' supporting points (the empty facet trivially is)."""
-    if not facet.normal:
-        return True
     return len(facet.support) == len(facet.normal)
 
 

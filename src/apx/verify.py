@@ -79,7 +79,7 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
         facet_correspondence(g, e, pairs)
         report.add("facet_correspondence", True, f"{len(cells)} cells <-> {len(pairs)} facets")
         report.add("simpliciality_transfer", check_simpliciality_transfer(pairs))
-    except ApxError as exc:
+    except TheoremViolation as exc:
         report.add("facet_correspondence", False, str(exc))
         report.add("simpliciality_transfer", False, "correspondence unavailable")
 
@@ -93,7 +93,7 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
                 True,
                 f"{len(cells)} cells = {len(f1)} x {len(f2)} facet pairs",
             )
-    except ApxError as exc:
+    except TheoremViolation as exc:
         report.add("product_correspondence", False, str(exc))
 
     # An ApxError inside a cell's analysis, above all a TheoremViolation,

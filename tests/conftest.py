@@ -4,13 +4,15 @@ independent brute-force oracles that cross-check the production algorithms."""
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
+import pytest
 from hypothesis import strategies as st
 
-from apx.errors import NotFullDimensional, TheoremViolation
+from apx.errors import ApxError, NotFullDimensional, TheoremViolation
 from apx.exactlin import eliminate
 from apx.graphcore import Graph, edge
 from apx.polytope import _bits, _lattice_points, _reduce_ray, build_configuration
@@ -482,7 +484,7 @@ def brute_force_balanced_circuit_rank(g: Graph, e) -> int:
     best = 0
     for r in range(len(all_edges) + 1):
         for subset in combinations(all_edges, r):
-            sub = Graph.from_edges(subset, node_count=g.node_count) if subset else None
+            sub = Graph(g.node_count, frozenset(subset)) if subset else None
             if sub is None:
                 continue
             balanced = all(
@@ -866,3 +868,13 @@ def placing_triangulation(vectors) -> list[tuple[int, ...]]:
         tuple(sorted(i for p, i in enumerate(state.order) if s >> p & 1))
         for s in state.simplices
     )
+
+
+@contextmanager
+def raises_input_error(match: str):
+    """Expect a plain ApxError (exit 2) whose message matches ``match``.
+    ``pytest.raises(ApxError)`` alone would also pass on a
+    TheoremViolation, its subclass."""
+    with pytest.raises(ApxError, match=match) as info:
+        yield info
+    assert type(info.value) is ApxError, repr(info.value)

@@ -10,11 +10,13 @@ from conftest import (
     brute_force_cycles,
     brute_force_directed_cycles,
     cells_of,
+    complete_graph,
     connected_graphs,
     cycle_graph,
     interior_lift_subcells,
     running_example,
     random_connected_graph,
+    raises_input_error,
     reference_affine_kernel,
     reference_components,
     reference_is_affinely_independent,
@@ -31,12 +33,11 @@ from apx.cellanalysis import (
     corank1_signature,
     corank2_cycle_pair,
     corank2_gamma_delta,
-    is_affinely_independent,
     is_circuit,
     separates_contracted_pair,
     verify_cell_properties,
 )
-from apx.errors import NotCorankOne, PreconditionViolated, TheoremViolation
+from apx.errors import TheoremViolation
 from apx.exactlin import eliminate
 from apx.graphcore import Graph, balanced_circuit_rank, edge, forest
 from apx.matroid import grouped_ground_set
@@ -48,6 +49,9 @@ from apx.subdivision import (
     corank,
     dimension,
 )
+
+
+ONE_SIDED = r"^subset contains exactly one of the contracted points \(0, 3\), \(3, 0\)$"
 
 
 def corank2_cell():
@@ -102,6 +106,23 @@ def test_cell_properties_corank2_cell_basis():
     assert report.basis_odd_cycles == 1
 
 
+def test_closed_under_swap_refuses_an_arc_whose_swap_is_missing():
+    # On K3 at e = (0, 1), swapping 0 and 1 takes the arc (2, 0) to
+    # (2, 1), an arc of an edge of K3 that the subset lacks.
+    report = verify_cell_properties(
+        complete_graph(3), (0, 1), cell_record([(0, 1), (1, 0), (2, 0)], 2)
+    )
+    assert report.closed_under_swap is False and not report.all_pass()
+    assert report.spans_all_nodes and report.only_directed_cycle_is_pair
+
+
+def test_spans_all_nodes_refuses_an_uncovered_node():
+    # The contracted pair alone leaves node 2 of K3 uncovered.
+    report = verify_cell_properties(complete_graph(3), (0, 1), cell_record([(0, 1), (1, 0)], 2))
+    assert report.spans_all_nodes is False and not report.all_pass()
+    assert report.closed_under_swap and report.only_directed_cycle_is_pair
+
+
 def test_only_directed_cycle_flag_matches_the_cycle_enumeration():
     # Arc sets that are not cells, some without the contracted pair: the
     # flag holds iff the pair is the only directed cycle.  The False cases
@@ -116,7 +137,7 @@ def test_only_directed_cycle_flag_matches_the_cycle_enumeration():
         pool = [(i, j) for i in range(n) for j in range(n) if i != j and {i, j} != {k1, k2}]
         arcs = {a for a in pool if rng.random() < 0.3}
         arcs |= {a for a in (p, q) if rng.random() < 0.9}
-        g = Graph.from_edges([edge(*a) for a in arcs] + [p], node_count=n)
+        g = Graph(n, frozenset(edge(*a) for a in arcs) | {p})
         flag = verify_cell_properties(
             g, (k1, k2), cell_record(sorted(arcs), n - 1)
         ).only_directed_cycle_is_pair
@@ -132,21 +153,26 @@ def test_only_directed_cycle_flag_matches_the_cycle_enumeration():
     assert min(counts.values()) > 0, counts
 
 
+# A subset is affinely independent iff its corank is 0, and ``corank``
+# refuses a corank other than the cyclomatic number: "independent iff
+# forest" is its corank-0 case.
+
+
 def test_subset_independent_empty():
-    assert is_affinely_independent(cell_record((), 3), (0, 3)) is True
+    assert corank(cell_record((), 3), (0, 3)) == 0
 
 
 def test_subset_even_cycle_circuit_dependent():
     cell = corank2_cell()
     even_cycle = ((0, 2), (3, 2), (3, 5), (0, 5))
-    assert is_affinely_independent(cell_record(even_cycle, cell.dim), (0, 3)) is False
+    assert corank(cell_record(even_cycle, cell.dim), (0, 3)) == 1
     assert is_circuit(cell_record(even_cycle, cell.dim), (0, 3)) is True
 
 
 def test_subset_odd_cycle_with_pair_dependent():
     cell = corank2_cell()
     triangle = ((0, 2), (3, 2), (0, 3), (3, 0))
-    assert is_affinely_independent(cell_record(triangle, cell.dim), (0, 3)) is False
+    assert corank(cell_record(triangle, cell.dim), (0, 3)) == 1
     assert is_circuit(cell_record(triangle, cell.dim), (0, 3)) is True
     assert separates_contracted_pair(cell_record(triangle, cell.dim), (0, 3))
 
@@ -159,14 +185,14 @@ def test_subset_forest_not_circuit():
 def test_subset_dependent_but_not_minimal():
     cell = corank2_cell()
     bigger = ((0, 2), (3, 2), (3, 5), (0, 5), (0, 6))
-    assert is_affinely_independent(cell_record(bigger, cell.dim), (0, 3)) is False
+    assert corank(cell_record(bigger, cell.dim), (0, 3)) == 1
     assert is_circuit(cell_record(bigger, cell.dim), (0, 3)) is False
 
 
 def test_pairing_precondition():
     cell = corank2_cell()
-    with pytest.raises(PreconditionViolated):
-        is_affinely_independent(cell_record(((0, 3), (0, 2)), cell.dim), (0, 3))
+    with raises_input_error(ONE_SIDED):
+        corank(cell_record(((0, 3), (0, 2)), cell.dim), (0, 3))
 
 
 def test_one_sided_pair_is_independent_despite_cycle():
@@ -212,7 +238,7 @@ def test_signature_with_pendant_edge():
 
 
 def test_signature_requires_corank_one():
-    with pytest.raises(NotCorankOne):
+    with raises_input_error("^corank 2 != 1$"):
         corank1_signature(cell_record(corank2_cell().points, 6), (0, 3))
 
 
@@ -488,8 +514,10 @@ def test_interior_lift_census_corank2_cell():
     cell = corank2_cell()
     rec = cell_record(cell.points, cell.dim)
     o1, o2 = corank2_cycle_pair(rec.forest.cycles, (0, 3))
+    signs = _arc_signs_along(o2, rec.arcs)
     for a in ((3, 5), (0, 5)):
-        gamma, _ = corank2_gamma_delta(rec.arcs, o1, o2, reference=edge(*a))
+        # gamma counts the shared edges oriented like a along the even cycle.
+        gamma = sum(1 for f in o1 & o2 if signs[f] == signs[edge(*a)])
         subcells = interior_lift_subcells(cell, a)
         corank1 = [s for s in subcells if len(cell_record(s, cell.dim).kernel) == 1]
         assert len(corank1) == len(o2) // 2 - gamma
@@ -554,7 +582,7 @@ def test_radon_split_applies_the_pairing_precondition():
     # no pair to separate.
     neither = ((1, 2), (4, 2), (4, 5), (1, 5))
     assert separates_contracted_pair(cell_record(neither, cell.dim), (0, 3)) is False
-    with pytest.raises(PreconditionViolated):
+    with raises_input_error(ONE_SIDED):
         separates_contracted_pair(cell_record(((0, 2), (3, 2), (0, 3)), cell.dim), (0, 3))
 
 

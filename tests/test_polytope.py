@@ -25,6 +25,7 @@ from conftest import (
     prism_graph,
     random_connected_graph,
     random_tree,
+    raises_input_error,
     reference_dd,
     reference_is_affinely_independent,
     reference_placing,
@@ -37,7 +38,7 @@ from conftest import (
     wheel_graph,
 )
 
-from apx.errors import DisconnectedGraph, NotFullDimensional, TheoremViolation
+from apx.errors import NotFullDimensional, TheoremViolation
 from apx.graphcore import Graph
 from apx.polytope import (
     _lattice_points,
@@ -83,9 +84,9 @@ def test_build_configuration_one_node():
 
 def test_build_configuration_disconnected():
     g = Graph.from_edges([(0, 1), (2, 3)])
-    with pytest.raises(DisconnectedGraph):
+    with raises_input_error("^adjacency polytopes need a connected graph$"):
         build_configuration(g)
-    with pytest.raises(DisconnectedGraph):
+    with raises_input_error("^adjacency polytopes need a connected graph$"):
         enumerate_facets(g)
 
 

@@ -15,10 +15,11 @@ from conftest import (
     potential_facets,
     running_example,
     random_connected_graph,
+    raises_input_error,
 )
 
 from apx.cellanalysis import Signature, closed_form_volume
-from apx.errors import EdgeNotInGraph, TheoremViolation
+from apx.errors import TheoremViolation
 from apx.graphcore import Graph, contract_edge
 from apx.polytope import build_configuration, enumerate_facets, normalized_volume
 from apx.polytope import normalized_volume_of_points
@@ -86,7 +87,7 @@ def test_single_edge_graph_single_cell():
 
 
 def test_subdivision_requires_graph_edge():
-    with pytest.raises(EdgeNotInGraph):
+    with raises_input_error(r"^\(0, 2\) not in graph$"):
         cells_of(cycle_graph(4), (0, 2))
 
 

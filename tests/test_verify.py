@@ -191,6 +191,21 @@ def test_failed_cell_analyses_are_failing_evidence(monkeypatch):
     assert checks["special_graph_classes"].detail == "odd_cycle"
 
 
+def test_max_corank_check_refuses_a_balanced_circuit_rank_off_by_one(monkeypatch):
+    # The comparison itself: every cell is analysed, and a balanced
+    # circuit rank one above the true one fails the check, which names
+    # both numbers.
+    import apx.verify as verify
+
+    true_rank = verify.balanced_circuit_rank
+    monkeypatch.setattr(verify, "balanced_circuit_rank", lambda g, e: true_rank(g, e) + 1)
+    checks = {c.name: c for c in run_verification(complete_graph(4), (0, 1), level="full").checks}
+    assert checks["cell_invariants"].passed
+    check = checks["max_corank_equals_balanced_circuit_rank"]
+    assert not check.passed
+    assert check.detail == "max corank 2, balanced circuit rank 3"
+
+
 def test_report_json_shape():
     report = run_verification(cycle_graph(4), (0, 3), level="full")
     payload = report.to_json_dict()
