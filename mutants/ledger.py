@@ -234,6 +234,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "polytope: place a point set whose affine basis is short",
+        POLYTOPE,
+        "    if len(elimination.basis) < len(elimination.inverse):\n",
+        "    if False:\n",
+        (
+            "tests/test_polytope.py::test_volume_of_a_set_that_does_not_span_is_zero",
+            "tests/test_polytope.py::test_volume_is_zero_exactly_when_the_points_do_not_span",
+        ),
+    ),
+    Mutant(
         "polytope: drop the divisibility check of the volume ratio",
         POLYTOPE,
         "                if rem:\n",
@@ -294,8 +304,8 @@ MUTANTS = (
     Mutant(
         "subdivision: cover without the full-dimension statement",
         SUBDIVISION,
-        "        except NotFullDimensional as exc:\n",
-        "        except ZeroDivisionError as exc:\n",
+        "        if not cell_volume:\n",
+        "        if False:\n",
         ("tests/test_cli.py::test_subdivide_and_verify_refuse_a_pair_only_segment",),
     ),
     Mutant(
@@ -398,6 +408,49 @@ MUTANTS = (
         ("tests/test_cellanalysis.py::test_spans_all_nodes_refuses_an_uncovered_node",),
     ),
     Mutant(
+        "cellanalysis: every subset passes as balanced",
+        CELLANALYSIS,
+        "    balanced = all(len(c - {edge(*e)}) % 2 == 0 for c in cycles)\n",
+        "    balanced = True\n",
+        (
+            "tests/test_graphcore.py::test_is_balanced_cycle",
+            "tests/test_graphcore.py::test_is_balanced_subgraph",
+            "tests/test_graphcore.py::test_balanced_subgraph_matches_all_cycles_definition",
+        ),
+    ),
+    Mutant(
+        "cellanalysis: count no odd basis cycle",
+        CELLANALYSIS,
+        "    odd = sum(len(c) % 2 for c in cycles)\n",
+        "    odd = 0\n",
+        ("tests/test_cellanalysis.py::test_cell_properties_corank2_cell_basis",),
+    ),
+    Mutant(
+        "cellanalysis: every plain cycle is classed odd",
+        CELLANALYSIS,
+        '        kind = "even_cycle" if len(g.edges) % 2 == 0 else "odd_cycle"\n',
+        '        kind = "odd_cycle"\n',
+        ("tests/test_cellanalysis.py::test_classify_special_graphs",),
+    ),
+    Mutant(
+        "graphcore: balanced circuit rank without the contracted edge",
+        GRAPHCORE,
+        "        if color[e[0]] == color[e[1]]:\n            chosen.append(e)\n",
+        "",
+        ("tests/test_graphcore.py::test_balanced_circuit_rank_against_brute_force",),
+    ),
+    Mutant(
+        "cellanalysis: analyse a cell of volume 0",
+        CELLANALYSIS,
+        "    if not volume:\n",
+        "    if False:\n",
+        (
+            "tests/test_cellanalysis.py::"
+            "test_analysis_refuses_a_cell_that_does_not_span_at_every_corank",
+            "tests/test_cli.py::test_verify_fails_a_cell_that_is_not_full_dimensional",
+        ),
+    ),
+    Mutant(
         "cellanalysis: drop the circuit-versus-plain-cycle check",
         CELLANALYSIS,
         "    if minimal != graph_side:\n",
@@ -434,7 +487,7 @@ MUTANTS = (
     Mutant(
         "cellanalysis: drop the closed-form-versus-oracle check",
         CELLANALYSIS,
-        "    if result != cell.nvol:\n",
+        "    if result != oracle:\n",
         "    if False:\n",
         ("tests/test_cellanalysis.py::test_closed_form_refuses_an_oracle_off_by_one",),
     ),

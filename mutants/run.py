@@ -6,8 +6,10 @@ tests; report each mutant as killed or survived.
 Run from the root of a source checkout.  With arguments, only the
 mutants whose names contain one of them run.  Each mutant gets a fresh
 temporary copy of ``src``, ``tests`` and ``pyproject.toml``, so the
-checkout is never edited.  Exits 0 when every mutant that ran is killed,
-1 otherwise.
+checkout is never edited.  A mutant whose edit stops a test file from
+being collected, say because the mutated module no longer imports, is
+reported as BROKEN: its tests never ran, so it is neither killed nor
+survived.  Exits 0 when every mutant that ran is killed, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -33,13 +35,18 @@ def apply(tree: Path, mutant) -> None:
     path.write_text(text.replace(mutant.snippet, mutant.replacement))
 
 
-def failed_tests(tree: Path, tests) -> set[str]:
-    """The node ids among ``tests`` that fail or error in ``tree``."""
+def failed_tests(tree: Path, tests) -> set[str] | None:
+    """The node ids among ``tests`` that fail or error in ``tree``, or
+    None when pytest could not run them: a test file or ``conftest.py``
+    failed to collect, as when the mutated module no longer imports.
+    pytest then exits 2 or 4 and names the file, not the test."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
         cwd=tree, env=env, capture_output=True, text=True,
     )
+    if proc.returncode not in (0, 1):
+        return None
     failed = set()
     for line in proc.stdout.splitlines():
         word, _, rest = line.partition(" ")
@@ -48,7 +55,9 @@ def failed_tests(tree: Path, tests) -> set[str]:
     return failed
 
 
-def run(mutant) -> bool:
+def run(mutant) -> str:
+    """Apply ``mutant`` to a fresh copy of the tree and run its tests:
+    "killed", "survived" or "broken"."""
     with tempfile.TemporaryDirectory(prefix="apx-mutant-") as tmp:
         tree = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -56,19 +65,24 @@ def run(mutant) -> bool:
             shutil.copytree(ROOT / name, tree / name, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tree)
         apply(tree, mutant)
-        survivors = set(mutant.tests) - failed_tests(tree, mutant.tests)
+        failed = failed_tests(tree, mutant.tests)
+    if failed is None:
+        print(f"BROKEN    {mutant.name}: its tests could not be collected")
+        return "broken"
+    survivors = set(mutant.tests) - failed
     if survivors:
         print(f"SURVIVED  {mutant.name}: passing {sorted(survivors)}")
-    else:
-        print(f"killed    {mutant.name}")
-    return not survivors
+        return "survived"
+    print(f"killed    {mutant.name}")
+    return "killed"
 
 
 def main(argv: list[str]) -> int:
     chosen = [m for m in MUTANTS if not argv or any(a in m.name for a in argv)]
     results = [run(m) for m in chosen]
-    print(f"{sum(results)} of {len(results)} mutants killed")
-    return 0 if all(results) else 1
+    killed, broken = results.count("killed"), results.count("broken")
+    print(f"{killed} of {len(results)} mutants killed" + (f", {broken} broken" if broken else ""))
+    return 0 if killed == len(results) else 1
 
 
 if __name__ == "__main__":

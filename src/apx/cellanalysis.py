@@ -4,7 +4,8 @@ and closed-form cell volumes.
 
 Every statement about a point set takes its ``subdivision.CellRecord``
 and the contracted edge: ``Cell.record()`` for a cell, and
-``cell_record(labels, dim)`` for any subset of one.  The record holds
+``cell_record(labels, dim)`` for any subset of one; the volume statements
+also take the cell's volume from the triangulation oracle.  The record holds
 the affine rank and integer kernel of the points, and the components and
 fundamental cycles of their subgraph.  Corank, dependence, the corank-1
 signature and the Radon split come from the kernel; cyclomatic number,
@@ -246,10 +247,11 @@ def corank2_gamma_delta(arcs, o1, o2) -> tuple[int, int]:
     return gamma, len(shared) - gamma
 
 
-def closed_form_volume(cell: Cell, e: Edge, rec: CellRecord) -> int | None:
+def closed_form_volume(rec: CellRecord, e: Edge, oracle: int) -> int | None:
     """Closed-form normalized volume of a cell of corank 0, 1 or 2, from
-    its record ``rec``; always cross-checked against the triangulation
-    oracle (``cell.nvol``).  None above corank 2: no closed form."""
+    its record ``rec``; always cross-checked against ``oracle``, the
+    cell's volume from the triangulation oracle.  None above corank 2: no
+    closed form."""
     value = corank(rec, e)
     if value == 0:
         result = 2
@@ -265,8 +267,8 @@ def closed_form_volume(cell: Cell, e: Edge, rec: CellRecord) -> int | None:
         result = twice // 2
     else:
         return None
-    if result != cell.nvol:
-        raise TheoremViolation(f"closed form {result} != oracle {cell.nvol}")
+    if result != oracle:
+        raise TheoremViolation(f"closed form {result} != oracle {oracle}")
     return result
 
 
@@ -289,17 +291,18 @@ class CellInvariantReport(NamedTuple):
         return {**self._asdict(), "properties": self.properties.to_json_dict()}
 
 
-def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
-    """Evaluate every per-cell statement: the five subgraph properties,
-    corank = cyclomatic number, simplicial iff spanning tree, circuit iff
-    plain cycle, signatures of corank-1 cells, and volume closed forms
-    against the oracle.  Every statement reads one record of the cell,
-    whose elimination also gives the oracle volume."""
-    rec = cell.record()
+def analyze_cell(g: Graph, e: Edge, rec: CellRecord, volume: int) -> CellInvariantReport:
+    """Evaluate every per-cell statement on a cell's record ``rec`` and
+    its ``volume`` from the triangulation oracle: the five subgraph
+    properties, corank = cyclomatic number, simplicial iff spanning tree,
+    circuit iff plain cycle, signatures of corank-1 cells, and volume
+    closed forms against the oracle.  A zero volume, a cell that does not
+    span, raises TheoremViolation naming its affine dimension."""
+    n = g.node_count - 1
     properties = verify_cell_properties(g, e, rec)
     k = corank(rec, e)
     cyclomatic = rec.cyclomatic
-    simplicial = cell.is_simplicial()
+    simplicial = len(rec.labels) == n + 1
     spanning_tree = (
         cyclomatic == 0
         and rec.vertices == set(range(g.node_count))
@@ -307,8 +310,9 @@ def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
     )
     circuit = is_circuit(rec, e)
     dependent = bool(rec.kernel)
-    oracle = cell.nvol
-    closed = closed_form_volume(cell, e, rec)
+    if not volume:
+        raise TheoremViolation(f"not full-dimensional: affine dimension {rec.rank - 1} < {n}")
+    closed = closed_form_volume(rec, e, volume)
     # corank, is_circuit, closed_form_volume and corank1_signature raise
     # TheoremViolation on a disagreement, and the kernel is empty exactly
     # when the corank is 0, so corank_equals_cyclomatic,
@@ -321,7 +325,7 @@ def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
         "simplicial_iff_spanning_tree": simplicial == spanning_tree,
         "circuit_iff_plain_cycle": circuit == rec.forest.is_cycle,
         "dependent_iff_cyclic": dependent == (cyclomatic > 0),
-        "volume_closed_form": closed is None or closed == oracle,
+        "volume_closed_form": closed is None or closed == volume,
     }
     if k == 1:
         signature = corank1_signature(rec, e)
@@ -329,7 +333,7 @@ def analyze_cell(g: Graph, e: Edge, cell: Cell) -> CellInvariantReport:
         if circuit:
             checks["radon_split"] = separates_contracted_pair(rec, e)
     return CellInvariantReport(
-        k, cyclomatic, simplicial, circuit, properties, closed, oracle, checks
+        k, cyclomatic, simplicial, circuit, properties, closed, volume, checks
     )
 
 

@@ -175,6 +175,7 @@ def cmd_subdivide(args) -> int:
     """The cells built from the facets of G // e, proved to subdivide P by
     ``prove_lower_faces`` and ``prove_cover``; a failed proof raises
     TheoremViolation."""
+    from .polytope import normalized_volume_of_cell
     from .subdivision import cells_with_facets, corank, prove_cover, prove_lower_faces
 
     g = load_graph(args.file)
@@ -184,12 +185,16 @@ def cmd_subdivide(args) -> int:
     # P's placing state is freed before the cells' records are built.
     volume = normalized_volume(config)
     prove_lower_faces(config, e, cells)
-    # Each cell's one record gives its corank and seeds its nvol.
-    coranks = [corank(cell.record(), e) for cell in cells]
-    total = prove_cover(cells, volume)
+    # Each cell's one record gives its volume and its corank.
+    volumes, coranks = [], []
+    for cell in cells:
+        rec = cell.record()
+        volumes.append(normalized_volume_of_cell(rec.vectors, rec.elimination))
+        coranks.append(corank(rec, e))
+    total = prove_cover(cells, volumes, volume)
     cell_dicts = [
-        dict(cell.to_json_dict(), corank=k, nvol=str(cell.nvol), facet_image=facet.to_json_dict())
-        for cell, facet, k in zip(cells, facets, coranks)
+        dict(cell.to_json_dict(), corank=k, nvol=str(v), facet_image=facet.to_json_dict())
+        for cell, facet, k, v in zip(cells, facets, coranks, volumes)
     ]
     payload = {
         "graph": g.to_json_dict(),

@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .errors import ApxError, NotFullDimensional, TheoremViolation
+from .errors import ApxError, TheoremViolation
 from .exactlin import Elimination, IntVector, eliminate
 from .graphcore import Graph
 
@@ -290,8 +290,6 @@ class _PlacingState:
     def __init__(self, vectors: list[IntVector], elimination: Elimination):
         d = len(vectors[0])
         basis = elimination.basis
-        if len(basis) < d + 1:
-            raise NotFullDimensional(f"affine dimension {len(basis) - 1} < {d}")
         chosen = set(basis)
         self.order = basis + [i for i in range(len(vectors)) if i not in chosen]
         self.rows = [vectors[i] + (1,) for i in self.order]
@@ -427,33 +425,27 @@ class _PlacingState:
         return self
 
 
-def _lattice_points(vectors) -> list[IntVector]:
-    out = []
-    for v in vectors:
-        p = tuple(map(int, v))
-        if p != tuple(v):
-            raise ValueError(f"non-lattice point {tuple(v)}")
-        out.append(p)
-    return out
-
-
-def _placing(vectors) -> _PlacingState:
-    """The placing state of lattice points, from their own elimination."""
-    vectors = _lattice_points(vectors)
-    if not vectors:
-        raise NotFullDimensional("empty point set")
-    return _PlacingState(vectors, eliminate([v + (1,) for v in vectors], len(vectors[0]) + 1))
+def _volume(vectors, elimination: Elimination) -> int:
+    """The placing triangulation's volume, or 0 when the basis of the rows
+    (x, 1) in R^(d+1) has at most d rows: the normalized d-volume of a set
+    that does not span R^d.  The elimination keeps one row of its right
+    block per coordinate of R^(d+1)."""
+    if len(elimination.basis) < len(elimination.inverse):
+        return 0
+    return _PlacingState(vectors, elimination).run().volume
 
 
 def normalized_volume_of_points(vectors) -> int:
-    """Exact normalized volume (d! times Euclidean) of conv(vectors).
+    """Exact normalized volume (d! times Euclidean) of conv(vectors), for
+    integer tuples in R^d; 0 when they do not span R^d.
 
     Triangulation oracle: the sum of the simplex volumes of the placing
     triangulation, the seed cone's determinant for the seed simplex and
-    exact integer ratios for the rest; a positive integer for
-    full-dimensional lattice input.
+    exact integer ratios for the rest.
     """
-    return _placing(vectors).run().volume
+    if not vectors:
+        raise ApxError("empty point set")
+    return _volume(vectors, eliminate([v + (1,) for v in vectors], len(vectors[0]) + 1))
 
 
 def normalized_volume(config: PointConfiguration) -> int:
@@ -466,5 +458,6 @@ def normalized_volume(config: PointConfiguration) -> int:
 
 def normalized_volume_of_cell(vectors, elimination: Elimination) -> int:
     """Triangulation oracle on a cell's points, seeded by the ``eliminate``
-    pass of their rows (x, 1) that the cell's record reads."""
-    return _PlacingState(vectors, elimination).run().volume
+    pass of their rows (x, 1) that the cell's record reads; 0 when they do
+    not span."""
+    return _volume(vectors, elimination)

@@ -9,15 +9,15 @@ polytope, and, when the graph splits into two subgraphs sharing exactly
 that edge, with pairs of facets of the two contracted halves.  The cells
 are built from the facets, and proved to subdivide the polytope on each
 instance by ``prove_lower_faces`` and ``prove_cover``.  A cell's record
-sits beside ``Cell``: its elimination also seeds the cell's volume.
+sits beside ``Cell``; the commands build one per cell and seed the cell's
+volume oracle with its elimination.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
-from .errors import ApxError, NotFullDimensional, TheoremViolation
+from .errors import ApxError, TheoremViolation
 from .exactlin import Elimination, IntVector, eliminate
 from .graphcore import Forest, Graph, contract_edge, edge, forest, split_at, vertices_of
 from .polytope import (
@@ -26,8 +26,6 @@ from .polytope import (
     PointConfiguration,
     build_configuration,
     enumerate_facets,
-    normalized_volume_of_cell,
-    normalized_volume_of_points,
     phi,
 )
 
@@ -117,35 +115,19 @@ def corank(rec: CellRecord, e: Edge) -> int:
     return value
 
 
-class _CellFields(NamedTuple):
+class Cell(NamedTuple):
+    """A cell of the subdivision: the configuration points on one lower
+    facet, with the integer normal gamma and support level h of that
+    facet normalized so the lifted normal is (gamma, 1)."""
+
     points: tuple[DirectedEdge, ...]
     gamma: IntVector
     height: int
     dim: int
 
-
-class Cell(_CellFields):
-    """A cell of the subdivision: the configuration points on one lower
-    facet, with the integer normal gamma and support level h of that
-    facet normalized so the lifted normal is (gamma, 1).  It subclasses
-    its fields' NamedTuple for the ``__dict__`` that ``nvol`` is kept in."""
-
-    def vectors(self) -> list[tuple[int, ...]]:
-        return [phi(lab, self.dim) for lab in self.points]
-
     def record(self) -> CellRecord:
-        """A new record of the cell, not kept.  The first record of a
-        full-dimensional cell also fills in ``nvol`` from its elimination."""
-        rec = cell_record(self.points, self.dim)
-        if "nvol" not in self.__dict__ and rec.rank == self.dim + 1:
-            self.nvol = normalized_volume_of_cell(rec.vectors, rec.elimination)
-        return rec
-
-    @cached_property
-    def nvol(self) -> int:
-        """Normalized volume from the triangulation oracle, computed once
-        per cell and shared by every check and report that needs it."""
-        return normalized_volume_of_points(self.vectors())
+        """A new record of the cell, not kept."""
+        return cell_record(self.points, self.dim)
 
     def contains_contracted_pair(self, e: Edge) -> bool:
         k1, k2 = e
@@ -173,9 +155,6 @@ def cells_with_facets(g: Graph, e: Edge) -> list[tuple[Cell, FacetCertificate]]:
     lift weight is 0.  A single edge gives the one empty facet, whose cell
     is the whole polytope.
     """
-    e = edge(*e)
-    if e not in g.edges:
-        raise ApxError(f"{e} not in graph")
     labels = build_configuration(g).labels
     contracted, mapping = contract_edge(g, e)
     n = g.node_count - 1
@@ -333,16 +312,18 @@ def prove_lower_faces(config: PointConfiguration, e: Edge, cells) -> None:
             raise TheoremViolation(f"cells {j} and {i} share a normal")
 
 
-def prove_cover(cells, volume: int) -> int:
-    """Every cell is full-dimensional, as the volume oracle checks, and
-    the cells' volumes add up to ``volume``, the polytope's; returns the
-    sum.  Raises TheoremViolation naming the cell."""
-    total = 0
-    for i, cell in enumerate(cells):
-        try:
-            total += cell.nvol
-        except NotFullDimensional as exc:
-            raise TheoremViolation(f"cell {i} is not full-dimensional: {exc}") from exc
+def prove_cover(cells, volumes, volume: int) -> int:
+    """Every cell is full-dimensional: its volume from the placing
+    oracle, ``volumes[i]``, is not 0; and the cells' volumes add up to
+    ``volume``, the polytope's.  Returns the sum.  Raises TheoremViolation
+    naming the cell."""
+    for i, (cell, cell_volume) in enumerate(zip(cells, volumes)):
+        if not cell_volume:
+            affine_dim = cell.record().rank - 1
+            raise TheoremViolation(
+                f"cell {i} is not full-dimensional: affine dimension {affine_dim} < {cell.dim}"
+            )
+    total = sum(volumes)
     if total != volume:
         raise TheoremViolation(f"cells cover volume {total} of the polytope's {volume}")
     return total

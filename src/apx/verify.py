@@ -8,7 +8,7 @@ from typing import NamedTuple
 from .cellanalysis import CellInvariantReport, analyze_cell, classify_special_graphs
 from .errors import ApxError, TheoremViolation
 from .graphcore import Graph, balanced_circuit_rank, edge
-from .polytope import build_configuration, normalized_volume
+from .polytope import build_configuration, normalized_volume, normalized_volume_of_cell
 from .subdivision import (
     cells_with_facets,
     check_simpliciality_transfer,
@@ -98,10 +98,12 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
 
     # An ApxError inside a cell's analysis, above all a TheoremViolation,
     # is failing evidence for the cell, not a crash.
-    reports, failures = report.cell_reports, []
+    reports, volumes, failures = report.cell_reports, [], []
     for i, cell in enumerate(cells):
+        rec = cell.record()
+        volumes.append(normalized_volume_of_cell(rec.vectors, rec.elimination))
         try:
-            r = analyze_cell(g, e, cell)
+            r = analyze_cell(g, e, rec, volumes[-1])
         except ApxError as exc:
             failures.append(f"cell {i}: {type(exc).__name__}: {exc}")
             continue
@@ -119,7 +121,7 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
 
     polytope_volume = normalized_volume(config)
     try:
-        total = prove_cover(cells, polytope_volume)
+        total = prove_cover(cells, volumes, polytope_volume)
         report.add("volume_additivity", True, f"sum of cells {total}, polytope {polytope_volume}")
     except TheoremViolation as exc:
         report.add("volume_additivity", False, str(exc))

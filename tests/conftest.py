@@ -12,11 +12,18 @@ from math import gcd, lcm
 import pytest
 from hypothesis import strategies as st
 
-from apx.errors import ApxError, NotFullDimensional, TheoremViolation
+from apx.errors import ApxError, TheoremViolation
 from apx.exactlin import eliminate
 from apx.graphcore import Graph, edge
-from apx.polytope import _bits, _lattice_points, _reduce_ray, build_configuration
+from apx.polytope import _bits, _reduce_ray, build_configuration, normalized_volume_of_cell
 from apx.subdivision import Cell, cells_with_facets
+
+
+class NotFullDimensional(Exception):
+    """A reference's point set or constraint rows do not span their space:
+    the double description cone and the reference placing refuse them,
+    where the production oracle answers volume 0."""
+
 
 # Five-cycle with one chord; contracting {0, 4} gives a square plus chord.
 CHORDED_PENTAGON_EDGES = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4), (1, 3)]
@@ -295,6 +302,13 @@ def cells_of(g: Graph, e) -> list[Cell]:
     return [cell for cell, _ in cells_with_facets(g, e)]
 
 
+def cell_volume(cell: Cell) -> int:
+    """The oracle volume of a cell, seeded by the elimination of its
+    record, as ``subdivide`` and ``verify`` compute it."""
+    rec = cell.record()
+    return normalized_volume_of_cell(rec.vectors, rec.elimination)
+
+
 def lift_weight(label, e) -> int:
     """The contraction lift: 0 on the two contracted points, 1 elsewhere."""
     return 0 if edge(*label) == edge(*e) else 1
@@ -329,7 +343,7 @@ def interior_lift_subcells(cell, point):
     weights = [1 if lab == point else 0 for lab in cell.points]
     return [
         tuple(lab for i, lab in enumerate(cell.points) if mask >> i & 1)
-        for _, mask in regular_subdivision_supports(cell.vectors(), weights)
+        for _, mask in regular_subdivision_supports(cell.record().vectors, weights)
     ]
 
 
@@ -848,7 +862,7 @@ class ReferencePlacing:
 def reference_placing(vectors) -> ReferencePlacing:
     """The reference placing state of lattice points, from their own
     elimination, not yet run."""
-    vectors = _lattice_points(vectors)
+    vectors = [tuple(v) for v in vectors]
     if not vectors:
         raise NotFullDimensional("empty point set")
     return ReferencePlacing(vectors, eliminate([v + (1,) for v in vectors], len(vectors[0]) + 1))
@@ -860,7 +874,7 @@ def placing_triangulation(vectors) -> list[tuple[int, ...]]:
     order.  Interior points are skipped, so every simplex is
     full-dimensional.  Raises NotFullDimensional unless the points span
     their ambient space affinely."""
-    vectors = _lattice_points(vectors)
+    vectors = [tuple(v) for v in vectors]
     if len(set(vectors)) != len(vectors):
         raise ValueError("points must be distinct")
     state = reference_placing(vectors).run()

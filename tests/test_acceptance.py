@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     CORANK2_CELL_ARCS,
+    cell_volume,
     cells_of,
     cycle_graph,
     running_example,
@@ -65,7 +66,7 @@ def corpus():
         cells = [cell for cell, _ in pairs]
         contracted, _ = contract_edge(g, e)
         facet_count = len(enumerate_facets(contracted))
-        cell_volumes = [c.nvol for c in cells]
+        cell_volumes = [cell_volume(c) for c in cells]
         polytope_volume = normalized_volume(build_configuration(g))
         records.append(
             {
@@ -89,7 +90,7 @@ def test_criterion_1_c4():
     total = 0
     for cell in cells:
         assert cell.is_simplicial()
-        nvol = closed_form_volume(cell, (0, 3), cell.record())
+        nvol = closed_form_volume(cell.record(), (0, 3), cell_volume(cell))
         assert nvol == 2
         total += nvol
     assert total == 12
@@ -110,7 +111,7 @@ def test_criterion_2_c5():
         assert corank(rec, (0, 4)) == 1
         assert is_circuit(rec, (0, 4))
         assert corank1_signature(rec, (0, 4)) == (3, 3, 0)
-        nvol = closed_form_volume(cell, (0, 4), cell.record())
+        nvol = closed_form_volume(rec, (0, 4), cell_volume(cell))
         assert nvol == 5
         total += nvol
     assert total == 30
@@ -137,9 +138,10 @@ def test_criterion_3_running_example():
     # (c) the nine-point corank-2 cell: closed form == oracle.
     (deep_cell,) = [c for c in cells if frozenset(c.points) == frozenset(CORANK2_CELL_ARCS)]
     assert len(deep_cell.points) == 9
-    assert corank(cell_record(deep_cell.points, deep_cell.dim), e) == 2
-    closed = closed_form_volume(deep_cell, e, deep_cell.record())
-    assert closed == normalized_volume_of_points(deep_cell.vectors()) == 4
+    rec = cell_record(deep_cell.points, deep_cell.dim)
+    assert corank(rec, e) == 2
+    closed = closed_form_volume(rec, e, cell_volume(deep_cell))
+    assert closed == normalized_volume_of_points(rec.vectors) == 4
     assert time.monotonic() - started < 30.0
     announce(
         "criterion-3 (running example: product bijection, max corank 2, corank-2 volume)",
@@ -175,10 +177,11 @@ def test_criterion_5_invariants_on_corpus(corpus):
             full_gamma = (Fraction(0),) + tuple(cell.gamma)
             assert full_gamma[e[0]] == full_gamma[e[1]]
             assert verify_cell_support(config, e, cell)
-            assert verify_cell_properties(g, e, cell_record(cell.points, cell.dim)).all_pass()
-            value = corank(cell_record(cell.points, cell.dim), e)  # asserts = cyclomatic
+            rec = cell_record(cell.points, cell.dim)
+            assert verify_cell_properties(g, e, rec).all_pass()
+            value = corank(rec, e)  # asserts = cyclomatic
             if value <= 2:
-                assert closed_form_volume(cell, e, cell.record()) == oracle
+                assert closed_form_volume(rec, e, oracle) == oracle
         assert check_simpliciality_transfer(record["pairs"])
     announce("criterion-5 (full invariant suite on the corpus, zero failures)", started)
 

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     CORANK2_CELL_ARCS,
+    RUNNING_EXAMPLE_EDGES,
     brute_force_cycles,
     brute_force_directed_cycles,
+    cell_volume,
     cells_of,
     complete_graph,
     connected_graphs,
@@ -28,6 +30,7 @@ import apx.cellanalysis as cellanalysis
 from apx.cellanalysis import (
     Signature,
     _arc_signs_along,
+    analyze_cell,
     classify_special_graphs,
     closed_form_volume,
     corank1_signature,
@@ -41,7 +44,7 @@ from apx.errors import TheoremViolation
 from apx.exactlin import eliminate
 from apx.graphcore import Graph, balanced_circuit_rank, edge, forest
 from apx.matroid import grouped_ground_set
-from apx.polytope import normalized_volume_of_points, phi
+from apx.polytope import normalized_volume_of_cell, normalized_volume_of_points, phi
 from apx.subdivision import (
     cell_record,
     cell_subgraphs,
@@ -385,9 +388,9 @@ def test_alternating_basis_random_properties():
 
 def test_cell_volume_c4_and_c5():
     for cell in cells_of(cycle_graph(4), (0, 3)):
-        assert closed_form_volume(cell, (0, 3), cell.record()) == 2
+        assert closed_form_volume(cell.record(), (0, 3), cell_volume(cell)) == 2
     for cell in cells_of(cycle_graph(5), (0, 4)):
-        assert closed_form_volume(cell, (0, 4), cell.record()) == 5
+        assert closed_form_volume(cell.record(), (0, 4), cell_volume(cell)) == 5
 
 
 def test_cell_volume_corank2_cell():
@@ -398,8 +401,8 @@ def test_cell_volume_corank2_cell():
     assert sorted(o2) == [(0, 2), (0, 5), (2, 3), (3, 5)]
     gamma, delta = corank2_gamma_delta(rec.arcs, o1, o2)
     assert gamma * delta == 1
-    assert closed_form_volume(cell, (0, 3), cell.record()) == 4
-    assert normalized_volume_of_points(cell.vectors()) == 4
+    assert closed_form_volume(cell.record(), (0, 3), cell_volume(cell)) == 4
+    assert normalized_volume_of_points(cell.record().vectors) == 4
 
 
 def test_corank2_cycle_pair_matches_the_cycle_enumeration():
@@ -481,7 +484,7 @@ def test_corank2_closed_form_needs_an_even_numerator(monkeypatch):
     monkeypatch.setattr(cellanalysis, "corank2_cycle_pair", lambda *args: (o1, o1))
     monkeypatch.setattr(cellanalysis, "corank2_gamma_delta", lambda *args: (0, 0))
     with pytest.raises(TheoremViolation, match="closed form 9/2 is not a positive integer"):
-        closed_form_volume(cell, (0, 3), cell.record())
+        closed_form_volume(cell.record(), (0, 3), cell_volume(cell))
 
 
 def test_closed_form_refuses_an_oracle_off_by_one():
@@ -493,10 +496,10 @@ def test_closed_form_refuses_an_oracle_off_by_one():
         (corank2_cell(), (0, 3), 4),
     ]
     for cell, e, volume in cells:
+        assert cell_volume(cell) == volume
         for wrong in (volume - 1, volume + 1):
-            cell.nvol = wrong
             with pytest.raises(TheoremViolation, match=f"closed form {volume} != oracle {wrong}"):
-                closed_form_volume(cell, e, cell.record())
+                closed_form_volume(cell.record(), e, wrong)
 
 
 def test_no_closed_form_above_corank_two():
@@ -505,7 +508,36 @@ def test_no_closed_form_above_corank_two():
     g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     value, witness = _max_corank(g, (0, 1))
     assert value == 3
-    assert closed_form_volume(witness, (0, 1), witness.record()) is None
+    assert closed_form_volume(witness.record(), (0, 1), cell_volume(witness)) is None
+
+
+def test_analysis_refuses_a_cell_that_does_not_span_at_every_corank():
+    # A cell without the arc of a pendant edge keeps its corank but spans
+    # one dimension less.  The oracle gives it volume 0, and its analysis
+    # refuses it by its affine dimension, also above corank 2, where no
+    # closed form would compare the volume.
+    seen = set()
+    for edges, e in [
+        (cycle_graph(4).sorted_edges(), (0, 3)),
+        (cycle_graph(5).sorted_edges(), (0, 4)),
+        (RUNNING_EXAMPLE_EDGES, (0, 3)),
+        ([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)], (0, 1)),
+    ]:
+        n = max(v for f in edges for v in f) + 1
+        g = Graph.from_edges([*edges, (1, n)])
+        for cell in cells_of(g, e):
+            rec = cell_record([p for p in cell.points if n not in p], cell.dim)
+            k = corank(rec, e)
+            if k in seen:
+                continue
+            seen.add(k)
+            assert rec.rank == n == cell.dim
+            volume = normalized_volume_of_cell(rec.vectors, rec.elimination)
+            assert volume == 0
+            message = f"^not full-dimensional: affine dimension {n - 1} < {n}$"
+            with pytest.raises(TheoremViolation, match=message):
+                analyze_cell(g, e, rec, volume)
+    assert seen == {0, 1, 2, 3}
 
 
 def test_interior_lift_census_corank2_cell():
@@ -536,9 +568,8 @@ def test_corank1_cells_volume_property():
         e = rng.choice(g.sorted_edges())
         for cell in cells_of(g, e):
             if corank(cell_record(cell.points, cell.dim), e) <= 2:
-                assert closed_form_volume(cell, e, cell.record()) == normalized_volume_of_points(
-                    cell.vectors()
-                )
+                closed = closed_form_volume(cell.record(), e, cell_volume(cell))
+                assert closed == normalized_volume_of_points(cell.record().vectors)
 
 
 def _classify(g, e):

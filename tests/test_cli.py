@@ -172,6 +172,10 @@ def test_verify_fails_a_cell_that_is_not_full_dimensional(tmp_path, capsys, monk
         "passed": False,
         "detail": "cell 0 is not full-dimensional: affine dimension 3 < 4",
     }
+    assert checks["cell_invariants"] == {
+        "passed": False,
+        "detail": "cell 0: TheoremViolation: not full-dimensional: affine dimension 3 < 4",
+    }
 
 
 def test_subdivide_and_verify_refuse_a_pair_only_segment(tmp_path, capsys, monkeypatch):
@@ -187,6 +191,10 @@ def test_subdivide_and_verify_refuse_a_pair_only_segment(tmp_path, capsys, monke
     )
     assert message == "cell 0 is not full-dimensional: affine dimension 1 < 4"
     assert checks["lower_facet_normalization"]["passed"]
+    assert checks["cell_invariants"] == {
+        "passed": False,
+        "detail": "cell 0: TheoremViolation: not full-dimensional: affine dimension 1 < 4",
+    }
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])

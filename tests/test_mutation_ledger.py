@@ -1,7 +1,7 @@
 """The mutation ledger stays applicable: every snippet occurs exactly once
-in its file, under src/apx or in a reference module under tests, and
-every test it names is defined.  The kill run itself is
-``python3 mutants/run.py``."""
+in its file, under src/apx or in a reference module under tests, every
+test it names is defined, and every mutated file compiles.  The kill run
+itself is ``python3 mutants/run.py``."""
 
 import re
 import sys
@@ -30,3 +30,12 @@ def test_every_named_test_is_defined():
             function = name.split("[", 1)[0]
             source = (ROOT / path).read_text()
             assert re.search(rf"^def {function}\(", source, re.M), node
+
+
+def test_every_mutant_compiles():
+    # A mutant whose file does not compile would stop its tests from
+    # being collected: ``mutants/run.py`` reports it as broken, never as
+    # killed, so the ledger holds none.
+    for mutant in MUTANTS:
+        text = (ROOT / mutant.file).read_text()
+        compile(text.replace(mutant.snippet, mutant.replacement), mutant.file, "exec")

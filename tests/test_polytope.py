@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     NAMED_LADDER,
     DDCone,
+    NotFullDimensional,
     at_least,
     brute_force_facets,
     brute_force_subdivision,
@@ -38,11 +39,10 @@ from conftest import (
     wheel_graph,
 )
 
-from apx.errors import NotFullDimensional, TheoremViolation
+from apx.errors import TheoremViolation
 from apx.graphcore import Graph
 from apx.polytope import (
-    _lattice_points,
-    _placing,
+    _PlacingState,
     _potential_leaves,
     build_configuration,
     enumerate_facets,
@@ -52,6 +52,12 @@ from apx.polytope import (
     phi,
 )
 from apx.exactlin import eliminate
+
+
+def placing_state(points) -> _PlacingState:
+    """The oracle's placing state of spanning lattice points, from their
+    own elimination, not yet run."""
+    return _PlacingState(points, eliminate([p + (1,) for p in points], len(points[0]) + 1))
 
 
 def test_phi_map():
@@ -215,17 +221,6 @@ def test_volume_invariant_under_point_order():
             assert normalized_volume_of_points(shuffled) == reference
 
 
-def test_lattice_points_accept_integral_values_only():
-    points = _lattice_points([(Fraction(2), 1.0), [0, Fraction(-6, 2)]])
-    assert points == [(2, 1), (0, -3)]
-    assert all(type(x) is int for p in points for x in p)
-    with pytest.raises(ValueError, match=r"non-lattice point \(0, Fraction\(1, 2\)\)"):
-        _lattice_points([(1, 1), (0, Fraction(1, 2))])
-    with pytest.raises(ValueError, match="non-lattice point"):
-        normalized_volume_of_points([(0,), (1.5,)])
-    assert normalized_volume_of_points([(Fraction(0),), (2.0,)]) == 2
-
-
 def test_volume_with_interior_and_boundary_points():
     # Interior or collinear extra points must not change the volume.
     square = [(0, 0), (2, 0), (0, 2), (2, 2)]
@@ -238,16 +233,22 @@ def test_volume_with_interior_and_boundary_points():
     assert normalized_volume_of_points([(0,), (2,), (1,), (-3,), (5,)]) == 8
 
 
-def test_volume_lower_dimensional_raises():
-    with pytest.raises(NotFullDimensional):
-        normalized_volume_of_points([(0, 0), (1, 1), (2, 2)])
+def test_volume_of_a_set_that_does_not_span_is_zero():
+    # The oracle answers the normalized d-volume of a set that does not
+    # span R^d, 0; the references refuse it.  Empty input is an error.
+    assert normalized_volume_of_points([(0, 0), (1, 1), (2, 2)]) == 0
+    assert normalized_volume_of_points([(1, 0, 2)]) == 0
+    assert normalized_volume_of_cell([(1,)], eliminate([(1, 1)], 2)) == 0
+    with raises_input_error("^empty point set$"):
+        normalized_volume_of_points([])
     with pytest.raises(NotFullDimensional):
         placing_triangulation([(0, 0), (1, 1), (2, 2)])
     # Hulls and lower hulls raise from their cone's rank test, on points
     # that span a line, and on points that span R^2 linearly but lie on
-    # one affine line.
+    # one affine line, whose volume is 0.
     line = ((1, 1), (-1, -1), (2, 2))
     for vectors in (line, ((1, 0), (0, 1), (2, -1))):
+        assert normalized_volume_of_points(vectors) == 0
         with pytest.raises(NotFullDimensional):
             _hull_rays(vectors)
         with pytest.raises(NotFullDimensional):
@@ -304,7 +305,7 @@ def test_seed_basis_skips_dependent_rows():
         points = sorted(set(rows))
         homogenized = [p + (1,) for p in points]
         if reference_rank(homogenized) == dim + 1:
-            state = _placing(points)
+            state = placing_state(points)
             assert state.order[: dim + 1] == _reference_greedy_basis(homogenized, dim + 1)
             # Seed facet j is primitive, tight on every seed row but the
             # j-th, positive on that one, and holds the face opposite it.
@@ -483,7 +484,7 @@ def test_facet_ids_stay_narrow_in_the_grid_placing_run():
     # A new facet takes the lowest free id, so no id reaches the largest
     # live facet count so far, and ``live`` names the live ids.
     grid = [(v, v + 1) for v in range(12) if v % 4 != 3] + [(v, v + 4) for v in range(8)]
-    state = _placing(list(build_configuration(Graph.from_edges(grid)).vectors))
+    state = placing_state(list(build_configuration(Graph.from_edges(grid)).vectors))
     peak = width = 0
     for k in range(len(state.rows[0]), len(state.rows)):
         state.insert(k)
@@ -499,7 +500,7 @@ def test_placing_raises_on_an_inexact_volume_ratio():
     # Seed [0, 2] has volume 2 on its face {2}, whose facet normal is
     # (-1, 2); placing 3 scales that volume by 1/2.  A boundary volume
     # of 1 instead makes the ratio inexact, which no triangulation gives.
-    state = _placing([(0,), (2,), (3,)])
+    state = placing_state([(0,), (2,), (3,)])
     for _, _, faces in state.facets:
         for m, (_, j) in faces.items():
             faces[m] = (1, j)
@@ -513,12 +514,12 @@ def test_placing_raises_when_no_facet_holds_a_boundary_face():
     # horizon faces (1, 0), on facets 0 and 2, and (0, 1), on 0 and 1.
     square = [(0, 0), (1, 0), (0, 1), (1, 1)]
     # No facet holds (1, 0) once its row's tight bitset is blanked.
-    state = _placing(square)
+    state = placing_state(square)
     state.tight[1] = 0
     with pytest.raises(TheoremViolation, match="one visible and one other facet"):
         state.run()
     # A copy of y >= 0 under a fourth id makes (1, 0) lie on three.
-    state = _placing(square)
+    state = placing_state(square)
     state.facets.append(state.facets[2])
     state.tight[0] |= 1 << 3
     state.tight[1] |= 1 << 3
@@ -557,6 +558,37 @@ def test_placing_volumes_match_determinants_on_random_points():
         assert normalized_volume_of_points(pts) == _determinant_volume(pts)
         checked += 1
     assert checked >= 50
+
+
+@st.composite
+def point_sets(draw):
+    """Distinct lattice points in R^d, 1 <= d <= 4.  Half of the draws are
+    the image of points of Z^k, k < d, under an integer affine map, so
+    they do not span R^d; the other half may or may not."""
+    d = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    k = d if draw(st.booleans()) else draw(st.integers(0, d - 1))
+    base = draw(st.lists(st.tuples(*[small] * k), min_size=1, max_size=d + 6, unique=True))
+    if k == d:
+        return base
+    matrix = draw(st.lists(st.tuples(*[small] * k), min_size=d, max_size=d))
+    offset = draw(st.tuples(*[small] * d))
+    image = {
+        tuple(o + sum(a * x for a, x in zip(row, p)) for row, o in zip(matrix, offset))
+        for p in base
+    }
+    return draw(st.permutations(sorted(image)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(point_sets())
+def test_volume_is_zero_exactly_when_the_points_do_not_span(points):
+    d = len(points[0])
+    volume = normalized_volume_of_points(points)
+    if reference_rank([p + (1,) for p in points]) < d + 1:
+        assert volume == 0
+    else:
+        assert volume == _determinant_volume(points) > 0
 
 
 @pytest.mark.parametrize(
@@ -643,7 +675,7 @@ def _placed_in_step_with_the_reference(points) -> int:
     """Place ``points`` with the oracle and with ``reference_placing`` in
     step: after every point, the facets (normal, tight mask, boundary
     faces) and the volume agree.  Returns the volume."""
-    state, ref = _placing(points), reference_placing(points)
+    state, ref = placing_state(points), reference_placing(points)
     assert state.order == ref.order
     for k in range(len(state.rows[0]), len(state.rows)):
         state.insert(k)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     NAMED_LADDER,
+    cell_volume,
     cells_of,
     connected_graphs,
     cycle_graph,
@@ -54,14 +55,16 @@ def test_lift_weight():
 def test_records_are_values(build):
     first, second = build(), build()
     assert first is not second
-    if isinstance(first, Cell):
-        # The cached oracle volume is not a field.
-        assert first.nvol > 0
     assert first == second and hash(first) == hash(second)
     assert {first: 1}[second] == 1
+    # No field can be set, and nothing else can be kept on a record: a
+    # cell's volume is computed where it is read, not stored on the cell.
+    assert not hasattr(first, "__dict__")
     for name in first._fields:
         with pytest.raises(AttributeError):
             setattr(first, name, getattr(second, name))
+    with pytest.raises(AttributeError):
+        first.nvol = 1
 
 
 def test_c4_subdivision_six_simplicial_cells():
@@ -89,6 +92,10 @@ def test_single_edge_graph_single_cell():
 def test_subdivision_requires_graph_edge():
     with raises_input_error(r"^\(0, 2\) not in graph$"):
         cells_of(cycle_graph(4), (0, 2))
+    # Connectedness is checked first, before the contraction allocates
+    # one entry per node label.
+    with raises_input_error("^adjacency polytopes need a connected graph$"):
+        cells_of(Graph(4, frozenset({(0, 1), (2, 3)})), (0, 2))
 
 
 def test_cells_contain_contracted_pair_and_h_zero():
@@ -151,7 +158,7 @@ def test_cell_volumes_sum_to_polytope_volume():
         g = random_connected_graph(rng, max_nodes=6, max_edges=9)
         e = rng.choice(g.sorted_edges())
         cells = cells_of(g, e)
-        total = sum(normalized_volume_of_points(c.vectors()) for c in cells)
+        total = sum(normalized_volume_of_points(c.record().vectors) for c in cells)
         assert total == normalized_volume(build_configuration(g))
 
 
@@ -325,6 +332,8 @@ def test_bijection_and_volume_additivity_for_every_edge(g):
         cells = cells_of(g, e)
         contracted, _ = contract_edge(g, e)
         assert len(cells) == len(potential_facets(contracted))
-        assert sum(cell.nvol for cell in cells) == volume
+        volumes = [cell_volume(cell) for cell in cells]
+        assert sum(volumes) == volume
         if all(corank(cell_record(c.points, c.dim), e) <= 2 for c in cells):
-            assert sum(closed_form_volume(c, e, c.record()) for c in cells) == volume
+            closed = [closed_form_volume(c.record(), e, v) for c, v in zip(cells, volumes)]
+            assert sum(closed) == volume
