@@ -287,8 +287,8 @@ MUTANTS = (
     Mutant(
         "subdivision: lower faces without the support test",
         SUBDIVISION,
-        "if cell.height != 0 or not verify_cell_support(config, e, cell):",
-        "if cell.height != 0:",
+        "        if not verify_cell_support(config, e, cell):\n",
+        "        if False:\n",
         (
             "tests/test_cli.py::test_subdivide_proof_refuses_a_shifted_normal",
             "tests/test_cli.py::test_verify_fails_a_cell_that_is_not_full_dimensional",

@@ -61,7 +61,6 @@ class CellRecord(NamedTuple):
     labels: tuple[DirectedEdge, ...]
     vectors: tuple[IntVector, ...]
     arcs: frozenset[DirectedEdge]
-    undirected: frozenset[Edge]
     vertices: set[int]
     forest: Forest
     elimination: Elimination
@@ -90,9 +89,7 @@ def cell_record(labels, dim: int) -> CellRecord:
     elimination = eliminate([v + (1,) for v in vectors], dim + 1)
     arcs, undirected = cell_subgraphs(labels)
     order = sorted(undirected, key=lambda f: (f in arcs and f[::-1] in arcs, f))
-    return CellRecord(
-        labels, vectors, arcs, undirected, vertices_of(undirected), forest(order), elimination
-    )
+    return CellRecord(labels, vectors, arcs, vertices_of(undirected), forest(order), elimination)
 
 
 def dimension(rec: CellRecord, e: Edge) -> int:
@@ -117,13 +114,16 @@ def corank(rec: CellRecord, e: Edge) -> int:
 
 class Cell(NamedTuple):
     """A cell of the subdivision: the configuration points on one lower
-    facet, with the integer normal gamma and support level h of that
-    facet normalized so the lifted normal is (gamma, 1)."""
+    facet of the lift, with the integer normal gamma of that facet
+    normalized so the lifted normal is (gamma, 1).  Its support level h
+    is 0, which ``prove_lower_faces`` proves on each cell."""
 
     points: tuple[DirectedEdge, ...]
     gamma: IntVector
-    height: int
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.gamma)
 
     def record(self) -> CellRecord:
         """A new record of the cell, not kept."""
@@ -140,7 +140,7 @@ class Cell(NamedTuple):
         return {
             "points": self.points,
             "gamma": [str(g) for g in self.gamma],
-            "h": str(self.height),
+            "h": "0",
         }
 
 
@@ -164,7 +164,7 @@ def cells_with_facets(g: Graph, e: Edge) -> list[tuple[Cell, FacetCertificate]]:
         f, support = (0, *facet.normal), set(facet.support)
         points = tuple(lab for lab, (a, b) in zip(labels, images) if a == b or (a, b) in support)
         gamma = tuple(f[mapping[v]] for v in range(1, n + 1))
-        out.append((Cell(points, gamma, 0, n), facet))
+        out.append((Cell(points, gamma), facet))
     out.sort(key=lambda pair: pair[0].gamma)
     return out
 
@@ -186,7 +186,8 @@ def _projected_normal(
     """Normal of the image facet read off gamma, using gamma_0 := 0.
 
     Well defined because gamma agrees on the two merged nodes (the h = 0
-    corollary); a disagreement is a correspondence violation.
+    corollary); a disagreement is a correspondence violation.  Only node
+    0, and k2 when k1 = 0, map to node 0, where gamma is 0.
     """
     full = (0,) + tuple(gamma)
     k1, k2 = e
@@ -195,8 +196,6 @@ def _projected_normal(
     out = [0] * (new_dim + 1)
     for node, image in mapping.items():
         out[image] = full[node]
-    if out[0] != 0:
-        raise TheoremViolation("projected normal nonzero on the reference node")
     return tuple(out[1:])
 
 
@@ -278,11 +277,11 @@ def check_simpliciality_transfer(pairs) -> bool:
 
 def verify_cell_support(config: PointConfiguration, e: Edge, cell: Cell) -> bool:
     """Definitional check of one cell against the lift of the graph's
-    configuration ``config``: level h on its points, strictly above
-    elsewhere, with h = 0 on the contracted pair."""
+    configuration ``config``: level 0 on its points, strictly above
+    elsewhere."""
     # With gamma_0 = 0 in front, <e_i - e_j, gamma> = gamma[i] - gamma[j].
     # The lift weight is 0 on the pair, 1 elsewhere.
-    gamma, height = (0, *cell.gamma), cell.height
+    gamma = (0, *cell.gamma)
     k1, k2 = e
     pair = {(k1, k2), (k2, k1)}
     members = set(cell.points)
@@ -290,9 +289,9 @@ def verify_cell_support(config: PointConfiguration, e: Edge, cell: Cell) -> bool
         i, j = lab
         value = gamma[i] - gamma[j] + (lab not in pair)
         if lab in members:
-            if value != height:
+            if value:
                 return False
-        elif value <= height:
+        elif value <= 0:
             return False
     return True
 
@@ -305,7 +304,7 @@ def prove_lower_faces(config: PointConfiguration, e: Edge, cells) -> None:
     TheoremViolation naming the cell."""
     first: dict[IntVector, int] = {}
     for i, cell in enumerate(cells):
-        if cell.height != 0 or not verify_cell_support(config, e, cell):
+        if not verify_cell_support(config, e, cell):
             raise TheoremViolation(f"cell {i} is not a lower face of the lift at h = 0")
         j = first.setdefault(cell.gamma, i)
         if j != i:

@@ -318,22 +318,23 @@ def lift_subdivision(g: Graph, e) -> list:
     """The cells of the edge contraction subdivision as the lower faces of
     the lift, by double description: the reference for the cells built
     from the contracted graph's facets.  Each lift ray (t * gamma, t * h,
-    t) must be integral after division by t; cells are sorted by
-    (gamma, h)."""
+    t) must be integral after division by t, with h = 0; cells are sorted
+    by gamma."""
     e = edge(*e)
     config = build_configuration(g)
     n = config.dim
     if len(g.edges) == 1:
         # The lift is affine here, so the subdivision is the whole polytope.
-        return [Cell(config.labels, (0,) * n, 0, n)]
+        return [Cell(config.labels, (0,) * n)]
     weights = [lift_weight(lab, e) for lab in config.labels]
     cells = []
     for ray, mask in regular_subdivision_supports(config.vectors, weights):
         t = ray[-1]
         assert not any(x % t for x in ray), ray
+        assert ray[-2] == 0, ray
         labels = tuple(lab for i, lab in enumerate(config.labels) if mask >> i & 1)
-        cells.append(Cell(labels, tuple(x // t for x in ray[:-2]), ray[-2] // t, n))
-    cells.sort(key=lambda c: (c.gamma, c.height))
+        cells.append(Cell(labels, tuple(x // t for x in ray[:-2])))
+    cells.sort(key=lambda c: c.gamma)
     return cells
 
 

@@ -318,7 +318,7 @@ def build_alternating_basis(g: Graph, e, tree_edges) -> tuple:
     x = tuple(sorted(labels))
     n = g.node_count - 1
     rec = cell_record(x, n)
-    if rec.undirected != tree:
+    if cell_subgraphs(rec.labels)[1] != tree:
         raise TheoremViolation("alternating basis graph is not the spanning tree")
     if rec.kernel:
         raise TheoremViolation("alternating basis is affinely dependent")
@@ -446,7 +446,7 @@ def test_graph_side_faults_raise_theorem_violations():
     e = (0, 4)
     cell = cells_of(cycle_graph(5), e)[0]
     rec = cell_record(cell.points, cell.dim)
-    path = rec._replace(forest=forest(sorted(rec.undirected - {(1, 2)})))
+    path = rec._replace(forest=forest(sorted(cell_subgraphs(rec.labels)[1] - {(1, 2)})))
     with pytest.raises(TheoremViolation, match="circuit test True != cycle test False"):
         is_circuit(path, e)
     with pytest.raises(TheoremViolation, match="corank 1 != cyclomatic number 0"):

@@ -361,7 +361,7 @@ def test_certificate_refuses_a_point_off_level_minus_one():
     # puts all three arcs on level -1, and their points e_2 - e_3,
     # e_3 - e_4 and e_4 - e_2 are affinely independent although their
     # edges close a cycle, so the two tables differ.
-    cell = Cell(((0, 1), (1, 0), (2, 3), (3, 4), (4, 2)), (0, 0, 1, 2), 0, 4)
+    cell = Cell(((0, 1), (1, 0), (2, 3), (3, 4), (4, 2)), (0, 0, 1, 2))
     with pytest.raises(TheoremViolation) as exc:
         certify_morphism(cell, (0, 1))
     assert str(exc.value) == "point (4, 2) off level -1: gamma_4 - gamma_2 = 2"
@@ -374,7 +374,7 @@ def test_certificate_refuses_a_point_off_level_minus_one():
 
 
 def test_certificate_refuses_a_cell_without_the_pair():
-    cell = Cell(((0, 1), (1, 2)), (0, 1), 0, 2)
+    cell = Cell(((0, 1), (1, 2)), (0, 1))
     with pytest.raises(TheoremViolation) as exc:
         certify_morphism(cell, (0, 1))
     assert str(exc.value) == "contracted pair (0, 1), (1, 0) not both in the cell"
@@ -383,7 +383,7 @@ def test_certificate_refuses_a_cell_without_the_pair():
 def test_certificate_refuses_a_repeated_point():
     # On level -1 no edge has both arcs as points, so only a repeated
     # point maps two grouped elements to one edge.
-    cell = Cell(((0, 1), (1, 0), (1, 2), (1, 2)), (0, 1), 0, 2)
+    cell = Cell(((0, 1), (1, 0), (1, 2), (1, 2)), (0, 1))
     with pytest.raises(TheoremViolation) as exc:
         certify_morphism(cell, (0, 1))
     assert str(exc.value) == "points (1, 2) and (1, 2) map to edge (1, 2)"

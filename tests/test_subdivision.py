@@ -106,7 +106,6 @@ def test_cells_contain_contracted_pair_and_h_zero():
         config = build_configuration(g)
         for cell in cells_of(g, e):
             assert cell.contains_contracted_pair(e)
-            assert cell.height == 0
             full_gamma = (Fraction(0),) + tuple(cell.gamma)
             assert full_gamma[e[0]] == full_gamma[e[1]]
             assert verify_cell_support(config, e, cell)
@@ -141,15 +140,14 @@ def test_verify_cell_support_levels_in_integers():
     for cell in cells_of(g, e):
         assert verify_cell_support(config, e, cell)
         # Every node meets a point of a full-dimensional cell, so one off
-        # any coordinate of gamma, or one off the level, takes some point
-        # off the level and must break the support.
+        # any coordinate of gamma takes some point off level 0 and must
+        # break the support.
         shifted = (cell.gamma[0] + 1,) + tuple(cell.gamma[1:])
-        assert not verify_cell_support(config, e, Cell(cell.points, shifted, cell.height, cell.dim))
+        assert not verify_cell_support(config, e, Cell(cell.points, shifted))
         for step in (1, -1):
             for k in range(cell.dim):
                 gamma = tuple(x + step * (i == k) for i, x in enumerate(cell.gamma))
                 assert not verify_cell_support(config, e, cell._replace(gamma=gamma))
-            assert not verify_cell_support(config, e, cell._replace(height=cell.height + step))
 
 
 def test_cell_volumes_sum_to_polytope_volume():
