@@ -435,9 +435,20 @@ MUTANTS = (
     Mutant(
         "graphcore: balanced circuit rank without the contracted edge",
         GRAPHCORE,
-        "        if color[e[0]] == color[e[1]]:\n            chosen.append(e)\n",
-        "",
+        "cyclomatic_number(chosen + [e])",
+        "cyclomatic_number(chosen)",
         ("tests/test_graphcore.py::test_balanced_circuit_rank_against_brute_force",),
+    ),
+    Mutant(
+        "graphcore: balanced circuit rank counts colourings that split e's ends",
+        GRAPHCORE,
+        "        color[k2] = color[k1]\n",
+        "        color[k2] = 1 - color[k1]\n",
+        (
+            "tests/test_verify.py::"
+            "test_full_passes_where_a_balanced_subgraph_without_e_has_more_cycles[K33-0,3]",
+            "tests/test_graphcore.py::test_balanced_circuit_rank_against_brute_force",
+        ),
     ),
     Mutant(
         "cellanalysis: analyse a cell of volume 0",

@@ -254,27 +254,34 @@ def cyclomatic_number(edges) -> int:
 
 
 def balanced_circuit_rank(g: Graph, e: Edge) -> int:
-    """Maximum cyclomatic number over balanced subgraphs w.r.t. e.
+    """Maximum cyclomatic number over the balanced subgraphs of g that
+    contain e: those whose every cycle has an even number of edges other
+    than e.  Every cell subgraph of the subdivision at e holds e, so this
+    is the rank the maximum cell corank equals (arXiv:1912.02841).
 
     A subgraph is balanced iff its edge weights (1 off e, 0 on e) form a
-    Z2 coboundary, i.e. some 2-coloring p of the nodes has every subgraph
+    Z2 coboundary, i.e. some 2-coloring of the nodes has every subgraph
     edge bicolored except e, whose endpoints must agree.  The maximal
-    balanced subgraph for a coloring p collects exactly those edges, and
-    cyclomatic number is monotone under adding edges, so scanning the
-    2^(n-1) colorings (up to global flip) is exhaustive and exact.
+    balanced subgraph for such a coloring is e and the bicolored edges,
+    and cyclomatic number is monotone under adding edges, so scanning the
+    2^(n-2) colorings with node 0 at 0 and e's ends alike is exhaustive
+    and exact.
     """
     e = edge(*e)
     if e not in g.edges:
         raise ApxError(f"{e} not in graph")
     n = g.node_count
+    k1, k2 = e
+    free = [v for v in range(1, n) if v != k2]
     edges = g.sorted_edges()
     best = 0
-    for bits in range(1 << (n - 1)):
-        color = [0] + [(bits >> i) & 1 for i in range(n - 1)]
-        chosen = [f for f in edges if f != e and color[f[0]] != color[f[1]]]
-        if color[e[0]] == color[e[1]]:
-            chosen.append(e)
-        best = max(best, cyclomatic_number(chosen))
+    for bits in range(1 << (n - 2)):
+        color = [0] * n
+        for i, v in enumerate(free):
+            color[v] = bits >> i & 1
+        color[k2] = color[k1]
+        chosen = [f for f in edges if color[f[0]] != color[f[1]]]
+        best = max(best, cyclomatic_number(chosen + [e]))
     return best
 
 

@@ -490,18 +490,17 @@ def brute_force_directed_cycles(arcs):
 
 
 def brute_force_balanced_circuit_rank(g: Graph, e) -> int:
-    """Max cyclomatic number over balanced edge subsets, checked against
-    the full cycle list of each subset."""
+    """Max cyclomatic number over the balanced edge subsets that contain
+    e, checked against the full cycle list of each subset."""
     from apx.graphcore import cyclomatic_number
 
     e = edge(*e)
-    all_edges = g.sorted_edges()
+    others = [f for f in g.sorted_edges() if f != e]
     best = 0
-    for r in range(len(all_edges) + 1):
-        for subset in combinations(all_edges, r):
-            sub = Graph(g.node_count, frozenset(subset)) if subset else None
-            if sub is None:
-                continue
+    for r in range(len(others) + 1):
+        for rest in combinations(others, r):
+            subset = (e, *rest)
+            sub = Graph(g.node_count, frozenset(subset))
             balanced = all(
                 len(cyc - {e}) % 2 == 0 for cyc in brute_force_cycles(sub)
             )

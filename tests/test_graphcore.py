@@ -6,6 +6,7 @@ from conftest import (
     TWO_TRIANGLE_BALANCED_EDGES,
     brute_force_balanced_circuit_rank,
     brute_force_cycles,
+    cells_of,
     cycle_graph,
     chorded_pentagon,
     edge_lists,
@@ -28,7 +29,7 @@ from apx.graphcore import (
     graph_to_dot,
     split_at,
 )
-from apx.subdivision import cell_record
+from apx.subdivision import cell_record, corank
 
 
 def test_contract_chorded_pentagon():
@@ -243,11 +244,15 @@ def test_balanced_circuit_rank_examples():
 
 
 def test_balanced_circuit_rank_against_brute_force():
+    # Both derivations take the maximum over balanced subgraphs that hold
+    # e; the maximum corank of the cells shares neither.
     rng = random.Random(13)
     for _ in range(12):
         g = random_connected_graph(rng, max_nodes=5, max_edges=8)
         e = rng.choice(g.sorted_edges())
-        assert balanced_circuit_rank(g, e) == brute_force_balanced_circuit_rank(g, e)
+        rank = balanced_circuit_rank(g, e)
+        assert rank == brute_force_balanced_circuit_rank(g, e)
+        assert rank == max(corank(cell.record(), e) for cell in cells_of(g, e))
 
 
 def test_balanced_circuit_rank_bounded_by_cyclomatic():

@@ -7,6 +7,8 @@ import textwrap
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 import apx
 from conftest import (
     cells_of,
@@ -295,6 +297,40 @@ def test_verify_enumerates_each_contracted_graph_once(monkeypatch):
         assert ("product_correspondence" in checks) == (count == 3)
     assert checks["facet_correspondence"].detail == "72 cells <-> 72 facets"
     assert checks["product_correspondence"].detail == "72 cells = 6 x 12 facet pairs"
+
+
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+# K_{3,3} on the parts {0, 4, 5} and {1, 2, 3}, without (3, 5), or
+# without (2, 5) and (3, 4).
+K33_LESS_ONE = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4)]
+K33_LESS_TWO = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5)]
+# K_{3,3} on the parts {0, 1, 5} and {2, 3, 4}, with (0, 1) added.
+K33_PLUS_ONE = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)]
+
+
+@pytest.mark.parametrize(
+    "edges, e, rank",
+    [
+        pytest.param(edges, e, rank, id=f"{name}-{e[0]},{e[1]}")
+        for name, edges, es, rank in [
+            ("K33", K33, K33, 2),
+            ("K33_less_two", K33_LESS_TWO, [(0, 1)], 0),
+            ("K33_less_one", K33_LESS_ONE, [(0, 1), (0, 2), (1, 4), (2, 4)], 1),
+            ("K33_plus_one", K33_PLUS_ONE, [(2, 5), (3, 5), (4, 5)], 2),
+            ("K33_plus_two", K33_PLUS_ONE + [(2, 3)], [(4, 5)], 2),
+        ]
+        for e in es
+    ],
+)
+def test_full_passes_where_a_balanced_subgraph_without_e_has_more_cycles(edges, e, rank):
+    # On these 18 instances, all of the connected 6-node graphs where it
+    # happens, a balanced subgraph that drops e has a larger cyclomatic
+    # number than any that holds it.  Every cell subgraph holds e, so the
+    # balanced circuit rank counts only subgraphs that do.
+    report = run_verification(Graph.from_edges(edges), e, level="full")
+    assert report.passed()
+    check = next(c for c in report.checks if c.name == "max_corank_equals_balanced_circuit_rank")
+    assert check.detail == f"max corank {rank}, balanced circuit rank {rank}"
 
 
 def test_k8_full_proves_the_morphism_on_every_cell():
