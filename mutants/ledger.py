@@ -512,12 +512,12 @@ MUTANTS = (
     Mutant(
         "subdivision: simplicial cells pass the transfer whatever their facets",
         SUBDIVISION,
-        "    return all(_facet_is_simplicial(facet)"
-        " for cell, facet in pairs if cell.is_simplicial())\n",
-        "    return True\n",
+        "        if cell.is_simplicial() and len(facet.support) != len(facet.normal):\n",
+        "        if False:\n",
         (
             "tests/test_subdivision.py::"
             "test_simpliciality_transfer_refuses_a_non_simplicial_facet",
+            "tests/test_verify.py::test_simpliciality_transfer_names_the_cell_and_the_facet",
         ),
     ),
     Mutant(

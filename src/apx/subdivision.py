@@ -263,16 +263,18 @@ def product_correspondence(g: Graph, e: Edge, cells: list[Cell]) -> tuple[list, 
     return f1, f2
 
 
-def _facet_is_simplicial(facet: FacetCertificate) -> bool:
-    """A facet of an n'-dimensional adjacency polytope is simplicial when
-    it has exactly n' supporting points (the empty facet trivially is)."""
-    return len(facet.support) == len(facet.normal)
-
-
-def check_simpliciality_transfer(pairs) -> bool:
-    """Simplicial cells must map to simplicial facets; ``pairs`` are the
-    (cell, facet) pairs of ``cells_with_facets``."""
-    return all(_facet_is_simplicial(facet) for cell, facet in pairs if cell.is_simplicial())
+def check_simpliciality_transfer(pairs) -> None:
+    """Simplicial cells map to simplicial facets; ``pairs`` are the
+    (cell, facet) pairs of ``cells_with_facets``.  A facet of an
+    n'-dimensional adjacency polytope is simplicial when it has exactly n'
+    supporting points (the empty facet trivially is).  Raises
+    TheoremViolation naming the first simplicial cell whose facet is not,
+    and that facet's support."""
+    for i, (cell, facet) in enumerate(pairs):
+        if cell.is_simplicial() and len(facet.support) != len(facet.normal):
+            raise TheoremViolation(
+                f"simplicial cell {i} maps to the non-simplicial facet {facet.support}"
+            )
 
 
 def verify_cell_support(config: PointConfiguration, e: Edge, cell: Cell) -> bool:

@@ -78,10 +78,15 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     try:
         facet_correspondence(g, e, pairs)
         report.add("facet_correspondence", True, f"{len(cells)} cells <-> {len(pairs)} facets")
-        report.add("simpliciality_transfer", check_simpliciality_transfer(pairs))
     except TheoremViolation as exc:
         report.add("facet_correspondence", False, str(exc))
         report.add("simpliciality_transfer", False, "correspondence unavailable")
+    else:
+        try:
+            check_simpliciality_transfer(pairs)
+            report.add("simpliciality_transfer", True)
+        except TheoremViolation as exc:
+            report.add("simpliciality_transfer", False, str(exc))
 
     # The product bijection is checked only when G splits at e.
     try:

@@ -289,22 +289,25 @@ def test_product_correspondence_runs_exactly_when_the_contracted_nodes_cut(g):
 def test_simpliciality_transfer_c4():
     pairs = cells_with_facets(cycle_graph(4), (0, 3))
     assert all(cell.is_simplicial() for cell, _ in pairs)
-    assert check_simpliciality_transfer(pairs)
+    check_simpliciality_transfer(pairs)
 
 
 def test_simpliciality_transfer_c5_vacuous():
     pairs = cells_with_facets(cycle_graph(5), (0, 4))
     assert not any(cell.is_simplicial() for cell, _ in pairs)
-    assert check_simpliciality_transfer(pairs)
+    check_simpliciality_transfer(pairs)
 
 
 def test_simpliciality_transfer_refuses_a_non_simplicial_facet():
     # C4's simplicial cell paired with a facet of C5 // {0, 4}, a square
-    # with four points in dimension 3, breaks the transfer.
+    # with four points in dimension 3, breaks the transfer; the failure
+    # names the cell and the facet's support.
     (cell, _), *rest = cells_with_facets(cycle_graph(4), (0, 3))
     _, facet = cells_with_facets(cycle_graph(5), (0, 4))[0]
     assert cell.is_simplicial() and len(facet.support) == 4 == len(facet.normal) + 1
-    assert not check_simpliciality_transfer([(cell, facet), *rest])
+    with pytest.raises(TheoremViolation) as exc:
+        check_simpliciality_transfer([*rest[:2], (cell, facet), *rest[2:]])
+    assert str(exc.value) == f"simplicial cell 2 maps to the non-simplicial facet {facet.support}"
 
 
 def test_cell_count_equals_contracted_facet_count():

@@ -208,6 +208,33 @@ def test_max_corank_check_refuses_a_balanced_circuit_rank_off_by_one(monkeypatch
     assert check.detail == "max corank 2, balanced circuit rank 3"
 
 
+def test_simpliciality_transfer_names_the_cell_and_the_facet(monkeypatch):
+    # C4's cell 1 paired with a square facet of C5 // {0, 4}.  The facet
+    # check fails first, and the transfer reads "correspondence
+    # unavailable"; with the facet check passed over, the transfer names
+    # the cell and the facet's support.
+    import apx.verify as verify
+
+    real = verify.cells_with_facets
+    _, square = real(cycle_graph(5), (0, 4))[0]
+
+    def swapped(g, e):
+        pairs = real(g, e)
+        pairs[1] = (pairs[1][0], square)
+        return pairs
+
+    monkeypatch.setattr(verify, "cells_with_facets", swapped)
+    checks = {c.name: c for c in run_verification(cycle_graph(4), (0, 3), level="fast").checks}
+    assert not checks["facet_correspondence"].passed
+    assert checks["simpliciality_transfer"][1:] == (False, "correspondence unavailable")
+    monkeypatch.setattr(verify, "facet_correspondence", lambda g, e, pairs: None)
+    checks = {c.name: c for c in run_verification(cycle_graph(4), (0, 3), level="fast").checks}
+    assert checks["simpliciality_transfer"][1:] == (
+        False,
+        f"simplicial cell 1 maps to the non-simplicial facet {square.support}",
+    )
+
+
 def test_report_json_shape():
     report = run_verification(cycle_graph(4), (0, 3), level="full")
     payload = report.to_json_dict()
