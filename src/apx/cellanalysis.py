@@ -18,7 +18,8 @@ not kept for the run.
 Every closed form is cross-checked against the exact triangulation
 oracle, so these functions double as theorem checkers; a disagreement
 raises TheoremViolation (never a bare assert, so ``python -O`` keeps
-every check) instead of returning silently.
+every check) instead of returning silently.  A cell's report repeats
+no statement that a raise proves: it holds only what was computed.
 """
 
 from __future__ import annotations
@@ -273,9 +274,9 @@ def closed_form_volume(rec: CellRecord, e: Edge, oracle: int) -> int | None:
 
 
 class CellInvariantReport(NamedTuple):
-    """Everything the theorems say about one cell, with pass/fail flags.
-    The report's cyclomatic number is the corank, which ``corank`` has
-    proved equal to it."""
+    """What ``analyze_cell`` computed about one cell.  No field repeats a
+    statement that a call proves by raising; ``checks`` holds whether the
+    five properties pass and, on a corank-1 circuit, the Radon split."""
 
     corank: int
     simplicial: bool
@@ -289,48 +290,34 @@ class CellInvariantReport(NamedTuple):
         return all(self.checks.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            **self._asdict(),
-            "cyclomatic": self.corank,
-            "properties": self.properties.to_json_dict(),
-        }
+        return {**self._asdict(), "properties": self.properties.to_json_dict()}
 
 
 def analyze_cell(g: Graph, e: Edge, rec: CellRecord, volume: int) -> CellInvariantReport:
     """Evaluate every per-cell statement on a cell's record ``rec`` and
-    its ``volume`` from the triangulation oracle: the five subgraph
-    properties, corank = cyclomatic number, simplicial iff spanning tree,
-    circuit iff plain cycle, signatures of corank-1 cells, and volume
-    closed forms against the oracle.  A zero volume, a cell that does not
-    span, raises TheoremViolation naming its affine dimension."""
+    its ``volume`` from the triangulation oracle.  Calls that raise
+    TheoremViolation prove corank = cyclomatic number, circuit iff plain
+    cycle, the corank-1 signature, the closed forms and, with them,
+    simplicial iff spanning tree.  A zero volume, a cell that does not
+    span, raises, naming its affine dimension."""
     n = g.node_count - 1
     properties = verify_cell_properties(g, e, rec)
     k = corank(rec, e)
     simplicial = len(rec.labels) == n + 1
-    spanning_tree = (
-        rec.cyclomatic == 0
-        and rec.vertices == set(range(g.node_count))
-        and len(rec.forest.components) == 1
-    )
     circuit = is_circuit(rec, e)
     if not volume:
         raise TheoremViolation(f"not full-dimensional: affine dimension {rec.rank - 1} < {n}")
     closed = closed_form_volume(rec, e, volume)
-    # Each True is a statement that a call here proves or raises
-    # TheoremViolation: corank (corank = cyclomatic number; the kernel's
-    # size is the corank, so dependent iff cyclic), is_circuit,
-    # closed_form_volume and corank1_signature.
-    checks = {
-        "properties": properties.all_pass(),
-        "corank_equals_cyclomatic": True,
-        "simplicial_iff_spanning_tree": simplicial == spanning_tree,
-        "circuit_iff_plain_cycle": True,
-        "dependent_iff_cyclic": True,
-        "volume_closed_form": True,
-    }
+    # Simplicial iff spanning tree needs no check.  The volume is not 0, so
+    # the elimination's basis has n + 1 rows (the oracle gives 0 otherwise)
+    # and the affine dimension is n.  ``corank`` has raised unless n =
+    # |V(G_X)| + [e in G_X] - c - 1 for c components; as V(G_X) is within
+    # {0..n} and c >= 1, e is in G_X, |V(G_X)| = n + 1 and c = 1.  So G_X is
+    # a spanning tree iff its cyclomatic number, the proved-equal corank,
+    # is 0, iff |X| = n + 1: iff the cell is simplicial.
+    checks = {"properties": properties.all_pass()}
     if k == 1:
         corank1_signature(rec, e)
-        checks["signature_closed_form"] = True
         if circuit:
             checks["radon_split"] = separates_contracted_pair(rec, e)
     return CellInvariantReport(k, simplicial, circuit, properties, closed, volume, checks)

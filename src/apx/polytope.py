@@ -346,7 +346,9 @@ class _PlacingState:
             for face, (vol, j) in faces.items():
                 vol, rem = divmod(vol * beyond, sum(v[c] * a for c, a in sparse[j]))
                 if rem:
-                    raise TheoremViolation("placing volume is not an integer")
+                    raise TheoremViolation(
+                        f"placing volume is not an integer: point {self.order[k]} sees facet {v}"
+                    )
                 added += vol
                 simplex = face | bit
                 rest = face
@@ -381,7 +383,11 @@ class _PlacingState:
                         common &= t
             seen = common & visible
             if common.bit_count() != 2 or seen.bit_count() != 1:
-                raise TheoremViolation("horizon face is not on one visible and one other facet")
+                rows = [self.order[i] for i in _bits(horizon)]
+                raise TheoremViolation(
+                    f"horizon face {rows} of point {self.order[k]} is not on one visible and one"
+                    f" other facet: {common.bit_count()} hold it, {seen.bit_count()} visible"
+                )
             p = common ^ seen
             if p & zero:
                 facets[p.bit_length() - 1][2][ridge] = entry
@@ -425,16 +431,6 @@ class _PlacingState:
         return self
 
 
-def _volume(vectors, elimination: Elimination) -> int:
-    """The placing triangulation's volume, or 0 when the basis of the rows
-    (x, 1) in R^(d+1) has at most d rows: the normalized d-volume of a set
-    that does not span R^d.  The elimination keeps one row of its right
-    block per coordinate of R^(d+1)."""
-    if len(elimination.basis) < len(elimination.inverse):
-        return 0
-    return _PlacingState(vectors, elimination).run().volume
-
-
 def normalized_volume_of_points(vectors) -> int:
     """Exact normalized volume (d! times Euclidean) of conv(vectors), for
     integer tuples in R^d; 0 when they do not span R^d.
@@ -445,7 +441,8 @@ def normalized_volume_of_points(vectors) -> int:
     """
     if not vectors:
         raise ApxError("empty point set")
-    return _volume(vectors, eliminate([v + (1,) for v in vectors], len(vectors[0]) + 1))
+    elimination = eliminate([v + (1,) for v in vectors], len(vectors[0]) + 1)
+    return normalized_volume_of_cell(vectors, elimination)
 
 
 def normalized_volume(config: PointConfiguration) -> int:
@@ -458,6 +455,10 @@ def normalized_volume(config: PointConfiguration) -> int:
 
 def normalized_volume_of_cell(vectors, elimination: Elimination) -> int:
     """Triangulation oracle on a cell's points, seeded by the ``eliminate``
-    pass of their rows (x, 1) that the cell's record reads; 0 when they do
-    not span."""
-    return _volume(vectors, elimination)
+    pass of their rows (x, 1) that the cell's record reads.  0 when the
+    basis of those rows in R^(d+1) has at most d rows: the normalized
+    d-volume of a set that does not span R^d.  The elimination keeps one
+    row of its right block per coordinate of R^(d+1)."""
+    if len(elimination.basis) < len(elimination.inverse):
+        return 0
+    return _PlacingState(vectors, elimination).run().volume

@@ -137,11 +137,7 @@ class Cell(NamedTuple):
         return len(self.points) == self.dim + 1
 
     def to_json_dict(self) -> dict:
-        return {
-            "points": self.points,
-            "gamma": [str(g) for g in self.gamma],
-            "h": "0",
-        }
+        return {"points": self.points, "gamma": [str(g) for g in self.gamma]}
 
 
 def cells_with_facets(g: Graph, e: Edge) -> list[tuple[Cell, FacetCertificate]]:

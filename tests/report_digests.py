@@ -11,7 +11,8 @@ every edge of each, in both orientations, plus inputs the CLI refuses.
 
     PYTHONPATH=src python3 tests/report_digests.py
 
-and names every changed digest.
+which prints each digest changed, added or removed against the file it
+replaces, one per line, so the change can name them.
 """
 
 from __future__ import annotations
@@ -101,5 +102,23 @@ def compute() -> dict[str, str]:
     return {name: digest(*run) for name, *run in sweep()}
 
 
+def changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per digest that differs between ``old`` and ``new``:
+    "changed NAME", "added NAME" or "removed NAME", in name order."""
+    out = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old:
+            out.append(f"added {name}")
+        elif name not in new:
+            out.append(f"removed {name}")
+        elif old[name] != new[name]:
+            out.append(f"changed {name}")
+    return out
+
+
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
+    committed = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    found = compute()
+    DIGESTS.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
+    for line in changes(committed, found):
+        print(line)

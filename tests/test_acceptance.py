@@ -163,10 +163,33 @@ def test_criterion_4_bijection_on_corpus(corpus):
     )
 
 
+def is_spanning_tree(edges, node_count: int) -> bool:
+    """Whether undirected ``edges`` form a spanning tree of the nodes
+    0..node_count-1: no edge closes a cycle (union-find) and there are
+    node_count - 1 of them."""
+    parent = list(range(node_count))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        ru, rv = root(u), root(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return len(edges) == node_count - 1
+
+
 def test_criterion_5_invariants_on_corpus(corpus):
     started = time.monotonic()
     from fractions import Fraction
 
+    # Simplicial iff spanning tree has no key in the reports; check it
+    # here against the cell's undirected subgraph, built apart from its
+    # record, and see both answers.
+    seen = set()
     for record in corpus["records"]:
         g, e, cells = record["graph"], record["edge"], record["cells"]
         facet_correspondence(g, e, record["pairs"])
@@ -181,7 +204,12 @@ def test_criterion_5_invariants_on_corpus(corpus):
             value = corank(rec, e)  # asserts = cyclomatic
             if value <= 2:
                 assert closed_form_volume(rec, e, oracle) == oracle
+            undirected = {(min(i, j), max(i, j)) for i, j in cell.points}
+            simplicial = cell.is_simplicial()
+            assert simplicial == is_spanning_tree(undirected, g.node_count)
+            seen.add(simplicial)
         check_simpliciality_transfer(record["pairs"])
+    assert seen == {True, False}
     announce("criterion-5 (full invariant suite on the corpus, zero failures)", started)
 
 

@@ -59,9 +59,9 @@ def test_subdivide_c4(tmp_path, capsys):
     assert payload["cell_count"] == 6
     assert payload["total_nvol"] == "12"
     for cell in payload["cells"]:
+        assert set(cell) == {"points", "gamma", "corank", "nvol", "facet_image"}
         assert cell["corank"] == 0
         assert cell["nvol"] == "2"
-        assert cell["h"] == "0"
         assert [0, 3] in cell["points"] and [3, 0] in cell["points"]
         assert "normal" in cell["facet_image"]
 

@@ -504,8 +504,11 @@ def test_placing_raises_on_an_inexact_volume_ratio():
     for _, _, faces in state.facets:
         for m, (_, j) in faces.items():
             faces[m] = (1, j)
-    with pytest.raises(TheoremViolation, match="not an integer"):
+    # The witness names point 2, (3,), and a facet it sees.
+    with pytest.raises(TheoremViolation, match=r"not an integer: point 2 sees facet \(-1, 2\)"):
         state.run()
+    assert state.order[2] == 2 and (-1, 2) in [f[0] for f in state.facets]
+    assert sum(a * b for a, b in zip((-1, 2), state.rows[2])) < 0
 
 
 def test_placing_raises_when_no_facet_holds_a_boundary_face():
@@ -513,18 +516,31 @@ def test_placing_raises_when_no_facet_holds_a_boundary_face():
     # and 2 is y >= 0.  Placing (1, 1) sees facet 0 only, and leaves the
     # horizon faces (1, 0), on facets 0 and 2, and (0, 1), on 0 and 1.
     square = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    # No facet holds (1, 0) once its row's tight bitset is blanked.
+    # The witness names the face's points, the point being placed, and
+    # how many facets hold the face.  No facet holds (1, 0), point 1,
+    # once its row's tight bitset is blanked.
     state = placing_state(square)
+    assert state.order == [0, 1, 2, 3]
     state.tight[1] = 0
-    with pytest.raises(TheoremViolation, match="one visible and one other facet"):
+    with pytest.raises(
+        TheoremViolation,
+        match=r"horizon face \[1\] of point 3 is not on one visible and one other facet: "
+        "0 hold it, 0 visible",
+    ):
         state.run()
-    # A copy of y >= 0 under a fourth id makes (1, 0) lie on three.
+    # A copy of y >= 0 under a fourth id makes (1, 0) lie on three: the
+    # visible x + y <= 1, y >= 0 and the copy.
     state = placing_state(square)
     state.facets.append(state.facets[2])
     state.tight[0] |= 1 << 3
     state.tight[1] |= 1 << 3
     state.live |= 1 << 3
-    with pytest.raises(TheoremViolation, match="one visible and one other facet"):
+    assert (state.live & state.tight[1]).bit_count() == 3
+    with pytest.raises(
+        TheoremViolation,
+        match=r"horizon face \[1\] of point 3 is not on one visible and one other facet: "
+        "3 hold it, 1 visible",
+    ):
         state.run()
 
 

@@ -243,6 +243,16 @@ def test_report_json_shape():
     assert set(payload["checks"]) == check_names(report)
     assert len(payload["cells"]) == 6
     for cell in payload["cells"]:
+        assert set(cell) == {
+            "corank",
+            "simplicial",
+            "circuit",
+            "properties",
+            "volume_closed_form",
+            "volume_oracle",
+            "checks",
+        }
+        assert set(cell["checks"]) <= {"properties", "radon_split"}
         assert cell["volume_closed_form"] == cell["volume_oracle"] == 2
 
 
