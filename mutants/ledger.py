@@ -258,6 +258,30 @@ MUTANTS = (
         ("tests/test_polytope.py::test_seed_basis_skips_dependent_rows",),
     ),
     Mutant(
+        "polytope: take a new facet's candidate rows from q only",
+        POLYTOPE,
+        "_bits((oq | op) & after)",
+        "_bits(oq & after)",
+        (
+            f"{LADDER}[running]",
+            f"{LADDER}[grid3x4]",
+            DRAWN,
+            "tests/test_polytope.py::test_grid_placing_holds_only_the_faces_it_will_cone",
+        ),
+    ),
+    Mutant(
+        "polytope: file no faces on a new facet",
+        POLYTOPE,
+        "{} if out else None, out)",
+        "None, out)",
+        (
+            "tests/test_polytope.py::test_volume_c4_c5",
+            f"{LADDER}[W7]",
+            DRAWN,
+            "tests/test_polytope.py::test_grid_placing_holds_only_the_faces_it_will_cone",
+        ),
+    ),
+    Mutant(
         "subdivision: cells without the merged-pair clause",
         SUBDIVISION,
         "if a == b or (a, b) in support",
@@ -287,7 +311,7 @@ MUTANTS = (
     Mutant(
         "subdivision: lower faces without the support test",
         SUBDIVISION,
-        "        if not verify_cell_support(config, e, cell):\n",
+        "        if not witness:\n",
         "        if False:\n",
         (
             "tests/test_cli.py::test_subdivide_proof_refuses_a_shifted_normal",

@@ -10,11 +10,14 @@ triangulation that keeps its own hull, seeded by one
 placed point is a beneath-beyond step whose new facets are read off the
 horizon faces of the triangulation's boundary, in dimension 1 too, where
 a horizon face is empty, and each simplex's volume is an exact integer
-ratio off the simplex it is glued to.  The potential search and the
-volume pipeline share no logic with each other, and tests re-derive
-facets from a double description cone, from brute-force hyperplanes and
-from a separate potential enumeration, and volumes from a placing oracle
-driven by that cone and from per-simplex determinants.
+ratio off the simplex it is glued to.  A hull facet keeps its boundary
+faces only while a point still to be placed lies beyond it; the new
+facet of two old ones tests only the points beyond either of them, as
+its normal is a positive combination of theirs.  The potential search
+and the volume pipeline share no logic with each other, and tests
+re-derive facets from a double description cone, from brute-force
+hyperplanes and from a separate potential enumeration, and volumes from
+a placing oracle driven by that cone and from per-simplex determinants.
 """
 
 from __future__ import annotations
@@ -252,9 +255,10 @@ class _PlacingState:
 
     The hull is a list of facets, each under a stable id (its index in
     ``facets``, None marking a free id): a primitive inner normal v, the
-    mask of the rows tight on it, and its boundary faces as {face mask:
+    mask of the rows tight on it, its boundary faces as {face mask:
     (volume of the simplex on the face, position of its opposite
-    vertex)}.  ``tight[i]`` is the bitset of the ids of the facets tight
+    vertex)} or None, and the mask of the later rows strictly beyond it.
+    ``tight[i]`` is the bitset of the ids of the facets tight
     on row i.  Masks are over placing positions; ``order`` maps them back
     to point indices.  The seed facets are the rows of d * B^-T for the
     seed basis B, from the same elimination, oriented by the sign of d;
@@ -285,6 +289,26 @@ class _PlacingState:
     visible and a hidden facet, and the boundary triangulation puts a
     face on every such ridge.  A new facet takes the lowest free id, so
     ids stay below the largest facet count so far.
+
+    A facet keeps its boundary faces only while a row still to be placed
+    lies strictly beyond it, the conflict lists of randomized incremental
+    hulls (Clarkson and Shor 1989; de Berg et al., Computational
+    Geometry, ch. 11): only such a facet can be seen, and so coned, by a
+    later insert.  A seed facet tests every row after the seed.  The new
+    facet of the pair (q, p) tests only the rows after k in out_q |
+    out_p, the later rows beyond q and beyond p recorded when those
+    facets were made.  That is enough: its normal is n = dp v_q - dq v_p
+    with dp = <v_p, r_k> > 0 and -dq = -<v_q, r_k> > 0, so <n, x> < 0
+    forces <v_q, x> < 0 or <v_p, x> < 0.  The facet and its test are made
+    the first time a horizon face meets the pair, before any face is
+    filed, and a face goes only to a facet with a later row beyond it; a
+    coplanar p without faces files nothing.  A facet is coned when the
+    first row beyond it is placed, so the later rows of every live facet
+    are still to come, and no facet holds faces once the last point is
+    placed.  Normals, tight masks, ``tight`` and ``live`` are kept for
+    every facet, so the horizon test and the divisibility check run on
+    every insert, the last one included; a point that sees a facet
+    holding no faces raises TheoremViolation.
     """
 
     def __init__(self, vectors: list[IntVector], elimination: Elimination):
@@ -301,11 +325,14 @@ class _PlacingState:
         self.volume = abs(det)
         full = (1 << (d + 1)) - 1
         # Seed facet j is tight on every seed row but the j-th and holds
-        # the seed simplex's face opposite position j.
-        self.facets: list[tuple[IntVector, int, dict[int, tuple[int, int]]] | None] = [
-            (_reduce_ray([sign * x for x in ray]), full ^ (1 << j), {full ^ (1 << j): (self.volume, j)})
-            for j, ray in enumerate(elimination.inverse)
-        ]
+        # the seed simplex's face opposite position j if a later row is
+        # beyond it.
+        later = range(d + 1, len(self.rows))
+        self.facets: list[tuple[IntVector, int, dict | None, int] | None] = []
+        for j, ray in enumerate(elimination.inverse):
+            normal, mask = _reduce_ray([sign * x for x in ray]), full ^ (1 << j)
+            out = self._beyond(normal, later)
+            self.facets.append((normal, mask, {mask: (self.volume, j)} if out else None, out))
         self.tight = [full ^ (1 << i) for i in range(d + 1)] + [0] * (len(self.rows) - d - 1)
         self.live = full
 
@@ -326,13 +353,24 @@ class _PlacingState:
         if visible:
             self._cone(k, visible, zero, dict(zip(ids, dots)))
         for j in _bits(zero):
-            v, m, faces = facets[j]
-            facets[j] = (v, m | bit, faces)
+            v, m, faces, out = facets[j]
+            facets[j] = (v, m | bit, faces, out)
         self.tight[k] |= zero
+
+    def _beyond(self, normal: IntVector, rows) -> int:
+        """The mask of the positions among ``rows`` strictly beyond the
+        facet hyperplane of ``normal``."""
+        sparse = self.sparse
+        out = 0
+        for i in rows:
+            if sum(normal[c] * a for c, a in sparse[i]) < 0:
+                out |= 1 << i
+        return out
 
     def _cone(self, k: int, visible: int, zero: int, dot: dict[int, int]) -> None:
         """Cone r_k over the visible facets and replace them by the new
-        facets through r_k, filing every new boundary face."""
+        facets through r_k, filing every new boundary face that lies on a
+        facet with a later row beyond it."""
         facets, tight, sparse = self.facets, self.tight, self.sparse
         bit = 1 << k
         # ridge mask -> (volume, opposite position) of the one new simplex
@@ -341,7 +379,11 @@ class _PlacingState:
         pop = ridges.pop
         added = 0
         for q in _bits(visible):
-            v, _, faces = facets[q]
+            v, _, faces, _ = facets[q]
+            if faces is None:
+                raise TheoremViolation(
+                    f"point {self.order[k]} sees facet {v}, which holds no boundary faces"
+                )
             beyond = -dot[q]
             for face, (vol, j) in faces.items():
                 vol, rem = divmod(vol * beyond, sum(v[c] * a for c, a in sparse[j]))
@@ -365,8 +407,10 @@ class _PlacingState:
         live = self.live
         blocks: dict[int, int] = {}
         block_masks = [255 << s for s in range(0, k, 8)]
-        # {q, p} bitset -> boundary faces of the new facet of that pair
-        pairs: dict[int, dict[int, tuple[int, int]]] = {}
+        # {q, p} bitset -> the new facet of that pair, made the first time
+        # a horizon face meets the pair
+        pairs: dict[int, tuple] = {}
+        after = -2 << k  # the positions after k
         for ridge, entry in ridges.items():
             horizon = ridge ^ bit
             common = live
@@ -390,20 +434,19 @@ class _PlacingState:
                 )
             p = common ^ seen
             if p & zero:
-                facets[p.bit_length() - 1][2][ridge] = entry
+                faces = facets[p.bit_length() - 1][2]
             else:
-                faces = pairs.get(common)
-                if faces is None:
-                    faces = pairs[common] = {}
+                facet = pairs.get(common)
+                if facet is None:
+                    q, p = seen.bit_length() - 1, p.bit_length() - 1
+                    (vq, mq, _, oq), (vp, mp, _, op) = facets[q], facets[p]
+                    dq, dp = dot[q], dot[p]
+                    normal = _reduce_ray([dp * a - dq * b for a, b in zip(vq, vp)])
+                    out = self._beyond(normal, _bits((oq | op) & after))
+                    facet = pairs[common] = (normal, (mq & mp) | bit, {} if out else None, out)
+                faces = facet[2]
+            if faces is not None:
                 faces[ridge] = entry
-        made = []
-        for common, faces in pairs.items():
-            seen = common & visible
-            q, p = seen.bit_length() - 1, (common ^ seen).bit_length() - 1
-            (vq, mq, _), (vp, mp, _) = facets[q], facets[p]
-            dq, dp = dot[q], dot[p]
-            normal = _reduce_ray([dp * a - dq * b for a, b in zip(vq, vp)])
-            made.append((normal, (mq & mp) | bit, faces))
         keep = ~visible
         for i in range(k):
             tight[i] &= keep
@@ -412,7 +455,7 @@ class _PlacingState:
         live &= keep
         # New facets take the lowest free ids, then ids past the end.
         free = iter(_bits(~live & ((1 << len(facets)) - 1)))
-        for facet in made:
+        for facet in pairs.values():
             j = next(free, len(facets))
             if j == len(facets):
                 facets.append(facet)

@@ -273,10 +273,22 @@ def check_simpliciality_transfer(pairs) -> None:
             )
 
 
-def verify_cell_support(config: PointConfiguration, e: Edge, cell: Cell) -> bool:
+class SupportWitness(NamedTuple):
+    """What ``verify_cell_support`` finds: true when the cell passes,
+    else the first label off its level and that label's lifted value."""
+
+    label: DirectedEdge | None = None
+    value: int = 0
+
+    def __bool__(self) -> bool:
+        return self.label is None
+
+
+def verify_cell_support(config: PointConfiguration, e: Edge, cell: Cell) -> SupportWitness:
     """Definitional check of one cell against the lift of the graph's
     configuration ``config``: level 0 on its points, strictly above
-    elsewhere."""
+    elsewhere.  Returns a true witness when it holds, else one naming
+    the first label, in label order, that is off its level."""
     # With gamma_0 = 0 in front, <e_i - e_j, gamma> = gamma[i] - gamma[j].
     # The lift weight is 0 on the pair, 1 elsewhere.
     gamma = (0, *cell.gamma)
@@ -286,12 +298,10 @@ def verify_cell_support(config: PointConfiguration, e: Edge, cell: Cell) -> bool
     for lab in config.labels:
         i, j = lab
         value = gamma[i] - gamma[j] + (lab not in pair)
-        if lab in members:
-            if value:
-                return False
-        elif value <= 0:
-            return False
-    return True
+        off = value != 0 if lab in members else value <= 0
+        if off:
+            return SupportWitness(lab, value)
+    return SupportWitness()
 
 
 def prove_lower_faces(config: PointConfiguration, e: Edge, cells) -> None:
@@ -299,11 +309,17 @@ def prove_lower_faces(config: PointConfiguration, e: Edge, cells) -> None:
     no two share a normal, so no two share an interior.  The contracted
     pair lifts to 0 at values that sum to 0, so at h = 0 both its points
     are on the face and gamma agrees on the merged nodes.  Raises
-    TheoremViolation naming the cell."""
+    TheoremViolation naming the cell, and for a cell off the lift the
+    first label off its level, with its lifted value."""
     first: dict[IntVector, int] = {}
     for i, cell in enumerate(cells):
-        if not verify_cell_support(config, e, cell):
-            raise TheoremViolation(f"cell {i} is not a lower face of the lift at h = 0")
+        witness = verify_cell_support(config, e, cell)
+        if not witness:
+            where = "of the cell" if witness.label in cell.points else "outside the cell"
+            raise TheoremViolation(
+                f"cell {i} is not a lower face of the lift at h = 0:"
+                f" point {witness.label} {where} lifts to {witness.value}"
+            )
         j = first.setdefault(cell.gamma, i)
         if j != i:
             raise TheoremViolation(f"cells {j} and {i} share a normal")

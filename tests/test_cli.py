@@ -123,18 +123,33 @@ def test_subdivide_proof_refuses_a_missing_cell(tmp_path, capsys, monkeypatch):
     assert message == "cells cover volume 25 of the polytope's 30"
 
 
+def _lifted(cell, label) -> int:
+    """The lifted value of a C5 label against a cell's normal, the lift
+    weight 0 on the contracted pair (0, 4) and 1 elsewhere."""
+    gamma = (0, *cell.gamma)
+    i, j = label
+    return gamma[i] - gamma[j] + (label not in ((0, 4), (4, 0)))
+
+
 def test_subdivide_proof_refuses_a_shifted_normal(tmp_path, capsys, monkeypatch):
     # The same points with one normal shifted by 1: still full-dimensional
-    # and of the same volume, but no longer a lower face of the lift.
+    # and of the same volume, but no longer a lower face of the lift.  The
+    # witness is a point of the cell off level 0, at its real value.
+    changed = []
+
     def shift(pairs):
         (cell, facet), *rest = pairs
         gamma = (cell.gamma[0] + 1, *cell.gamma[1:])
-        return [(cell._replace(gamma=gamma), facet), *rest]
+        changed.append(cell._replace(gamma=gamma))
+        return [(changed[-1], facet), *rest]
 
     message, checks = _refused_by_both(
         tmp_path, capsys, monkeypatch, shift, "lower_facet_normalization"
     )
-    assert message == "cell 0 is not a lower face of the lift at h = 0"
+    assert message == (
+        "cell 0 is not a lower face of the lift at h = 0: point (1, 0) of the cell lifts to 1"
+    )
+    assert (1, 0) in changed[-1].points and _lifted(changed[-1], (1, 0)) == 1
     assert checks["volume_additivity"]["passed"]
 
 
@@ -157,17 +172,25 @@ def test_verify_fails_a_cell_that_is_not_full_dimensional(tmp_path, capsys, monk
     # dimension 3 in R^4, and the points dropped still lie on its lifted
     # hyperplane, so it is not a face.  Both commands name the first
     # statement it fails; verify also fails the cover, naming the cell,
-    # and still writes its report.
+    # and still writes its report.  The witness is a dropped point, at
+    # level 0 outside the cell.
+    changed = []
+
     def thin(pairs):
         (cell, facet), *rest = pairs
         dropped = [p for p in cell.points if p not in ((0, 4), (4, 0))][:2]
         points = tuple(p for p in cell.points if p not in dropped)
-        return [(cell._replace(points=points), facet), *rest]
+        changed.append((cell._replace(points=points), dropped))
+        return [(changed[-1][0], facet), *rest]
 
     message, checks = _refused_by_both(
         tmp_path, capsys, monkeypatch, thin, "lower_facet_normalization"
     )
-    assert message == "cell 0 is not a lower face of the lift at h = 0"
+    assert message == (
+        "cell 0 is not a lower face of the lift at h = 0: point (1, 0) outside the cell lifts to 0"
+    )
+    cell, dropped = changed[-1]
+    assert (1, 0) in dropped and _lifted(cell, (1, 0)) == 0
     assert checks["volume_additivity"] == {
         "passed": False,
         "detail": "cell 0 is not full-dimensional: affine dimension 3 < 4",

@@ -308,16 +308,21 @@ def test_seed_basis_skips_dependent_rows():
             state = placing_state(points)
             assert state.order[: dim + 1] == _reference_greedy_basis(homogenized, dim + 1)
             # Seed facet j is primitive, tight on every seed row but the
-            # j-th, positive on that one, and holds the face opposite it.
+            # j-th, positive on that one, and holds the face opposite it
+            # iff a later row is beyond it.
             seed = state.rows[: dim + 1]
             full = (1 << (dim + 1)) - 1
             assert state.volume == abs(integer_determinant(seed))
-            for j, (normal, mask, faces) in enumerate(state.facets):
+            for j, (normal, mask, faces, _) in enumerate(state.facets):
                 values = [sum(a * b for a, b in zip(normal, row)) for row in seed]
                 assert gcd(*normal) == 1 and values[j] > 0
                 assert values[:j] + values[j + 1 :] == [0] * dim
                 assert mask == full ^ (1 << j)
-                assert faces == {full ^ (1 << j): (state.volume, j)}
+                later = state.rows[dim + 1 :]
+                if any(sum(a * b for a, b in zip(normal, row)) < 0 for row in later):
+                    assert faces == {full ^ (1 << j): (state.volume, j)}
+                else:
+                    assert faces is None
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -496,13 +501,50 @@ def test_facet_ids_stay_narrow_in_the_grid_placing_run():
     assert state.volume == 22720
 
 
+def test_grid_placing_holds_only_the_faces_it_will_cone():
+    # A facet holds its boundary faces only while a later row is beyond
+    # it: after every step the faces held are those on the facets that
+    # the reference's own rows see later, and none are left at the end.
+    vectors = list(build_configuration(NAMED_LADDER["grid3x4"][0]).vectors)
+    state, ref = placing_state(vectors), reference_placing(vectors)
+    peak = expected = 0
+    for k in range(len(state.rows[0]), len(state.rows)):
+        state.insert(k)
+        ref.insert(k)
+        held = sum(len(f[2]) for f in state.facets if f is not None and f[2] is not None)
+        peak = max(peak, held)
+        expected = max(expected, sum(len(ref.faces[v]) for v in _seen_later(ref, k)))
+    assert peak == expected == 5680
+    assert all(f[2] is None for f in state.facets if f is not None)
+    assert state.volume == ref.volume == 22720
+
+
+def test_placing_raises_when_a_seen_facet_holds_no_faces(monkeypatch):
+    # In 1-d the seed [0, 2] has facets x >= 0, normal (1, 0), and
+    # x <= 2, normal (-1, 2), which (3,) is beyond.  Without that seed
+    # facet's faces, placing (3,) has nothing to cone.
+    message = r"^point {} sees facet {}, which holds no boundary faces$"
+    state = placing_state([(0,), (2,), (3,), (4,)])
+    j = [f[0] for f in state.facets].index((-1, 2))
+    normal, mask, _, out = state.facets[j]
+    state.facets[j] = (normal, mask, None, out)
+    with pytest.raises(TheoremViolation, match=message.format(2, r"\(-1, 2\)")):
+        state.run()
+    # A new facet that tests no later row keeps no faces: x <= 3, made
+    # for (3,), is then bare when (4,) sees it.
+    state = placing_state([(0,), (2,), (3,), (4,)])
+    monkeypatch.setattr(_PlacingState, "_beyond", lambda self, normal, rows: 0)
+    with pytest.raises(TheoremViolation, match=message.format(3, r"\(-1, 3\)")):
+        state.run()
+
+
 def test_placing_raises_on_an_inexact_volume_ratio():
     # Seed [0, 2] has volume 2 on its face {2}, whose facet normal is
     # (-1, 2); placing 3 scales that volume by 1/2.  A boundary volume
     # of 1 instead makes the ratio inexact, which no triangulation gives.
     state = placing_state([(0,), (2,), (3,)])
-    for _, _, faces in state.facets:
-        for m, (_, j) in faces.items():
+    for _, _, faces, _ in state.facets:
+        for m, (_, j) in (faces or {}).items():
             faces[m] = (1, j)
     # The witness names point 2, (3,), and a facet it sees.
     with pytest.raises(TheoremViolation, match=r"not an integer: point 2 sees facet \(-1, 2\)"):
@@ -687,17 +729,31 @@ def test_tree_facet_counts():
         assert len(enumerate_facets(g)) == 2 ** (g.node_count - 1)
 
 
+def _seen_later(ref, k: int) -> set:
+    """The facet rays of the reference placing state, after position k is
+    placed, that some row placed later lies strictly beyond."""
+    rows = ref.rows[k + 1 :]
+    return {
+        v for v, _ in ref.cone.rays if any(sum(a * b for a, b in zip(v, r)) < 0 for r in rows)
+    }
+
+
 def _placed_in_step_with_the_reference(points) -> int:
     """Place ``points`` with the oracle and with ``reference_placing`` in
-    step: after every point, the facets (normal, tight mask, boundary
-    faces) and the volume agree.  Returns the volume."""
+    step: after every point, the facets (normal, tight mask) and the
+    volume agree, the boundary faces agree on every facet that a later
+    row is beyond, by the reference's own rays and rows, and every other
+    facet holds no faces.  Returns the volume."""
     state, ref = placing_state(points), reference_placing(points)
     assert state.order == ref.order
     for k in range(len(state.rows[0]), len(state.rows)):
         state.insert(k)
         ref.insert(k)
-        got = {v: (m, faces) for v, m, faces in filter(None, state.facets)}
-        assert got == {v: (m, ref.faces[v]) for v, m in ref.cone.rays}
+        got = {v: (m, faces) for v, m, faces, _ in filter(None, state.facets)}
+        assert {v: m for v, (m, _) in got.items()} == dict(ref.cone.rays)
+        seen = _seen_later(ref, k)
+        for v, (_, faces) in got.items():
+            assert faces == (ref.faces[v] if v in seen else None)
         assert state.volume == ref.volume
     return state.volume
 

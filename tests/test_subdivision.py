@@ -11,6 +11,7 @@ from conftest import (
     cells_of,
     connected_graphs,
     cycle_graph,
+    grid_graph,
     lift_subdivision,
     lift_weight,
     potential_facets,
@@ -23,12 +24,13 @@ from apx.cellanalysis import Signature, closed_form_volume
 from apx.errors import TheoremViolation
 from apx.graphcore import Graph, contract_edge
 from apx.polytope import build_configuration, enumerate_facets, normalized_volume
-from apx.polytope import normalized_volume_of_points
+from apx.polytope import normalized_volume_of_points, phi
 from apx.subdivision import (
     Cell,
     cell_record,
     cells_with_facets,
     check_simpliciality_transfer,
+    contracted_pair,
     corank,
     facet_correspondence,
     product_correspondence,
@@ -158,6 +160,61 @@ def test_cell_volumes_sum_to_polytope_volume():
         cells = cells_of(g, e)
         total = sum(normalized_volume_of_points(c.record().vectors) for c in cells)
         assert total == normalized_volume(build_configuration(g))
+
+
+def _pyramid(vectors, dim: int) -> int:
+    """pyr(Q): the normalized volume of conv(0 and Q) in R^dim, 1 in R^0."""
+    if not dim:
+        return 1
+    return normalized_volume_of_points([(0,) * dim, *vectors])
+
+
+def _assert_cayley_split(g, e) -> None:
+    """Every cell of the contraction of e is conv(F~ and the pair +-u),
+    with F~ its points other than the pair, at level -1 of gamma, and u
+    at level 0.  Its volume splits as nvol(cell) = 2 pyr(F) + pyr(F~),
+    F being the cell's facet of P(G / e): the pyramid over F~ from 0
+    plus the two halves swept by the segment [-u, u], each the pyramid
+    over the projection of F~ along u, which is F."""
+    pair = contracted_pair(e)
+    for cell, facet in cells_with_facets(g, e):
+        rest = [phi(lab, cell.dim) for lab in cell.points if lab not in pair]
+        face = [phi(lab, len(facet.normal)) for lab in facet.support]
+        split = 2 * _pyramid(face, len(facet.normal)) + _pyramid(rest, cell.dim)
+        assert cell_volume(cell) == split
+
+
+@pytest.mark.parametrize("name", NAMED_LADDER)
+def test_cell_volumes_split_into_pyramids_on_the_ladder(name):
+    _assert_cayley_split(*NAMED_LADDER[name])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(max_nodes=7), st.data())
+def test_cell_volumes_split_into_pyramids_on_drawn_graphs(g, data):
+    _assert_cayley_split(g, data.draw(st.sampled_from(g.sorted_edges())))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle_graph(8),
+        grid_graph(3, 3),
+        Graph.from_edges((i, j) for i in range(3) for j in range(3, 6)),
+    ],
+    ids=["C8", "grid3x3", "K33"],
+)
+def test_bipartite_volume_doubles_the_contraction(g):
+    # Summed over the cells, the split reads Vol(P(G)) = 2 Vol(P(G / e))
+    # plus the pyr(F~), as the pyramids over the facets of P(G / e) tile
+    # it.  In a bipartite graph each pyr(F~) is 0: n independent points
+    # of F~ would be the arcs of a spanning tree, each changing gamma by
+    # 1, and the tree path between the ends of e is odd while gamma
+    # agrees on them.  So the volume doubles at every edge.
+    volume = normalized_volume(build_configuration(g))
+    for e in g.sorted_edges():
+        contracted, _ = contract_edge(g, e)
+        assert volume == 2 * normalized_volume(build_configuration(contracted))
 
 
 def test_facet_correspondence_c4():
