@@ -1,7 +1,9 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -536,6 +538,24 @@ def test_placing_raises_when_a_seen_facet_holds_no_faces(monkeypatch):
     monkeypatch.setattr(_PlacingState, "_beyond", lambda self, normal, rows: 0)
     with pytest.raises(TheoremViolation, match=message.format(3, r"\(-1, 3\)")):
         state.run()
+    monkeypatch.undo()
+    # On the 3x4 grid, a seed facet that a later row is beyond, by the
+    # rows' own dot products, raises without its face when the first
+    # such row is placed.
+    state = placing_state(list(build_configuration(NAMED_LADDER["grid3x4"][0]).vectors))
+    later = range(len(state.rows[0]), len(state.rows))
+    j, k = next(
+        (j, i)
+        for j, (normal, *_) in enumerate(state.facets)
+        for i in later
+        if sum(map(mul, normal, state.rows[i])) < 0
+    )
+    normal, mask, faces, out = state.facets[j]
+    assert faces is not None
+    state.facets[j] = (normal, mask, None, out)
+    witness = message.format(state.order[k], re.escape(str(normal)))
+    with pytest.raises(TheoremViolation, match=witness):
+        state.run()
 
 
 def test_placing_raises_on_an_inexact_volume_ratio():
@@ -750,10 +770,8 @@ def _placed_in_step_with_the_reference(points) -> int:
         state.insert(k)
         ref.insert(k)
         got = {v: (m, faces) for v, m, faces, _ in filter(None, state.facets)}
-        assert {v: m for v, (m, _) in got.items()} == dict(ref.cone.rays)
         seen = _seen_later(ref, k)
-        for v, (_, faces) in got.items():
-            assert faces == (ref.faces[v] if v in seen else None)
+        assert got == {v: (m, ref.faces[v] if v in seen else None) for v, m in ref.cone.rays}
         assert state.volume == ref.volume
     return state.volume
 
