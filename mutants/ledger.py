@@ -311,7 +311,7 @@ MUTANTS = (
     Mutant(
         "subdivision: lower faces without the support test",
         SUBDIVISION,
-        "        if not witness:\n",
+        "        if witness is not None:\n",
         "        if False:\n",
         (
             "tests/test_cli.py::test_subdivide_proof_refuses_a_shifted_normal",
@@ -450,6 +450,16 @@ MUTANTS = (
         ("tests/test_cellanalysis.py::test_cell_properties_corank2_cell_basis",),
     ),
     Mutant(
+        "properties: at most one odd reads < 1",
+        CELLANALYSIS,
+        "        return self.basis_odd_cycles <= 1\n",
+        "        return self.basis_odd_cycles < 1\n",
+        (
+            "tests/test_cellanalysis.py::test_cell_properties_corank2_cell_basis",
+            "tests/test_verify.py::test_c5_full_pass",
+        ),
+    ),
+    Mutant(
         "cellanalysis: every plain cycle is classed odd",
         CELLANALYSIS,
         '        kind = "even_cycle" if len(g.edges) % 2 == 0 else "odd_cycle"\n',
@@ -553,6 +563,13 @@ MUTANTS = (
             "tests/test_cellanalysis.py::"
             "test_tree_and_even_cycle_classes_refuse_a_non_simplicial_cell",
         ),
+    ),
+    Mutant(
+        "verify: special_edge passes whatever the cells",
+        VERIFY,
+        'add("special_edge", not lacking,',
+        'add("special_edge", True,',
+        ("tests/test_verify.py::test_special_edge_names_the_cell_and_the_point_it_lacks",),
     ),
     Mutant(
         "verify: cells left unanalysed pass the max-corank check",

@@ -18,8 +18,8 @@ not kept for the run.
 Every closed form is cross-checked against the exact triangulation
 oracle, so these functions double as theorem checkers; a disagreement
 raises TheoremViolation (never a bare assert, so ``python -O`` keeps
-every check) instead of returning silently.  A cell's report repeats
-no statement that a raise proves: it holds only what was computed.
+every check) instead of returning silently.  A cell's report holds
+what was computed, and no check that a raise proves.
 """
 
 from __future__ import annotations
@@ -49,16 +49,12 @@ def is_circuit(rec: CellRecord, e: Edge) -> bool:
     return minimal
 
 
-class Signature(NamedTuple):
-    positive: int
-    negative: int
-    zero: int
-
-
-def corank1_signature(rec: CellRecord, e: Edge) -> Signature:
-    """Sign census of the affine dependence of a corank-1 subset,
-    canonicalized so positive >= negative; must match the closed form
-    (ceil(m/2), ceil(m/2), |X| - 2 ceil(m/2)) with m the circumference."""
+def corank1_signature(rec: CellRecord, e: Edge) -> tuple[int, int, int]:
+    """Sign census (positive, negative, zero) of the affine dependence of
+    a corank-1 subset, canonicalized so positive >= negative.  Raises
+    TheoremViolation unless it is the closed form (ceil(m/2), ceil(m/2),
+    |X| - 2 ceil(m/2)), m the circumference, so the value it returns is
+    that closed form."""
     value = corank(rec, e)
     if value != 1:
         raise ApxError(f"corank {value} != 1")
@@ -74,7 +70,7 @@ def corank1_signature(rec: CellRecord, e: Edge) -> Signature:
     expected = (half, half, len(rec.labels) - 2 * half)
     if (pos, neg, zero) != expected:
         raise TheoremViolation(f"signature {(pos, neg, zero)} != {expected}")
-    return Signature(pos, neg, zero)
+    return pos, neg, zero
 
 
 def separates_contracted_pair(rec: CellRecord, e: Edge) -> bool:
@@ -104,14 +100,13 @@ class CellPropertiesReport(NamedTuple):
     def at_most_one_odd(self) -> bool:
         return self.basis_odd_cycles <= 1
 
+    def failed(self) -> list[str]:
+        """The names of the five properties that do not hold."""
+        flags = self.to_json_dict().items()
+        return [name for name, ok in flags if name != "basis_odd_cycles" and not ok]
+
     def all_pass(self) -> bool:
-        return (
-            self.only_directed_cycle_is_pair
-            and self.spans_all_nodes
-            and self.closed_under_swap
-            and self.undirected_balanced
-            and self.at_most_one_odd
-        )
+        return not self.failed()
 
     def to_json_dict(self) -> dict:
         return {**self._asdict(), "at_most_one_odd": self.at_most_one_odd}
@@ -274,9 +269,13 @@ def closed_form_volume(rec: CellRecord, e: Edge, oracle: int) -> int | None:
 
 
 class CellInvariantReport(NamedTuple):
-    """What ``analyze_cell`` computed about one cell.  No field repeats a
-    statement that a call proves by raising; ``checks`` holds whether the
-    five properties pass and, on a corank-1 circuit, the Radon split."""
+    """What ``analyze_cell`` computed about one cell.  No field holds a
+    check that a call proves by raising; ``checks`` holds whether the
+    five properties pass and, on a corank-1 circuit, the Radon split.
+    Two fields are values that a proof ties to another: ``simplicial``
+    is ``corank == 0`` (see ``analyze_cell``), and ``volume_closed_form``
+    is None or ``volume_oracle``, as ``closed_form_volume`` raises
+    otherwise."""
 
     corank: int
     simplicial: bool
@@ -335,9 +334,6 @@ class SpecialGraphReport(NamedTuple):
 
     def passed(self) -> bool:
         return all(v is not False for v in (self.all_simplicial, self.all_circuits))
-
-    def to_json_dict(self) -> dict:
-        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
 def classify_special_graphs(g: Graph, cells: list[Cell], all_circuits: bool) -> SpecialGraphReport:

@@ -150,6 +150,12 @@ def cells_with_facets(g: Graph, e: Edge) -> list[tuple[Cell, FacetCertificate]]:
     label whose image is in the support: where gamma_i - gamma_j plus the
     lift weight is 0.  A single edge gives the one empty facet, whose cell
     is the whole polytope.
+
+    The facets come in order of normal, which is the order of gamma.  With
+    e = (lo, hi), lo < hi, gamma_v is f(v) for v < hi, f(lo) at v = hi and
+    f(v - 1) for v > hi: the normal with f(lo) inserted at position hi.
+    As f(lo) is 0 or an entry of the normal before that position, two
+    gammas first differ where their normals do, and in the same sense.
     """
     labels = build_configuration(g).labels
     contracted, mapping = contract_edge(g, e)
@@ -161,7 +167,6 @@ def cells_with_facets(g: Graph, e: Edge) -> list[tuple[Cell, FacetCertificate]]:
         points = tuple(lab for lab, (a, b) in zip(labels, images) if a == b or (a, b) in support)
         gamma = tuple(f[mapping[v]] for v in range(1, n + 1))
         out.append((Cell(points, gamma), facet))
-    out.sort(key=lambda pair: pair[0].gamma)
     return out
 
 
@@ -273,22 +278,14 @@ def check_simpliciality_transfer(pairs) -> None:
             )
 
 
-class SupportWitness(NamedTuple):
-    """What ``verify_cell_support`` finds: true when the cell passes,
-    else the first label off its level and that label's lifted value."""
-
-    label: DirectedEdge | None = None
-    value: int = 0
-
-    def __bool__(self) -> bool:
-        return self.label is None
-
-
-def verify_cell_support(config: PointConfiguration, e: Edge, cell: Cell) -> SupportWitness:
+def verify_cell_support(
+    config: PointConfiguration, e: Edge, cell: Cell
+) -> tuple[DirectedEdge, int] | None:
     """Definitional check of one cell against the lift of the graph's
     configuration ``config``: level 0 on its points, strictly above
-    elsewhere.  Returns a true witness when it holds, else one naming
-    the first label, in label order, that is off its level."""
+    elsewhere.  Returns None when it holds, else the witness (label,
+    value): the first label, in label order, that is off its level, and
+    its lifted value."""
     # With gamma_0 = 0 in front, <e_i - e_j, gamma> = gamma[i] - gamma[j].
     # The lift weight is 0 on the pair, 1 elsewhere.
     gamma = (0, *cell.gamma)
@@ -300,8 +297,8 @@ def verify_cell_support(config: PointConfiguration, e: Edge, cell: Cell) -> Supp
         value = gamma[i] - gamma[j] + (lab not in pair)
         off = value != 0 if lab in members else value <= 0
         if off:
-            return SupportWitness(lab, value)
-    return SupportWitness()
+            return lab, value
+    return None
 
 
 def prove_lower_faces(config: PointConfiguration, e: Edge, cells) -> None:
@@ -314,11 +311,12 @@ def prove_lower_faces(config: PointConfiguration, e: Edge, cells) -> None:
     first: dict[IntVector, int] = {}
     for i, cell in enumerate(cells):
         witness = verify_cell_support(config, e, cell)
-        if not witness:
-            where = "of the cell" if witness.label in cell.points else "outside the cell"
+        if witness is not None:
+            label, value = witness
+            where = "of the cell" if label in cell.points else "outside the cell"
             raise TheoremViolation(
                 f"cell {i} is not a lower face of the lift at h = 0:"
-                f" point {witness.label} {where} lifts to {witness.value}"
+                f" point {label} {where} lifts to {value}"
             )
         j = first.setdefault(cell.gamma, i)
         if j != i:

@@ -12,6 +12,7 @@ from .polytope import build_configuration, normalized_volume, normalized_volume_
 from .subdivision import (
     cells_with_facets,
     check_simpliciality_transfer,
+    contracted_pair,
     facet_correspondence,
     product_correspondence,
     prove_cover,
@@ -20,29 +21,23 @@ from .subdivision import (
 
 
 class CheckResult(NamedTuple):
-    name: str
     passed: bool
     detail: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {"passed": self.passed, "detail": self.detail}
 
+class VerificationReport(NamedTuple):
+    """The result of one run: ``checks`` maps each check's name to its
+    result, in the order the checks ran, and ``cell_reports`` holds the
+    analyses of the cells whose analysis did not raise, in cell order."""
 
-class VerificationReport:
-    """The checks of one run, in the order they ran; built up by ``add``."""
-
-    def __init__(self, graph: Graph, contraction: tuple[int, int], level: str) -> None:
-        self.graph = graph
-        self.contraction = contraction
-        self.level = level
-        self.checks: list[CheckResult] = []
-        self.cell_reports: list[CellInvariantReport] = []
+    graph: Graph
+    contraction: tuple[int, int]
+    level: str
+    checks: dict[str, CheckResult]
+    cell_reports: list[CellInvariantReport]
 
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(CheckResult(name, passed, detail))
+        return all(c.passed for c in self.checks.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -50,7 +45,7 @@ class VerificationReport:
             "edge": list(self.contraction),
             "level": self.level,
             "passed": self.passed(),
-            "checks": {c.name: c.to_json_dict() for c in self.checks},
+            "checks": {name: c._asdict() for name, c in self.checks.items()},
             "cells": [r.to_json_dict() for r in self.cell_reports],
         }
 
@@ -58,52 +53,54 @@ class VerificationReport:
 def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
     """Check every theorem statement on (g, e); collect all evidence."""
     e = edge(*e)
-    report = VerificationReport(g, e, level)
+    checks: dict[str, CheckResult] = {}
+
+    def add(name: str, passed: bool, detail: str = "") -> None:
+        checks[name] = CheckResult(passed, detail)
+
     pairs = cells_with_facets(g, e)
     cells = [cell for cell, _ in pairs]
 
-    report.add(
-        "special_edge",
-        all(c.contains_contracted_pair(e) for c in cells),
-        f"{len(cells)} cells",
-    )
+    lacking = [(i, p) for i, c in enumerate(cells) for p in contracted_pair(e) if p not in c.points]
+    detail = "cell {} lacks {} of the contracted pair".format(*lacking[0]) if lacking else ""
+    add("special_edge", not lacking, detail or f"{len(cells)} cells")
 
     config = build_configuration(g)
     try:
         prove_lower_faces(config, e, cells)
-        report.add("lower_facet_normalization", True, "h = 0 and gamma agrees on the merged nodes")
+        add("lower_facet_normalization", True, "h = 0 and gamma agrees on the merged nodes")
     except TheoremViolation as exc:
-        report.add("lower_facet_normalization", False, str(exc))
+        add("lower_facet_normalization", False, str(exc))
 
     try:
         facet_correspondence(g, e, pairs)
-        report.add("facet_correspondence", True, f"{len(cells)} cells <-> {len(pairs)} facets")
+        add("facet_correspondence", True, f"{len(cells)} cells <-> {len(pairs)} facets")
     except TheoremViolation as exc:
-        report.add("facet_correspondence", False, str(exc))
-        report.add("simpliciality_transfer", False, "correspondence unavailable")
+        add("facet_correspondence", False, str(exc))
+        add("simpliciality_transfer", False, "correspondence unavailable")
     else:
         try:
             check_simpliciality_transfer(pairs)
-            report.add("simpliciality_transfer", True)
+            add("simpliciality_transfer", True)
         except TheoremViolation as exc:
-            report.add("simpliciality_transfer", False, str(exc))
+            add("simpliciality_transfer", False, str(exc))
 
     # The product bijection is checked only when G splits at e.
     try:
         sides = product_correspondence(g, e, cells)
         if sides is not None:
             f1, f2 = sides
-            report.add(
+            add(
                 "product_correspondence",
                 True,
                 f"{len(cells)} cells = {len(f1)} x {len(f2)} facet pairs",
             )
     except TheoremViolation as exc:
-        report.add("product_correspondence", False, str(exc))
+        add("product_correspondence", False, str(exc))
 
     # An ApxError inside a cell's analysis, above all a TheoremViolation,
     # is failing evidence for the cell, not a crash.
-    reports, volumes, failures = report.cell_reports, [], []
+    reports, volumes, failures = [], [], []
     for i, cell in enumerate(cells):
         rec = cell.record()
         volumes.append(normalized_volume_of_cell(rec.vectors, rec.elimination))
@@ -114,27 +111,26 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
             continue
         reports.append(r)
         if not r.passed():
-            failures.append(
-                f"cell {i}: " + ", ".join(name for name, ok in sorted(r.checks.items()) if not ok)
-            )
+            names = [
+                f"properties ({', '.join(r.properties.failed())})" if name == "properties" else name
+                for name, ok in sorted(r.checks.items())
+                if not ok
+            ]
+            failures.append(f"cell {i}: " + ", ".join(names))
     missing = len(cells) - len(reports)
-    report.add(
-        "cell_invariants",
-        not failures,
-        "all cells pass" if not failures else "; ".join(failures),
-    )
+    add("cell_invariants", not failures, "; ".join(failures) or "all cells pass")
 
     polytope_volume = normalized_volume(config)
     try:
         total = prove_cover(cells, volumes, polytope_volume)
-        report.add("volume_additivity", True, f"sum of cells {total}, polytope {polytope_volume}")
+        add("volume_additivity", True, f"sum of cells {total}, polytope {polytope_volume}")
     except TheoremViolation as exc:
-        report.add("volume_additivity", False, str(exc))
+        add("volume_additivity", False, str(exc))
 
     # A cell whose analysis failed is failing evidence for the odd-cycle
     # class and the maximum corank.
     special = classify_special_graphs(g, cells, not missing and all(r.circuit for r in reports))
-    report.add("special_graph_classes", special.passed(), special.graph_class)
+    add("special_graph_classes", special.passed(), special.graph_class)
 
     if level == "full":
         from .matroid import certify_morphism
@@ -144,9 +140,7 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
         detail = f"max corank {value}, balanced circuit rank {rank}"
         if missing:
             detail += f", {missing} of {len(cells)} cells not analysed"
-        report.add(
-            "max_corank_equals_balanced_circuit_rank", value == rank and not missing, detail
-        )
+        add("max_corank_equals_balanced_circuit_rank", value == rank and not missing, detail)
         detail = ""
         for i, cell in enumerate(cells):
             try:
@@ -154,6 +148,6 @@ def run_verification(g: Graph, e, level: str = "full") -> VerificationReport:
             except TheoremViolation as exc:
                 detail = f"cell {i}: {exc}"
                 break
-        report.add("matroid_morphism", not detail, detail)
+        add("matroid_morphism", not detail, detail)
 
-    return report
+    return VerificationReport(g, e, level, checks, reports)

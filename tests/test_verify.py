@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -26,14 +27,10 @@ from apx.polytope import build_configuration
 from apx.verify import run_verification
 
 
-def check_names(report):
-    return {c.name for c in report.checks}
-
-
 def test_c4_full_pass():
     report = run_verification(cycle_graph(4), (0, 3), level="full")
     assert report.passed()
-    assert "matroid_morphism" in check_names(report)
+    assert "matroid_morphism" in report.checks
     assert len(report.cell_reports) == 6
 
 
@@ -46,9 +43,8 @@ def test_c5_full_pass():
 def test_fast_level_subset():
     report = run_verification(cycle_graph(5), (0, 4), level="fast")
     assert report.passed()
-    names = check_names(report)
-    assert "matroid_morphism" not in names
-    assert "max_corank_equals_balanced_circuit_rank" not in names
+    assert "matroid_morphism" not in report.checks
+    assert "max_corank_equals_balanced_circuit_rank" not in report.checks
 
 
 def test_split_at_contraction_running_example():
@@ -61,23 +57,21 @@ def test_split_at_contraction_running_example():
     assert len(side1) + len(side2) == len(g.edges) + 1
     assert set(side1) & set(side2) == {(0, 3)}
     report = run_verification(g, (0, 3), level="fast")
-    product = next(c for c in report.checks if c.name == "product_correspondence")
-    assert product.passed
+    assert report.checks["product_correspondence"].passed
 
 
 def test_split_at_contraction_cycle_none():
     # A cycle has no split, so verify leaves the product bijection out.
     assert split_at(cycle_graph(5), (0, 4)) is None
     report = run_verification(cycle_graph(5), (0, 4), level="fast")
-    assert "product_correspondence" not in check_names(report)
+    assert "product_correspondence" not in report.checks
 
 
 def test_star_tree_report():
     g = star_graph(5)
     report = run_verification(g, (0, 1), level="full")
     assert report.passed()
-    special = next(c for c in report.checks if c.name == "special_graph_classes")
-    assert special.detail == "tree"
+    assert report.checks["special_graph_classes"].detail == "tree"
 
 
 def test_single_edge_graph():
@@ -91,7 +85,7 @@ def test_random_corpus_fast():
         g = random_connected_graph(rng, max_nodes=6, max_edges=9)
         e = rng.choice(g.sorted_edges())
         report = run_verification(g, e, level="fast")
-        assert report.passed(), [c.name for c in report.checks if not c.passed]
+        assert report.passed(), [name for name, c in report.checks.items() if not c.passed]
 
 
 def test_cell_oracle_runs_once_per_cell(monkeypatch):
@@ -183,12 +177,12 @@ def test_failed_cell_analyses_are_failing_evidence(monkeypatch):
 
     monkeypatch.setattr(cellanalysis, "corank", failing_on_odd_corank)
     k4 = Graph.from_edges(combinations(range(4), 2))
-    checks = {c.name: c for c in run_verification(k4, (0, 1), level="full").checks}
+    checks = run_verification(k4, (0, 1), level="full").checks
     assert not checks["cell_invariants"].passed
     check = checks["max_corank_equals_balanced_circuit_rank"]
     assert not check.passed
     assert check.detail == "max corank 2, balanced circuit rank 2, 4 of 6 cells not analysed"
-    checks = {c.name: c for c in run_verification(cycle_graph(5), (0, 4), level="fast").checks}
+    checks = run_verification(cycle_graph(5), (0, 4), level="fast").checks
     assert not checks["special_graph_classes"].passed
     assert checks["special_graph_classes"].detail == "odd_cycle"
 
@@ -201,7 +195,7 @@ def test_max_corank_check_refuses_a_balanced_circuit_rank_off_by_one(monkeypatch
 
     true_rank = verify.balanced_circuit_rank
     monkeypatch.setattr(verify, "balanced_circuit_rank", lambda g, e: true_rank(g, e) + 1)
-    checks = {c.name: c for c in run_verification(complete_graph(4), (0, 1), level="full").checks}
+    checks = run_verification(complete_graph(4), (0, 1), level="full").checks
     assert checks["cell_invariants"].passed
     check = checks["max_corank_equals_balanced_circuit_rank"]
     assert not check.passed
@@ -224,12 +218,12 @@ def test_simpliciality_transfer_names_the_cell_and_the_facet(monkeypatch):
         return pairs
 
     monkeypatch.setattr(verify, "cells_with_facets", swapped)
-    checks = {c.name: c for c in run_verification(cycle_graph(4), (0, 3), level="fast").checks}
+    checks = run_verification(cycle_graph(4), (0, 3), level="fast").checks
     assert not checks["facet_correspondence"].passed
-    assert checks["simpliciality_transfer"][1:] == (False, "correspondence unavailable")
+    assert checks["simpliciality_transfer"] == (False, "correspondence unavailable")
     monkeypatch.setattr(verify, "facet_correspondence", lambda g, e, pairs: None)
-    checks = {c.name: c for c in run_verification(cycle_graph(4), (0, 3), level="fast").checks}
-    assert checks["simpliciality_transfer"][1:] == (
+    checks = run_verification(cycle_graph(4), (0, 3), level="fast").checks
+    assert checks["simpliciality_transfer"] == (
         False,
         f"simplicial cell 1 maps to the non-simplicial facet {square.support}",
     )
@@ -240,7 +234,7 @@ def test_report_json_shape():
     payload = report.to_json_dict()
     assert payload["edge"] == [0, 3]
     assert payload["passed"] is True
-    assert set(payload["checks"]) == check_names(report)
+    assert list(payload["checks"]) == list(report.checks)
     assert len(payload["cells"]) == 6
     for cell in payload["cells"]:
         assert set(cell) == {
@@ -276,7 +270,7 @@ def test_theorem_checks_survive_python_O():
         subdivision.forest = forest
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
         report = run_verification(g, (0, 1), level="fast")
-        check = next(c for c in report.checks if c.name == "cell_invariants")
+        check = report.checks["cell_invariants"]
         print(json.dumps({"debug": __debug__, "passed": check.passed, "detail": check.detail}))
         """
     )
@@ -293,18 +287,60 @@ def test_theorem_checks_survive_python_O():
 
 
 def test_cell_invariants_names_failing_checks(monkeypatch):
+    # C4's cell 2 reads spans_all_nodes false, and cell 4 two properties
+    # false, one of them the derived at_most_one_odd.  The detail names
+    # each failing property, and each reads false in that cell's report.
     import apx.cellanalysis as cellanalysis
 
     real = cellanalysis.verify_cell_properties
+    faults = {
+        2: {"spans_all_nodes": False},
+        4: {"closed_under_swap": False, "basis_odd_cycles": 2},
+    }
+    calls = []
 
     def failing(g, e, rec):
-        return real(g, e, rec)._replace(spans_all_nodes=False)
+        calls.append(rec)
+        return real(g, e, rec)._replace(**faults.get(len(calls) - 1, {}))
 
     monkeypatch.setattr(cellanalysis, "verify_cell_properties", failing)
     report = run_verification(cycle_graph(4), (0, 3), level="fast")
-    check = next(c for c in report.checks if c.name == "cell_invariants")
+    check = report.checks["cell_invariants"]
     assert not check.passed
-    assert check.detail == "; ".join(f"cell {i}: properties" for i in range(6))
+    assert check.detail == (
+        "cell 2: properties (spans_all_nodes); "
+        "cell 4: properties (closed_under_swap, at_most_one_odd)"
+    )
+    for part in check.detail.split("; "):
+        i, names = re.fullmatch(r"cell (\d+): properties \((.*)\)", part).groups()
+        properties = report.cell_reports[int(i)].properties
+        assert all(getattr(properties, name) is False for name in names.split(", "))
+    passing = [i not in faults for i in range(6)]
+    assert [r.checks["properties"] for r in report.cell_reports] == passing
+
+
+def test_special_edge_names_the_cell_and_the_point_it_lacks(monkeypatch):
+    # Cell 3 of C5 with its point (4, 0) dropped: the check names the
+    # first cell without both contracted points, and a point it lacks.
+    import apx.verify as verify
+
+    real = verify.cells_with_facets
+
+    def dropped(g, e):
+        pairs = real(g, e)
+        cell, facet = pairs[3]
+        pairs[3] = (cell._replace(points=tuple(p for p in cell.points if p != (4, 0))), facet)
+        return pairs
+
+    monkeypatch.setattr(verify, "cells_with_facets", dropped)
+    report = run_verification(cycle_graph(5), (0, 4), level="fast")
+    check = report.checks["special_edge"]
+    assert check == (False, "cell 3 lacks (4, 0) of the contracted pair")
+    found = re.fullmatch(r"cell (\d+) lacks \((\d+), (\d+)\) .*", check.detail)
+    i, a, b = map(int, found.groups())
+    cells = [cell for cell, _ in dropped(cycle_graph(5), (0, 4))]
+    assert (a, b) not in cells[i].points
+    assert all(c.contains_contracted_pair((0, 4)) for c in cells[:i])
 
 
 def test_verify_enumerates_each_contracted_graph_once(monkeypatch):
@@ -328,7 +364,7 @@ def test_verify_enumerates_each_contracted_graph_once(monkeypatch):
         (running_example(), (0, 3), 3),
     ]:
         calls.clear()
-        checks = {c.name: c for c in run_verification(g, e, level="fast").checks}
+        checks = run_verification(g, e, level="fast").checks
         assert all(c.passed for c in checks.values())
         assert len(calls) == count, g
         assert ("product_correspondence" in checks) == (count == 3)
@@ -366,7 +402,7 @@ def test_full_passes_where_a_balanced_subgraph_without_e_has_more_cycles(edges, 
     # balanced circuit rank counts only subgraphs that do.
     report = run_verification(Graph.from_edges(edges), e, level="full")
     assert report.passed()
-    check = next(c for c in report.checks if c.name == "max_corank_equals_balanced_circuit_rank")
+    check = report.checks["max_corank_equals_balanced_circuit_rank"]
     assert check.detail == f"max corank {rank}, balanced circuit rank {rank}"
 
 
@@ -375,7 +411,7 @@ def test_k8_full_proves_the_morphism_on_every_cell():
     # the certificate proves every cell in one pass over its points.  The
     # other checks are pinned to their values.
     report = run_verification(Graph.from_edges(combinations(range(8), 2)), (0, 1), level="full")
-    assert {c.name: (c.passed, c.detail) for c in report.checks} == {
+    assert report.checks == {
         "special_edge": (True, "126 cells"),
         "lower_facet_normalization": (True, "h = 0 and gamma agrees on the merged nodes"),
         "facet_correspondence": (True, "126 cells <-> 126 facets"),
@@ -406,6 +442,6 @@ def test_matroid_morphism_names_the_cell_point_and_premise(monkeypatch):
 
     monkeypatch.setattr(apx.verify, "cells_with_facets", shifted)
     report = run_verification(cycle_graph(5), (0, 4), level="full")
-    check = next(c for c in report.checks if c.name == "matroid_morphism")
+    check = report.checks["matroid_morphism"]
     assert not check.passed
     assert check.detail == "cell 2: point (1, 0) off level -1: gamma_1 - gamma_0 = 4"
